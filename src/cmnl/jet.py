@@ -390,74 +390,3 @@ def _mu_len(fld):
     for idx in fld:
         return len(idx.mu)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# real coordinate form
-
-
-def _real_variable_expansions(basis):
-    """Per complex coordinate, its polynomial in the real variables.
-
-    Conjugate pairs ``(j, q)`` with ``j < q`` map to ``c_j = a_j + i b_q``
-    and ``c_q = a_j - i b_q`` (``a`` stored at the pair's first slot, ``b``
-    at the second); self-conjugate coordinates stay real.
-    """
-    M = basis.size
-    expansions = []
-    for j, el in enumerate(basis.elements):
-        q = el.partner
-        if q < 0:
-            expansions.append({_unit(M, j): 1.0 + 0j})
-        elif j < q:
-            expansions.append({_unit(M, j): 1.0 + 0j, _unit(M, q): 1j})
-        else:
-            expansions.append({_unit(M, q): 1.0 + 0j, _unit(M, j): -1j})
-    return expansions
-
-
-def _poly_mul(p1, p2):
-    out = defaultdict(complex)
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            out[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
-    return dict(out)
-
-
-def real_field(J, tol=1e-9):
-    """Field in real coordinates: Re/Im split along conjugate pairs.
-
-    For a conjugate pair occupying slots ``(j, q)``, ``j < q``, the real
-    variables are ``a = Re c_j`` at slot ``j`` and ``b = Im c_j`` at slot
-    ``q``; their equations are the real and imaginary parts of the pair's
-    ``+`` equation.  Self-conjugate slots stay as they are.  Returns a map
-    from real-variable indices to real vectors.  The complex form is
-    canonical; this one is derived for reporting.
-    """
-    basis = J.basis
-    M = basis.size
-    expansions = _real_variable_expansions(basis)
-    rows = []
-    for j, el in enumerate(basis.elements):
-        q = el.partner
-        if q < 0 or j < q:
-            rows.append(("re", j))
-        else:
-            rows.append(("im", q))
-
-    out = defaultdict(lambda: np.zeros(M))
-    for idx, vec in J.field.items():
-        # expand the complex monomial into real variables
-        poly = {(0,) * M: 1.0 + 0j}
-        for jc, p in enumerate(idx.powers):
-            for _ in range(p):
-                poly = _poly_mul(poly, expansions[jc])
-        for row, (kind, src) in enumerate(rows):
-            z = vec[src]
-            if abs(z) == 0:
-                continue
-            for exps, c in poly.items():
-                term = c * z
-                val = term.real if kind == "re" else term.imag
-                out[JetIndex(exps, idx.mu)][row] += val
-    return {idx: vec for idx, vec in out.items() if np.abs(vec).max() > tol}

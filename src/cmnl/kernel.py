@@ -351,7 +351,6 @@ class SymbolKernel(Kernel):
         self._derivative = derivative
         self._decay_radius = decay_radius
         self._table = None
-        self._spline = None
 
     def _value(self, nu):
         v = self._symbol(nu)
@@ -382,29 +381,35 @@ class SymbolKernel(Kernel):
         """Sample K(x) on a uniform grid by inverse Fourier transform.
 
         Uses K(x) = (1/2 pi) int Khat(i l) exp(i l x) dl on a truncated grid;
-        cached, consumed by ``eval_x``.
+        cached, consumed by ``eval_x``.  With ``x_j = j dx - halfwidth`` and
+        ``dx = 2 halfwidth / npts`` the phase ``exp(i l_k x_j)`` is
+        ``(-1)^k exp(2 pi i j k / npts)``, so the sum is one inverse FFT.
         """
-        ls = np.fft.fftfreq(npts, d=2 * halfwidth / npts) * 2 * np.pi
+        dx = 2 * halfwidth / npts
+        ls = np.fft.fftfreq(npts, d=dx) * 2 * np.pi
         vals = np.array([self._value(1j * l) for l in ls])  # (npts, n, n)
-        # Inverse transform per matrix entry.
-        xs = np.arange(npts) * (2 * halfwidth / npts) - halfwidth
-        phase = np.exp(1j * np.outer(xs, ls))
-        dl = 2 * np.pi / (2 * halfwidth)
-        table = np.tensordot(phase, vals, axes=(1, 0)) * dl / (2 * np.pi)
+        signs = np.where(np.arange(npts) % 2 == 0, 1.0, -1.0)
+        table = np.fft.ifft(signs[:, None, None] * vals, axis=0) / dx
+        xs = np.arange(npts) * dx - halfwidth
         self._table = (xs, table)
-        self._spline = None
         return xs, table
 
     def eval_x(self, x):
+        """K(x) by a 4-point local cubic on the uniform table."""
         if self._table is None:
             self.tabulate()
         xs, table = self._table
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
-
-            self._spline = CubicSpline(xs, table, axis=0)
-        x = np.asarray(x, dtype=float)
-        return self._spline(np.clip(x, xs[0], xs[-1]))
+        dx = xs[1] - xs[0]
+        s = (np.clip(np.asarray(x, dtype=float), xs[0], xs[-1]) - xs[0]) / dx
+        i = np.clip(np.floor(s).astype(int), 1, len(xs) - 3)
+        t = (s - i)[..., None, None]
+        # Lagrange weights on the nodes i - 1, i, i + 1, i + 2
+        return (
+            -t * (t - 1) * (t - 2) / 6 * table[i - 1]
+            + (t + 1) * (t - 1) * (t - 2) / 2 * table[i]
+            - (t + 1) * t * (t - 2) / 2 * table[i + 1]
+            + (t + 1) * t * (t - 1) / 6 * table[i + 2]
+        )
 
     def decay_radius(self, tol=1e-12):
         if self._decay_radius is not None:

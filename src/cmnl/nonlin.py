@@ -139,6 +139,36 @@ class NonlinearitySpec:
         return max((len(t.mu_power) for t in self.terms), default=0)
 
 
+def walk_term(term, args, n, convolve, component, product, place):
+    """The slot walk of one term, shared by the exact and the grid evaluators.
+
+    ``args`` holds one argument per factor slot, each with ``n`` components.
+    The operations supply the representation: ``convolve(kernel, v)``,
+    ``component(v, c)`` (a one-component value), ``product(a, b)`` (pointwise)
+    and ``place(v, n, target)`` (a one-component value as an ``n``-vector).
+    Neither the coefficient nor the ``mu^r`` factor is applied.
+    """
+    if not 0 <= term.target < n:
+        raise ValueError(f"output component {term.target} out of range")
+    prod = None
+    for (kern, comp), u in zip(term.factors, args):
+        if not 0 <= comp < n:
+            raise ValueError(f"factor component {comp} out of range")
+        if kern is None:
+            s = component(u, comp)
+        elif kern.n == 1 and n != 1:
+            # scalar kernels broadcast componentwise
+            s = convolve(kern, component(u, comp))
+        else:
+            s = component(convolve(kern, u), comp)
+        prod = s if prod is None else product(prod, s)
+    outer = term.outer
+    if outer is not None and outer.n == 1 and n != 1:
+        return place(convolve(outer, prod), n, term.target)
+    out = place(prod, n, term.target)
+    return out if outer is None else convolve(outer, out)
+
+
 def apply_term(term, args):
     """Evaluate one term on quasi-polynomial arguments, exactly.
 
@@ -154,28 +184,23 @@ def apply_term(term, args):
     n = args[0].n
     if any(u.n != n for u in args):
         raise ValueError("argument dimensions differ")
-    if not 0 <= term.target < n:
-        raise ValueError(f"output component {term.target} out of range")
-    prod = None
-    for (kern, comp), u in zip(term.factors, args):
-        if not 0 <= comp < n:
-            raise ValueError(f"factor component {comp} out of range")
-        if kern is None:
-            s = u.component(comp)
-        elif kern.n == 1 and n != 1:
-            # scalar kernels broadcast componentwise
-            s = convolve(kern, u.component(comp))
-        else:
-            s = convolve(kern, u).component(comp)
-        prod = s if prod is None else multiply(prod, s)
-    if term.outer is not None and term.outer.n == 1 and n != 1:
-        prod = convolve(term.outer, prod)
-        out = place_component(prod, n, term.target)
-    else:
-        out = place_component(prod, n, term.target)
-        if term.outer is not None:
-            out = convolve(term.outer, out)
+    out = walk_term(term, args, n, convolve, QuasiPolynomial.component,
+                    multiply, place_component)
     return out.scale(term.coeff)
+
+
+def mu_weight(term, mu):
+    """Numeric value of the term's formal factor ``mu^r``."""
+    weight = 1.0 + 0j
+    for p, r in enumerate(term.mu_power):
+        if r == 0:
+            continue
+        if p >= len(mu):
+            raise ValueError(
+                f"term needs parameter {p}, only {len(mu)} supplied"
+            )
+        weight *= mu[p] ** r
+    return weight
 
 
 def apply_series(F, u, mu=()):
@@ -187,15 +212,7 @@ def apply_series(F, u, mu=()):
     mu = (mu,) if np.isscalar(mu) else tuple(mu)
     out = QuasiPolynomial.zero(u.n)
     for t in F.terms:
-        weight = 1.0 + 0j
-        for p, r in enumerate(t.mu_power):
-            if r == 0:
-                continue
-            if p >= len(mu):
-                raise ValueError(
-                    f"term needs parameter {p}, only {len(mu)} supplied"
-                )
-            weight *= mu[p] ** r
+        weight = mu_weight(t, mu)
         if weight == 0:
             continue
         out = out + apply_term(t, [u] * t.degree).scale(weight)

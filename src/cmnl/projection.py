@@ -296,11 +296,6 @@ class Projection:
         }
 
 
-def project(P, u):
-    """Coordinates and projected element of u under P."""
-    return P.project(u)
-
-
 def _chain_directions(elements, directions):
     """Candidate directions for ``elements``, in element order, deduplicated.
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field as dataclass_field
 from math import ceil, log, sqrt
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .jet import JetIndex, ScaledField, evaluate_field, scale_field
+from .nonlin import _term_kernels, mu_weight, walk_term
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +347,17 @@ def grid_convolve(K, xs, values, tail_tol=1e-10):
     return out
 
 
-def _series_kernels(F):
-    ks = []
-    for t in F.terms:
-        ks.extend(kern for kern, _ in t.factors if kern is not None)
-        if t.outer is not None:
-            ks.append(t.outer)
-    return ks
+def _place_column(s, n, target):
+    out = np.zeros((s.shape[0], n), dtype=complex)
+    out[:, target] = s[:, 0]
+    return out
 
 
 def grid_nonlinearity(F, xs, values, mu=(), tail_tol=1e-10):
     """``F(u, mu)`` on the grid; numeric counterpart of the exact series.
 
-    Mirrors the exact evaluation slot by slot: inner kernels convolve before
-    the pointwise product, scalar kernels broadcast componentwise, the outer
-    kernel convolves the placed product.
+    Runs the exact evaluator's slot walk (``nonlin.walk_term``) on grid
+    values, with ``grid_convolve`` in place of the coefficient identity.
     """
     mu = (mu,) if np.isscalar(mu) else tuple(mu)
     xs = np.asarray(xs, dtype=float)
@@ -369,38 +365,18 @@ def grid_nonlinearity(F, xs, values, mu=(), tail_tol=1e-10):
     if values.ndim == 1:
         values = values[:, None]
     m, n = values.shape
+
+    def conv(kern, v):
+        return grid_convolve(kern, xs, v, tail_tol)
+
     out = np.zeros((m, n), dtype=complex)
     for t in F.terms:
-        weight = t.coeff
-        for p, r in enumerate(t.mu_power):
-            if r == 0:
-                continue
-            if p >= len(mu):
-                raise ValueError(
-                    f"term needs parameter {p}, only {len(mu)} supplied"
-                )
-            weight *= mu[p] ** r
+        weight = t.coeff * mu_weight(t, mu)
         if weight == 0:
             continue
-        prod = None
-        for kern, comp in t.factors:
-            if kern is None:
-                s = values[:, comp]
-            elif kern.n == 1 and n != 1:
-                s = grid_convolve(kern, xs, values[:, [comp]], tail_tol)[:, 0]
-            else:
-                s = grid_convolve(kern, xs, values, tail_tol)[:, comp]
-            prod = s if prod is None else prod * s
-        placed = np.zeros((m, n), dtype=complex)
-        if t.outer is not None and t.outer.n == 1 and n != 1:
-            placed[:, t.target] = grid_convolve(
-                t.outer, xs, prod[:, None], tail_tol
-            )[:, 0]
-        else:
-            placed[:, t.target] = prod
-            if t.outer is not None:
-                placed = grid_convolve(t.outer, xs, placed, tail_tol)
-        out += weight * placed
+        out += weight * walk_term(t, [values] * t.degree, n, conv,
+                                  lambda v, c: v[:, [c]], np.multiply,
+                                  _place_column)
     return out
 
 
@@ -428,7 +404,7 @@ def residual(K, F, profile, mu=(), tail_tol=1e-10, require_convergence=False):
     r_fine = _defect(K, F, xs, u, mu, tail_tol)
     r_coarse = _defect(K, F, xs[::2], u[::2], mu, tail_tol)
 
-    kernels = [K] + _series_kernels(F)
+    kernels = [K] + [k for t in F.terms for k in _term_kernels(t)]
     margin = max(_stencil_halfwidth(k, h, tail_tol) for k in kernels)
     margin_c = max(_stencil_halfwidth(k, 2 * h, tail_tol) for k in kernels)
     if 2 * margin >= len(xs) or 2 * margin_c >= len(xs[::2]):
@@ -735,6 +711,61 @@ def _pair_phases(J):
     return ell
 
 
+def _hermite(ts, f, df, t):
+    """Cubic Hermite interpolant of values ``f``, slopes ``df`` at nodes ``ts``."""
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    s = (t - ts[i]) / h
+    return (
+        (1.0 + 2.0 * s) * (1.0 - s) ** 2 * f[i]
+        + s * (1.0 - s) ** 2 * h * df[i]
+        + s**2 * (3.0 - 2.0 * s) * f[i + 1]
+        - s**2 * (1.0 - s) * h * df[i + 1]
+    )
+
+
+def _pulse_orbit(J, step_scaled, start):
+    """The parameter-independent part of the pulse family.
+
+    Scales the reduced field to its leading pulse balance and shoots the
+    reversible planar homoclinic once.  Returns ``(ell, lin, cub, shot)``.
+    """
+    ell = _pair_phases(J)
+    sf = scale_field(J.field, (1, 1, 2, 2), 1.0, (2,),
+                     phases=(ell, -ell, ell, -ell))
+    lin, cub = planar_pulse_system(sf)
+    hom = find_homoclinic(lin, cub, lam_hat=1.0, start=start, step=step_scaled)
+    if not hom.success:
+        raise RuntimeError("no homoclinic loop detected in the scaled system")
+    return ell, lin, cub, hom
+
+
+def _pulse_on_grid(J, orbit, lam, step_x, span_factor):
+    """Map the scaled orbit to parameter ``lam`` and reconstruct the profile.
+
+    The half orbit is interpolated by cubic Hermite pieces whose node slopes
+    come from the planar field itself: ``a' = p`` and ``p' = lin a + cub a^3``.
+    """
+    ell, lin, cub, hom = orbit
+    eps = sqrt(lam)
+    T1 = hom.crossing_time
+    m = int(ceil(span_factor * T1 / (eps * step_x)))
+    xs = np.arange(-m, m + 1) * step_x
+    # half orbit, peak at tau = 0: a even, a' odd
+    tau = hom.trajectory.xs - T1
+    a_n = hom.trajectory.ys[:, 0].real
+    p_n = hom.trajectory.ys[:, 1].real
+    z = -np.abs(eps * xs)
+    a = _hermite(tau, a_n, p_n, z)
+    p = _hermite(tau, p_n, lin * a_n + cub * a_n**3, z)
+    p = np.where(xs <= 0, p, -p)
+    phase = np.exp(1j * ell * xs)
+    A = eps * a * phase
+    B = eps**2 * p * phase
+    traj = Trajectory(xs, np.stack([A, np.conj(A), B, np.conj(B)], axis=1))
+    return reconstruct(J, traj, mu=(lam,))
+
+
 def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,
                   span_factor=0.98):
     """Reconstructed pulse at parameter ``lam > 0``.
@@ -746,30 +777,8 @@ def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,
     """
     if lam <= 0:
         raise ValueError("pulse reconstruction needs lam > 0")
-    ell = _pair_phases(J)
-    sf = scale_field(J.field, (1, 1, 2, 2), 1.0, (2,),
-                     phases=(ell, -ell, ell, -ell))
-    lin, cub = planar_pulse_system(sf)
-    hom = find_homoclinic(lin, cub, lam_hat=1.0, start=start, step=step_scaled)
-    if not hom.success:
-        raise RuntimeError("no homoclinic loop detected in the scaled system")
-
-    eps = sqrt(lam)
-    T1 = hom.crossing_time
-    m = int(ceil(span_factor * T1 / (eps * step_x)))
-    xs = np.arange(-m, m + 1) * step_x
-    # half orbit, peak at tau = 0: a even, a' odd
-    tau = hom.trajectory.xs - T1
-    a_half = CubicSpline(tau, hom.trajectory.ys[:, 0].real)
-    p_half = CubicSpline(tau, hom.trajectory.ys[:, 1].real)
-    z = eps * xs
-    a = a_half(-np.abs(z))
-    p = np.where(z <= 0, p_half(z), -p_half(-z))
-    phase = np.exp(1j * ell * xs)
-    A = eps * a * phase
-    B = eps**2 * p * phase
-    traj = Trajectory(xs, np.stack([A, np.conj(A), B, np.conj(B)], axis=1))
-    return reconstruct(J, traj, mu=(lam,)), hom
+    orbit = _pulse_orbit(J, step_scaled, start)
+    return _pulse_on_grid(J, orbit, lam, step_x, span_factor), orbit[-1]
 
 
 def slope_loglog(xs, ys):
@@ -779,19 +788,26 @@ def slope_loglog(xs, ys):
     )
 
 
-def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, **kwargs):
+def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None,
+                         step_scaled=1e-3, start=1e-7, span_factor=0.98):
     """Residual-vs-amplitude scaling of the pulse family.
 
-    Builds the reconstructed pulse for every parameter value, measures the
-    equation defect, and fits the log-log slope of residual against
-    amplitude.  ``details['amplitude_ratio']`` is peak / sqrt(lam) at the
-    smallest parameter.  ``on_profile(lam, profile, residual_report)`` is
-    called once per parameter when supplied.
+    Shoots the parameter-independent scaled homoclinic once, builds the
+    reconstructed pulse for every parameter value, measures the equation
+    defect, and fits the log-log slope of residual against amplitude.
+    ``details['amplitude_ratio']`` is peak / sqrt(lam) at the smallest
+    parameter.  ``on_profile(lam, profile, residual_report)`` is called once
+    per parameter when supplied.  The remaining keywords are those of
+    ``pulse_profile``.
     """
     lams = sorted(float(l) for l in lams)
+    if lams[0] <= 0:
+        raise ValueError("pulse reconstruction needs lam > 0")
+    orbit = _pulse_orbit(J, step_scaled, start)
+    hom = orbit[-1]
     rows = []
     for lam in reversed(lams):
-        prof, hom = pulse_profile(J, lam, step_x=step_x, **kwargs)
+        prof = _pulse_on_grid(J, orbit, lam, step_x, span_factor)
         rep = residual(K, J.nonlinearity, prof, mu=(lam,))
         if on_profile is not None:
             on_profile(lam, prof, rep)
@@ -831,7 +847,8 @@ def front_profile(J, epsilon, c_star, scaled_step=None, start=1e-6,
 
     Extracts the planar front system from the reduction, shoots from the
     saddle, and maps the scaled trajectory back through the graph map with
-    parameter values ``(epsilon^2, epsilon c_star)``.
+    parameter values ``(epsilon^2, epsilon c_star)``.  The shooting result's
+    details record the planar coefficients ``kappa``, ``alpha``, ``beta``.
     Returns ``(GridProfile, ShootingResult)``.
     """
     if epsilon <= 0:
@@ -841,6 +858,7 @@ def front_profile(J, epsilon, c_star, scaled_step=None, start=1e-6,
                     step=scaled_step, tol_reach=tol_reach)
     if not fr.success:
         raise RuntimeError("front shooting did not reach the rest state")
+    fr.details.update(kappa=kappa, alpha=alpha, beta=beta)
     xs = fr.trajectory.xs / epsilon
     ys = np.stack(
         [epsilon * fr.trajectory.ys[:, 0], epsilon**2 * fr.trajectory.ys[:, 1]],
@@ -859,7 +877,6 @@ def front_report(K, J, epsilon, c_star, on_profile=None, **kwargs):
     rep = residual(K, J.nonlinearity, prof, mu=(epsilon**2, epsilon * c_star))
     if on_profile is not None:
         on_profile(epsilon, prof, rep)
-    kappa, alpha, beta = planar_front_system(J)
     return WaveReport(
         kind="front",
         parameters={"epsilon": float(epsilon), "c_star": float(c_star)},
@@ -869,9 +886,9 @@ def front_report(K, J, epsilon, c_star, on_profile=None, **kwargs):
         monotone=fr.monotone,
         details={
             "reach_distance": fr.reach_distance,
-            "kappa": kappa,
-            "alpha": alpha,
-            "beta": beta,
+            "kappa": fr.details["kappa"],
+            "alpha": fr.details["alpha"],
+            "beta": fr.details["beta"],
             "saddle": fr.details["saddle"],
             "quadrature_error": rep.quadrature_error,
         },

@@ -426,6 +426,18 @@ class TestCommandLineEntry:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime needs numpy only; scipy is a test dependency
+        code = (
+            "import sys, cmnl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestCsvWriter:
     def test_vector_profile_columns(self, tmp_path):

@@ -21,7 +21,6 @@ from cmnl.jet import (
     evaluate_field,
     flow_coordinates,
     manifold_point,
-    real_field,
     scale_field,
 )
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm, polynomial_terms
@@ -492,25 +491,3 @@ def test_scale_field_negative_balance_raises(pair_problem):
     K, P, F, J = pair_problem
     with pytest.raises(ValueError, match="leading balance"):
         scale_field(J.field, (1.0,) * 4, 2.0, (2.0,))
-
-
-def test_real_field_matches_complex_field(pair_problem):
-    K, P, F, J = pair_problem
-    rf = real_field(J)
-    point = np.array([0.31, -0.22, 0.11, 0.07])
-    lam = 0.013
-    z = np.array(
-        [
-            point[0] + 1j * point[1],
-            point[0] - 1j * point[1],
-            point[2] + 1j * point[3],
-            point[2] - 1j * point[3],
-        ]
-    )
-    fc = evaluate_field(J.field, z, (lam,))
-    want = np.array([fc[0].real, fc[0].imag, fc[2].real, fc[2].imag])
-    got = np.zeros(4)
-    for idx, vec in rf.items():
-        w = np.prod(point ** np.array(idx.powers)) * lam ** sum(idx.mu)
-        got += np.asarray(vec) * w
-    assert np.abs(got - want).max() < 1e-9

@@ -215,6 +215,15 @@ def test_symbol_kernel_tabulated_values():
     assert np.allclose(vals, np.exp(-(xs**2)) / np.sqrt(np.pi), atol=1e-7)
 
 
+def test_symbol_kernel_default_table_matches_gaussian():
+    # the default table (2**14 points) is what grid_convolve reaches
+    G = kr.GaussianMixture.single(1.0 / np.sqrt(np.pi), 1.0)
+    S = kr.SymbolKernel(lambda nu: G.transform(nu), eta0=np.inf)
+    xs = np.linspace(-4.0, 4.0, 81)
+    vals = S.eval_x(xs)[:, 0, 0]
+    assert np.allclose(vals, np.exp(-(xs**2)) / np.sqrt(np.pi), atol=1e-7)
+
+
 # -- calculus on kernels ------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ from cmnl.projection import (
     build_pointwise,
     gaussian_weight_moments,
     kernel_basis,
-    project,
     sech_weight_moments,
 )
 from cmnl.quasipoly import QuasiPolynomial
@@ -118,7 +117,7 @@ def test_pair_basis_functional_matrix_inverse(l):
 
 def test_project_quadratic_prefactor():
     l = 1.0
-    coords, element = project(build_pointwise(pair_basis(l)), quadratic_prefactor(l))
+    coords, element = build_pointwise(pair_basis(l)).project(quadratic_prefactor(l))
     expected = [1.5 / l**2, -1.5 / l**2, -2j / l, -1j / l]
     assert np.allclose(coords, expected, atol=1e-12)
     assert element.frequencies == pytest.approx([-1j * l, 1j * l])
@@ -127,7 +126,7 @@ def test_project_quadratic_prefactor():
 def test_project_third_harmonic():
     l = 1.0
     u = QuasiPolynomial.exponential(3j * l)
-    coords, _ = project(build_pointwise(pair_basis(l)), u)
+    coords, _ = build_pointwise(pair_basis(l)).project(u)
     assert np.allclose(coords, [-4.0, 5.0, 8j * l, 4j * l], atol=1e-12)
 
 

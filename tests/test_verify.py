@@ -23,9 +23,11 @@ import pytest
 
 from conftest import build_front_jet, build_pair_jet, critical_pair_kernel
 
+import cmnl.verify
 from cmnl.jet import JetIndex, ScaledField, scale_field
 from cmnl.kernel import DiracMixture, ExponentialMixture, GaussianMixture
-from cmnl.nonlin import NonlinearitySpec
+from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_series
+from cmnl.quasipoly import QuasiPolynomial
 from cmnl.verify import (
     GridProfile,
     Trajectory,
@@ -34,6 +36,7 @@ from cmnl.verify import (
     front_profile,
     front_report,
     grid_convolve,
+    grid_nonlinearity,
     integrate_reduced,
     planar_front_system,
     planar_pulse_system,
@@ -202,6 +205,36 @@ class TestGridConvolve:
         xs = np.arange(-5, 6) * 0.5
         with pytest.raises(ValueError, match="dimension"):
             grid_convolve(K, xs, np.zeros((11, 2)))
+
+
+class TestGridNonlinearity:
+    def test_matches_the_exact_series(self):
+        # one term per branch of the slot walk: scalar inner kernel, matrix
+        # inner kernel with scalar outer kernel, matrix outer kernel with a
+        # two-parameter weight
+        g = GaussianMixture.single(0.6, 1.0)
+        g2 = GaussianMixture.single(-0.4, 2.0, b=0.3)
+        Km = GaussianMixture.single(np.array([[0.3, 0.5], [-0.2, 0.1]]), 1.5, n=2)
+        F = NonlinearitySpec(
+            (
+                TaylorTerm(0.7, ((g, 0), (None, 1)), target=1),
+                TaylorTerm(-0.4, ((None, 0), (None, 0), (Km, 1)), outer=g2),
+                TaylorTerm(1.3, ((None, 1),), mu_power=(1, 2), outer=Km,
+                           target=1),
+            ),
+            max_order=4,
+        )
+        u = QuasiPolynomial(2, [
+            (0.5j, np.array([[1.0, 0.2j], [0.1, -0.3]])),
+            (-0.3j, np.array([[0.4 - 0.1j, 0.8]])),
+        ])
+        mu = (0.3, -0.7)
+        xs = np.arange(-400, 401) * 0.05
+        grid = grid_nonlinearity(F, xs, u.evaluate(xs), mu)
+        exact = apply_series(F, u, mu).evaluate(xs)
+        inner = np.abs(xs) <= 8.0  # away from the edge continuation
+        assert np.abs(exact[inner]).max() > 0.1
+        assert np.abs(grid[inner] - exact[inner]).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +526,41 @@ class TestPulseDrivers:
         assert len(data["details"]["sweep"]) == 2
         for row in data["details"]["sweep"]:
             assert row["quadrature_error"] < 0.5 * row["residual_max"]
+
+    def test_slow_amplitude_is_the_exact_orbit(self, pair, monkeypatch):
+        # (lin, cub) = (2, -2): a = sqrt(2) sech(sqrt(2) z), z = sqrt(lam) x
+        _, J = pair
+        seen = []
+
+        def capture(J, traj, mu=()):
+            seen.append(traj)
+            return reconstruct(J, traj, mu)
+
+        monkeypatch.setattr(cmnl.verify, "reconstruct", capture)
+        lam = 1e-2
+        pulse_profile(J, lam)
+        (traj,) = seen
+        eps = math.sqrt(lam)
+        z = eps * traj.xs
+        phase = np.exp(1j * traj.xs)  # carrier frequency 1
+        a = traj.ys[:, 0] / (eps * phase)
+        p = traj.ys[:, 2] / (eps**2 * phase)
+        sech = 1.0 / np.cosh(SQRT2 * z)
+        assert np.abs(a - SQRT2 * sech).max() < 1e-10
+        assert np.abs(p + 2.0 * sech * np.tanh(SQRT2 * z)).max() < 1e-10
+
+    def test_scaling_report_shoots_once(self, pair, monkeypatch):
+        K, J = pair
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_homoclinic(*args, **kwargs)
+
+        monkeypatch.setattr(cmnl.verify, "find_homoclinic", counted)
+        rep = pulse_scaling_report(K, J, [1e-2, 1e-3, 1e-4])
+        assert len(calls) == 1
+        assert len(rep.details["sweep"]) == 3
 
     def test_rejects_nonpositive_parameter(self, pair):
         _, J = pair
