@@ -9,6 +9,19 @@ order ``o`` yields ``T Psi_m + G_m = 0`` where ``G_m`` collects the
 multilinear expansion of F's terms over pieces of order below ``o``; each
 ``Psi_m`` is produced by the bordered solver with zero target coordinates.
 
+The expansion enumerates, per term, the multisets of pieces over each group
+of interchangeable slots (same kernel, same component), weighted by their
+multinomial count.  The slot products of one (term, index) are summed
+first; the coefficient and the outer convolution are applied once.
+
+Every frequency of the jet is a lattice point ``sum_r k_r nu_r`` over the
+distinct roots.  The lattice is built once per ``compute_jet``, and the
+frequencies of every right-hand side are snapped to it before the outer
+convolution and the solve, so each lattice point is one float.  Keyed on
+those exact frequencies, one ``TransformMemo`` per call shares the kernel
+transforms between the convolutions, the bordered solves and the residuals,
+and keeps each block system's factorization.
+
 The reduced field is obtained by differentiating the translation flow at
 time zero.  Shifting a quasi-polynomial and projecting commutes with
 differentiation, so the coefficient of the field at index ``m`` is simply
@@ -25,12 +38,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
+from math import factorial
 
 import numpy as np
 
-from .kernel import apply_T
-from .nonlin import apply_series, apply_term
-from .tsolve import BorderedProblem, solve
+from .kernel import TransformMemo, apply_T
+from .nonlin import apply_series, apply_term, finish_term
+from .quasipoly import FREQ_TOL, QuasiPolynomial
+from .tsolve import ROOT_MATCH_TOL, BorderedProblem, solve
 
 
 @dataclass(frozen=True)
@@ -153,26 +168,114 @@ class _Piece:
         self.m, self.rho, self.value, self.order = m, rho, value, order
 
 
-def _assignments(pieces_by_order, d, budget):
-    """Ordered assignments of pieces to ``d`` slots with orders summing to budget."""
-    if budget < d:
-        return
-    max_avail = max(pieces_by_order)
+class _Lattice:
+    """The jet's frequencies sum_r k_r nu_r over the distinct roots nu_r.
 
-    def rec(slot, remaining):
-        left = d - slot
+    A root whose negative is already a generator (the conjugate of an axis
+    root) adds none.  The points are the roots themselves, then every
+    combination with sum |k_r| <= order; a point within ``FREQ_TOL`` of an
+    earlier one is that point, so each lattice point is one float.
+    """
+
+    def __init__(self, roots, order):
+        gens = []
+        for nu in roots:
+            if all(abs(nu - g) > ROOT_MATCH_TOL and abs(nu + g) > ROOT_MATCH_TOL
+                   for g in gens):
+                gens.append(nu)
+
+        def combos(r, left):
+            if r == len(gens):
+                yield 0
+                return
+            for k in range(-left, left + 1):
+                for rest in combos(r + 1, left - abs(k)):
+                    yield k * gens[r] + rest
+
+        points = []
+        for p in (*roots, *combos(0, order)):
+            if not points or np.abs(np.subtract(points, p)).min() > FREQ_TOL:
+                points.append(p)
+        self._points = points
+        self._array = np.array(points)
+        self._snapped = {p: p for p in points}
+
+    def snap(self, nu):
+        """The lattice point within ``FREQ_TOL`` of ``nu`` (else ``nu``)."""
+        p = self._snapped.get(nu)
+        if p is None:
+            p = self._points[int(np.abs(self._array - nu).argmin())]
+            p = self._snapped[nu] = p if abs(p - nu) <= FREQ_TOL else nu
+        return p
+
+
+def _slot_multisets(term, pieces, budget):
+    """Yield ``(weight, args)``: the term's argument lists whose piece orders
+    sum to ``budget``, each once up to reordering interchangeable slots.
+
+    Slots with the same (kernel, component) commute in the pointwise
+    product, so each such group takes a multiset of pieces, weighted by its
+    multinomial count.  With all slots distinct this is every ordered
+    assignment once.  ``pieces`` is sorted by order.
+    """
+    groups = {}
+    for slot, factor in enumerate(term.factors):
+        groups.setdefault(factor, []).append(slot)
+    slots = [s for g in groups.values() for s in g]
+    spans, lo = [], 0
+    for g in groups.values():
+        spans.append((lo, lo + len(g)))
+        lo += len(g)
+    starts = {lo for lo, _ in spans}
+    top = pieces[-1].order
+    chosen = []
+
+    def rec(pos, start, remaining):
+        # piece indices never decrease inside a group
+        left = len(slots) - pos
         if left == 0:
-            if remaining == 0:
-                yield ()
+            yield list(chosen)
             return
-        hi = remaining - (left - 1)
-        lo = max(1, remaining - max_avail * (left - 1))
-        for order_p in range(lo, min(hi, max_avail) + 1):
-            for piece in pieces_by_order.get(order_p, ()):
-                for rest in rec(slot + 1, remaining - order_p):
-                    yield (piece,) + rest
+        if pos in starts:
+            start = 0
+        for i in range(start, len(pieces)):
+            o = pieces[i].order
+            if o > remaining - (left - 1):
+                break
+            if remaining - o <= top * (left - 1):
+                chosen.append(i)
+                yield from rec(pos + 1, i, remaining - o)
+                chosen.pop()
 
-    yield from rec(0, budget)
+    for picks in rec(0, 0, budget):
+        weight = 1
+        for lo, hi in spans:
+            group = picks[lo:hi]
+            weight *= factorial(hi - lo)
+            for i in set(group):
+                weight //= factorial(group.count(i))
+        args = [None] * len(slots)
+        for s, i in zip(slots, picks):
+            args[s] = pieces[i]
+        yield weight, args
+
+
+def _term_rhs(term, pieces, budget, rho_t, lattice, memo):
+    """One term's part of the right-hand sides, as {(m, rho): value}.
+
+    The slot products of each index are summed on lattice frequencies
+    first; the coefficient and the outer convolution are applied once.
+    """
+    n = pieces[0].value.n
+    parts = defaultdict(list)
+    for weight, args in _slot_multisets(term, pieces, budget):
+        m = tuple(map(sum, zip(*(p.m for p in args))))
+        rho = tuple(map(sum, zip(rho_t, *(p.rho for p in args))))
+        prod = apply_term(term, [p.value for p in args], memo, finish=False)
+        parts[m, rho].extend(
+            (lattice.snap(nu), weight * c) for nu, c in prod.terms)
+    return {key: finish_term(term, QuasiPolynomial(1, terms), n, memo)
+            for key, terms in parts.items()}
 
 
 def compute_jet(K, projection, F, order, weights=None):
@@ -197,46 +300,37 @@ def compute_jet(K, projection, F, order, weights=None):
     if len(weights) != nparams or any(w < 1 for w in weights):
         raise ValueError("need one positive weight per formal parameter")
 
+    lattice = _Lattice([el.nu for el in basis.elements], order)
+    memo = TransformMemo()
     zero_rho = (0,) * nparams
-    pieces_by_order = {
-        1: [
-            _Piece(_unit(M, i), zero_rho, el.function, 1)
-            for i, el in enumerate(basis.elements)
-        ]
-    }
+    pieces = [
+        _Piece(_unit(M, i), zero_rho, el.function, 1)
+        for i, el in enumerate(basis.elements)
+    ]
     psi, diagnostics, vanished = {}, {}, []
 
     for o in range(2, order + 1):
-        rhs = defaultdict(lambda: None)
+        rhs = {}
         for t in F.terms:
             rho_t = _pad(t.mu_power, nparams)
-            w_t = sum(w * r for w, r in zip(weights, rho_t))
-            budget = o - w_t
+            budget = o - sum(w * r for w, r in zip(weights, rho_t))
             if budget < t.degree:
                 continue
-            for args in _assignments(pieces_by_order, t.degree, budget):
-                m = tuple(sum(col) for col in zip(*(p.m for p in args)))
-                rho = tuple(
-                    rt + sum(col)
-                    for rt, col in zip(rho_t, zip(*(p.rho for p in args)))
-                ) if nparams else ()
-                val = apply_term(t, [p.value for p in args])
-                key = (m, rho)
-                rhs[key] = val if rhs[key] is None else rhs[key] + val
-        new_pieces = []
+            for key, g in _term_rhs(t, pieces, budget, rho_t, lattice,
+                                    memo).items():
+                rhs[key] = g if key not in rhs else rhs[key] + g
         for key in sorted(rhs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1])):
             g = rhs[key]
             idx = JetIndex(*key)
             if g.max_coeff() == 0.0:
                 vanished.append(idx)
                 continue
-            u = solve(BorderedProblem(K, projection, g))
+            u = solve(BorderedProblem(K, projection, g), memo=memo)
             psi[idx] = u
-            diagnostics[idx] = (apply_T(K, u) + g).max_coeff() / (
+            diagnostics[idx] = (apply_T(K, u, memo) + g).max_coeff() / (
                 1.0 + g.max_coeff()
             )
-            new_pieces.append(_Piece(key[0], key[1], u, o))
-        pieces_by_order[o] = new_pieces
+            pieces.append(_Piece(key[0], key[1], u, o))
 
     result = JetResult(
         projection=projection,
@@ -257,8 +351,7 @@ def flow_coordinates(projection, g):
     Shifting then projecting commutes with d/dx on quasi-polynomial data, so
     this is the projection of ``g'``.
     """
-    coords, _ = projection.project(g.differentiate())
-    return coords
+    return projection.coordinates(g.differentiate())
 
 
 def reduced_field(J):

@@ -489,20 +489,48 @@ class SumKernel(Kernel):
 # -- convolution -------------------------------------------------------------
 
 
-def convolve(K, u):
+class TransformMemo:
+    """Transforms Khat^(r)(nu) per (kernel, nu, r), kept for one computation.
+
+    ``compute_jet`` makes one per call and drops it on return, so no kernel
+    object keeps cache state.  A miss calls the kernel's ``transform``; a
+    hit hands out the stored array itself, so callers must not write to it.
+    ``blocks`` holds the bordered solver's factored block systems
+    (``tsolve``) of the same computation.
+    """
+
+    __slots__ = ("values", "blocks")
+
+    def __init__(self):
+        self.values = {}
+        self.blocks = {}
+
+    def transform(self, K, nu, order=0):
+        key = (K, nu, order)
+        val = self.values.get(key)
+        if val is None:
+            val = self.values[key] = K.transform(nu, order)
+        return val
+
+
+def convolve(K, u, memo=None):
     """Exact convolution K * u of a kernel with a quasi-polynomial.
 
     Expands (x - z)^q under the integral so every output coefficient is a
     finite moment combination:
 
         K * (x^q exp(nu x)) = exp(nu x) sum_r C(q, r) (-1)^r kappa_r(nu) x^{q-r}.
+
+    With a ``TransformMemo`` the transforms behind the moments are shared.
     """
     if K.n != u.n:
         raise ValueError("kernel/argument dimension mismatch")
+    transform = K.transform if memo is None else (
+        lambda nu, r: memo.transform(K, nu, r))
     out_terms = []
     for nu, coeffs in u.terms:
         deg1 = coeffs.shape[0]
-        moments = [K.moment(r, nu) for r in range(deg1)]
+        moments = [(-1) ** r * transform(nu, r) for r in range(deg1)]
         new = np.zeros_like(coeffs)
         for q in range(deg1):
             for r in range(q + 1):
@@ -511,9 +539,9 @@ def convolve(K, u):
     return QuasiPolynomial(u.n, out_terms)
 
 
-def apply_T(K, u):
+def apply_T(K, u, memo=None):
     """T u = u + K * u."""
-    return u + convolve(K, u)
+    return u + convolve(K, u, memo)
 
 
 def convolve_quadrature(K, u, xs, tol=1e-12, panel=1.0, npts=24):

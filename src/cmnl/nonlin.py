@@ -139,14 +139,13 @@ class NonlinearitySpec:
         return max((len(t.mu_power) for t in self.terms), default=0)
 
 
-def walk_term(term, args, n, convolve, component, product, place):
-    """The slot walk of one term, shared by the exact and the grid evaluators.
+def walk_slots(term, args, n, convolve, component, product):
+    """The pointwise product over the factor slots of one term.
 
     ``args`` holds one argument per factor slot, each with ``n`` components.
     The operations supply the representation: ``convolve(kernel, v)``,
-    ``component(v, c)`` (a one-component value), ``product(a, b)`` (pointwise)
-    and ``place(v, n, target)`` (a one-component value as an ``n``-vector).
-    Neither the coefficient nor the ``mu^r`` factor is applied.
+    ``component(v, c)`` (a one-component value) and ``product(a, b)``
+    (pointwise).  The result has one component.
     """
     if not 0 <= term.target < n:
         raise ValueError(f"output component {term.target} out of range")
@@ -162,6 +161,16 @@ def walk_term(term, args, n, convolve, component, product, place):
         else:
             s = component(convolve(kern, u), comp)
         prod = s if prod is None else product(prod, s)
+    return prod
+
+
+def walk_outer(term, prod, n, convolve, place):
+    """Place a slot product at the term's target and apply the outer kernel.
+
+    ``place(v, n, target)`` turns a one-component value into an
+    ``n``-vector.  The step is linear in ``prod``, so the slot products of
+    several arguments may be summed first.
+    """
     outer = term.outer
     if outer is not None and outer.n == 1 and n != 1:
         return place(convolve(outer, prod), n, term.target)
@@ -169,13 +178,31 @@ def walk_term(term, args, n, convolve, component, product, place):
     return out if outer is None else convolve(outer, out)
 
 
-def apply_term(term, args):
+def walk_term(term, args, n, convolve, component, product, place):
+    """The slot walk of one term, shared by the exact and the grid evaluators.
+
+    ``walk_slots`` followed by ``walk_outer``.  Neither the coefficient nor
+    the ``mu^r`` factor is applied.
+    """
+    prod = walk_slots(term, args, n, convolve, component, product)
+    return walk_outer(term, prod, n, convolve, place)
+
+
+def _exact_convolve(memo):
+    # resolves the module's ``convolve`` at call time
+    return lambda kern, v: convolve(kern, v, memo)
+
+
+def apply_term(term, args, memo=None, finish=True):
     """Evaluate one term on quasi-polynomial arguments, exactly.
 
     ``args`` supplies one quasi-polynomial per factor slot.  Inner
     convolutions and the outer convolution use the coefficient identity, the
     pointwise products stay in the algebra, so the result is exact up to
-    floating point.  The formal ``mu^r`` factor is not applied.
+    floating point.  The formal ``mu^r`` factor is not applied.  ``memo``
+    (a ``kernel.TransformMemo``) shares the kernel transforms.  With
+    ``finish=False`` only the one-component slot product is returned;
+    ``finish_term`` completes it.
     """
     if len(args) != term.degree:
         raise ValueError(
@@ -184,8 +211,14 @@ def apply_term(term, args):
     n = args[0].n
     if any(u.n != n for u in args):
         raise ValueError("argument dimensions differ")
-    out = walk_term(term, args, n, convolve, QuasiPolynomial.component,
-                    multiply, place_component)
+    prod = walk_slots(term, args, n, _exact_convolve(memo),
+                      QuasiPolynomial.component, multiply)
+    return finish_term(term, prod, n, memo) if finish else prod
+
+
+def finish_term(term, prod, n, memo=None):
+    """Coefficient, placement and outer convolution of an exact slot product."""
+    out = walk_outer(term, prod, n, _exact_convolve(memo), place_component)
     return out.scale(term.coeff)
 
 

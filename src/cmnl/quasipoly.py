@@ -14,11 +14,13 @@ algebra, and floating point enters only through the coefficients.
 
 Canonical form
 --------------
-Frequencies closer than ``FREQ_TOL`` are merged (coefficient arrays added),
-trailing polynomial coefficients and whole terms below ``TRIM_REL`` times the
-largest coefficient magnitude are dropped, and terms are sorted by
-(Re nu, Im nu).  All constructors and operations return canonical objects, so
-equality of canonical data is meaningful.
+Terms at exactly equal frequencies are summed, and the frequency stays as
+it is.  Only distinct frequencies closer than ``FREQ_TOL`` are averaged:
+their coefficient arrays are added and the merged frequency is their
+coefficient-weighted mean.  Trailing polynomial coefficients and whole terms
+below ``TRIM_REL`` times the largest coefficient magnitude are dropped, and
+terms are sorted by (Re nu, Im nu).  All constructors and operations return
+canonical objects, so equality of canonical data is meaningful.
 """
 
 import cmath
@@ -26,7 +28,7 @@ from math import comb, factorial
 
 import numpy as np
 
-# Frequencies within this distance are considered equal and merged.
+# Distinct frequencies within this distance are considered equal and merged.
 FREQ_TOL = 1e-9
 
 # Coefficients below TRIM_REL times the largest coefficient magnitude are
@@ -95,48 +97,49 @@ class QuasiPolynomial:
     def _canonicalize(prepared):
         if not prepared:
             return []
-        # Cluster frequencies within FREQ_TOL.  Sorting by (Re, Im) first
-        # makes the greedy clustering deterministic.
-        prepared.sort(key=lambda t: (t[0].real, t[0].imag))
-        clusters = []
+        # Sum exactly equal frequencies; cluster the distinct ones within
+        # FREQ_TOL.  Sorting by (Re, Im) first makes the greedy clustering
+        # deterministic.
+        groups = {}
         for nu, coeffs in prepared:
-            placed = False
+            groups.setdefault(nu, []).append(coeffs)
+        clusters = []
+        for nu in sorted(groups, key=lambda nu: (nu.real, nu.imag)):
             for cl in clusters:
-                if abs(nu - cl[0][0]) <= FREQ_TOL:
-                    cl.append((nu, coeffs))
-                    placed = True
+                if abs(nu - cl[0]) <= FREQ_TOL:
+                    cl.append(nu)
                     break
-            if not placed:
-                clusters.append([(nu, coeffs)])
+            else:
+                clusters.append([nu])
         merged = []
         for cl in clusters:
-            weights = np.array([np.abs(c).max() if c.size else 0.0 for _, c in cl])
-            wmax = weights.max() if weights.size else 0.0
-            if wmax > 0:
-                # Normalized so that extreme coefficient magnitudes cannot
-                # overflow the weighted mean.
-                weights = weights / wmax
-                nu = complex(np.average([t[0] for t in cl], weights=weights))
-            else:
-                nu = cl[0][0]
-            deg1 = max(c.shape[0] for _, c in cl)
-            n = cl[0][1].shape[1]
-            total = np.zeros((deg1, n), dtype=complex)
-            for _, c in cl:
+            arrays = [c for nu in cl for c in groups[nu]]
+            nu = cl[0]
+            if len(cl) > 1:
+                weights = np.array([np.abs(c).max() if c.size else 0.0
+                                    for c in arrays])
+                wmax = weights.max()
+                if wmax > 0:
+                    # Normalized so that extreme coefficient magnitudes
+                    # cannot overflow the weighted mean.
+                    nus = [v for v in cl for _ in groups[v]]
+                    nu = complex(np.average(nus, weights=weights / wmax))
+            deg1 = max(c.shape[0] for c in arrays)
+            total = np.zeros((deg1, arrays[0].shape[1]), dtype=complex)
+            for c in arrays:
                 total[: c.shape[0]] += c
-            merged.append((nu, total))
+            merged.append((nu, total, np.abs(total).max(axis=1)))
         # Trim against the global coefficient scale.
-        scale = max((np.abs(c).max() if c.size else 0.0) for _, c in merged)
+        scale = max((mags.max() if mags.size else 0.0) for _, _, mags in merged)
         if scale == 0.0:
             return []
         thr = TRIM_REL * scale
         out = []
-        for nu, coeffs in merged:
-            row_mag = np.abs(coeffs).max(axis=1)
-            keep = np.nonzero(row_mag > thr)[0]
+        for nu, coeffs, mags in merged:
+            keep = np.nonzero(mags > thr)[0]
             if keep.size == 0:
                 continue
-            out.append((nu, np.array(coeffs[: keep[-1] + 1])))
+            out.append((nu, coeffs[: keep[-1] + 1]))
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         return out
 
@@ -157,6 +160,8 @@ class QuasiPolynomial:
         """Scalar-valued quasi-polynomial holding component ``i``."""
         if not 0 <= i < self.n:
             raise IndexError(f"component {i} out of range for dimension {self.n}")
+        if self.n == 1:
+            return self
         return QuasiPolynomial(
             1, [(nu, c[:, i : i + 1]) for nu, c in self.terms]
         )
@@ -333,6 +338,8 @@ def place_component(f, n, i):
         raise ValueError("place_component expects a scalar-valued argument")
     if not 0 <= i < n:
         raise IndexError(f"component {i} out of range for dimension {n}")
+    if n == 1:
+        return f
     out = []
     for nu, c in f.terms:
         arr = np.zeros((c.shape[0], n), dtype=complex)

@@ -437,10 +437,17 @@ def _min_norm_solve(T0, b, tol):
     the kernel's complement; truncating at the same tolerance used for
     null-space detection keeps the solution orthogonal to ker T0.
     """
+    Uh, s, V = _truncated_svd(T0, tol)
+    return V @ ((Uh @ b) / s)
+
+
+def _truncated_svd(T0, tol):
+    """``(U^H, s, V)`` of the singular values at or above ``tol`` times
+    max(sigma_max, 1); ``V @ ((U^H @ b) / s)`` is the minimum-norm solution."""
     U, s, Vh = np.linalg.svd(T0)
     scale = max(s.max(initial=0.0), 1.0)
     keep = s >= tol * scale
-    return Vh[keep].conj().T @ ((U[:, keep].conj().T @ b) / s[keep])
+    return U[:, keep].conj().T, s[keep], Vh[keep].conj().T
 
 
 def jordan_chains(K, nu, multiplicity, tol=1e-8):

@@ -41,7 +41,7 @@ def critical_pair_kernel():
     return scaled_gaussian(c1, 1.0) + scaled_gaussian(c2, 0.25)
 
 
-def build_pair_jet(order=3):
+def build_pair_jet(order=3, max_order=5):
     """Reduction of u + K*u - mu K*u + (1/3) K*(u^3) = 0 over the double
     conjugate pair of ``critical_pair_kernel``.  Returns (K, jet result).
     """
@@ -53,7 +53,7 @@ def build_pair_jet(order=3):
             TaylorTerm(-1.0, ((None, 0),), mu_power=1, outer=K),
             TaylorTerm(1.0 / 3.0, ((None, 0),) * 3, outer=K),
         ),
-        max_order=5,
+        max_order=max_order,
         declared_symmetries=frozenset({"reflection", "sign"}),
     )
     return K, compute_jet(K, P, F, order)

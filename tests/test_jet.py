@@ -10,12 +10,23 @@ re-derived independently from the convolution identity
 K*(x^q e^{nu x}) = e^{nu x} sum_r C(q,r) Khat^(r)(nu) x^{q-r} and frozen here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import critical_pair_kernel, simple_zero_kernel
+from conftest import (
+    build_front_jet,
+    build_pair_jet,
+    critical_pair_kernel,
+    simple_zero_kernel,
+)
 from cmnl.jet import (
     JetIndex,
+    _Lattice,
+    _Piece,
+    _slot_multisets,
+    _term_rhs,
     compute_jet,
     equation_residual,
     evaluate_field,
@@ -23,7 +34,8 @@ from cmnl.jet import (
     manifold_point,
     scale_field,
 )
-from cmnl.nonlin import NonlinearitySpec, TaylorTerm, polynomial_terms
+from cmnl.kernel import GaussianMixture, SumKernel, TransformMemo
+from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term, polynomial_terms
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
 from cmnl.quasipoly import QuasiPolynomial, isclose
 from cmnl.spectrum import locate_roots
@@ -438,6 +450,132 @@ def test_order_validation():
         compute_jet(K, P, F, 1)
     with pytest.raises(ValueError, match="exceeds"):
         compute_jet(K, P, F, 4)
+
+
+# ---------------------------------------------------------------------------
+# the jet algebra: slot multisets, lattice frequencies, reuse, higher orders
+
+
+def _ordered_rhs(term, pieces, budget, rho_t):
+    """Reference right-hand sides: every ordered slot assignment evaluated
+    in full, summed per index."""
+    out = {}
+    for args in itertools.product(pieces, repeat=term.degree):
+        if sum(p.order for p in args) != budget:
+            continue
+        m = tuple(map(sum, zip(*(p.m for p in args))))
+        rho = tuple(map(sum, zip(rho_t, *(p.rho for p in args))))
+        val = apply_term(term, [p.value for p in args])
+        out[m, rho] = val if (m, rho) not in out else out[m, rho] + val
+    return out
+
+
+def _random_piece(rng, m, rho, order, nu, n, deg):
+    coeffs = rng.normal(size=(deg + 1, n)) + 1j * rng.normal(size=(deg + 1, n))
+    return _Piece(m, rho, QuasiPolynomial(n, [(nu, coeffs)]), order)
+
+
+def _assert_rhs_match(term, pieces, budget, rho_t, lattice):
+    got = _term_rhs(term, pieces, budget, rho_t, lattice, TransformMemo())
+    want = _ordered_rhs(term, pieces, budget, rho_t)
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        assert (got[key] - ref).max_coeff() <= 1e-13 * ref.max_coeff()
+
+
+def test_slot_multisets_match_ordered_assignments_symmetric_cubic():
+    # u^3 with an outer kernel: one group of three interchangeable slots
+    rng = np.random.default_rng(7)
+    K = critical_pair_kernel()
+    nu = 1j
+    pieces = [
+        _random_piece(rng, (1, 0), (0,), 1, nu, 1, 0),
+        _random_piece(rng, (0, 1), (0,), 1, -nu, 1, 0),
+        _random_piece(rng, (1, 0), (1,), 2, nu, 1, 1),
+        _random_piece(rng, (2, 1), (0,), 3, nu, 1, 2),
+        _random_piece(rng, (1, 2), (0,), 3, -nu, 1, 2),
+    ]
+    term = TaylorTerm(1.0 / 3.0, ((None, 0),) * 3, outer=K)
+    lattice = _Lattice([nu, -nu], 5)
+    for budget in (3, 4, 5):
+        _assert_rhs_match(term, pieces, budget, (0,), lattice)
+    weights = [w for w, _ in _slot_multisets(term, pieces, 5)]
+    assert sorted(set(weights)) == [3, 6]
+
+
+def test_slot_multisets_match_ordered_assignments_mixed_slots():
+    # two slots share a matrix kernel and component 0, the third reads
+    # component 1 bare; a scalar outer kernel lands in component 1
+    rng = np.random.default_rng(11)
+    G = GaussianMixture.single(0.4, 1.0)
+    Kmat = GaussianMixture.single([[0.3, 0.1], [0.2, -0.5]], 0.7, n=2)
+    term = TaylorTerm(
+        0.7 - 0.2j, ((Kmat, 0), (None, 1), (Kmat, 0)), mu_power=(1,),
+        outer=G, target=1,
+    )
+    nu = 0.5j
+    pieces = [
+        _random_piece(rng, (1, 0), (0,), 1, nu, 2, 0),
+        _random_piece(rng, (0, 1), (0,), 1, -nu, 2, 1),
+        _random_piece(rng, (2, 0), (0,), 2, 2 * nu, 2, 0),
+        _random_piece(rng, (1, 1), (1,), 3, 0.0, 2, 1),
+    ]
+    lattice = _Lattice([nu, -nu], 6)
+    for budget in (3, 4, 5):
+        _assert_rhs_match(term, pieces, budget, (1,), lattice)
+
+
+@pytest.fixture(scope="module")
+def counted_pair_jet(pair_problem):
+    """The order-5 pair jet, with kernel transforms and quasi-polynomial
+    constructions counted while it is computed."""
+    counts = {"transform": 0, "construct": 0}
+    transform = SumKernel.transform
+    construct = QuasiPolynomial.__init__
+
+    def counted_transform(self, *args, **kwargs):
+        counts["transform"] += 1
+        return transform(self, *args, **kwargs)
+
+    def counted_construct(self, *args, **kwargs):
+        counts["construct"] += 1
+        construct(self, *args, **kwargs)
+
+    K, P, F, _ = pair_problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SumKernel, "transform", counted_transform)
+        mp.setattr(QuasiPolynomial, "__init__", counted_construct)
+        J = compute_jet(K, P, F, 5)
+    return J, counts
+
+
+def test_pair_order5_reuses_transforms_and_constructions(counted_pair_jet):
+    J, counts = counted_pair_jet
+    assert len(J.psi) == 132
+    assert counts["transform"] <= 500
+    assert counts["construct"] <= 9000
+
+
+def test_pair_order5_frequencies_are_lattice_points(counted_pair_jet):
+    J, _ = counted_pair_jet
+    nu = next(el.nu for el in J.basis.elements if el.nu.imag > 0)
+    lattice = {k * nu for k in range(-5, 6)}
+    freqs = {f for u in J.psi.values() for f in u.frequencies}
+    assert freqs <= lattice
+    assert len(freqs) == 6
+
+
+def test_front_frequencies_are_one_value():
+    _, J, _ = build_front_jet(order=5)
+    freqs = {f for u in J.psi.values() for f in u.frequencies}
+    assert len(freqs) == 1
+
+
+def test_pair_order7_bordered_solve():
+    # unscaled block systems lose a genuine direction from order 6 on
+    _, J = build_pair_jet(order=7, max_order=7)
+    assert len(J.psi) == 412
+    assert max(J.diagnostics.values()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
