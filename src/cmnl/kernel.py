@@ -60,6 +60,18 @@ class Kernel:
 
     def transform(self, nu, order=0):
         """Khat^(order)(nu) as an (n, n) array."""
+        return self.transform_batch(complex(nu), order)
+
+    def transform_batch(self, nus, order=0):
+        """Khat^(order) at every point of ``nus``.
+
+        ``nus`` is a complex scalar or array of any shape; the result has
+        shape ``nus.shape + (n, n)`` and is a new array the caller may
+        modify.  Each family evaluates all points in one pass of array
+        arithmetic, so callers that sample many points (contours, norm
+        scans) should make one call here rather than one ``transform`` per
+        point.
+        """
         raise NotImplementedError
 
     def moment(self, m, nu):
@@ -151,16 +163,16 @@ class GaussianMixture(Kernel):
             polys.append(new)
         return polys
 
-    def transform(self, nu, order=0):
-        nu = complex(nu)
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def transform_batch(self, nus, order=0):
+        nus = np.asarray(nus, dtype=complex)
+        out = np.zeros(nus.shape + (self.n, self.n), dtype=complex)
         for coeffs, a, b in self.terms:
-            i0 = np.sqrt(np.pi / a) * np.exp(nu * nu / (4 * a) - nu * b)
+            i0 = np.sqrt(np.pi / a) * np.exp(nus * nus / (4 * a) - nus * b)
             polys = self._log_deriv_polys(a, b, coeffs.shape[0] - 1 + order)
             for j in range(coeffs.shape[0]):
                 pm = polys[j + order]
-                val = np.polynomial.polynomial.polyval(nu, pm)
-                out += (-1) ** j * val * i0 * coeffs[j]
+                val = np.polynomial.polynomial.polyval(nus, pm)
+                out += ((-1) ** j * val * i0)[..., None, None] * coeffs[j]
         return out
 
     def eta0(self):
@@ -237,21 +249,21 @@ class ExponentialMixture(Kernel):
                 raise ValueError("exponential rate must be positive")
             self.terms.append((_as_matrix(c, self.n), a, float(b)))
 
-    def transform(self, nu, order=0):
-        nu = complex(nu)
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def transform_batch(self, nus, order=0):
+        nus = np.asarray(nus, dtype=complex)
+        out = np.zeros(nus.shape + (self.n, self.n), dtype=complex)
         for c, a, b in self.terms:
-            if abs(nu.real) >= a:
+            if np.any(np.abs(nus.real) >= a):
                 raise ValueError(
                     f"transform evaluated outside strip |Re nu| < {a}"
                 )
-            total = 0.0j
+            total = np.zeros(nus.shape, dtype=complex)
             for s in range(order + 1):
                 g = factorial(s) * (
-                    1.0 / (a - nu) ** (s + 1) + (-1) ** s / (a + nu) ** (s + 1)
+                    1.0 / (a - nus) ** (s + 1) + (-1) ** s / (a + nus) ** (s + 1)
                 )
                 total += comb(order, s) * (-b) ** (order - s) * g
-            out += total * np.exp(-nu * b) * c
+            out += (total * np.exp(-nus * b))[..., None, None] * c
         return out
 
     def eta0(self):
@@ -297,11 +309,11 @@ class DiracMixture(Kernel):
         self.n = int(n)
         self.terms = [(_as_matrix(c, self.n), float(xi)) for c, xi in terms]
 
-    def transform(self, nu, order=0):
-        nu = complex(nu)
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def transform_batch(self, nus, order=0):
+        nus = np.asarray(nus, dtype=complex)
+        out = np.zeros(nus.shape + (self.n, self.n), dtype=complex)
         for c, xi in self.terms:
-            out += (-xi) ** order * np.exp(-nu * xi) * c
+            out += ((-xi) ** order * np.exp(-nus * xi))[..., None, None] * c
         return out
 
     def eta0(self):
@@ -352,27 +364,26 @@ class SymbolKernel(Kernel):
         self._decay_radius = decay_radius
         self._table = None
 
-    def _value(self, nu):
-        v = self._symbol(nu)
-        arr = np.asarray(v, dtype=complex)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        return arr
+    def _values(self, fn, nus, *args):
+        """``fn(nu, *args)`` at every point of ``nus``, one call per point."""
+        out = np.empty(nus.shape + (self.n, self.n), dtype=complex)
+        for idx in np.ndindex(nus.shape):
+            out[idx] = fn(complex(nus[idx]), *args)
+        return out
 
-    def transform(self, nu, order=0):
-        nu = complex(nu)
+    def transform_batch(self, nus, order=0):
+        nus = np.asarray(nus, dtype=complex)
         if order == 0:
-            return self._value(nu)
+            return self._values(self._symbol, nus)
         if self._derivative is not None:
-            arr = np.asarray(self._derivative(nu, order), dtype=complex)
-            return arr.reshape(1, 1) if arr.ndim == 0 else arr
-        h = 1e-3 * (1.0 + abs(nu))
+            return self._values(self._derivative, nus, order)
+        h = 1e-3 * (1.0 + np.abs(nus))
         offsets, weights = fd_central_stencil(order, acc=4)
-        out = np.zeros((self.n, self.n), dtype=complex)
+        out = np.zeros(nus.shape + (self.n, self.n), dtype=complex)
         for o, w in zip(offsets, weights):
             if w != 0.0:
-                out += w * self._value(nu + o * h)
-        return out / h**order
+                out += w * self._values(self._symbol, nus + o * h)
+        return out / (h**order)[..., None, None]
 
     def eta0(self):
         return self._eta0
@@ -387,7 +398,7 @@ class SymbolKernel(Kernel):
         """
         dx = 2 * halfwidth / npts
         ls = np.fft.fftfreq(npts, d=dx) * 2 * np.pi
-        vals = np.array([self._value(1j * l) for l in ls])  # (npts, n, n)
+        vals = self.transform_batch(1j * ls)  # (npts, n, n)
         signs = np.where(np.arange(npts) % 2 == 0, 1.0, -1.0)
         table = np.fft.ifft(signs[:, None, None] * vals, axis=0) / dx
         xs = np.arange(npts) * dx - halfwidth
@@ -444,10 +455,11 @@ class SumKernel(Kernel):
             raise ValueError("dimension mismatch in kernel sum")
         self.parts = parts
 
-    def transform(self, nu, order=0):
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def transform_batch(self, nus, order=0):
+        nus = np.asarray(nus, dtype=complex)
+        out = np.zeros(nus.shape + (self.n, self.n), dtype=complex)
         for p in self.parts:
-            out += p.transform(nu, order)
+            out += p.transform_batch(nus, order)
         return out
 
     def eta0(self):
@@ -603,14 +615,13 @@ def validate_decay(K, eta=None, margin=0.9):
     elif eta >= bound:
         return DecayReport(eta, False, {"reason": "outside analyticity bound"})
     ls = np.concatenate([np.linspace(0, 10, 41), np.logspace(1.01, 3, 25)])
+    sides = (+1, -1)
+    edges = np.array([side * eta + 1j * ls for side in sides])
+    norms = np.linalg.norm(K.transform_batch(edges), 2, axis=(-2, -1))
     checks = {}
     ok = True
-    for side in (+1, -1):
-        norms = []
-        for l in ls:
-            klm = K.transform(side * eta + 1j * l, 0)
-            norms.append(np.linalg.norm(klm, 2))
-        tail = max(norms[-8:])
+    for side, edge_norms in zip(sides, norms):
+        tail = max(edge_norms[-8:])
         checks[f"tail_sup_edge_{side:+d}"] = tail
         if not np.isfinite(tail) or tail >= 0.5:
             ok = False

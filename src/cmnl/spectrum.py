@@ -6,7 +6,8 @@ by the roots of d(nu) = det That(nu) inside the analyticity strip.  This
 module
 
 * counts roots in rectangles by the argument principle with adaptive phase
-  tracking along the contour,
+  tracking along the contour (samples at most ``MAX_SPACING`` apart, then
+  bisection of every step whose phase or value jumps),
 * isolates clusters by bisection in the imaginary direction and refines each
   to machine precision with the log-derivative centroid
       nu* = (1/(2 pi i alpha)) contour_int nu d'(nu)/d(nu) dnu,
@@ -24,6 +25,15 @@ A chain of length p spans the quasi-polynomial solutions
 phi_p = sum_q C(p,q) x^q e^{p-q} exp(nu0 x) of T phi = 0; ``chain_functions``
 builds them and the test-suite closes the loop by checking T phi = 0 through
 the exact convolution.
+
+Batch contract: ``t_hat``, ``char_value`` and ``char_log_derivative`` take a
+scalar nu or an array of any shape and evaluate every point through one
+``Kernel.transform_batch`` call; a scalar gives a Python complex (an (n, n)
+matrix for ``t_hat``), an array gives an array of its shape.  Every contour
+is sampled in one such call, and its adaptive refinement adds one call per
+bisection level, holding the midpoints of all the steps that failed at that
+level.  ``winding_number`` therefore takes an ``f`` that maps an array of
+points to the array of values.
 """
 
 from dataclasses import dataclass, field
@@ -39,91 +49,121 @@ class ContourError(RuntimeError):
     """A contour ran too close to a root to track the phase reliably."""
 
 
+MAX_DEPTH = 48  # bisections of one contour step before a root is presumed on it
+MAX_SPACING = 0.25  # largest distance between the initial samples of a side
+
+
 def t_hat(K, nu, order=0):
-    """That^(order)(nu): identity plus transform at order 0, else Khat^(order)."""
-    val = K.transform(nu, order)
+    """That^(order)(nu): identity plus transform at order 0, else Khat^(order).
+
+    ``nu`` is a scalar or an array; the result has shape ``nu.shape + (n, n)``.
+    """
+    val = K.transform_batch(nu, order)
     if order == 0:
-        return np.eye(K.n, dtype=complex) + val
+        val += np.eye(K.n)
     return val
 
 
+def _scalar_or_array(val):
+    return complex(val) if val.ndim == 0 else val
+
+
 def char_value(K, nu):
-    """d(nu) = det(I + Khat(nu))."""
-    return complex(np.linalg.det(t_hat(K, nu)))
+    """d(nu) = det(I + Khat(nu)) at a scalar or at every point of an array."""
+    return _scalar_or_array(np.linalg.det(t_hat(K, nu)))
 
 
 def char_log_derivative(K, nu):
-    """d'(nu)/d(nu) = tr[(I + Khat)^{-1} Khat'] (valid away from roots)."""
-    return complex(np.trace(np.linalg.solve(t_hat(K, nu), K.transform(nu, 1))))
+    """d'(nu)/d(nu) = tr[(I + Khat)^{-1} Khat'] (valid away from roots), at a
+    scalar or at every point of an array."""
+    quot = np.linalg.solve(t_hat(K, nu), K.transform_batch(nu, 1))
+    return _scalar_or_array(np.trace(quot, axis1=-2, axis2=-1))
 
 
 # -- winding numbers ----------------------------------------------------------
 
 
-def _phase_increment(f, z0, z1, v0, v1, depth=0):
-    # Accept a step only when the phase jump is small AND the value change is
-    # small relative to the endpoints.  The second criterion is what catches
-    # fast 2-pi sweeps hiding between samples near small-|d| dips, where the
-    # reported (wrapped) phase jump alone would look innocent.
-    dphi = np.angle(v1 / v0)
-    if abs(dphi) <= np.pi / 3 and abs(v1 - v0) <= 0.7 * max(abs(v0), abs(v1)):
-        return dphi
-    if depth >= 48:
-        raise ContourError("phase varies too fast; root on or near the contour")
-    zm = 0.5 * (z0 + z1)
-    vm = f(zm)
-    if vm == 0:
-        raise ContourError("contour hits a root")
-    return _phase_increment(f, z0, zm, v0, vm, depth + 1) + _phase_increment(
-        f, zm, z1, vm, v1, depth + 1
-    )
-
-
 def winding_number(f, points, budget=20000):
     """Winding of f along the closed polyline ``points`` (adaptively refined).
+
+    ``f`` maps an array of points to the array of its values.  A step is
+    accepted only when the phase jump is small AND the value change is small
+    relative to the endpoints; the second criterion catches fast 2-pi sweeps
+    hiding between samples near small-|d| dips, where the wrapped phase jump
+    alone would look innocent.  Every rejected step is bisected, one level
+    at a time: all the midpoints of a level go to ``f`` in one call, and a
+    bisected step's phase increment is its left half's plus its right
+    half's.  The points evaluated and the sum are those of a depth-first
+    recursion over the same steps.
 
     A root lying (numerically) on the contour is caught by the refinement
     depth cap: near a zero the relative value change between endpoints stays
     order one at every scale, so subdivision cannot terminate.  High-order
     roots near the contour produce legitimately tiny values, which is why no
-    absolute smallness guard is applied.
+    absolute smallness guard is applied.  ``budget`` caps the number of
+    points evaluated, the initial ones included.
     """
-    evals = [0]
-
-    def ev(z):
-        evals[0] += 1
-        if evals[0] > budget:
+    z0 = np.asarray(points, dtype=complex)
+    evals = z0.size
+    if evals > budget:
+        raise ContourError("refinement budget exhausted; root near the contour")
+    v0 = f(z0)
+    if np.any(v0 == 0):
+        raise ContourError("contour hits a root")
+    z1, v1 = np.roll(z0, -1), np.roll(v0, -1)
+    levels = []  # (phase jump, accepted) of every step, level by level
+    for depth in range(MAX_DEPTH + 1):
+        dphi = np.angle(v1 / v0)
+        ok = (np.abs(dphi) <= np.pi / 3) & (
+            np.abs(v1 - v0) <= 0.7 * np.maximum(np.abs(v0), np.abs(v1))
+        )
+        levels.append((dphi, ok))
+        if ok.all():
+            break
+        if depth == MAX_DEPTH:
+            raise ContourError("phase varies too fast; root on or near the contour")
+        bad = ~ok
+        a, b, va, vb = z0[bad], z1[bad], v0[bad], v1[bad]
+        zm = 0.5 * (a + b)
+        evals += zm.size
+        if evals > budget:
             raise ContourError("refinement budget exhausted; root near the contour")
-        v = f(z)
-        if v == 0:
+        vm = f(zm)
+        if np.any(vm == 0):
             raise ContourError("contour hits a root")
-        return v
-
-    vals = [ev(z) for z in points]
-    total = 0.0
-    m = len(points)
-    for k in range(m):
-        z0, z1 = points[k], points[(k + 1) % m]
-        total += _phase_increment(ev, z0, z1, vals[k], vals[(k + 1) % m])
-    w = total / (2 * np.pi)
+        # the halves of each rejected step, in contour order: left, then right
+        z0, z1 = np.stack([a, zm], -1).ravel(), np.stack([zm, b], -1).ravel()
+        v0, v1 = np.stack([va, vm], -1).ravel(), np.stack([vm, vb], -1).ravel()
+    inc = None
+    for dphi, ok in reversed(levels):
+        if inc is not None:
+            dphi[~ok] = inc[0::2] + inc[1::2]
+        inc = dphi
+    w = np.cumsum(inc)[-1] / (2 * np.pi)  # in order, as a running sum
     if abs(w - round(w)) > 0.05:
         raise ContourError(f"winding {w:.4f} is not close to an integer")
     return int(round(w))
 
 
 def _rect_points(re0, re1, im0, im1, per_side=12):
-    corners = [
+    """Counter-clockwise samples: at least ``per_side`` on each side and at
+    most ``MAX_SPACING`` apart.
+
+    The phase test of ``winding_number`` compares the two ends of a step
+    only, so a loop of d around 0 between two far-apart samples with close
+    values would go unseen; on a long side that is a real risk.
+    """
+    corners = np.array([
         complex(re1, im0),
         complex(re1, im1),
         complex(re0, im1),
         complex(re0, im0),
-    ]
-    pts = []
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        for t in np.linspace(0.0, 1.0, per_side, endpoint=False):
-            pts.append(a + t * (b - a))
-    return pts
+    ])
+    sides = []
+    for a, b in zip(corners, np.roll(corners, -1)):
+        m = max(per_side, int(np.ceil(abs(b - a) / MAX_SPACING)))
+        sides.append(a + np.linspace(0.0, 1.0, m, endpoint=False) * (b - a))
+    return np.concatenate(sides)
 
 
 def count_in_rectangle(K, re0, re1, im0, im1):
@@ -132,14 +172,14 @@ def count_in_rectangle(K, re0, re1, im0, im1):
 
 
 def count_on_circle(K, center, radius, nodes=48):
-    pts = [center + radius * np.exp(2j * np.pi * k / nodes) for k in range(nodes)]
+    pts = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     return winding_number(lambda nu: char_value(K, nu), pts)
 
 
 def _cluster_centroid(K, center, radius, multiplicity, nodes=64):
     theta = 2 * np.pi * np.arange(nodes) / nodes
     zs = center + radius * np.exp(1j * theta)
-    vals = np.array([char_log_derivative(K, z) for z in zs])
+    vals = char_log_derivative(K, zs)
     integrand = zs * vals * (1j * radius * np.exp(1j * theta))
     integral = integrand.sum() * (2 * np.pi / nodes)
     return integral / (2j * np.pi * multiplicity)
@@ -208,7 +248,8 @@ class SpectrumResult:
 
 
 def _subdivide(K, eta, lo, hi, floor):
-    """Return a list of (lo, hi, count) boxes each holding one root cluster.
+    """Return ``(boxes, half_width)``: (lo, hi, count) boxes in increasing
+    order, each holding one root cluster of the strip |Re nu| < half_width.
 
     A root exactly on a contour line can yield a clean but wrong integer, so
     every split is validated (children must sum to the parent) and the whole
@@ -218,7 +259,8 @@ def _subdivide(K, eta, lo, hi, floor):
     """
     for inflation in (0.011, 0.029, 0.053, 0.087):
         try:
-            return _subdivide_at(K, eta * (1 + inflation), lo, hi, floor)
+            eta_eff = eta * (1 + inflation)
+            return _subdivide_at(K, eta_eff, lo, hi, floor), eta_eff
         except ContourError:
             continue
     raise ContourError(f"cannot isolate root clusters in band [{lo}, {hi}]")
@@ -254,32 +296,55 @@ def _subdivide_at(K, eta_eff, lo, hi, floor, cnt=None):
 
 
 def _choose_window(K, eta):
+    sigmas = np.array([0.0, 0.5 * eta, eta, -0.5 * eta, -eta])
     for L in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0):
-        sup = 0.0
-        for sigma in (0.0, 0.5 * eta, eta, -0.5 * eta, -eta):
-            for l in np.linspace(L, 3 * L, 25):
-                sup = max(sup, np.linalg.norm(K.transform(sigma + 1j * l), 2))
+        nus = sigmas[:, None] + 1j * np.linspace(L, 3 * L, 25)
+        sup = np.linalg.norm(K.transform_batch(nus), 2, axis=(-2, -1)).max()
         if sup < 0.5:
             return 2 * L
     raise RuntimeError("transform does not decay along the strip; no finite window")
 
 
-def _refine_cluster(K, lo, hi, cnt, eta):
+def _circle_limits(boxes, half_width):
+    """The largest isolating-circle radius for each box.
+
+    A circle centred in a box stays inside the strip the boxes were counted
+    in, where the transform exists, and within 3/4 of the way to the nearest
+    other box, so it can take in no root of a neighbouring cluster.
+    """
+    limits = []
+    for k, (lo, hi, _) in enumerate(boxes):
+        center = 0.5 * (lo + hi)
+        room = np.inf
+        if k > 0:
+            room = center - boxes[k - 1][1]
+        if k + 1 < len(boxes):
+            room = min(room, boxes[k + 1][0] - center)
+        limits.append(min(half_width, 0.75 * room))
+    return limits
+
+
+def _refine_cluster(K, lo, hi, cnt, eta, limit):
     """Refine one cluster to (centroid, confirmed).
 
-    ``confirmed`` means a small circle around the centroid still sees all
-    ``cnt`` roots; a symmetric off-axis pair averaging onto the axis fails
-    this and triggers strip shrinking in the caller.
+    The isolating circle starts just wider than the strip and grows, up to
+    ``limit``, until it counts ``cnt`` roots.  ``confirmed`` means a small
+    circle around the centroid still sees all ``cnt`` roots; a symmetric
+    off-axis pair averaging onto the axis, or a cluster no circle within
+    ``limit`` isolates, fails this and triggers strip shrinking in the
+    caller.
     """
     center = complex(0.0, 0.5 * (lo + hi))
-    radius = max(0.75 * (hi - lo), 1e-3) + eta
+    radius = min(max(0.75 * (hi - lo), 1e-3) + eta, limit)
     for _ in range(6):
         try:
             if count_on_circle(K, center, radius) == cnt:
                 break
         except ContourError:
             pass
-        radius *= 1.31
+        if radius >= limit:
+            break
+        radius = min(radius * 1.31, limit)
     nu = center
     for _ in range(4):
         nu = _cluster_centroid(K, center, radius, cnt)
@@ -304,7 +369,7 @@ def _disc_derivatives(K, center, orders, radius, nodes=64):
     direct differencing hits next to a multiple root.
     """
     th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
-    vals = np.array([char_value(K, center + radius * np.exp(1j * t)) for t in th])
+    vals = char_value(K, center + radius * np.exp(1j * th))
     return {
         o: factorial(o) * np.mean(vals * np.exp(-1j * o * th)) / radius**o
         for o in orders
@@ -351,11 +416,11 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
     excluded = []
     shrinks = 0
     for _ in range(12):
-        boxes = _subdivide(K, eta, -window, window, floor=1e-3)
+        boxes, half_width = _subdivide(K, eta, -window, window, floor=1e-3)
         candidates = []
         unconfirmed = False
-        for lo, hi, cnt in boxes:
-            nu, ok = _refine_cluster(K, lo, hi, cnt, eta)
+        for (lo, hi, cnt), limit in zip(boxes, _circle_limits(boxes, half_width)):
+            nu, ok = _refine_cluster(K, lo, hi, cnt, eta, limit)
             if not ok:
                 unconfirmed = True
                 break

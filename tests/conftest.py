@@ -3,7 +3,7 @@
 import numpy as np
 
 from cmnl.jet import compute_jet
-from cmnl.kernel import GaussianMixture
+from cmnl.kernel import ExponentialMixture, GaussianMixture
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.projection import build_pointwise, kernel_basis
 from cmnl.spectrum import locate_roots
@@ -39,6 +39,14 @@ def critical_pair_kernel():
     c1 = -(4.0 / 3.0) * np.exp(0.25) / SQRT_PI
     c2 = np.e / (6.0 * SQRT_PI)
     return scaled_gaussian(c1, 1.0) + scaled_gaussian(c2, 0.25)
+
+
+def two_exponential_kernel():
+    """c1 e^{-|x|} + c2 e^{-2|x|} with simple axis roots at +-0.3i, +-0.7i:
+    1 + 2 c1/(1 - s) + 4 c2/(4 - s) = 0 at s = nu^2 = -0.09 and -0.49."""
+    s = np.array([-0.09, -0.49])
+    c1, c2 = np.linalg.solve(np.column_stack([2 / (1 - s), 4 / (4 - s)]), [-1.0, -1.0])
+    return ExponentialMixture([(c1, 1.0, 0.0), (c2, 2.0, 0.0)])
 
 
 def build_pair_jet(order=3, max_order=5):

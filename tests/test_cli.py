@@ -13,14 +13,17 @@ Oracle notes
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SQRT_PI, critical_pair_kernel
+from conftest import SQRT_PI, critical_pair_kernel, two_exponential_kernel
 
+import cmnl
 from cmnl.cli import canonical_json, main, write_profile_csv
 from cmnl.kernel import GaussianMixture
 from cmnl.problem import ProblemError, load_problem, problem_from_data
@@ -299,6 +302,20 @@ class TestSpectrumCommand:
         assert abs(values[0] + 1.0) < 1e-7
         assert abs(values[1] - 1.0) < 1e-7
 
+    def test_two_exponential_spectrum(self, tmp_path):
+        # the isolating circles once left the strip of this kernel, and the
+        # transform's strip check surfaced as an input error (exit 2)
+        data = saddle_problem_data()
+        data["kernels"]["K"] = two_exponential_kernel().to_data()
+        path = write_problem(tmp_path, data)
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", path, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["strip"] == pytest.approx(0.9)
+        assert [r["multiplicity"] for r in data["roots"]] == [1, 1, 1, 1]
+        values = [complex(*r["nu"]).imag for r in data["roots"]]
+        assert np.allclose(values, [-0.7, -0.3, 0.3, 0.7], atol=1e-9)
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
@@ -414,6 +431,15 @@ class TestVerifyCommand:
         assert "verify" in capsys.readouterr().err
 
 
+def package_env():
+    """This environment with the tested ``cmnl`` importable in a child
+    process, also when only pytest's ``pythonpath`` setting found it."""
+    src = str(Path(cmnl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestCommandLineEntry:
     def test_module_invocation_reports_input_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -422,6 +448,7 @@ class TestCommandLineEntry:
             [sys.executable, "-m", "cmnl.cli", "spectrum", str(path)],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
@@ -433,7 +460,8 @@ class TestCommandLineEntry:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

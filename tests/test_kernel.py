@@ -224,6 +224,68 @@ def test_symbol_kernel_default_table_matches_gaussian():
     assert np.allclose(vals, np.exp(-(xs**2)) / np.sqrt(np.pi), atol=1e-7)
 
 
+# -- batched transforms --------------------------------------------------------
+
+
+def _batch_kernels():
+    """One kernel of every family, scalar and 2 x 2, with polynomial
+    prefactors and shifts where the family has them."""
+    rng = np.random.default_rng(7)
+    m2 = lambda: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    G1 = kr.GaussianMixture(
+        [([0.3, -0.7, 0.2], 1.3, 0.4), ([-0.5], 0.25, -0.3)]
+    )
+    G2 = kr.GaussianMixture(
+        [(np.array([m2(), m2()]), 0.8, 0.2), (np.array([m2()]), 2.0, -0.5)], n=2
+    )
+    E1 = kr.ExponentialMixture([(0.4, 1.5, 0.3), (-0.2, 2.0, -0.1)])
+    E2 = kr.ExponentialMixture([(m2(), 1.5, 0.3), (m2(), 2.5, 0.0)], n=2)
+    D1 = kr.DiracMixture([(0.5, 0.7), (-0.25, -1.2)])
+    D2 = kr.DiracMixture([(m2(), 0.7), (m2(), -0.4)], n=2)
+    exact = lambda K: (lambda nu, order: K.transform(nu, order))
+    return {
+        "gaussian-1": G1,
+        "gaussian-2": G2,
+        "exponential-1": E1,
+        "exponential-2": E2,
+        "dirac-1": D1,
+        "dirac-2": D2,
+        "sum-1": G1 + E1 + D1,
+        "sum-2": G2 + E2 + D2,
+        "symbol-fd-1": kr.SymbolKernel(lambda nu: G1.transform(nu)[0, 0], np.inf),
+        "symbol-fd-2": kr.SymbolKernel(lambda nu: G2.transform(nu), np.inf, n=2),
+        "symbol-exact-1": kr.SymbolKernel(
+            lambda nu: G1.transform(nu), np.inf, derivative=exact(G1)
+        ),
+        "symbol-exact-2": kr.SymbolKernel(
+            lambda nu: G2.transform(nu), np.inf, n=2, derivative=exact(G2)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_batch_kernels()))
+@pytest.mark.parametrize("order", range(5))
+def test_transform_batch_matches_pointwise(name, order):
+    K = _batch_kernels()[name]
+    rng = np.random.default_rng(order)
+    for shape in ((), (3,), (2, 3)):
+        nus = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+        batch = K.transform_batch(nus, order)
+        assert batch.shape == np.shape(nus) + (K.n, K.n)
+        for idx in np.ndindex(np.shape(nus)):
+            point = K.transform(nus[idx], order)
+            # array and scalar loops of numpy may round exp, pow and complex
+            # products differently in the last bit
+            tol = 8 * np.finfo(float).eps * np.abs(point).max()
+            assert np.abs(batch[idx] - point).max() <= tol
+
+
+def test_exponential_batch_outside_strip_raises():
+    K = kr.ExponentialMixture([(1.0, 2.0, 0.0), (0.5, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="outside strip"):
+        K.transform_batch(np.array([0.0, 0.5j, 1.2 + 0.1j]))
+
+
 # -- calculus on kernels ------------------------------------------------------
 
 

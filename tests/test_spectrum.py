@@ -10,6 +10,9 @@ linear-algebra used to build the chains.
 import numpy as np
 import pytest
 
+from conftest import critical_pair_kernel as conftest_pair_kernel
+from conftest import two_exponential_kernel
+
 from cmnl import kernel as kr
 from cmnl import spectrum as sp
 from cmnl.quasipoly import QuasiPolynomial
@@ -78,6 +81,208 @@ def test_contour_through_root_raises():
             lambda nu: sp.char_value(K, nu),
             [1.0 + 0j, 1.0 + 1j, 2.0 + 1j, 2.0 + 0j],  # corner hits the root
         )
+
+
+def _recursive_winding(f, points, budget=20000):
+    """Reference for ``winding_number``: depth-first bisection, one value of
+    ``f`` per call.  Returns the winding, the points evaluated and the
+    number of bisection levels that evaluated a midpoint."""
+    evaluated = []
+    levels = set()
+
+    def ev(z, level=0):
+        evaluated.append(z)
+        levels.add(level)
+        if len(evaluated) > budget:
+            raise sp.ContourError("budget")
+        v = f(z)
+        if v == 0:
+            raise sp.ContourError("root")
+        return v
+
+    def increment(z0, z1, v0, v1, depth):
+        dphi = np.angle(v1 / v0)
+        if abs(dphi) <= np.pi / 3 and abs(v1 - v0) <= 0.7 * max(abs(v0), abs(v1)):
+            return dphi
+        if depth >= 48:
+            raise sp.ContourError("depth")
+        zm = 0.5 * (z0 + z1)
+        vm = ev(zm, depth + 1)
+        return increment(z0, zm, v0, vm, depth + 1) + increment(
+            zm, z1, vm, v1, depth + 1
+        )
+
+    vals = [ev(z) for z in points]
+    m = len(points)
+    total = 0.0
+    for k in range(m):
+        total += increment(points[k], points[(k + 1) % m], vals[k], vals[(k + 1) % m], 0)
+    w = total / (2 * np.pi)
+    assert abs(w - round(w)) <= 0.05
+    return int(round(w)), evaluated, len(levels - {0})
+
+
+def _circle(center, radius, nodes=48):
+    return center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+@pytest.mark.parametrize(
+    "kernel, points, expected",
+    [
+        # simple root at 1 just inside / just outside the contour
+        (real_pair_kernel, sp._rect_points(0.999, 1.5, -0.5, 0.5), 1),
+        (real_pair_kernel, sp._rect_points(1.001, 1.5, -0.5, 0.5), 0),
+        (real_pair_kernel, _circle(1.2, 0.2005), 1),
+        # double root at 0 near the contour
+        (double_root_at_zero, _circle(0.01, 0.0101), 2),
+        (double_root_at_zero, _circle(0.01, 0.0099), 0),
+        (double_root_at_zero, sp._rect_points(-0.5, -0.002, -0.5, 0.5), 0),
+        (double_root_at_zero, sp._rect_points(-0.5, 0.002, -0.5, 0.5), 2),
+    ],
+)
+def test_level_batched_winding_matches_recursion(kernel, points, expected):
+    K = kernel()
+    batches = []
+
+    def batched(nus):
+        batches.append(np.array(nus))
+        return sp.char_value(K, nus)
+
+    w = sp.winding_number(batched, points)
+    w_ref, evaluated, levels = _recursive_winding(
+        lambda nu: sp.char_value(K, nu), list(points)
+    )
+    assert w == w_ref == expected
+    got = np.concatenate(batches)
+    assert got.size == len(evaluated) > len(points)  # the contour was refined
+    assert np.array_equal(np.sort_complex(got), np.sort_complex(np.array(evaluated)))
+    # one call for the samples, then one per bisection level
+    assert len(batches) == 1 + levels
+
+
+def test_root_at_a_midpoint_raises():
+    # the first bisection of the step 0 -> 0.5 lands on the zero of z - 0.25
+    with pytest.raises(sp.ContourError, match="hits a root"):
+        sp.winding_number(lambda z: z - 0.25, [0.0, 0.5, 0.5 + 0.5j, 0.5j])
+
+
+def test_root_inside_a_step_hits_the_depth_cap():
+    # the root at 1 lies on the step 0.7 -> 1.4 but at no dyadic point of it
+    K = real_pair_kernel()
+    with pytest.raises(sp.ContourError, match="too fast"):
+        sp.winding_number(
+            lambda nu: sp.char_value(K, nu), [0.7, 1.4, 1.4 + 1j, 0.7 + 1j]
+        )
+
+
+def test_refinement_budget_raises():
+    K = real_pair_kernel()
+    f = lambda nu: sp.char_value(K, nu)
+    points = sp._rect_points(0.999, 1.5, -0.5, 0.5)
+    _, evaluated, _ = _recursive_winding(f, list(points))
+    assert sp.winding_number(f, points, budget=len(evaluated)) == 1
+    with pytest.raises(sp.ContourError, match="budget"):
+        sp.winding_number(f, points, budget=len(evaluated) - 1)
+    with pytest.raises(sp.ContourError, match="budget"):
+        sp.winding_number(f, points, budget=len(points) - 1)
+
+
+def test_rectangle_samples_are_at_most_max_spacing_apart():
+    pts = sp._rect_points(-1.0, 1.0, -16.0, 16.0)
+    steps = np.abs(np.diff(np.append(pts, pts[0])))
+    assert steps.max() <= sp.MAX_SPACING + 1e-12
+    assert len(sp._rect_points(-0.1, 0.1, 0.0, 0.2)) == 48  # short sides keep 12
+
+
+def test_locate_roots_makes_only_batched_transform_calls(monkeypatch):
+    """Each contour of ``locate_roots`` costs one transform call, plus one per
+    refinement level: 395 batched calls (6,851 points) on the conftest pair
+    kernel, and no per-point call."""
+    K = conftest_pair_kernel()
+    counts = {"batch": 0, "scalar": 0}
+    batch = kr.SumKernel.transform_batch
+
+    def counted_batch(self, nus, order=0):
+        counts["batch"] += 1
+        return batch(self, nus, order)
+
+    def forbidden_scalar(self, nu, order=0):
+        counts["scalar"] += 1
+        raise AssertionError("per-point transform inside locate_roots")
+
+    monkeypatch.setattr(kr.SumKernel, "transform_batch", counted_batch)
+    monkeypatch.setattr(kr.Kernel, "transform", forbidden_scalar)
+    res = sp.locate_roots(K)
+    assert res.total_multiplicity == 4
+    assert counts["scalar"] == 0
+    assert counts["batch"] <= 800
+
+
+def three_gaussian_kernel(d):
+    """c1 e^{-x^2} + c2 e^{-x^2/4} + d e^{-16 x^2} with simple axis roots at
+    +-0.3i and +-0.7i.
+
+    On the axis nu = i l the transform is a function of s = nu^2 = -l^2:
+    sqrt(pi) c1 e^{s/4} + 2 sqrt(pi) c2 e^{s} + d (sqrt(pi)/4) e^{s/64}, and
+    (c1, c2) solve 1 + Khat = 0 at s = -0.09 and s = -0.49.
+    """
+    sp_ = np.sqrt(np.pi)
+    s = np.array([-0.09, -0.49])
+    A = np.column_stack([sp_ * np.exp(s / 4), 2 * sp_ * np.exp(s)])
+    c1, c2 = np.linalg.solve(A, -1 - d * (sp_ / 4) * np.exp(s / 64))
+    K = scaled_gaussian(c1) + kr.GaussianMixture.single(c2, 0.25)
+    if d:
+        K = K + kr.GaussianMixture.single(d, 16.0)
+    return K
+
+
+def assert_four_simple_roots(res):
+    assert [r.multiplicity for r in res.roots] == [1, 1, 1, 1]
+    ims = [r.nu.imag for r in res.roots]
+    assert np.allclose(ims, [-0.7, -0.3, 0.3, 0.7], atol=1e-9)
+    assert res.diagnostics["strip_shrinks"] == 0
+    assert res.diagnostics["excluded_offaxis"] == []
+
+
+@pytest.mark.parametrize("d, window", [(2.0, 16.0), (4.0, 32.0)])
+def test_long_contour_sides_see_every_root(d, window):
+    # with 12 samples per side of a 32-long rectangle, d looped around 0
+    # between two samples of close value and the count came out 0
+    K = three_gaussian_kernel(d)
+    assert sp.count_in_rectangle(K, -1.011, 1.011, -window, window) == 4
+    res = sp.locate_roots(K)
+    assert res.window == window
+    assert res.strip == 1.0
+    assert_four_simple_roots(res)
+
+
+def test_isolating_circle_leaves_neighbouring_clusters_out():
+    # a circle of radius ~ strip around 0.3i took in +-0.7i and -0.3i, so
+    # the strip was shrunk twice, to 0.25, with nothing off the axis
+    res = sp.locate_roots(three_gaussian_kernel(0.0))
+    assert res.strip == 1.0
+    assert_four_simple_roots(res)
+
+
+def test_isolating_circle_stays_inside_the_strip():
+    # the growing circle used to leave |Re nu| < 1, where Khat has poles
+    K = two_exponential_kernel()
+    res = sp.locate_roots(K)
+    assert res.strip == pytest.approx(0.9)
+    assert_four_simple_roots(res)
+
+
+def test_growing_circle_stops_at_the_strip():
+    # Khat = 2c/(1 - nu^2) has poles at +-1 and real roots at +-0.905: inside
+    # the counted strip 0.9 * 1.011 but outside the first circle (radius
+    # 0.901), which then grew past the poles.  The pair averages onto the
+    # axis, so the strip is shrunk.
+    c = (0.905**2 - 1) / 2
+    K = kr.ExponentialMixture([(c, 1.0, 0.0)])
+    res = sp.locate_roots(K)
+    assert res.roots == []
+    assert res.strip < 0.905
+    assert res.diagnostics["strip_shrinks"] >= 1
 
 
 def test_locate_double_root_at_zero():
