@@ -13,7 +13,7 @@ an analytic superposition/convolution nonlinearity.  The pipeline is:
 3. ``tsolve``     -- bordered solver for T u = g on quasi-polynomials;
 4. ``jet``        -- order-by-order Taylor jet of the reduction map and the
                      reduced vector field on the center coordinates;
-5. ``verify``     -- numerical integration of the reduced field, profile
+5. ``verify``     -- shooting of the planar limit systems, profile
                      reconstruction, and convolution residuals.
 
 Everything is exact arithmetic over the quasi-polynomial algebra implemented
@@ -50,7 +50,6 @@ from cmnl.tsolve import BorderedProblem, solve
 from cmnl.verify import (
     front_report,
     grid_convolve,
-    integrate_reduced,
     pulse_scaling_report,
     reconstruct,
     residual,
@@ -79,7 +78,6 @@ __all__ = [
     "evaluate_field",
     "front_report",
     "grid_convolve",
-    "integrate_reduced",
     "kernel_basis",
     "kernel_from_data",
     "load_problem",

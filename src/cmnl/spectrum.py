@@ -414,6 +414,7 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
     if window is None:
         window = _choose_window(K, eta)
     excluded = []
+    clusters = []
     shrinks = 0
     for _ in range(12):
         boxes, half_width = _subdivide(K, eta, -window, window, floor=1e-3)
@@ -423,6 +424,7 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
             nu, ok = _refine_cluster(K, lo, hi, cnt, eta, limit)
             if not ok:
                 unconfirmed = True
+                clusters.append({"im": (lo, hi), "count": cnt, "strip": eta})
                 break
             candidates.append((nu, cnt))
         if unconfirmed:
@@ -449,6 +451,7 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
                 window=window,
                 diagnostics={
                     "excluded_offaxis": [complex(z) for z in excluded],
+                    "unconfirmed_clusters": clusters,
                     "strip_shrinks": shrinks,
                     "decay_checks": report.checks,
                 },

@@ -3,8 +3,6 @@
 The exact algebra ends at the reduced vector field; this module checks its
 predictions numerically and independently of the quasi-polynomial route:
 
-* ``integrate_reduced`` -- classical fixed-step 4th-order integration of the
-  polynomial reduced field (complex or real coordinates);
 * ``reconstruct`` -- pointwise graph evaluation of a coordinate trajectory,
   ``u(x) = (u0(c(x)) + Psi(c(x), mu))(0)``, sampled on the trajectory grid;
 * ``grid_convolve`` / ``residual`` -- trapezoidal convolution quadrature on a
@@ -13,19 +11,21 @@ predictions numerically and independently of the quasi-polynomial route:
 * ``find_homoclinic`` / ``find_front`` -- deterministic shooting for the two
   planar limit systems produced by ``scale_field``: the reversible pulse
   equation ``a'' = lam lin a + cub a^3`` and the damped front equation
-  ``kappa a'' + c a' + a (alpha - beta a^2) = 0``;
+  ``kappa a'' + c a' + a (alpha - beta a^2) = 0``, integrated by the
+  fixed-step classical Runge-Kutta ``rk4_step`` on pairs of floats;
 * ``planar_pulse_system`` / ``planar_front_system`` -- structure-checked
   extraction of those planar systems from a computed reduction;
 * ``pulse_profile`` / ``pulse_scaling_report`` and ``front_profile`` /
   ``front_report`` -- end-to-end drivers producing ``WaveReport`` artifacts.
 """
 
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from math import ceil, log, sqrt
 
 import numpy as np
 
-from .jet import JetIndex, ScaledField, evaluate_field, scale_field
+from .jet import JetIndex, scale_field
 from .nonlin import _term_kernels, mu_weight, walk_term
 
 
@@ -194,52 +194,30 @@ class WaveReport:
 
 
 # ---------------------------------------------------------------------------
-# integration
-
-
-def _field_function(field, mu=()):
-    if callable(field):
-        return field
-    fld = field.field if isinstance(field, ScaledField) else field
-    return lambda y: evaluate_field(fld, y, mu)
+# planar integration
 
 
 def rk4_step(f, y, h):
-    """One classical Runge-Kutta step."""
-    k1 = f(y)
-    k2 = f(y + (0.5 * h) * k1)
-    k3 = f(y + (0.5 * h) * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical Runge-Kutta step of the planar system ``(a, p)' = f(a, p)``.
 
-
-def integrate_reduced(field, initial, span, step, mu=(), blowup=1e6):
-    """Fixed-step 4th-order integration of a polynomial reduced field.
-
-    ``field`` is a coefficient map (as produced by the jet), a scaled field,
-    or a callable ``y -> dy``.  The step is adjusted to divide the span
-    exactly; step-halving is the caller's accuracy check.  Raises on
-    blow-up (norm above ``blowup``).
+    ``y`` is the pair ``(a, p)`` of floats; the stages are unrolled, so a
+    step builds no arrays.
     """
-    f = _field_function(field, mu)
-    x0, x1 = float(span[0]), float(span[1])
-    if step <= 0:
-        raise ValueError("step must be positive")
-    nsteps = max(1, int(round(abs(x1 - x0) / step)))
-    h = (x1 - x0) / nsteps
-    y = np.asarray(initial, dtype=complex)
-    xs = x0 + h * np.arange(nsteps + 1)
-    ys = np.empty((nsteps + 1, y.size), dtype=complex)
-    ys[0] = y
-    for k in range(nsteps):
-        y = rk4_step(f, y, h)
-        norm = np.abs(y).max()
-        if not norm < blowup:
-            raise RuntimeError(
-                f"trajectory blow-up: |y| = {norm:.3g} at x = {xs[k + 1]:.6g}"
-            )
-        ys[k + 1] = y
-    return Trajectory(xs, ys)
+    a, p = y
+    half = 0.5 * h
+    k1a, k1p = f(a, p)
+    k2a, k2p = f(a + half * k1a, p + half * k1p)
+    k3a, k3p = f(a + half * k2a, p + half * k2p)
+    k4a, k4p = f(a + h * k3a, p + h * k3p)
+    w = h / 6.0
+    return (a + w * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+            p + w * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+
+def _planar_trajectory(xs, ys):
+    """``Trajectory`` of a planar shot whose ``(a, p)`` samples are interleaved
+    in the flat ``array("d")`` ``ys``."""
+    return Trajectory(xs, np.frombuffer(ys).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +439,22 @@ def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
     if max_span is None:
         max_span = 4.0 * (log(peak / start) + 5.0) / k
 
-    def f(y):
-        return np.array(
-            [y[1], lam_hat * lin * y[0] + cub * y[0] ** 3], dtype=complex
-        )
+    rate = lam_hat * lin
 
-    y = np.array([start, start * k], dtype=complex)
-    ts, ys = [0.0], [y]
+    def f(a, p):
+        return p, rate * a + cub * (a * a * a)
+
+    y = (start, start * k)
+    ts, ys = array("d", [0.0]), array("d", y)
     t = 0.0
     crossing = None
     while t < max_span:
         ynew = rk4_step(f, y, step)
-        if ynew[1].real <= 0.0:
+        if ynew[1] <= 0.0:
             lo, hi = 0.0, step
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if rk4_step(f, y, mid)[1].real <= 0.0:
+                if rk4_step(f, y, mid)[1] <= 0.0:
                     hi = mid
                 else:
                     lo = mid
@@ -485,16 +463,16 @@ def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
             if t + tau > t:
                 t += tau
                 ts.append(t)
-                ys.append(y)
+                ys.extend(y)
             else:
-                ys[-1] = y
+                ys[-2:] = array("d", y)
             crossing = t
             break
         y = ynew
         t += step
         ts.append(t)
-        ys.append(y)
-    half = Trajectory(np.array(ts), np.array(ys))
+        ys.extend(y)
+    half = _planar_trajectory(ts, ys)
     if crossing is None:
         return ShootingResult(success=False, trajectory=half,
                               details={"rate": k, "reason": "no section crossing"})
@@ -504,7 +482,7 @@ def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
     return_distance = np.inf
     for _ in range(nsteps):
         y = rk4_step(f, y, step)
-        return_distance = min(return_distance, float(np.abs(y).max()))
+        return_distance = min(return_distance, max(abs(y[0]), abs(y[1])))
     return ShootingResult(
         success=return_distance < tol_return,
         trajectory=half,
@@ -544,29 +522,29 @@ def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
         max_span = 3.0 * (log(a_star / start) / s_unstable
                           + log(a_star / tol_reach) / slow + 20.0)
 
-    def f(y):
-        a, p = y[0], y[1]
-        return np.array(
-            [p, -(c_star * p + a * (alpha - beta * a**2)) / kappa],
-            dtype=complex,
-        )
+    # numpy divides complex numbers by multiplying with the reciprocal; the
+    # complex-array reference shooter in the tests must agree bit for bit
+    inv_kappa = 1.0 / kappa
 
-    y = np.array([a_star - start, -start * s_unstable], dtype=complex)
-    ys = [y]
+    def f(a, p):
+        return p, -(c_star * p + a * (alpha - beta * (a * a))) * inv_kappa
+
+    y = (a_star - start, -start * s_unstable)
+    ys = array("d", y)
     nmax = int(ceil(max_span / step))
-    reach_distance = float(np.abs(y).max())
+    reach_distance = max(abs(y[0]), abs(y[1]))
     success = False
     for _ in range(nmax):
         y = rk4_step(f, y, step)
-        ys.append(y)
-        d = float(np.abs(y).max())
+        ys.extend(y)
+        d = max(abs(y[0]), abs(y[1]))
         reach_distance = min(reach_distance, d)
         if d <= tol_reach:
             success = True
             break
-        if y[0].real < -0.5 * a_star or d > 1e6:
+        if y[0] < -0.5 * a_star or d > 1e6:
             break
-    traj = Trajectory(step * np.arange(len(ys)), np.array(ys))
+    traj = _planar_trajectory(step * np.arange(len(ys) // 2), ys)
     slack = 1e-9 * a_star
     monotone = bool(
         traj.ys[:, 1].real.max() <= slack

@@ -272,6 +272,19 @@ def test_isolating_circle_stays_inside_the_strip():
     assert_four_simple_roots(res)
 
 
+def assert_pair_recorded_as_unconfirmed(res, first_strip):
+    """A real root pair whose centroid fell on the axis: each shrink it
+    caused is recorded with its box, root count and strip."""
+    clusters = res.diagnostics["unconfirmed_clusters"]
+    assert len(clusters) == res.diagnostics["strip_shrinks"]
+    first = clusters[0]
+    assert first["count"] == 2
+    lo, hi = first["im"]
+    assert lo <= 0.0 <= hi
+    assert first["strip"] == pytest.approx(first_strip)
+    assert all(c["strip"] > res.strip for c in clusters)
+
+
 def test_growing_circle_stops_at_the_strip():
     # Khat = 2c/(1 - nu^2) has poles at +-1 and real roots at +-0.905: inside
     # the counted strip 0.9 * 1.011 but outside the first circle (radius
@@ -283,6 +296,8 @@ def test_growing_circle_stops_at_the_strip():
     assert res.roots == []
     assert res.strip < 0.905
     assert res.diagnostics["strip_shrinks"] >= 1
+    assert res.diagnostics["excluded_offaxis"] == []
+    assert_pair_recorded_as_unconfirmed(res, first_strip=0.9)
 
 
 def test_locate_double_root_at_zero():
@@ -320,6 +335,7 @@ def test_offaxis_roots_shrink_strip():
     assert res.roots == []
     assert res.strip <= 0.51
     assert res.diagnostics["strip_shrinks"] >= 1
+    assert_pair_recorded_as_unconfirmed(res, first_strip=1.0)
 
 
 def test_isolated_offaxis_root_excluded():

@@ -1,4 +1,4 @@
-"""Grid verification: integration, reconstruction, residuals, shooting.
+"""Grid verification: reconstruction, residuals, shooting.
 
 Oracle notes
 ------------
@@ -37,7 +37,6 @@ from cmnl.verify import (
     front_report,
     grid_convolve,
     grid_nonlinearity,
-    integrate_reduced,
     planar_front_system,
     planar_pulse_system,
     pulse_profile,
@@ -58,57 +57,6 @@ def pair():
 @pytest.fixture(scope="module")
 def front():
     return build_front_jet(3)
-
-
-# ---------------------------------------------------------------------------
-# integration
-
-
-class TestIntegrateReduced:
-    def test_equilibrium_stays_at_zero(self):
-        fld = {
-            JetIndex((2,)): np.array([2.0 + 0j]),
-            JetIndex((3,)): np.array([-4.0 + 0j]),
-        }
-        traj = integrate_reduced(fld, [0.0], (0.0, 10.0), 0.01)
-        assert np.all(traj.ys == 0.0)
-
-    def test_linear_rotation_matches_exponential(self):
-        traj = integrate_reduced(lambda y: 1j * y, [1.0], (0.0, 2.0), 0.01)
-        assert abs(traj.ys[-1, 0] - np.exp(2.0j)) < 1e-9
-        assert abs(abs(traj.ys[:, 0]) - 1.0).max() < 1e-9
-
-    def test_step_halving_endpoint_stable(self):
-        f = lambda y: np.array([y[1], -np.sin(y[0])])
-        a = integrate_reduced(f, [1.0, 0.0], (0.0, 5.0), 0.01)
-        b = integrate_reduced(f, [1.0, 0.0], (0.0, 5.0), 0.005)
-        assert np.abs(a.ys[-1] - b.ys[-1]).max() < 1e-8
-
-    def test_parameter_weights_enter_the_field(self):
-        fld = {JetIndex((1,), (1,)): np.array([2.0 + 0j])}
-        traj = integrate_reduced(fld, [1.0], (0.0, 1.0), 0.001, mu=(0.5,))
-        assert abs(traj.ys[-1, 0] - math.e) < 1e-9
-
-    def test_scaled_field_container_accepted(self):
-        sf = ScaledField(
-            field={JetIndex((1,)): np.array([1j])},
-            dropped=(),
-            coord_exponents=(1,),
-            x_exponent=1.0,
-            param_exponents=(),
-            phases=(),
-        )
-        traj = integrate_reduced(sf, [1.0], (0.0, 1.0), 0.01)
-        assert abs(traj.ys[-1, 0] - np.exp(1j)) < 1e-10
-
-    def test_blowup_raises(self):
-        with pytest.raises(RuntimeError, match="blow-up"):
-            integrate_reduced(lambda y: y**2, [2.0], (0.0, 10.0), 0.001)
-
-    def test_backward_span(self):
-        traj = integrate_reduced(lambda y: y, [1.0], (0.0, -1.0), 0.01)
-        assert abs(traj.ys[-1, 0] - math.exp(-1.0)) < 1e-10
-        assert traj.xs[-1] == pytest.approx(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +368,146 @@ class TestFrontShooting:
             find_front(-0.25, 1.0, 1.0, 1.1)
         with pytest.raises(ValueError):
             find_front(0.25, 1.0, 1.0, 0.0)
+
+
+# The complex-array shooter that the scalar one replaced, kept as a bitwise
+# reference: every state is real, so the zero imaginary parts change no bit
+# of the real parts, and the scalar shooter must reproduce this one exactly.
+
+
+def _array_rk4_step(f, y, h):
+    k1 = f(y)
+    k2 = f(y + (0.5 * h) * k1)
+    k3 = f(y + (0.5 * h) * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _array_homoclinic(lin, cub, start=1e-6, step=1e-3):
+    k = math.sqrt(lin)
+    peak = math.sqrt(2.0 * lin / -cub)
+    max_span = 4.0 * (math.log(peak / start) + 5.0) / k
+
+    def f(y):
+        return np.array([y[1], lin * y[0] + cub * y[0] ** 3], dtype=complex)
+
+    y = np.array([start, start * k], dtype=complex)
+    ts, ys = [0.0], [y]
+    t, crossing = 0.0, None
+    while t < max_span:
+        ynew = _array_rk4_step(f, y, step)
+        if ynew[1].real <= 0.0:
+            lo, hi = 0.0, step
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if _array_rk4_step(f, y, mid)[1].real <= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            tau = 0.5 * (lo + hi)
+            y = _array_rk4_step(f, y, tau)
+            if t + tau > t:
+                t += tau
+                ts.append(t)
+                ys.append(y)
+            else:
+                ys[-1] = y
+            crossing = t
+            break
+        y = ynew
+        t += step
+        ts.append(t)
+        ys.append(y)
+    return_distance = np.inf
+    for _ in range(int(math.ceil(crossing / step))):
+        y = _array_rk4_step(f, y, step)
+        return_distance = min(return_distance, float(np.abs(y).max()))
+    return np.array(ts), np.array(ys), crossing, return_distance
+
+
+def _array_front(kappa, alpha, beta, c_star, start=1e-6, tol_reach=1e-4):
+    a_star = math.sqrt(alpha / beta)
+    s_unstable = (-c_star + math.sqrt(c_star**2 + 8 * kappa * alpha)) / (2 * kappa)
+    disc = c_star**2 - 4 * kappa * alpha
+    slow = c_star / (2 * kappa) if disc < 0 else \
+        (c_star - math.sqrt(disc)) / (2 * kappa)
+    step = 0.01 / max(1.0, s_unstable, c_star / kappa)
+    max_span = 3.0 * (math.log(a_star / start) / s_unstable
+                      + math.log(a_star / tol_reach) / slow + 20.0)
+
+    def f(y):
+        a, p = y[0], y[1]
+        return np.array(
+            [p, -(c_star * p + a * (alpha - beta * a**2)) / kappa],
+            dtype=complex,
+        )
+
+    y = np.array([a_star - start, -start * s_unstable], dtype=complex)
+    ys = [y]
+    reach_distance = float(np.abs(y).max())
+    for _ in range(int(math.ceil(max_span / step))):
+        y = _array_rk4_step(f, y, step)
+        ys.append(y)
+        d = float(np.abs(y).max())
+        reach_distance = min(reach_distance, d)
+        if d <= tol_reach or y[0].real < -0.5 * a_star or d > 1e6:
+            break
+    ys = np.array(ys)
+    slack = 1e-9 * a_star
+    monotone = bool(ys[:, 1].real.max() <= slack
+                    and ys[:, 0].real.min() >= -slack)
+    return step * np.arange(len(ys)), ys, reach_distance, monotone
+
+
+class TestScalarShooterMatchesArrayReference:
+    def test_homoclinic_is_bitwise_equal(self):
+        ts, ys, crossing, return_distance = _array_homoclinic(2.0, -2.0)
+        res = find_homoclinic(2.0, -2.0)
+        assert np.array_equal(res.trajectory.xs, ts)
+        assert np.array_equal(res.trajectory.ys, ys)
+        assert res.crossing_time == crossing
+        assert res.section_value == ys[-1, 0].real
+        assert res.return_distance == return_distance
+
+    # kappa = 0.37 is not a power of two: numpy divides a complex number by
+    # multiplying with the reciprocal, which rounds unlike a float quotient
+    @pytest.mark.parametrize("args", [(0.25, 1.0, 1.0, 1.1), (0.25, 1.0, 1.0, 1.0),
+                                      (0.25, 1.0, 1.0, 0.5), (0.37, 0.9, 1.3, 0.7)])
+    def test_front_is_bitwise_equal(self, args):
+        xs, ys, reach_distance, monotone = _array_front(*args)
+        res = find_front(*args)
+        assert np.array_equal(res.trajectory.xs, xs)
+        assert np.array_equal(res.trajectory.ys, ys)
+        assert res.reach_distance == reach_distance
+        assert res.monotone == monotone
+
+
+class TestStepCount:
+    """Each shot steps through the module-level ``rk4_step``, once per step.
+
+    The counts were measured on the complex-array shooter; the homoclinic
+    count includes 80 bisection steps and the return leg.
+    """
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        count = [0]
+        step = cmnl.verify.rk4_step
+
+        def counted(*args):
+            count[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(cmnl.verify, "rk4_step", counted)
+        return count
+
+    def test_homoclinic(self, steps):
+        find_homoclinic(2.0, -2.0)
+        assert steps[0] == 21091
+
+    def test_front(self, steps):
+        find_front(0.25, 1.0, 1.0, 1.1)
+        assert steps[0] == 7589
 
 
 # ---------------------------------------------------------------------------
