@@ -15,12 +15,19 @@ multinomial count.  The slot products of one (term, index) are summed
 first; the coefficient and the outer convolution are applied once.
 
 Every frequency of the jet is a lattice point ``sum_r k_r nu_r`` over the
-distinct roots.  The lattice is built once per ``compute_jet``, and the
-frequencies of every right-hand side are snapped to it before the outer
-convolution and the solve, so each lattice point is one float.  Keyed on
-those exact frequencies, one ``TransformMemo`` per call shares the kernel
-transforms between the convolutions, the bordered solves and the residuals,
-and keeps each block system's factorization.
+distinct roots, built once per ``compute_jet`` (``_Lattice``) together with
+a table of index sums.  Inside the call every piece is held as lattice
+rows, ``{point: (degree+1, n) coefficient array}``; only the psi entries
+and the basis are quasi-polynomials.  On rows (``_Rows``), a pointwise
+product adds indices through the table and convolves the degree axes, and
+a convolution applies one moment matrix per point, built from batched
+kernel transforms at the points the right-hand sides reach.  The same
+``nonlin.walk_slots``/``walk_outer`` that evaluate a term on
+quasi-polynomials drive these operations.  ``_Solver`` keeps one solve
+operator per (point, degree): block back-substitution off the roots, a
+truncated SVD at a root (its singular-value gap goes to ``root_blocks``).
+The residual ``u + K*u + g`` is one block matvec per point, and the
+coordinates are one row matrix per point from the projection's functionals.
 
 The reduced field is obtained by differentiating the translation flow at
 time zero.  Shifting a quasi-polynomial and projecting commutes with
@@ -36,16 +43,20 @@ terms with their orders.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
+from operator import add
 
 import numpy as np
 
-from .kernel import TransformMemo, apply_T
-from .nonlin import apply_series, apply_term, finish_term
-from .quasipoly import FREQ_TOL, QuasiPolynomial
-from .tsolve import ROOT_MATCH_TOL, BorderedProblem, solve
+from .kernel import apply_T, convolution_matrix, taylor_transforms
+# ``apply_term`` and ``solve`` stay bound here because bench/tracer.py
+# wraps cmnl.jet.apply_term and cmnl.jet.solve by name
+from .nonlin import apply_series, apply_term, walk_outer, walk_slots  # noqa: F401
+from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial
+from .tsolve import (  # noqa: F401
+    BLOCK_TOL, ROOT_MATCH_TOL, block_operator, check_strip, solve, solve_frequency)
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,9 @@ class JetResult:
     indices whose right-hand side vanished identically are listed in
     ``vanished`` instead.  ``field`` includes the linear part (unit indices)
     alongside one entry per stored graph coefficient.  ``diagnostics`` holds
-    the per-index relative solver residual.
+    the per-index relative solver residual.  ``root_blocks`` records each
+    block factored at a root, sorted by (Im nu, Re nu, degree): the SVD
+    cutoff, the smallest kept and the largest dropped singular value.
     """
 
     projection: object
@@ -104,6 +117,7 @@ class JetResult:
     field: dict = dataclass_field(default_factory=dict)
     diagnostics: dict = dataclass_field(default_factory=dict)
     vanished: tuple = ()
+    root_blocks: tuple = ()
 
     @property
     def basis(self):
@@ -146,6 +160,7 @@ class JetResult:
             "field": fld,
             "vanished": [idx.to_data() for idx in
                          sorted(self.vanished, key=JetIndex.graded_key)],
+            "root_blocks": list(self.root_blocks),
         }
 
 
@@ -160,7 +175,7 @@ def _pad(t, n):
 
 
 class _Piece:
-    """One summand of the graph expansion: quasi-polynomial times monomial."""
+    """One summand of the graph expansion: lattice rows times monomial."""
 
     __slots__ = ("m", "rho", "value", "order")
 
@@ -168,13 +183,25 @@ class _Piece:
         self.m, self.rho, self.value, self.order = m, rho, value, order
 
 
+def _vectors(G, left):
+    """Integer vectors of length G with sum |k_r| <= left."""
+    if G == 0:
+        yield ()
+        return
+    for k in range(-left, left + 1):
+        for rest in _vectors(G - 1, left - abs(k)):
+            yield (k,) + rest
+
+
 class _Lattice:
     """The jet's frequencies sum_r k_r nu_r over the distinct roots nu_r.
 
     A root whose negative is already a generator (the conjugate of an axis
-    root) adds none.  The points are the roots themselves, then every
-    combination with sum |k_r| <= order; a point within ``FREQ_TOL`` of an
-    earlier one is that point, so each lattice point is one float.
+    root) adds none.  The integer vectors k with sum |k_r| <= order are
+    enumerated by increasing sum; a vector whose frequency lies within
+    ``FREQ_TOL`` of an earlier one names that point, and each root keeps its
+    exact value.  ``add[i][j]`` is the point of the sum of the points i and
+    j (their first vectors added), -1 beyond the order.
     """
 
     def __init__(self, roots, order):
@@ -183,30 +210,238 @@ class _Lattice:
             if all(abs(nu - g) > ROOT_MATCH_TOL and abs(nu + g) > ROOT_MATCH_TOL
                    for g in gens):
                 gens.append(nu)
+        points, first, point_of = [], [], {}
+        for k in sorted(_vectors(len(gens), order),
+                        key=lambda k: (sum(map(abs, k)), k)):
+            value = sum((kr * g for kr, g in zip(k, gens)), 0j)
+            if points:
+                dist = np.abs(np.subtract(points, value))
+                j = int(dist.argmin())
+                if dist[j] <= FREQ_TOL:
+                    point_of[k] = j
+                    continue
+            point_of[k] = len(points)
+            points.append(value)
+            first.append(k)
+        for nu in roots:
+            j = int(np.abs(np.subtract(points, nu)).argmin())
+            if abs(points[j] - nu) <= ROOT_MATCH_TOL:
+                points[j] = nu
+        self.add = [[point_of.get(tuple(map(add, a, b)), -1) for b in first]
+                    for a in first]
+        self.points = np.array(points)
+        self.index = {nu: i for i, nu in enumerate(points)}
 
-        def combos(r, left):
-            if r == len(gens):
-                yield 0
-                return
-            for k in range(-left, left + 1):
-                for rest in combos(r + 1, left - abs(k)):
-                    yield k * gens[r] + rest
 
-        points = []
-        for p in (*roots, *combos(0, order)):
-            if not points or np.abs(np.subtract(points, p)).min() > FREQ_TOL:
-                points.append(p)
-        self._points = points
-        self._array = np.array(points)
-        self._snapped = {p: p for p in points}
+def _accumulate(out, k, arr):
+    """Add the coefficient array ``arr`` (owned by the caller) at point k."""
+    prev = out.get(k)
+    if prev is None:
+        out[k] = arr
+    elif prev.shape[0] >= arr.shape[0]:
+        prev[: arr.shape[0]] += arr
+    else:
+        arr[: prev.shape[0]] += prev
+        out[k] = arr
 
-    def snap(self, nu):
-        """The lattice point within ``FREQ_TOL`` of ``nu`` (else ``nu``)."""
-        p = self._snapped.get(nu)
-        if p is None:
-            p = self._points[int(np.abs(self._array - nu).argmin())]
-            p = self._snapped[nu] = p if abs(p - nu) <= FREQ_TOL else nu
-        return p
+
+def _add_rows(acc, rows, scale):
+    """acc += scale * rows, without sharing arrays with ``rows``."""
+    for i, c in rows.items():
+        _accumulate(acc, i, scale * c)
+
+
+def _trim(rows):
+    """Rows without the coefficients below ``TRIM_REL`` of the largest
+    magnitude, trimmed as ``QuasiPolynomial`` trims its terms."""
+    mags = {i: np.abs(c).max(axis=1) for i, c in rows.items()}
+    scale = max((m.max() for m in mags.values()), default=0.0)
+    out = {}
+    for i, m in mags.items():
+        keep = np.flatnonzero(m > TRIM_REL * scale)
+        if keep.size:
+            out[i] = rows[i][: keep[-1] + 1]
+    return out
+
+
+def _max_coeff(rows):
+    return max((float(np.abs(c).max()) for c in rows.values()), default=0.0)
+
+
+class _Rows:
+    """Operations on lattice rows ``{point: (degree+1, n) array}``.
+
+    A product adds lattice indices and convolves the degree axes; a
+    convolution applies ``kernel.convolution_matrix`` per point.  Kernel
+    Taylor coefficients are fetched in batches (``prefetch``) and kept per
+    (kernel, point), so a point is transformed only once a row reaches it.
+    """
+
+    def __init__(self, lattice, n):
+        self.lattice = lattice
+        self.n = n
+        self._series = {}
+        self._conv = {}
+
+    def from_quasi(self, u):
+        return {self.lattice.index[nu]: c.copy() for nu, c in u.terms}
+
+    def to_quasi(self, rows):
+        return QuasiPolynomial(
+            self.n, [(self.lattice.points[i], c) for i, c in rows.items()])
+
+    def prefetch(self, K, wants):
+        """Extend K's Taylor coefficients to ``wants`` = {point: degree}."""
+        have = self._series.setdefault(K, {})
+        need = {i: d for i, d in wants.items()
+                if i not in have or have[i].shape[0] <= d}
+        if not need:
+            return
+        lo = min(have[i].shape[0] if i in have else 0 for i in need)
+        hi = max(need.values())
+        new = taylor_transforms(K, self.lattice.points[list(need)], hi, lo)
+        for i, block in zip(need, new):
+            old = have.get(i)
+            have[i] = block if old is None else np.concatenate(
+                [old, block[old.shape[0] - lo:]])
+
+    def series(self, K, i, degree):
+        """Khat^(r)(nu_i) / r! for r = 0 to at least ``degree``."""
+        have = self._series.get(K, {}).get(i)
+        if have is None or have.shape[0] <= degree:
+            self.prefetch(K, {i: degree})
+            have = self._series[K][i]
+        return have
+
+    def conv_matrix(self, K, i, degree):
+        size = (degree + 1) * K.n
+        M = self._conv.get((K, i))
+        if M is None or M.shape[0] < size:
+            ser = self.series(K, i, degree)
+            M = self._conv[K, i] = convolution_matrix(ser, ser.shape[0] - 1)
+        return M[:size, :size]
+
+    def convolve(self, K, v):
+        return {i: (self.conv_matrix(K, i, c.shape[0] - 1) @ c.ravel())
+                .reshape(c.shape) for i, c in v.items()}
+
+    def component(self, v, comp):
+        if self.n == 1:
+            return v
+        return {i: c[:, comp:comp + 1] for i, c in v.items()}
+
+    def product(self, a, b):
+        add = self.lattice.add
+        out = {}
+        for i, ca in a.items():
+            row, x = add[i], ca[:, 0]
+            for j, cb in b.items():
+                k = row[j]
+                if k < 0:
+                    raise RuntimeError("product frequency beyond the jet lattice")
+                _accumulate(out, k, np.convolve(x, cb[:, 0])[:, None])
+        return out
+
+    def place(self, v, n, target):
+        if n == 1:
+            return v
+        out = {}
+        for i, c in v.items():
+            out[i] = np.zeros((c.shape[0], n), dtype=complex)
+            out[i][:, target] = c[:, 0]
+        return out
+
+
+def _degrees(rowsets, extra=lambda i: 0):
+    """{point: largest degree (plus ``extra(point)``) over the row sets}."""
+    out = {}
+    for rows in rowsets:
+        for i, c in rows.items():
+            d = c.shape[0] - 1 + extra(i)
+            if d > out.get(i, -1):
+                out[i] = d
+    return out
+
+
+class _Solver:
+    """Bordered solves, residuals and coordinates of one jet on lattice rows.
+
+    One solve operator per (point, degree) comes from ``tsolve``: block
+    back-substitution off the roots, the truncated SVD at a root, whose
+    truncation record is kept in ``root_blocks``.  Coordinate and flow rows
+    per point come from ``Projection.coordinate_rows``.
+    """
+
+    def __init__(self, K, projection, rows, tol=BLOCK_TOL):
+        self.K, self.P, self.rows, self.tol = K, projection, rows, tol
+        index = rows.lattice.index
+        self.alpha = Counter(index[el.nu] for el in projection.basis.elements)
+        self.basis = [rows.from_quasi(el.function)
+                      for el in projection.basis.elements]
+        self._ops = {}
+        self._coords = {}
+        self.root_blocks = []
+
+    def prefetch(self, rhs):
+        """Check the strip and fetch the transforms of the solves of ``rhs``."""
+        wants = _degrees(rhs, lambda i: self.alpha[i])
+        for i in wants:
+            check_strip(self.rows.lattice.points[i], self.P.basis.strip)
+        self.rows.prefetch(self.K, wants)
+
+    def _operator(self, i, D):
+        op = self._ops.get((i, D))
+        if op is None:
+            series = self.rows.series(self.K, i, D)[: D + 1].copy()
+            series[0] += np.eye(self.K.n)
+            A, S, gap = block_operator(series, self.alpha[i], self.tol)
+            if gap is not None:
+                self.root_blocks.append((self.rows.lattice.points[i], D, gap))
+            op = self._ops[i, D] = (A, S)
+        return op
+
+    def solve(self, g):
+        """Rows of u with u + K*u + g = 0 and zero coordinates."""
+        points = self.rows.lattice.points
+        u = {}
+        for i, c in g.items():
+            A, S = self._operator(i, c.shape[0] - 1 + self.alpha[i])
+            u[i] = solve_frequency(A, S, c, self.tol, points[i])
+        for delta, b in zip(-self.coordinates(u), self.basis):
+            if delta != 0:
+                _add_rows(u, b, delta)
+        return u
+
+    def residual(self, u, g):
+        """max |u + K*u + g| / (1 + max |g|), one block matvec per point."""
+        worst = 0.0
+        for i, c in u.items():
+            r = c + (self.rows.conv_matrix(self.K, i, c.shape[0] - 1)
+                     @ c.ravel()).reshape(c.shape)
+            gi = g.get(i)
+            if gi is not None:
+                r[: gi.shape[0]] += gi
+            worst = max(worst, float(np.abs(r).max()))
+        return worst / (1.0 + _max_coeff(g))
+
+    def _coordinate_rows(self, i, degree):
+        n = self.K.n
+        cols = (degree + 1) * n
+        have = self._coords.get(i)
+        if have is None or have[0].shape[1] < cols:
+            nu = self.rows.lattice.points[i]
+            R = self.P.coordinate_rows(nu, degree)
+            # d/dx (c_q x^q e^{nu x}): nu c_q at x^q and q c_q at x^{q-1}
+            deriv = nu * np.eye(degree + 1) + np.diag(np.arange(1, degree + 1), 1)
+            have = self._coords[i] = (R, R @ np.kron(deriv, np.eye(n)))
+        return have[0][:, :cols], have[1][:, :cols]
+
+    def coordinates(self, u, flow=False):
+        """Projection coordinates of u, or of u' with ``flow``."""
+        out = np.zeros(self.P.basis.size, dtype=complex)
+        for i, c in u.items():
+            out += self._coordinate_rows(i, c.shape[0] - 1)[flow] @ c.ravel()
+        return out
 
 
 def _slot_multisets(term, pieces, budget):
@@ -260,22 +495,28 @@ def _slot_multisets(term, pieces, budget):
         yield weight, args
 
 
-def _term_rhs(term, pieces, budget, rho_t, lattice, memo):
-    """One term's part of the right-hand sides, as {(m, rho): value}.
+def _term_rhs(term, pieces, budget, rho_t, rows):
+    """One term's part of the right-hand sides, as {(m, rho): rows}.
 
-    The slot products of each index are summed on lattice frequencies
-    first; the coefficient and the outer convolution are applied once.
+    The slot products of each index are summed first; the coefficient, the
+    placement and the outer convolution are applied once.
     """
-    n = pieces[0].value.n
-    parts = defaultdict(list)
+    n = rows.n
+    parts = {}
     for weight, args in _slot_multisets(term, pieces, budget):
         m = tuple(map(sum, zip(*(p.m for p in args))))
         rho = tuple(map(sum, zip(rho_t, *(p.rho for p in args))))
-        prod = apply_term(term, [p.value for p in args], memo, finish=False)
-        parts[m, rho].extend(
-            (lattice.snap(nu), weight * c) for nu, c in prod.terms)
-    return {key: finish_term(term, QuasiPolynomial(1, terms), n, memo)
-            for key, terms in parts.items()}
+        prod = walk_slots(term, [p.value for p in args], n, rows.convolve,
+                          rows.component, rows.product)
+        _add_rows(parts.setdefault((m, rho), {}), prod, weight)
+    if term.outer is not None:
+        rows.prefetch(term.outer, _degrees(parts.values()))
+    out = {}
+    for key, prod in parts.items():
+        out[key] = {}
+        _add_rows(out[key], walk_outer(term, prod, n, rows.convolve, rows.place),
+                  term.coeff)
+    return out
 
 
 def compute_jet(K, projection, F, order, weights=None):
@@ -300,73 +541,57 @@ def compute_jet(K, projection, F, order, weights=None):
     if len(weights) != nparams or any(w < 1 for w in weights):
         raise ValueError("need one positive weight per formal parameter")
 
-    lattice = _Lattice([el.nu for el in basis.elements], order)
-    memo = TransformMemo()
+    rows = _Rows(_Lattice([el.nu for el in basis.elements], order), K.n)
+    solver = _Solver(K, projection, rows)
+    inner = {kern for t in F.terms for kern, _ in t.factors if kern is not None}
     zero_rho = (0,) * nparams
-    pieces = [
-        _Piece(_unit(M, i), zero_rho, el.function, 1)
-        for i, el in enumerate(basis.elements)
-    ]
+    pieces, fld = [], {}
+    for i, b in enumerate(solver.basis):
+        pieces.append(_Piece(_unit(M, i), zero_rho, b, 1))
+        fld[JetIndex(_unit(M, i), zero_rho)] = solver.coordinates(b, flow=True)
     psi, diagnostics, vanished = {}, {}, []
 
     for o in range(2, order + 1):
+        for kern in inner:
+            rows.prefetch(kern, _degrees(p.value for p in pieces))
         rhs = {}
         for t in F.terms:
             rho_t = _pad(t.mu_power, nparams)
             budget = o - sum(w * r for w, r in zip(weights, rho_t))
             if budget < t.degree:
                 continue
-            for key, g in _term_rhs(t, pieces, budget, rho_t, lattice,
-                                    memo).items():
-                rhs[key] = g if key not in rhs else rhs[key] + g
+            for key, g in _term_rhs(t, pieces, budget, rho_t, rows).items():
+                _add_rows(rhs.setdefault(key, {}), g, 1.0)
+        rhs = {key: _trim(g) for key, g in rhs.items()}
+        solver.prefetch(rhs.values())
         for key in sorted(rhs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1])):
             g = rhs[key]
             idx = JetIndex(*key)
-            if g.max_coeff() == 0.0:
+            if not g:
                 vanished.append(idx)
                 continue
-            u = solve(BorderedProblem(K, projection, g), memo=memo)
-            psi[idx] = u
-            diagnostics[idx] = (apply_T(K, u, memo) + g).max_coeff() / (
-                1.0 + g.max_coeff()
-            )
+            u = _trim(solver.solve(g))
+            psi[idx] = rows.to_quasi(u)
+            diagnostics[idx] = solver.residual(u, g)
+            fld[idx] = solver.coordinates(u, flow=True)
             pieces.append(_Piece(key[0], key[1], u, o))
 
-    result = JetResult(
+    blocks = sorted(solver.root_blocks,
+                    key=lambda b: (b[0].imag, b[0].real, b[1]))
+    return JetResult(
         projection=projection,
         nonlinearity=F,
         order=order,
         weights=weights,
         psi=psi,
+        field=fld,
         diagnostics=diagnostics,
         vanished=tuple(vanished),
+        root_blocks=tuple(
+            {"nu": [float(nu.real), float(nu.imag)], "degree": D, "cutoff": cut,
+             "smallest_kept": kept, "largest_dropped": dropped}
+            for nu, D, (cut, kept, dropped) in blocks),
     )
-    result.field = reduced_field(result)
-    return result
-
-
-def flow_coordinates(projection, g):
-    """Coordinates of the translation-flow derivative of ``g`` at time zero.
-
-    Shifting then projecting commutes with d/dx on quasi-polynomial data, so
-    this is the projection of ``g'``.
-    """
-    return projection.coordinates(g.differentiate())
-
-
-def reduced_field(J):
-    """Field coefficients: flow derivative of every graph entry plus the
-    linear part from the basis elements themselves."""
-    P = J.projection
-    M = J.basis.size
-    zero_rho = (0,) * J.nparams
-    out = {}
-    for i, el in enumerate(J.basis.elements):
-        idx = JetIndex(_unit(M, i), zero_rho)
-        out[idx] = flow_coordinates(P, el.function)
-    for idx, u in J.psi.items():
-        out[idx] = flow_coordinates(P, u)
-    return out
 
 
 def evaluate_field(fld, coords, mu=()):

@@ -501,59 +501,79 @@ class SumKernel(Kernel):
 # -- convolution -------------------------------------------------------------
 
 
-class TransformMemo:
-    """Transforms Khat^(r)(nu) per (kernel, nu, r), kept for one computation.
+def taylor_transforms(K, nus, degree, start=0):
+    """Taylor coefficients Khat^(r)(nu) / r! for r = start..degree.
 
-    ``compute_jet`` makes one per call and drops it on return, so no kernel
-    object keeps cache state.  A miss calls the kernel's ``transform``; a
-    hit hands out the stored array itself, so callers must not write to it.
-    ``blocks`` holds the bordered solver's factored block systems
-    (``tsolve``) of the same computation.
+    ``nus`` is a 1-d array of frequencies; the result has shape
+    ``(len(nus), degree - start + 1, n, n)``.  One ``transform_batch`` call
+    per order covers every frequency.
     """
-
-    __slots__ = ("values", "blocks")
-
-    def __init__(self):
-        self.values = {}
-        self.blocks = {}
-
-    def transform(self, K, nu, order=0):
-        key = (K, nu, order)
-        val = self.values.get(key)
-        if val is None:
-            val = self.values[key] = K.transform(nu, order)
-        return val
+    nus = np.asarray(nus, dtype=complex)
+    out = np.empty((nus.size, degree - start + 1, K.n, K.n), dtype=complex)
+    for r in range(start, degree + 1):
+        out[:, r - start] = K.transform_batch(nus, r) / factorial(r)
+    return out
 
 
-def convolve(K, u, memo=None):
+def toeplitz_blocks(series, degree):
+    """The upper block-triangular Toeplitz matrix of a matrix series.
+
+    ``series`` has shape (R+1, n, n) with R >= ``degree``; block (s, j) of
+    the ((degree+1) n)-square result is ``series[j - s]`` for j >= s and
+    zero below the diagonal.  Every leading block square of it is the
+    matrix of a smaller degree.
+    """
+    n = series.shape[-1]
+    lag = np.subtract.outer(np.arange(degree + 1), np.arange(degree + 1))
+    blocks = series[np.clip(-lag, 0, None)] * (lag <= 0)[:, :, None, None]
+    size = (degree + 1) * n
+    return blocks.transpose(0, 2, 1, 3).reshape(size, size)
+
+
+def convolution_matrix(series, degree):
+    """Matrix of v -> K * v on the coefficients of one frequency.
+
+    ``series`` holds the Taylor coefficients Khat^(r)(nu) / r! (see
+    ``taylor_transforms``).  The identity
+
+        K * (x^q exp(nu x)) = exp(nu x) sum_r C(q, r) Khat^(r)(nu) x^{q-r}
+
+    puts C(q, s) Khat^(q-s)(nu) = (q! / s!) series[q - s] at block (s, q).
+    The matrix acts on the (degree+1, n) coefficient array flattened degree
+    by degree; like ``toeplitz_blocks``, its leading squares serve every
+    smaller degree.
+    """
+    n = series.shape[-1]
+    fact = np.repeat([float(factorial(j)) for j in range(degree + 1)], n)
+    return toeplitz_blocks(series, degree) * (fact[None, :] / fact[:, None])
+
+
+def convolve(K, u):
     """Exact convolution K * u of a kernel with a quasi-polynomial.
 
     Expands (x - z)^q under the integral so every output coefficient is a
     finite moment combination:
 
-        K * (x^q exp(nu x)) = exp(nu x) sum_r C(q, r) (-1)^r kappa_r(nu) x^{q-r}.
+        K * (x^q exp(nu x)) = exp(nu x) sum_r C(q, r) (-1)^r kappa_r(nu) x^{q-r},
 
-    With a ``TransformMemo`` the transforms behind the moments are shared.
+    applied per frequency as ``convolution_matrix``.
     """
     if K.n != u.n:
         raise ValueError("kernel/argument dimension mismatch")
-    transform = K.transform if memo is None else (
-        lambda nu, r: memo.transform(K, nu, r))
+    if not u.terms:
+        return QuasiPolynomial(u.n)
+    top = u.degree()
+    series = taylor_transforms(K, [nu for nu, _ in u.terms], top)
     out_terms = []
-    for nu, coeffs in u.terms:
-        deg1 = coeffs.shape[0]
-        moments = [(-1) ** r * transform(nu, r) for r in range(deg1)]
-        new = np.zeros_like(coeffs)
-        for q in range(deg1):
-            for r in range(q + 1):
-                new[q - r] += comb(q, r) * (-1) ** r * (moments[r] @ coeffs[q])
-        out_terms.append((nu, new))
+    for (nu, coeffs), ser in zip(u.terms, series):
+        M = convolution_matrix(ser, coeffs.shape[0] - 1)
+        out_terms.append((nu, (M @ coeffs.ravel()).reshape(coeffs.shape)))
     return QuasiPolynomial(u.n, out_terms)
 
 
-def apply_T(K, u, memo=None):
+def apply_T(K, u):
     """T u = u + K * u."""
-    return u + convolve(K, u, memo)
+    return u + convolve(K, u)
 
 
 def convolve_quadrature(K, u, xs, tol=1e-12, panel=1.0, npts=24):

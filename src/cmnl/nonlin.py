@@ -11,28 +11,16 @@ component, ``e_t`` is the unit vector of the output component, and ``Outer``
 is an optional final convolution.  Terms evaluate exactly on quasi-polynomial
 arguments through the moment calculus, so the order-by-order reduction never
 needs quadrature.
-
-Declared symmetries (reflection x -> -x, sign u -> -u, and orthogonal matrix
-actions on components) are verified term by term: sign equivariance is a
-parity condition on the degree, reflection requires every kernel to be even
-(checked through vanishing odd moments), and matrix actions require the
-coefficient tensors of each term group to commute with the action.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import convolve
 from .quasipoly import QuasiPolynomial, multiply, place_component
-
-KNOWN_SYMMETRIES = ("reflection", "sign")
-
-_ODD_MOMENTS = (1, 3, 5)
-_EVEN_MOMENTS = (0, 2, 4)
-_ACTION_SAMPLES = (0.0, 0.37j, 0.21 + 0.14j)
 
 
 @dataclass(frozen=True)
@@ -108,20 +96,11 @@ class NonlinearitySpec:
 
     terms: tuple
     max_order: int
-    declared_symmetries: frozenset = frozenset()
-    matrix_actions: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(
-            self, "declared_symmetries", frozenset(self.declared_symmetries)
-        )
-        object.__setattr__(self, "matrix_actions", tuple(self.matrix_actions))
         if self.max_order < 2:
             raise ValueError("max_order must be at least 2")
-        unknown = self.declared_symmetries.difference(KNOWN_SYMMETRIES)
-        if unknown:
-            raise ValueError(f"unknown symmetries: {sorted(unknown)}")
         for i, t in enumerate(self.terms):
             if t.parameter_order == 0 and t.degree < 2:
                 raise ValueError(
@@ -188,21 +167,13 @@ def walk_term(term, args, n, convolve, component, product, place):
     return walk_outer(term, prod, n, convolve, place)
 
 
-def _exact_convolve(memo):
-    # resolves the module's ``convolve`` at call time
-    return lambda kern, v: convolve(kern, v, memo)
-
-
-def apply_term(term, args, memo=None, finish=True):
+def apply_term(term, args):
     """Evaluate one term on quasi-polynomial arguments, exactly.
 
     ``args`` supplies one quasi-polynomial per factor slot.  Inner
     convolutions and the outer convolution use the coefficient identity, the
     pointwise products stay in the algebra, so the result is exact up to
-    floating point.  The formal ``mu^r`` factor is not applied.  ``memo``
-    (a ``kernel.TransformMemo``) shares the kernel transforms.  With
-    ``finish=False`` only the one-component slot product is returned;
-    ``finish_term`` completes it.
+    floating point.  The formal ``mu^r`` factor is not applied.
     """
     if len(args) != term.degree:
         raise ValueError(
@@ -211,14 +182,8 @@ def apply_term(term, args, memo=None, finish=True):
     n = args[0].n
     if any(u.n != n for u in args):
         raise ValueError("argument dimensions differ")
-    prod = walk_slots(term, args, n, _exact_convolve(memo),
-                      QuasiPolynomial.component, multiply)
-    return finish_term(term, prod, n, memo) if finish else prod
-
-
-def finish_term(term, prod, n, memo=None):
-    """Coefficient, placement and outer convolution of an exact slot product."""
-    out = walk_outer(term, prod, n, _exact_convolve(memo), place_component)
+    out = walk_term(term, args, n, convolve, QuasiPolynomial.component,
+                    multiply, place_component)
     return out.scale(term.coeff)
 
 
@@ -250,124 +215,3 @@ def apply_series(F, u, mu=()):
             continue
         out = out + apply_term(t, [u] * t.degree).scale(weight)
     return out
-
-
-# ---------------------------------------------------------------------------
-# symmetry verification
-
-
-@dataclass
-class SymmetryReport:
-    """Outcome of the per-term symmetry verification."""
-
-    passed: bool
-    violations: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.passed
-
-
-def _kernel_is_even(K, tol=1e-9):
-    """Even kernels have vanishing odd moments."""
-    scale = 1.0 + max(np.abs(K.moment(m, 0.0)).max() for m in _EVEN_MOMENTS)
-    return all(
-        np.abs(K.moment(m, 0.0)).max() <= tol * scale for m in _ODD_MOMENTS
-    )
-
-
-def _term_kernels(term):
-    kernels = [] if term.outer is None else [term.outer]
-    kernels.extend(kern for kern, _ in term.factors if kern is not None)
-    return kernels
-
-
-def _check_reflection(terms, violations):
-    for i, t in enumerate(terms):
-        for K in _term_kernels(t):
-            if not _kernel_is_even(K):
-                violations.append(
-                    f"term {i}: kernel with nonvanishing odd moments breaks"
-                    " reflection equivariance"
-                )
-                break
-
-
-def _check_sign(terms, violations):
-    for i, t in enumerate(terms):
-        if t.degree % 2 == 0:
-            violations.append(
-                f"term {i}: even degree {t.degree} breaks sign equivariance"
-            )
-
-
-def _group_tensors(terms, n):
-    """Coefficient tensors of terms sharing (mu_power, kernels, slots)."""
-    groups = {}
-    for t in terms:
-        key = (
-            t.mu_power,
-            id(t.outer),
-            tuple(id(kern) for kern, _ in t.factors),
-        )
-        tensor = groups.get(key)
-        if tensor is None:
-            tensor = np.zeros((n,) * (1 + t.degree), dtype=complex)
-            groups[key] = tensor
-        tensor[(t.target,) + tuple(comp for _, comp in t.factors)] += t.coeff
-    return groups
-
-
-def _kernel_commutes(K, rho, tol=1e-9):
-    for s in _ACTION_SAMPLES:
-        val = K.transform(s)
-        if np.abs(rho @ val - val @ rho).max() > tol * (1 + np.abs(val).max()):
-            return False
-    return True
-
-
-def _check_actions(terms, actions, violations):
-    if not terms:
-        return
-    n_min = 1
-    for t in terms:
-        n_min = max(n_min, t.target + 1, *(comp + 1 for _, comp in t.factors))
-        n_min = max(n_min, *(K.n for K in _term_kernels(t)), 1)
-    for a, rho in enumerate(actions):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < n_min:
-            violations.append(
-                f"action {a}: shape {rho.shape} is too small for the terms"
-            )
-            continue
-        n = rho.shape[0]
-        for i, t in enumerate(terms):
-            for K in _term_kernels(t):
-                if K.n != 1 and not _kernel_commutes(K, rho):
-                    violations.append(
-                        f"action {a}: kernel in term {i} does not commute"
-                    )
-        for (mu_r, _, _), tensor in _group_tensors(terms, n).items():
-            d = tensor.ndim - 1
-            rotated = tensor
-            for axis in range(1, d + 1):
-                rotated = np.moveaxis(
-                    np.tensordot(rotated, rho, axes=([axis], [0])), -1, axis
-                )
-            pushed = np.tensordot(rho, tensor, axes=([1], [0]))
-            if not np.allclose(rotated, pushed, atol=1e-10):
-                violations.append(
-                    f"action {a}: coefficient tensor at mu^{mu_r},"
-                    f" degree {d} does not commute with the action"
-                )
-
-
-def check_symmetries(F):
-    """Verify each declared symmetry term by term; list violations."""
-    violations = []
-    if "reflection" in F.declared_symmetries:
-        _check_reflection(F.terms, violations)
-    if "sign" in F.declared_symmetries:
-        _check_sign(F.terms, violations)
-    if F.matrix_actions:
-        _check_actions(F.terms, F.matrix_actions, violations)
-    return SymmetryReport(passed=not violations, violations=violations)

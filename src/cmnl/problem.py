@@ -10,7 +10,7 @@ Schema (version 1)::
       "kernel": "K",                      # linear part u + K*u
       "nonlinearity": {
         "max_order": 5,
-        "symmetries": ["reflection", "sign"],   # optional
+        "symmetries": ["reflection", "sign"],   # optional, not used
         "terms": [
           {"coeff": -1.0,                # or [re, im]
            "factors": [[null, 0], ...],  # [kernel name or null, component]
@@ -34,7 +34,8 @@ Schema (version 1)::
 Unknown fields anywhere are rejected, and every kernel name used by a term
 must exist in the ``kernels`` table.  All ingestion failures raise
 ``ProblemError`` (an input error, as opposed to numerical failures later in
-the pipeline).
+the pipeline).  ``symmetries`` is accepted for existing files and checked
+for known names only; the reduction does not use it.
 """
 
 import json
@@ -50,6 +51,7 @@ _TOP_KEYS = {
     "projection", "order", "verify", "out", "csv",
 }
 _NONLIN_KEYS = {"max_order", "symmetries", "terms"}
+KNOWN_SYMMETRIES = ("reflection", "sign")
 _TERM_KEYS = {"coeff", "factors", "mu_power", "outer", "target"}
 _PROJECTION_KEYS = {"flavor", "weight"}
 _VERIFY_KEYS = {
@@ -191,10 +193,11 @@ def _nonlinearity_from_data(data, kernels, n):
         isinstance(s, str) for s in symmetries
     ):
         raise ProblemError("'nonlinearity.symmetries' must be a list of strings")
+    unknown = sorted(set(symmetries).difference(KNOWN_SYMMETRIES))
+    if unknown:
+        raise ProblemError(f"'nonlinearity.symmetries': unknown {unknown}")
     try:
-        return NonlinearitySpec(
-            tuple(terms), max_order, declared_symmetries=frozenset(symmetries)
-        )
+        return NonlinearitySpec(tuple(terms), max_order)
     except ValueError as exc:
         raise ProblemError(f"'nonlinearity': {exc}") from exc
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .quasipoly import QuasiPolynomial
+from .quasipoly import QuasiPolynomial, derivative_weights
 from .spectrum import chain_functions, conjugate_chains, jordan_chains
 
 GRAM_COND_LIMIT = 1e12
@@ -154,15 +154,28 @@ def kernel_basis(K, spectrum, tol=1e-8):
 # functionals
 
 
+class _Functional:
+    """A linear functional given by its rows: on one quasi-polynomial term
+    ``sum_q c_q x^q e^{nu x}`` it is ``sum(rows(nu, degree) * c)``."""
+
+    def rows(self, nu, degree):
+        raise NotImplementedError
+
+    def apply(self, u):
+        return complex(sum(np.sum(self.rows(nu, c.shape[0] - 1) * c)
+                           for nu, c in u.terms))
+
+
 @dataclass
-class DerivativeFunctional:
+class DerivativeFunctional(_Functional):
     """u -> <u^(order)(0), direction>  (Hermitian pairing, direction conjugated)."""
 
     order: int
     direction: np.ndarray
 
-    def apply(self, u):
-        return complex(np.vdot(self.direction, u.derivative_at_zero(self.order)))
+    def rows(self, nu, degree):
+        return np.multiply.outer(derivative_weights(nu, self.order, degree),
+                                 np.conj(self.direction))
 
     def to_data(self):
         return {
@@ -173,7 +186,7 @@ class DerivativeFunctional:
 
 
 @dataclass
-class WeightedFunctional:
+class WeightedFunctional(_Functional):
     """u -> integral <u(y), element(y)> weight(y) dy, in closed form."""
 
     weight: str
@@ -183,17 +196,15 @@ class WeightedFunctional:
     def __post_init__(self):
         self._conj = self.element.conjugate()
 
-    def apply(self, u):
-        total = 0.0 + 0.0j
-        for nu_u, pu in u.terms:
-            for nu_c, pc in self._conj.terms:
-                nu = nu_u + nu_c
-                smax = (pu.shape[0] - 1) + (pc.shape[0] - 1)
-                moments = weight_moments(self.weight, nu, smax)
-                for qu in range(pu.shape[0]):
-                    for qc in range(pc.shape[0]):
-                        total += (pu[qu] @ pc[qc]) * moments[qu + qc]
-        return complex(total)
+    def rows(self, nu, degree):
+        # x^q e^{nu x} against x^p e^{nu_c x} weighs in the moment of x^{q+p}
+        out = np.zeros((degree + 1, self._conj.n), dtype=complex)
+        for nu_c, pc in self._conj.terms:
+            moments = np.array(
+                weight_moments(self.weight, nu + nu_c, degree + pc.shape[0] - 1))
+            out += moments[np.add.outer(np.arange(degree + 1),
+                                        np.arange(pc.shape[0]))] @ pc
+        return out
 
     def to_data(self):
         return {"kind": "weighted", "weight": self.weight, "element": self.element.to_data()}
@@ -280,6 +291,12 @@ class Projection:
     def coordinates(self, u):
         b = np.array([f.apply(u) for f in self.functionals])
         return self.gram_inverse @ b
+
+    def coordinate_rows(self, nu, degree):
+        """(M, (degree+1) n) matrix taking the flattened coefficients of one
+        term at ``nu`` to its coordinates; ``coordinates`` sums these."""
+        rows = np.array([f.rows(nu, degree).ravel() for f in self.functionals])
+        return self.gram_inverse @ rows
 
     def project(self, u):
         coords = self.coordinates(u)

@@ -12,6 +12,12 @@ exponentially decaying kernel.  That closure is what makes the whole
 reduction pipeline exact: every field the solver touches lives in this
 algebra, and floating point enters only through the coefficients.
 
+``QuasiPolynomial`` is the public type: the kernel basis and the graph-map
+entries are returned as such.  Inside ``jet.compute_jet`` the same functions
+are held as coefficient rows on the lattice of root frequencies.  The
+per-frequency closed forms serve both: ``derivative_weights`` here,
+``kernel.convolution_matrix`` and ``tsolve.solve_frequency``.
+
 Canonical form
 --------------
 Terms at exactly equal frequencies are summed, and the frequency stays as
@@ -265,16 +271,10 @@ class QuasiPolynomial:
     def derivative_at_zero(self, order):
         """Value of the ``order``-th derivative at x = 0, as a (n,) vector."""
         out = np.zeros(self.n, dtype=complex)
-        m = int(order)
         for nu, coeffs in self.terms:
-            for q in range(min(m, coeffs.shape[0] - 1) + 1):
-                if m == q:
-                    fac = 1.0
-                elif nu == 0:
-                    continue
-                else:
-                    fac = nu ** (m - q)
-                out += comb(m, q) * factorial(q) * fac * coeffs[q]
+            w = derivative_weights(nu, order, coeffs.shape[0] - 1)
+            for q in np.flatnonzero(w):
+                out += w[q] * coeffs[q]
         return out
 
     # -- serialization / comparison ------------------------------------------
@@ -312,6 +312,25 @@ class QuasiPolynomial:
         for nu, coeffs in self.terms:
             bits.append(f"deg {coeffs.shape[0] - 1} @ nu={nu:.6g}")
         return f"QuasiPolynomial(n={self.n}, " + "; ".join(bits) + ")"
+
+
+def derivative_weights(nu, order, degree):
+    """Weights w with d^m/dx^m (sum_q c_q x^q e^{nu x}) at x = 0 equal to
+    sum_q w[q] c_q, for m = ``order`` and q = 0..``degree``.
+
+    w[q] = C(m, q) q! nu^(m-q) for q <= m, and 0 above m.
+    """
+    m = int(order)
+    w = np.zeros(degree + 1, dtype=complex)
+    for q in range(min(m, degree) + 1):
+        if m == q:
+            fac = 1.0
+        elif nu == 0:
+            continue
+        else:
+            fac = nu ** (m - q)
+        w[q] = comb(m, q) * factorial(q) * fac
+    return w
 
 
 def multiply(f, g):

@@ -505,17 +505,20 @@ def _min_norm_solve(T0, b, tol):
     the kernel's complement; truncating at the same tolerance used for
     null-space detection keeps the solution orthogonal to ker T0.
     """
-    Uh, s, V = _truncated_svd(T0, tol)
+    Uh, s, V, _, _ = _truncated_svd(T0, tol)
     return V @ ((Uh @ b) / s)
 
 
 def _truncated_svd(T0, tol):
-    """``(U^H, s, V)`` of the singular values at or above ``tol`` times
-    max(sigma_max, 1); ``V @ ((U^H @ b) / s)`` is the minimum-norm solution."""
+    """``(U^H, s, V, cutoff, dropped)``: the singular values at or above the
+    cutoff ``tol * max(sigma_max, 1)`` with their vectors, and the largest
+    dropped one (0 if none); ``V @ ((U^H @ b) / s)`` is the minimum-norm
+    solution."""
     U, s, Vh = np.linalg.svd(T0)
-    scale = max(s.max(initial=0.0), 1.0)
-    keep = s >= tol * scale
-    return U[:, keep].conj().T, s[keep], Vh[keep].conj().T
+    cutoff = tol * max(s.max(initial=0.0), 1.0)
+    keep = s >= cutoff
+    dropped = float(s[~keep].max(initial=0.0))
+    return U[:, keep].conj().T, s[keep], Vh[keep].conj().T, float(cutoff), dropped
 
 
 def jordan_chains(K, nu, multiplicity, tol=1e-8):

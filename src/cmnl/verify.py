@@ -26,7 +26,7 @@ from math import ceil, log, sqrt
 import numpy as np
 
 from .jet import JetIndex, scale_field
-from .nonlin import _term_kernels, mu_weight, walk_term
+from .nonlin import mu_weight, walk_term
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,9 @@ def residual(K, F, profile, mu=(), tail_tol=1e-10, require_convergence=False):
     r_fine = _defect(K, F, xs, u, mu, tail_tol)
     r_coarse = _defect(K, F, xs[::2], u[::2], mu, tail_tol)
 
-    kernels = [K] + [k for t in F.terms for k in _term_kernels(t)]
+    kernels = [K] + [k for t in F.terms
+                     for k in (t.outer, *(kern for kern, _ in t.factors))
+                     if k is not None]
     margin = max(_stencil_halfwidth(k, h, tail_tol) for k in kernels)
     margin_c = max(_stencil_halfwidth(k, 2 * h, tail_tol) for k in kernels)
     if 2 * margin >= len(xs) or 2 * margin_c >= len(xs[::2]):

@@ -62,7 +62,6 @@ def build_pair_jet(order=3, max_order=5):
             TaylorTerm(1.0 / 3.0, ((None, 0),) * 3, outer=K),
         ),
         max_order=max_order,
-        declared_symmetries=frozenset({"reflection", "sign"}),
     )
     return K, compute_jet(K, P, F, order)
 
@@ -92,6 +91,5 @@ def build_front_jet(order=3):
             TaylorTerm(1.0, ((None, 0),) * 3, outer=G),
         ),
         max_order=5,
-        declared_symmetries=frozenset({"reflection", "sign"}),
     )
     return K, compute_jet(K, P, F, order), G

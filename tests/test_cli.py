@@ -193,6 +193,16 @@ class TestProblemParsing:
         with pytest.raises(ProblemError, match="dimension"):
             problem_from_data(data)
 
+    def test_unknown_symmetry_rejected(self, tmp_path, capsys):
+        # "symmetries" is accepted and ignored, but only with known names
+        data = saddle_problem_data()
+        data["nonlinearity"]["symmetries"] = ["sign", "rotation"]
+        path = write_problem(tmp_path, data)
+        with pytest.raises(ProblemError, match=r"symmetries.*'rotation'"):
+            load_problem(path)
+        assert main(["reduce", path]) == 2
+        assert "rotation" in capsys.readouterr().err
+
     def test_complex_coefficient_pairs(self):
         data = saddle_problem_data()
         data["nonlinearity"]["terms"][0]["coeff"] = [0.0, -1.0]
@@ -465,6 +475,22 @@ class TestCommandLineEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+    def test_tracer_runs_reduce(self, tmp_path):
+        # bench/tracer.py wraps functions of the package by name; a refactor
+        # that drops one makes it fail with AttributeError
+        tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        path = write_problem(tmp_path, saddle_problem_data())
+        trace = tmp_path / "trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(tracer), str(trace), "reduce", str(path)],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(trace.read_text(encoding="utf-8"))
+        assert summary["exit_code"] == 0
+        assert summary["seconds"]["jet.compute"] > 0
 
 
 class TestCsvWriter:

@@ -25,16 +25,17 @@ from cmnl.jet import (
     JetIndex,
     _Lattice,
     _Piece,
+    _Rows,
     _slot_multisets,
     _term_rhs,
+    _unit,
     compute_jet,
     equation_residual,
     evaluate_field,
-    flow_coordinates,
     manifold_point,
     scale_field,
 )
-from cmnl.kernel import GaussianMixture, SumKernel, TransformMemo
+from cmnl.kernel import GaussianMixture, SumKernel
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term, polynomial_terms
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
 from cmnl.quasipoly import QuasiPolynomial, isclose
@@ -128,7 +129,6 @@ def pair_problem():
     F = NonlinearitySpec(
         (lam_linear, cubic),
         max_order=5,
-        declared_symmetries=frozenset({"reflection", "sign"}),
     )
     return K, P, F, compute_jet(K, P, F, 3)
 
@@ -385,10 +385,15 @@ def test_pair_resonant_cubic_field_entry(pair_problem):
 
 
 def test_pair_flow_matches_finite_difference(pair_problem):
+    # the field is the translation-flow derivative of the coordinates
     K, P, F, J = pair_problem
     h = 1e-5
-    for u in list(J.psi.values()) + [el.function for el in P.basis.elements]:
-        exact = flow_coordinates(P, u)
+    entries = list(J.psi.items()) + [
+        (JetIndex(_unit(4, i), (0,)), el.function)
+        for i, el in enumerate(P.basis.elements)
+    ]
+    for idx, u in entries:
+        exact = J.field[idx]
         fd = (P.project(u.shift(h))[0] - P.project(u.shift(-h))[0]) / (2 * h)
         assert np.abs(fd - exact).max() < 1e-6 * (1.0 + np.abs(exact).max())
 
@@ -476,11 +481,17 @@ def _random_piece(rng, m, rho, order, nu, n, deg):
 
 
 def _assert_rhs_match(term, pieces, budget, rho_t, lattice):
-    got = _term_rhs(term, pieces, budget, rho_t, lattice, TransformMemo())
+    # the lattice rows of ``_term_rhs`` against the ordered reference on
+    # quasi-polynomials
+    rows = _Rows(lattice, pieces[0].value.n)
+    row_pieces = [_Piece(p.m, p.rho, rows.from_quasi(p.value), p.order)
+                  for p in pieces]
+    got = _term_rhs(term, row_pieces, budget, rho_t, rows)
     want = _ordered_rhs(term, pieces, budget, rho_t)
     assert set(got) == set(want)
     for key, ref in want.items():
-        assert (got[key] - ref).max_coeff() <= 1e-13 * ref.max_coeff()
+        diff = rows.to_quasi(got[key]) - ref
+        assert diff.max_coeff() <= 1e-13 * ref.max_coeff()
 
 
 def test_slot_multisets_match_ordered_assignments_symmetric_cubic():
@@ -525,17 +536,21 @@ def test_slot_multisets_match_ordered_assignments_mixed_slots():
         _assert_rhs_match(term, pieces, budget, (1,), lattice)
 
 
+# SumKernel.transform_batch calls of the order-5 pair jet: 24 when measured
+TRANSFORM_BATCH_CALLS = 28
+
+
 @pytest.fixture(scope="module")
 def counted_pair_jet(pair_problem):
-    """The order-5 pair jet, with kernel transforms and quasi-polynomial
-    constructions counted while it is computed."""
-    counts = {"transform": 0, "construct": 0}
-    transform = SumKernel.transform
+    """The order-5 pair jet, with batched kernel transforms and
+    quasi-polynomial constructions counted while it is computed."""
+    counts = {"transform_batch": 0, "construct": 0}
+    transform_batch = SumKernel.transform_batch
     construct = QuasiPolynomial.__init__
 
-    def counted_transform(self, *args, **kwargs):
-        counts["transform"] += 1
-        return transform(self, *args, **kwargs)
+    def counted_transform_batch(self, *args, **kwargs):
+        counts["transform_batch"] += 1
+        return transform_batch(self, *args, **kwargs)
 
     def counted_construct(self, *args, **kwargs):
         counts["construct"] += 1
@@ -543,17 +558,19 @@ def counted_pair_jet(pair_problem):
 
     K, P, F, _ = pair_problem
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SumKernel, "transform", counted_transform)
+        mp.setattr(SumKernel, "transform_batch", counted_transform_batch)
         mp.setattr(QuasiPolynomial, "__init__", counted_construct)
         J = compute_jet(K, P, F, 5)
     return J, counts
 
 
 def test_pair_order5_reuses_transforms_and_constructions(counted_pair_jet):
+    # quasi-polynomials are built only for the psi entries (and at most
+    # once per basis element); every transform is one batched call
     J, counts = counted_pair_jet
     assert len(J.psi) == 132
-    assert counts["transform"] <= 500
-    assert counts["construct"] <= 9000
+    assert counts["transform_batch"] <= TRANSFORM_BATCH_CALLS
+    assert counts["construct"] <= len(J.psi) + J.basis.size
 
 
 def test_pair_order5_frequencies_are_lattice_points(counted_pair_jet):
@@ -571,11 +588,28 @@ def test_front_frequencies_are_one_value():
     assert len(freqs) == 1
 
 
-def test_pair_order7_bordered_solve():
+@pytest.fixture(scope="module")
+def pair_order7():
+    return build_pair_jet(order=7, max_order=7)[1]
+
+
+def test_pair_order7_bordered_solve(pair_order7):
     # unscaled block systems lose a genuine direction from order 6 on
-    _, J = build_pair_jet(order=7, max_order=7)
+    J = pair_order7
     assert len(J.psi) == 412
     assert max(J.diagnostics.values()) <= 1e-12
+
+
+def test_pair_order7_root_blocks_keep_a_wide_gap(pair_order7):
+    # every block factored at +-i separates its kept and dropped singular
+    # values by many orders around the cutoff
+    blocks = pair_order7.root_blocks
+    keys = [(b["nu"][1], b["nu"][0], b["degree"]) for b in blocks]
+    assert keys == sorted(keys)
+    assert {round(k[0]) for k in keys} == {-1, 1}
+    for b in blocks:
+        assert b["smallest_kept"] >= 1e6 * b["cutoff"]
+        assert b["largest_dropped"] <= 1e-6 * b["cutoff"]
 
 
 # ---------------------------------------------------------------------------

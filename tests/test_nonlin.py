@@ -8,7 +8,6 @@ from cmnl.nonlin import (
     NonlinearitySpec,
     TaylorTerm,
     apply_term,
-    check_symmetries,
     polynomial_terms,
 )
 from cmnl.quasipoly import QuasiPolynomial, isclose, multiply
@@ -49,12 +48,6 @@ def test_spec_rejects_order_overflow():
     t = TaylorTerm(1.0, ((None, 0),) * 3, mu_power=1)
     with pytest.raises(ValueError):
         NonlinearitySpec((t,), max_order=3)
-
-
-def test_spec_rejects_unknown_symmetry():
-    t = TaylorTerm(1.0, ((None, 0),) * 2)
-    with pytest.raises(ValueError):
-        NonlinearitySpec((t,), max_order=3, declared_symmetries={"rotation"})
 
 
 def test_polynomial_terms_shorthand():
@@ -177,75 +170,3 @@ def test_agrees_with_quadrature_convolution():
     xs = np.linspace(-3.0, 3.0, 31)
     quad = convolve_quadrature(K, multiply(u, u), xs)
     assert np.abs(exact.evaluate(xs)[:, 0] - quad[:, 0]).max() < 1e-7
-
-
-# ---------------------------------------------------------------------------
-# symmetry reports
-
-
-def test_sign_symmetry_violated_by_quadratic():
-    F = NonlinearitySpec(
-        (TaylorTerm(-1.0, ((None, 0), (None, 0))),),
-        max_order=3,
-        declared_symmetries={"sign"},
-    )
-    report = check_symmetries(F)
-    assert not report
-    assert "even degree" in report.violations[0]
-
-
-def test_odd_cubic_with_even_kernels_passes_both():
-    K = critical_pair_kernel()
-    terms = (
-        TaylorTerm(-1.0, ((K, 0),), mu_power=1),
-        TaylorTerm(1.0 / 3.0, ((None, 0),) * 3, outer=K),
-    )
-    F = NonlinearitySpec(
-        terms, max_order=4, declared_symmetries={"reflection", "sign"}
-    )
-    report = check_symmetries(F)
-    assert report.passed
-    assert report.violations == []
-
-
-def test_reflection_violated_by_odd_kernel():
-    K = GaussianMixture.single(1.0, 1.0, poly=[0.0, 1.0])  # x exp(-x^2), odd
-    F = NonlinearitySpec(
-        (TaylorTerm(1.0, ((K, 0), (None, 0))),),
-        max_order=3,
-        declared_symmetries={"reflection"},
-    )
-    report = check_symmetries(F)
-    assert not report.passed
-    assert "odd moments" in report.violations[0]
-
-
-def test_no_declared_symmetries_vacuous_pass():
-    F = NonlinearitySpec(
-        (TaylorTerm(1.0, ((None, 0), (None, 0))),), max_order=2
-    )
-    assert check_symmetries(F).passed
-
-
-def test_matrix_action_equivariant_isotropic_cubic():
-    # |u|^2 u commutes with planar rotations
-    theta = 0.73
-    rho = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    )
-    terms = tuple(
-        TaylorTerm(1.0, ((None, j), (None, k), (None, k)), target=j)
-        for j in range(2)
-        for k in range(2)
-    )
-    F = NonlinearitySpec(terms, max_order=3, matrix_actions=(rho,))
-    assert check_symmetries(F).passed
-
-
-def test_matrix_action_violated_by_anisotropic_cubic():
-    rho = np.array([[0.0, -1.0], [1.0, 0.0]])
-    terms = (TaylorTerm(1.0, ((None, 0),) * 3, target=0),)
-    F = NonlinearitySpec(terms, max_order=3, matrix_actions=(rho,))
-    report = check_symmetries(F)
-    assert not report.passed
-    assert "coefficient tensor" in report.violations[-1]

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import critical_pair_kernel, simple_zero_kernel
-from cmnl.kernel import convolve, convolve_quadrature
+from cmnl.kernel import GaussianMixture, convolve, convolve_quadrature
 from cmnl.projection import BasisElement, KernelBasis, build_pointwise, kernel_basis
 from cmnl.quasipoly import QuasiPolynomial, isclose
 from cmnl.spectrum import locate_roots
-from cmnl.tsolve import BorderedProblem, solve
+from cmnl.tsolve import (
+    BorderedProblem,
+    block_operator,
+    solve,
+    t_series,
+    truncated_inverse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +179,27 @@ def test_target_length_validated(pair_setup):
     K, P = pair_setup
     with pytest.raises(ValueError):
         BorderedProblem(K, P, qp(1, 0.0, [1.0]), target_coords=np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "K, nu, degree",
+    [
+        (critical_pair_kernel(), 3j, 9),
+        # two widths with non-commuting matrices: the Taylor blocks do not
+        # commute, so the order of the block products matters
+        (GaussianMixture.single([[0.3, 0.1], [0.2, -0.5]], 0.7, n=2)
+         + GaussianMixture.single([[0.1, -0.2], [0.05, 0.2]], 0.3, n=2), 1.5j, 6),
+    ],
+    ids=["n1", "n2"],
+)
+def test_back_substitution_matches_truncated_svd(K, nu, degree):
+    # off the roots the block system is solved by back-substitution on its
+    # triangular Toeplitz structure; the SVD solve is the reference
+    A, S, gap = block_operator(t_series(K, [nu], degree)[0], 0, 1e-9)
+    assert gap is None
+    S_svd, (cutoff, kept, dropped) = truncated_inverse(A, 1e-9)
+    assert dropped == 0.0 and kept > 1e3 * cutoff
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    ref = S_svd @ b
+    assert np.linalg.norm(S @ b - ref) <= 1e-13 * np.linalg.norm(ref)
