@@ -134,6 +134,10 @@ def _build_reduction(prob, tol_root, tol_solve, order):
 def _spectrum_data(prob, tol_root):
     spectrum = locate_roots(prob.kernel, tol_root=tol_root)
     roots = sorted(spectrum.roots, key=lambda r: (r.nu.imag, r.nu.real))
+    diagnostics = dict(spectrum.diagnostics)
+    diagnostics["excluded_offaxis"] = [
+        [z.real, z.imag] for z in diagnostics["excluded_offaxis"]
+    ]
     return {
         "schema": SCHEMA_VERSION,
         "command": "spectrum",
@@ -142,6 +146,7 @@ def _spectrum_data(prob, tol_root):
         "window": spectrum.window,
         "roots": [r.to_data() for r in roots],
         "dimension": spectrum.total_multiplicity,
+        "diagnostics": diagnostics,
     }
 
 

@@ -64,26 +64,6 @@ class TaylorTerm:
         return sum(self.mu_power)
 
 
-def polynomial_terms(coeffs, kernel=None, outer=None, mu_power=()):
-    """Terms for a scalar pointwise polynomial ``sum_d coeffs[d] u^d``.
-
-    ``coeffs[d]`` multiplies ``u^d``; the entry for ``d = 0`` must be absent
-    or zero.  ``kernel`` is applied inside each factor, ``outer`` outside the
-    product.  The default leaves the terms parameter-free.  Convenience for
-    one-component problems.
-    """
-    terms = []
-    for d, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if d == 0:
-            raise ValueError("constant terms are not part of the grammar")
-        terms.append(
-            TaylorTerm(c, ((kernel, 0),) * d, mu_power=mu_power, outer=outer)
-        )
-    return terms
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Finite Taylor series of multilinear convolution terms.

@@ -12,7 +12,8 @@ onto its span in two flavors:
   gaussian or hyperbolic-secant weight, evaluated in closed form.
 
 Either flavor yields coordinates c = A^{-1} (functionals applied to u) in the
-fixed basis ordering, and the projected element sum_k c_k phi_k.
+fixed basis ordering; ``basis.combine(c)`` is the projected element
+sum_k c_k phi_k.
 """
 
 from dataclasses import dataclass, field
@@ -297,10 +298,6 @@ class Projection:
         term at ``nu`` to its coordinates; ``coordinates`` sums these."""
         rows = np.array([f.rows(nu, degree).ravel() for f in self.functionals])
         return self.gram_inverse @ rows
-
-    def project(self, u):
-        coords = self.coordinates(u)
-        return coords, self.basis.combine(coords)
 
     def to_data(self):
         return {

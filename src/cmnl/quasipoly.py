@@ -365,9 +365,3 @@ def place_component(f, n, i):
         arr[:, i] = c[:, 0]
         out.append((nu, arr))
     return QuasiPolynomial(n, out)
-
-
-def isclose(f, g, tol=1e-10):
-    """True when max coefficient of f - g is below tol * (1 + max scale)."""
-    scale = 1.0 + max(f.max_coeff(), g.max_coeff())
-    return (f - g).max_coeff() <= tol * scale

@@ -8,10 +8,20 @@ module
 * counts roots in rectangles by the argument principle with adaptive phase
   tracking along the contour (samples at most ``MAX_SPACING`` apart, then
   bisection of every step whose phase or value jumps),
-* isolates clusters by bisection in the imaginary direction and refines each
-  to machine precision with the log-derivative centroid
-      nu* = (1/(2 pi i alpha)) contour_int nu d'(nu)/d(nu) dnu,
-  using d'/d = tr(That^{-1} Khat'),
+* computes the contour moments of a box,
+      s_k = (1/(2 pi i)) contour_int ((nu - c)/R)^k d'(nu)/d(nu) dnu,
+  with d'/d = tr(That^{-1} Khat'), by adaptive composite Gauss-Legendre
+  quadrature; s_0 cross-checks the winding count, and the numerical rank of
+  the Hankel matrix [s_{i+j}] is the number of distinct roots in the box
+  (Delves and Lyness, Math. Comp. 21, 1967; Kravanja and Van Barel, LNM
+  1727, 2000),
+* reads one cluster off a rank-one box as the centroid c + R s_1/s_0, and
+  several distinct roots with their multiplicities off a higher-rank box
+  from the eigenvalues of the shifted Hankel pencil, bisecting a box in the
+  imaginary direction only when its rank is ambiguous or its quadrature
+  fails,
+* polishes every root by Newton's method on d^(alpha-1) and confirms its
+  multiplicity alpha with a winding count on a small circle,
 * snaps near-axis roots onto the imaginary axis (recording the distance) and
   symmetrizes conjugate pairs,
 * certifies a strip holding only the axis roots (shrinking it when genuine
@@ -32,11 +42,13 @@ scalar nu or an array of any shape and evaluate every point through one
 matrix for ``t_hat``), an array gives an array of its shape.  Every contour
 is sampled in one such call, and its adaptive refinement adds one call per
 bisection level, holding the midpoints of all the steps that failed at that
-level.  ``winding_number`` therefore takes an ``f`` that maps an array of
+level; the moment quadrature likewise evaluates all the panels of one level
+together.  ``winding_number`` therefore takes an ``f`` that maps an array of
 points to the array of values.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -51,6 +63,17 @@ class ContourError(RuntimeError):
 
 MAX_DEPTH = 48  # bisections of one contour step before a root is presumed on it
 MAX_SPACING = 0.25  # largest distance between the initial samples of a side
+QUAD_NODES = 16  # Gauss-Legendre nodes per moment panel
+QUAD_TOL = 1e-10  # quadrature error allowed in each contour moment, above the noise
+QUAD_LEVELS = 40  # halvings of one moment panel
+QUAD_BUDGET = 20000  # moment quadrature points per rectangle
+MAX_PANEL = 1.0  # longest initial moment panel
+NOISE_FACTOR = 100.0  # safety factor on first-order rounding-noise estimates
+RANK_DROP = 1e-11  # Hankel singular values below this share of the largest are noise
+RANK_GAP = 1e3  # kept singular values exceed the noise floor by this factor
+MULT_TOL = 0.01  # distance of a Vandermonde weight from its integer multiplicity
+CONFIRM_RADIUS = 2e-3  # circle that confirms each root's multiplicity
+FLOOR = 1e-3  # height below which a box is not bisected
 
 
 def t_hat(K, nu, order=0):
@@ -76,8 +99,21 @@ def char_value(K, nu):
 def char_log_derivative(K, nu):
     """d'(nu)/d(nu) = tr[(I + Khat)^{-1} Khat'] (valid away from roots), at a
     scalar or at every point of an array."""
-    quot = np.linalg.solve(t_hat(K, nu), K.transform_batch(nu, 1))
-    return _scalar_or_array(np.trace(quot, axis1=-2, axis2=-1))
+    return _scalar_or_array(_log_derivative(K, nu)[0])
+
+
+def _log_derivative(K, nu):
+    """``(d'/d, noise)`` at every point of ``nu``.  ``noise`` is the
+    first-order rounding error of d'/d: forming That = I + Khat costs about
+    eps (1 + |Khat|), which That^{-1} amplifies.  It is large where |d| is
+    small on a contour that passes near a multiple root."""
+    khat = K.transform_batch(nu)
+    inv = np.linalg.inv(khat + np.eye(K.n))
+    quot = inv @ K.transform_batch(nu, 1)
+    norm = np.linalg.norm
+    amplification = 1 + (1 + norm(khat, axis=(-2, -1))) * norm(inv, axis=(-2, -1))
+    noise = np.finfo(float).eps * norm(quot, axis=(-2, -1)) * amplification
+    return np.trace(quot, axis1=-2, axis2=-1), noise
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -145,9 +181,9 @@ def winding_number(f, points, budget=20000):
     return int(round(w))
 
 
-def _rect_points(re0, re1, im0, im1, per_side=12):
+def _rect_points(re0, re1, im0, im1, per_side=12, spacing=MAX_SPACING):
     """Counter-clockwise samples: at least ``per_side`` on each side and at
-    most ``MAX_SPACING`` apart.
+    most ``spacing`` apart.
 
     The phase test of ``winding_number`` compares the two ends of a step
     only, so a loop of d around 0 between two far-apart samples with close
@@ -161,14 +197,16 @@ def _rect_points(re0, re1, im0, im1, per_side=12):
     ])
     sides = []
     for a, b in zip(corners, np.roll(corners, -1)):
-        m = max(per_side, int(np.ceil(abs(b - a) / MAX_SPACING)))
+        m = max(per_side, int(np.ceil(abs(b - a) / spacing)))
         sides.append(a + np.linspace(0.0, 1.0, m, endpoint=False) * (b - a))
     return np.concatenate(sides)
 
 
-def count_in_rectangle(K, re0, re1, im0, im1):
-    """Number of characteristic roots (with multiplicity) in the open rectangle."""
-    return winding_number(lambda nu: char_value(K, nu), _rect_points(re0, re1, im0, im1))
+def count_in_rectangle(K, re0, re1, im0, im1, spacing=MAX_SPACING):
+    """Number of characteristic roots (with multiplicity) in the open
+    rectangle, from samples at most ``spacing`` apart."""
+    points = _rect_points(re0, re1, im0, im1, spacing=spacing)
+    return winding_number(lambda nu: char_value(K, nu), points)
 
 
 def count_on_circle(K, center, radius, nodes=48):
@@ -176,13 +214,72 @@ def count_on_circle(K, center, radius, nodes=48):
     return winding_number(lambda nu: char_value(K, nu), pts)
 
 
-def _cluster_centroid(K, center, radius, multiplicity, nodes=64):
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    zs = center + radius * np.exp(1j * theta)
-    vals = char_log_derivative(K, zs)
-    integrand = zs * vals * (1j * radius * np.exp(1j * theta))
-    integral = integrand.sum() * (2 * np.pi / nodes)
-    return integral / (2j * np.pi * multiplicity)
+@cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the three-term recurrence of P_n, from the usual
+    cosine guesses.  (An eigenvalue solver would map LAPACK code that
+    nothing else in a run uses.)  Computed on first use, not at import."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def contour_moments(K, re0, re1, im0, im1, count):
+    """``(s, noise, center, scale, panels)``: the scaled log-derivative moments
+        s_k = (1/(2 pi i)) contour_int ((nu - center)/scale)^k d'(nu)/d(nu) dnu
+    of the rectangle for k < 2 ``count``, with ``center`` its middle and
+    ``scale`` its half-diagonal, so |(nu - center)/scale| <= 1 on it.  By the
+    residue theorem s_k = sum_j m_j z_j^k over the distinct scaled roots z_j
+    inside, with multiplicities m_j.
+
+    Composite Gauss-Legendre: each panel is integrated with ``QUAD_NODES``
+    nodes and with half as many, and accepted when the two agree in every
+    moment within its share (by length) of ``QUAD_TOL`` plus
+    ``NOISE_FACTOR`` times its integrated rounding noise; the rest are
+    halved.  ``noise`` sums that noise allowance over the accepted panels,
+    ``panels`` counts them.  All nodes of one level go to one batched
+    evaluation.  Raises ``ContourError`` when the refinement exceeds
+    ``QUAD_LEVELS`` levels or ``QUAD_BUDGET`` points.
+    """
+    center = 0.5 * complex(re0 + re1, im0 + im1)
+    scale = 0.5 * abs(complex(re1 - re0, im1 - im0))
+    a = _rect_points(re0, re1, im0, im1, per_side=1, spacing=MAX_PANEL)
+    b = np.roll(a, -1)
+    share = 2 * np.pi * QUAD_TOL / np.abs(b - a).sum()
+    (x_hi, w_hi), (x_lo, w_lo) = _gauss_legendre(QUAD_NODES), _gauss_legendre(QUAD_NODES // 2)
+    nodes = np.concatenate([x_hi, x_lo])
+    powers = np.arange(2 * count)
+    s = np.zeros(2 * count, dtype=complex)
+    noise = 0.0
+    panels = evals = 0
+    for _ in range(QUAD_LEVELS):
+        half = 0.5 * (b - a)
+        z = 0.5 * (a + b)[:, None] + half[:, None] * nodes
+        evals += z.size
+        if evals > QUAD_BUDGET:
+            raise ContourError("moment quadrature budget exhausted")
+        f, eps = _log_derivative(K, z)
+        f = f * half[:, None]
+        terms = f[..., None] * ((z - center) / scale)[..., None] ** powers
+        hi = np.einsum("pjk,j->pk", terms[:, :QUAD_NODES], w_hi)
+        lo = np.einsum("pjk,j->pk", terms[:, QUAD_NODES:], w_lo)
+        allowance = NOISE_FACTOR * np.abs(half) * (eps[:, :QUAD_NODES] @ w_hi)
+        ok = np.abs(hi - lo).max(axis=1) <= share * np.abs(b - a) + allowance
+        s += hi[ok].sum(axis=0)
+        noise += allowance[ok].sum()
+        panels += int(ok.sum())
+        if ok.all():
+            return s / (2j * np.pi), noise / (2 * np.pi), center, scale, panels
+        a, b = a[~ok], b[~ok]
+        m = 0.5 * (a + b)
+        a, b = np.stack([a, m], -1).ravel(), np.stack([m, b], -1).ravel()
+    raise ContourError("moment quadrature did not converge")
 
 
 # -- roots -------------------------------------------------------------------
@@ -238,60 +335,156 @@ class SpectrumResult:
         groups.sort(key=lambda g: (abs(self.roots[g[0]].nu.imag), self.roots[g[0]].nu.imag))
         return groups
 
-    def to_data(self):
-        return {
-            "strip": self.strip,
-            "window": self.window,
-            "count": self.total_multiplicity,
-            "roots": [r.to_data() for r in self.roots],
-        }
+
+def _hankel(s, m, shift):
+    idx = np.arange(m)
+    return s[idx[:, None] + idx + shift]
 
 
-def _subdivide(K, eta, lo, hi, floor):
-    """Return ``(boxes, half_width)``: (lo, hi, count) boxes in increasing
-    order, each holding one root cluster of the strip |Re nu| < half_width.
+def _count_box(K, half, lo, hi):
+    """``(count, moments)`` of the box |Re nu| < half, lo < Im nu < hi.
 
-    A root exactly on a contour line can yield a clean but wrong integer, so
-    every split is validated (children must sum to the parent) and the whole
-    pass restarts with a different strip inflation when validation cannot be
-    achieved.  One inflation is used consistently per pass so band counts are
-    comparable.
+    The winding count is checked against s_0 of ``contour_moments``, whose
+    quadrature controls its own error: a winding step longer than the
+    distance to a nearby root and pole can hide a whole loop of d, and then
+    the box is counted again on a contour sampled eight times as densely.
+    ``moments`` is None when the quadrature fails or its s_0 is not an
+    integer to 1e-6; the winding count then stands alone.
+    """
+    cnt = count_in_rectangle(K, -half, half, lo, hi)
+    try:
+        moments = contour_moments(K, -half, half, lo, hi, max(cnt, 1))
+    except ContourError:
+        return cnt, None
+    s0 = moments[0][0]
+    if abs(s0 - round(s0.real)) > 1e-6:
+        return cnt, None
+    if round(s0.real) != cnt:
+        cnt = count_in_rectangle(K, -half, half, lo, hi, spacing=MAX_SPACING / 8)
+        if cnt != round(s0.real):
+            raise ContourError(f"winding count {cnt} but moment count {s0.real:.6g}")
+        moments = contour_moments(K, -half, half, lo, hi, max(cnt, 1))
+    return cnt, moments
+
+
+def _resolve_box(K, half, lo, hi, cnt, moments, eta):
+    """``(record, roots, confirmed)`` for the box |Re nu| < half,
+    lo < Im nu < hi holding ``cnt`` roots, or None when it should be split.
+    ``moments`` are those of ``_count_box``.
+
+    The numerical rank r of the cnt x cnt Hankel matrix [s_{i+j}] is the
+    number of distinct roots.  With r = 1 the box holds one cluster at the
+    centroid s_1/s_0; with r > 1 the eigenvalues of the shifted pencil
+    ([s_{i+j+1}], [s_{i+j}]), reduced to its leading r singular directions,
+    are the roots, and the Vandermonde weights that reproduce s_0..s_{r-1}
+    their multiplicities.  A singular value counts when it exceeds
+    ``RANK_GAP`` times the noise floor (the larger of ``RANK_DROP`` of the
+    largest and the quadrature noise) and is dropped below the floor itself.
+    Each root is polished by Newton's method and confirmed by a winding
+    count on a small circle.
+
+    The box is split when it has no moments, when a singular value lies
+    between the two thresholds, when the roots or weights come out outside
+    the box or off the integers, or when a root is not confirmed.  A box
+    ``FLOOR`` high is not split: it is one cluster of all ``cnt`` roots,
+    seeded at the centroid (the box centre without moments), and
+    ``confirmed`` tells whether its circle saw them.  ``record`` is the
+    box's entry in the diagnostics.
+    """
+    final = hi - lo <= FLOOR
+    record = {"im": [lo, hi], "count": cnt, "rank": None, "gap": None, "panels": 0}
+    fallback = complex(0.0, 0.5 * (lo + hi))
+    seeds = None
+    if moments is not None:
+        s, noise, center, scale, record["panels"] = moments
+        fallback = center + scale * s[1] / s[0]
+        seeds = _hankel_roots(s, noise, cnt, record)
+        if seeds is not None:
+            seeds = [(center + scale * z, m) for z, m in seeds]
+            if not all(abs(nu.real) < half and lo < nu.imag < hi for nu, _ in seeds):
+                seeds = None
+    if seeds is None:
+        if not final:
+            return None
+        seeds = [(fallback, cnt)]
+    roots = [(complex(_newton_polish(K, nu, m, eta)), m) for nu, m in seeds]
+    confirmed = all(
+        _confirm(K, nu, m, min([CONFIRM_RADIUS] + [0.45 * abs(nu - o) for o, _ in roots if o != nu]))
+        for nu, m in roots
+    )
+    if not (confirmed or final):
+        return None
+    return record, sorted(roots, key=lambda r: (r[0].imag, r[0].real)), confirmed
+
+
+def _hankel_roots(s, noise, cnt, record):
+    """Distinct scaled roots with multiplicities from the moments, or None
+    when the rank is ambiguous or the weights are not positive integers
+    summing to ``cnt``.  Writes the rank and gap into ``record``."""
+    U, sigma, Vh = np.linalg.svd(_hankel(s, cnt, 0))
+    floor = max(RANK_DROP * sigma[0], noise)
+    r = int(np.count_nonzero(sigma > RANK_GAP * floor))
+    record["rank"] = r
+    record["gap"] = float(sigma[r] / sigma[0]) if r < cnt else 0.0
+    if r == 0 or np.any((sigma > floor) & (sigma <= RANK_GAP * floor)):
+        return None
+    if r == 1:
+        return [(s[1] / s[0], cnt)]
+    pencil = (U[:, :r].conj().T @ _hankel(s, cnt, 1) @ Vh[:r].conj().T) / sigma[:r, None]
+    z = np.linalg.eigvals(pencil)
+    w = np.linalg.solve(z ** np.arange(r)[:, None], s[:r])
+    mult = np.rint(w.real)
+    if (mult < 1).any() or mult.sum() != cnt or np.abs(w - mult).max() > MULT_TOL:
+        return None
+    return [(z[j], int(mult[j])) for j in range(r)]
+
+
+def _isolate(K, eta, lo, hi):
+    """``(record, roots, confirmed)`` of every final box of the strip
+    |Re nu| < eta (slightly inflated), lo < Im nu < hi, in increasing order
+    (see ``_resolve_box``); ``roots`` lists the polished ``(nu,
+    multiplicity)`` of the box.
+
+    A box the moments do not resolve is bisected in the imaginary
+    direction.  A root exactly on a contour line can yield a clean but wrong
+    integer, so every split is validated (children must sum to the parent)
+    and the whole pass restarts with a different strip inflation when
+    validation cannot be achieved.  One inflation is used consistently per
+    pass so band counts are comparable.
     """
     for inflation in (0.011, 0.029, 0.053, 0.087):
         try:
-            eta_eff = eta * (1 + inflation)
-            return _subdivide_at(K, eta_eff, lo, hi, floor), eta_eff
+            return _isolate_at(K, eta * (1 + inflation), lo, hi, eta)
         except ContourError:
             continue
     raise ContourError(f"cannot isolate root clusters in band [{lo}, {hi}]")
 
 
-def _subdivide_at(K, eta_eff, lo, hi, floor, cnt=None):
-    if cnt is None:
-        cnt = count_in_rectangle(K, -eta_eff, eta_eff, lo, hi)
+def _isolate_at(K, half, lo, hi, eta, counted=None):
+    cnt, moments = counted or _count_box(K, half, lo, hi)
     if cnt == 0:
         return []
-    if hi - lo <= floor:
-        return [(lo, hi, cnt)]
+    box = _resolve_box(K, half, lo, hi, cnt, moments, eta)
+    if box is not None:
+        return [box]
     mid = 0.5 * (lo + hi)
-    for shift in (0.0, 0.11, -0.17, 0.23, 0.31):
+    for shift in (0.0, 0.013, -0.021, 0.11, -0.17, 0.23, 0.31):
         m = mid + shift * (hi - lo)
         # Validate the cut cheaply (children must sum to the parent) before
         # committing to either subtree, so that a cut landing near a root is
         # rejected without recomputing whole subtrees.
         try:
-            cl = count_in_rectangle(K, -eta_eff, eta_eff, lo, m)
-            cr = count_in_rectangle(K, -eta_eff, eta_eff, m, hi)
+            left = _count_box(K, half, lo, m)
+            right = _count_box(K, half, m, hi)
         except ContourError:
             continue
-        if cl + cr != cnt:
+        if left[0] + right[0] != cnt:
             continue
         try:
-            left = _subdivide_at(K, eta_eff, lo, m, floor, cl)
-            right = _subdivide_at(K, eta_eff, m, hi, floor, cr)
+            return (_isolate_at(K, half, lo, m, eta, left)
+                    + _isolate_at(K, half, m, hi, eta, right))
         except ContourError:
             continue
-        return left + right
     raise ContourError(f"cannot split band [{lo}, {hi}] consistently")
 
 
@@ -305,73 +498,35 @@ def _choose_window(K, eta):
     raise RuntimeError("transform does not decay along the strip; no finite window")
 
 
-def _circle_limits(boxes, half_width):
-    """The largest isolating-circle radius for each box.
-
-    A circle centred in a box stays inside the strip the boxes were counted
-    in, where the transform exists, and within 3/4 of the way to the nearest
-    other box, so it can take in no root of a neighbouring cluster.
-    """
-    limits = []
-    for k, (lo, hi, _) in enumerate(boxes):
-        center = 0.5 * (lo + hi)
-        room = np.inf
-        if k > 0:
-            room = center - boxes[k - 1][1]
-        if k + 1 < len(boxes):
-            room = min(room, boxes[k + 1][0] - center)
-        limits.append(min(half_width, 0.75 * room))
-    return limits
-
-
-def _refine_cluster(K, lo, hi, cnt, eta, limit):
-    """Refine one cluster to (centroid, confirmed).
-
-    The isolating circle starts just wider than the strip and grows, up to
-    ``limit``, until it counts ``cnt`` roots.  ``confirmed`` means a small
-    circle around the centroid still sees all ``cnt`` roots; a symmetric
-    off-axis pair averaging onto the axis, or a cluster no circle within
-    ``limit`` isolates, fails this and triggers strip shrinking in the
-    caller.
-    """
-    center = complex(0.0, 0.5 * (lo + hi))
-    radius = min(max(0.75 * (hi - lo), 1e-3) + eta, limit)
-    for _ in range(6):
-        try:
-            if count_on_circle(K, center, radius) == cnt:
-                break
-        except ContourError:
-            pass
-        if radius >= limit:
-            break
-        radius = min(radius * 1.31, limit)
-    nu = center
-    for _ in range(4):
-        nu = _cluster_centroid(K, center, radius, cnt)
-        center, radius = nu, max(radius / 8, 5e-4)
-    nu = _newton_polish(K, nu, cnt, eta)
-    confirm_r = 2e-3
-    confirmed = False
+def _confirm(K, nu, multiplicity, radius):
+    """True when a circle of about ``radius`` around ``nu`` counts exactly
+    ``multiplicity`` roots; the radius grows when the contour runs into a
+    root."""
     for _ in range(5):
         try:
-            confirmed = count_on_circle(K, nu, confirm_r) == cnt
-            break
+            return count_on_circle(K, nu, radius) == multiplicity
         except ContourError:
-            confirm_r *= 1.37
-    return nu, confirmed
+            radius *= 1.37
+    return False
 
 
 def _disc_derivatives(K, center, orders, radius, nodes=64):
-    """d^(order)(center) for each requested order, via Cauchy coefficients.
+    """``{order: (d^(order)(center), noise)}`` via Cauchy coefficients.
 
     Taylor coefficients are trapezoid averages of d on a circle of moderate
     radius, so the evaluation stays far from the cancellation floor that
-    direct differencing hits next to a multiple root.
+    direct differencing hits next to a multiple root.  ``noise`` carries
+    the rounding error eps (1 + |d|) of the values on the circle through
+    the same average.
     """
     th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
     vals = char_value(K, center + radius * np.exp(1j * th))
+    noise = np.finfo(float).eps * (1 + np.abs(vals).max())
     return {
-        o: factorial(o) * np.mean(vals * np.exp(-1j * o * th)) / radius**o
+        o: (
+            factorial(o) * np.mean(vals * np.exp(-1j * o * th)) / radius**o,
+            factorial(o) * noise / radius**o,
+        )
         for o in orders
     }
 
@@ -383,16 +538,18 @@ def _newton_polish(K, nu, alpha, eta, iters=5):
     this converges quadratically and reaches ~1e-12 even where d itself only
     determines the root to (machine eps)^(1/alpha).  For a cluster of nearby
     simple roots the zero of d^(alpha-1) is a stable representative point.
-    Steps larger than the disc scale are rejected.
+    Steps larger than the disc scale are rejected, and so are steps within
+    ``NOISE_FACTOR`` times the rounding noise of d^(alpha-1): on a flat d
+    they would only move an accurate moment seed by that noise.
     """
     radius = min(0.05, 0.45 * eta)
     for _ in range(iters):
         d = _disc_derivatives(K, nu, (alpha - 1, alpha), radius)
-        g, gp = d[alpha - 1], d[alpha]
+        (g, noise), (gp, _) = d[alpha - 1], d[alpha]
         if gp == 0 or not (np.isfinite(gp.real) and np.isfinite(gp.imag)):
             break
         step = g / gp
-        if abs(step) > radius:
+        if abs(step) > radius or abs(g) <= NOISE_FACTOR * noise:
             break
         nu = nu - step
         if abs(step) < 1e-13:
@@ -405,7 +562,10 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
 
     Returns a SpectrumResult whose ``strip`` is a half-width in which every
     root (with total multiplicity ``count``) lies on the imaginary axis; the
-    strip is shrunk when genuinely off-axis roots are present.
+    strip is shrunk when genuinely off-axis roots are present.  Its
+    ``diagnostics`` record every shrink: the off-axis roots excluded, the
+    clusters no circle confirmed, the decay checks of the strip and the
+    final boxes of the last pass (``_resolve_box``).
     """
     report = validate_decay(K, eta=eta)
     if not report.ok:
@@ -417,31 +577,26 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
     clusters = []
     shrinks = 0
     for _ in range(12):
-        boxes, half_width = _subdivide(K, eta, -window, window, floor=1e-3)
-        candidates = []
-        unconfirmed = False
-        for (lo, hi, cnt), limit in zip(boxes, _circle_limits(boxes, half_width)):
-            nu, ok = _refine_cluster(K, lo, hi, cnt, eta, limit)
-            if not ok:
-                unconfirmed = True
-                clusters.append({"im": (lo, hi), "count": cnt, "strip": eta})
-                break
-            candidates.append((nu, cnt))
+        boxes = _isolate(K, eta, -window, window)
+        unconfirmed = [record for record, _, confirmed in boxes if not confirmed]
         if unconfirmed:
+            record = unconfirmed[0]
+            clusters.append({"im": record["im"], "count": record["count"], "strip": eta})
             eta *= 0.5
             shrinks += 1
             if eta < 1e-6:
                 raise RuntimeError("no certifiable strip: unresolved root clusters")
             continue
-        off = [nu for nu, _ in candidates if abs(nu.real) > tol_root]
+        found = [root for _, roots, _ in boxes for root in roots]
+        off = [nu for nu, _ in found if abs(nu.real) > tol_root]
         if not off:
             roots = [
                 Root(
                     nu=complex(0.0, nu.imag),
-                    multiplicity=cnt,
+                    multiplicity=m,
                     snap_distance=abs(nu.real),
                 )
-                for nu, cnt in candidates
+                for nu, m in found
             ]
             _pair_conjugates(roots, pair_tol)
             roots.sort(key=lambda r: r.nu.imag)
@@ -450,10 +605,11 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
                 strip=eta,
                 window=window,
                 diagnostics={
-                    "excluded_offaxis": [complex(z) for z in excluded],
+                    "excluded_offaxis": excluded,
                     "unconfirmed_clusters": clusters,
                     "strip_shrinks": shrinks,
                     "decay_checks": report.checks,
+                    "boxes": [record for record, _, _ in boxes],
                 },
             )
         excluded.extend(off)

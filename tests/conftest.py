@@ -1,6 +1,7 @@
 """Shared model kernels and problem builders for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from cmnl.jet import compute_jet
 from cmnl.kernel import ExponentialMixture, GaussianMixture
@@ -9,6 +10,11 @@ from cmnl.projection import build_pointwise, kernel_basis
 from cmnl.spectrum import locate_roots
 
 SQRT_PI = np.sqrt(np.pi)
+
+# Every run of the suite draws the same hypothesis examples, so a failure
+# repeats; nothing is read from or written to an example database.
+settings.register_profile("repeatable", derandomize=True, deadline=None, database=None)
+settings.load_profile("repeatable")
 
 
 def scaled_gaussian(c, a=1.0, b=0.0):
@@ -47,6 +53,37 @@ def two_exponential_kernel():
     s = np.array([-0.09, -0.49])
     c1, c2 = np.linalg.solve(np.column_stack([2 / (1 - s), 4 / (4 - s)]), [-1.0, -1.0])
     return ExponentialMixture([(c1, 1.0, 0.0), (c2, 2.0, 0.0)])
+
+
+def isclose(f, g, tol=1e-10):
+    """True when max coefficient of f - g is below tol * (1 + max scale)."""
+    scale = 1.0 + max(f.max_coeff(), g.max_coeff())
+    return (f - g).max_coeff() <= tol * scale
+
+
+def project(P, u):
+    """(coordinates of u, their combination of the basis) under projection P."""
+    coords = P.coordinates(u)
+    return coords, P.basis.combine(coords)
+
+
+def polynomial_terms(coeffs, kernel=None, outer=None, mu_power=()):
+    """Terms for a scalar pointwise polynomial ``sum_d coeffs[d] u^d``.
+
+    ``coeffs[d]`` multiplies ``u^d``; the entry for ``d = 0`` must be absent
+    or zero.  ``kernel`` is applied inside each factor, ``outer`` outside the
+    product.  The default leaves the terms parameter-free.
+    """
+    terms = []
+    for d, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if d == 0:
+            raise ValueError("constant terms are not part of the grammar")
+        terms.append(
+            TaylorTerm(c, ((kernel, 0),) * d, mu_power=mu_power, outer=outer)
+        )
+    return terms
 
 
 def build_pair_jet(order=3, max_order=5):

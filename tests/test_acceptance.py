@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SQRT_PI, build_front_jet, build_pair_jet, critical_pair_kernel
+from conftest import SQRT_PI, build_front_jet, build_pair_jet, critical_pair_kernel, project
 
 from cmnl.cli import main
 from cmnl.jet import (
@@ -398,8 +398,8 @@ def test_criterion_8_invariant_representatives(pair, pair_projection):
     u = (QuasiPolynomial.monomial(1j, 3)
          + QuasiPolynomial.monomial(-0.4, 1).scale(0.7)
          + QuasiPolynomial.exponential(2j, (1.5,)))
-    coords, _ = P.project(u)
-    coords2, _ = P.project(basis.combine(coords))
+    coords, _ = project(P, u)
+    coords2, _ = project(P, basis.combine(coords))
     assert np.abs(coords2 - coords).max() < 1e-12 * (1 + np.abs(coords).max())
 
     # winding count equals kernel dimension

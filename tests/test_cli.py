@@ -25,7 +25,7 @@ from conftest import SQRT_PI, critical_pair_kernel, two_exponential_kernel
 
 import cmnl
 from cmnl.cli import canonical_json, main, write_profile_csv
-from cmnl.kernel import GaussianMixture
+from cmnl.kernel import ExponentialMixture, GaussianMixture
 from cmnl.problem import ProblemError, load_problem, problem_from_data
 
 
@@ -325,6 +325,36 @@ class TestSpectrumCommand:
         assert [r["multiplicity"] for r in data["roots"]] == [1, 1, 1, 1]
         values = [complex(*r["nu"]).imag for r in data["roots"]]
         assert np.allclose(values, [-0.7, -0.3, 0.3, 0.7], atol=1e-9)
+
+    def test_spectrum_diagnostics(self, tmp_path):
+        # a real root pair +-0.905 inside the first strip: the report records
+        # the shrink, the excluded roots as [re, im] pairs and every final box
+        data = saddle_problem_data()
+        data["kernels"]["K"] = ExponentialMixture([((0.905**2 - 1) / 2, 1.0, 0.0)]).to_data()
+        path = write_problem(tmp_path, data)
+        texts = []
+        for name in ("a.json", "b.json"):
+            assert main(["spectrum", path, "--out", str(tmp_path / name)]) == 0
+            texts.append((tmp_path / name).read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        report = json.loads(texts[0])
+        assert report["roots"] == []
+        diag = report["diagnostics"]
+        assert set(diag) == {
+            "boxes", "decay_checks", "excluded_offaxis", "strip_shrinks",
+            "unconfirmed_clusters",
+        }
+        assert diag["strip_shrinks"] == 1
+        assert diag["unconfirmed_clusters"] == []
+        assert np.allclose(sorted(diag["excluded_offaxis"]), [[-0.905, 0.0], [0.905, 0.0]], atol=1e-8)
+        assert set(diag["decay_checks"]) == {"tail_sup_edge_+1", "tail_sup_edge_-1"}
+        assert diag["boxes"] == []  # the shrunk strip holds no root
+        path = write_problem(tmp_path, saddle_problem_data())
+        assert main(["spectrum", path, "--out", str(tmp_path / "c.json")]) == 0
+        (box,) = json.loads((tmp_path / "c.json").read_text())["diagnostics"]["boxes"]
+        assert set(box) == {"count", "gap", "im", "panels", "rank"}
+        assert box["count"] == box["rank"] == 1 and box["panels"] > 0
+        assert box["im"][0] < 0.0 < box["im"][1]
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -19,6 +19,9 @@ from conftest import (
     build_front_jet,
     build_pair_jet,
     critical_pair_kernel,
+    isclose,
+    polynomial_terms,
+    project,
     simple_zero_kernel,
 )
 from cmnl.jet import (
@@ -36,9 +39,9 @@ from cmnl.jet import (
     scale_field,
 )
 from cmnl.kernel import GaussianMixture, SumKernel
-from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term, polynomial_terms
+from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
-from cmnl.quasipoly import QuasiPolynomial, isclose
+from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
 
 
@@ -320,7 +323,7 @@ def test_pair_only_odd_coordinate_orders_present(pair_problem):
 def test_pair_graph_entries_have_zero_coordinates(pair_problem):
     K, P, F, J = pair_problem
     for u in J.psi.values():
-        coords, _ = P.project(u)
+        coords, _ = project(P, u)
         assert np.abs(coords).max() < 1e-10
 
 
@@ -394,7 +397,7 @@ def test_pair_flow_matches_finite_difference(pair_problem):
     ]
     for idx, u in entries:
         exact = J.field[idx]
-        fd = (P.project(u.shift(h))[0] - P.project(u.shift(-h))[0]) / (2 * h)
+        fd = (project(P, u.shift(h))[0] - project(P, u.shift(-h))[0]) / (2 * h)
         assert np.abs(fd - exact).max() < 1e-6 * (1.0 + np.abs(exact).max())
 
 
@@ -434,7 +437,7 @@ def test_pair_gram_projection_same_residual_property(pair_problem):
     J2 = compute_jet(K, P2, F, 3)
     assert pair_residual_slope(K, P2, F, J2) >= 3.5
     for u in J2.psi.values():
-        coords, _ = P2.project(u)
+        coords, _ = project(P2, u)
         assert np.abs(coords).max() < 1e-10
 
 

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from cmnl.kernel import DiracMixture, GaussianMixture, convolve, convolve_quadrature
-from cmnl.nonlin import (
-    NonlinearitySpec,
-    TaylorTerm,
-    apply_term,
-    polynomial_terms,
-)
-from cmnl.quasipoly import QuasiPolynomial, isclose, multiply
+from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term
+from cmnl.quasipoly import QuasiPolynomial, multiply
 
-from conftest import critical_pair_kernel, scaled_gaussian
+from conftest import critical_pair_kernel, isclose, polynomial_terms, scaled_gaussian
 
 
 def qp(nu, coeffs):

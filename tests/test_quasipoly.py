@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmnl.quasipoly import QuasiPolynomial, isclose, multiply
+from cmnl.quasipoly import QuasiPolynomial, multiply
+
+from conftest import isclose
 
 
 def qp(terms, n=1):

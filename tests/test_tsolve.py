@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import critical_pair_kernel, simple_zero_kernel
+from conftest import critical_pair_kernel, isclose, project, simple_zero_kernel
 from cmnl.kernel import GaussianMixture, convolve, convolve_quadrature
 from cmnl.projection import BasisElement, KernelBasis, build_pointwise, kernel_basis
-from cmnl.quasipoly import QuasiPolynomial, isclose
+from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
 from cmnl.tsolve import (
     BorderedProblem,
@@ -76,7 +76,7 @@ def test_double_pair_resonant_solution(pair_setup):
         ],
     )
     assert isclose(u, expected, tol=1e-7)
-    coords, _ = P.project(u)
+    coords, _ = project(P, u)
     assert np.allclose(coords, 0.0, atol=1e-10)
 
 
@@ -91,7 +91,7 @@ def test_nonresonant_scalar_division(pair_setup):
     u = solve(BorderedProblem(K, P, g))
     gamma = c / (1.0 + complex(K.transform(3j)[0, 0]))
     particular = qp(1, 3j, [gamma])
-    coords, _ = P.project(particular)
+    coords, _ = project(P, particular)
     assert isclose(u, particular - P.basis.combine(coords), tol=1e-10)
     closed = QuasiPolynomial(
         1,
@@ -123,7 +123,7 @@ def test_prescribed_coordinates(pair_setup):
     g = convolve(K, P.basis.elements[0].function)
     u0 = solve(BorderedProblem(K, P, g))
     ut = solve(BorderedProblem(K, P, g, target_coords=target))
-    coords, _ = P.project(ut)
+    coords, _ = project(P, ut)
     assert np.allclose(coords, target, atol=1e-10)
     assert isclose(ut - u0, P.basis.combine(target), tol=1e-9)
 
