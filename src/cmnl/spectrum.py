@@ -36,10 +36,11 @@ phi_p = sum_q C(p,q) x^q e^{p-q} exp(nu0 x) of T phi = 0; ``chain_functions``
 builds them and the test-suite closes the loop by checking T phi = 0 through
 the exact convolution.
 
-Batch contract: ``t_hat``, ``char_value`` and ``char_log_derivative`` take a
-scalar nu or an array of any shape and evaluate every point through one
-``Kernel.transform_batch`` call; a scalar gives a Python complex (an (n, n)
-matrix for ``t_hat``), an array gives an array of its shape.  Every contour
+Batch contract: ``t_hat`` and ``char_value`` take a scalar nu or an array
+of any shape and evaluate every point through one ``Kernel.transform_batch``
+call; a scalar gives a Python complex (an (n, n) matrix for ``t_hat``), an
+array gives an array of its shape.  ``_log_derivative`` evaluates an array
+the same way, with one call for Khat and one for Khat'.  Every contour
 is sampled in one such call, and its adaptive refinement adds one call per
 bisection level, holding the midpoints of all the steps that failed at that
 level; the moment quadrature likewise evaluates all the panels of one level
@@ -63,6 +64,7 @@ class ContourError(RuntimeError):
 
 MAX_DEPTH = 48  # bisections of one contour step before a root is presumed on it
 MAX_SPACING = 0.25  # largest distance between the initial samples of a side
+DENSE_SPACING = MAX_SPACING / 8  # sample spacing of a recount the moments disputed
 QUAD_NODES = 16  # Gauss-Legendre nodes per moment panel
 QUAD_TOL = 1e-10  # quadrature error allowed in each contour moment, above the noise
 QUAD_LEVELS = 40  # halvings of one moment panel
@@ -96,14 +98,9 @@ def char_value(K, nu):
     return _scalar_or_array(np.linalg.det(t_hat(K, nu)))
 
 
-def char_log_derivative(K, nu):
-    """d'(nu)/d(nu) = tr[(I + Khat)^{-1} Khat'] (valid away from roots), at a
-    scalar or at every point of an array."""
-    return _scalar_or_array(_log_derivative(K, nu)[0])
-
-
 def _log_derivative(K, nu):
-    """``(d'/d, noise)`` at every point of ``nu``.  ``noise`` is the
+    """``(d'/d, noise)`` at every point of ``nu``, with
+    d'/d = tr[(I + Khat)^{-1} Khat'] (valid away from roots).  ``noise`` is the
     first-order rounding error of d'/d: forming That = I + Khat costs about
     eps (1 + |Khat|), which That^{-1} amplifies.  It is large where |d| is
     small on a contour that passes near a multiple root."""
@@ -202,10 +199,9 @@ def _rect_points(re0, re1, im0, im1, per_side=12, spacing=MAX_SPACING):
     return np.concatenate(sides)
 
 
-def count_in_rectangle(K, re0, re1, im0, im1, spacing=MAX_SPACING):
-    """Number of characteristic roots (with multiplicity) in the open
-    rectangle, from samples at most ``spacing`` apart."""
-    points = _rect_points(re0, re1, im0, im1, spacing=spacing)
+def count_in_rectangle(K, re0, re1, im0, im1):
+    """Number of characteristic roots (with multiplicity) in the open rectangle."""
+    points = _rect_points(re0, re1, im0, im1)
     return winding_number(lambda nu: char_value(K, nu), points)
 
 
@@ -360,7 +356,8 @@ def _count_box(K, half, lo, hi):
     if abs(s0 - round(s0.real)) > 1e-6:
         return cnt, None
     if round(s0.real) != cnt:
-        cnt = count_in_rectangle(K, -half, half, lo, hi, spacing=MAX_SPACING / 8)
+        dense = _rect_points(-half, half, lo, hi, spacing=DENSE_SPACING)
+        cnt = winding_number(lambda nu: char_value(K, nu), dense)
         if cnt != round(s0.real):
             raise ContourError(f"winding count {cnt} but moment count {s0.real:.6g}")
         moments = contour_moments(K, -half, half, lo, hi, max(cnt, 1))
@@ -381,7 +378,8 @@ def _resolve_box(K, half, lo, hi, cnt, moments, eta):
     ``RANK_GAP`` times the noise floor (the larger of ``RANK_DROP`` of the
     largest and the quadrature noise) and is dropped below the floor itself.
     Each root is polished by Newton's method and confirmed by a winding
-    count on a small circle.
+    count on a small circle, both on discs inside the strip |Re nu| < half,
+    where the transform is known to exist.
 
     The box is split when it has no moments, when a singular value lies
     between the two thresholds, when the roots or weights come out outside
@@ -407,9 +405,13 @@ def _resolve_box(K, half, lo, hi, cnt, moments, eta):
         if not final:
             return None
         seeds = [(fallback, cnt)]
-    roots = [(complex(_newton_polish(K, nu, m, eta)), m) for nu, m in seeds]
+    roots = [(complex(_newton_polish(K, nu, m, eta, half)), m) for nu, m in seeds]
     confirmed = all(
-        _confirm(K, nu, m, min([CONFIRM_RADIUS] + [0.45 * abs(nu - o) for o, _ in roots if o != nu]))
+        _confirm(
+            K, nu, m,
+            min([CONFIRM_RADIUS] + [0.45 * abs(nu - o) for o, _ in roots if o != nu]),
+            half - abs(nu.real),
+        )
         for nu, m in roots
     )
     if not (confirmed or final):
@@ -468,7 +470,7 @@ def _isolate_at(K, half, lo, hi, eta, counted=None):
     if box is not None:
         return [box]
     mid = 0.5 * (lo + hi)
-    for shift in (0.0, 0.013, -0.021, 0.11, -0.17, 0.23, 0.31):
+    for shift in (0.0, 0.11, -0.17, 0.23, 0.31):
         m = mid + shift * (hi - lo)
         # Validate the cut cheaply (children must sum to the parent) before
         # committing to either subtree, so that a cut landing near a root is
@@ -498,11 +500,15 @@ def _choose_window(K, eta):
     raise RuntimeError("transform does not decay along the strip; no finite window")
 
 
-def _confirm(K, nu, multiplicity, radius):
+def _confirm(K, nu, multiplicity, radius, limit):
     """True when a circle of about ``radius`` around ``nu`` counts exactly
     ``multiplicity`` roots; the radius grows when the contour runs into a
-    root."""
+    root.  The radius stays below ``limit``, the distance from ``nu`` to the
+    edge of the strip the root was counted in."""
+    radius = min(radius, 0.9 * limit)
     for _ in range(5):
+        if not 0 < radius < limit:
+            return False
         try:
             return count_on_circle(K, nu, radius) == multiplicity
         except ContourError:
@@ -531,7 +537,7 @@ def _disc_derivatives(K, center, orders, radius, nodes=64):
     }
 
 
-def _newton_polish(K, nu, alpha, eta, iters=5):
+def _newton_polish(K, nu, alpha, eta, half, iters=5):
     """Refine a cluster centroid by Newton iteration on d^(alpha-1).
 
     A genuine multiplicity-``alpha`` root is a simple zero of d^(alpha-1), so
@@ -540,10 +546,15 @@ def _newton_polish(K, nu, alpha, eta, iters=5):
     simple roots the zero of d^(alpha-1) is a stable representative point.
     Steps larger than the disc scale are rejected, and so are steps within
     ``NOISE_FACTOR`` times the rounding noise of d^(alpha-1): on a flat d
-    they would only move an accurate moment seed by that noise.
+    they would only move an accurate moment seed by that noise.  The disc
+    stays inside the strip |Re nu| < ``half`` the root was counted in, where
+    the transform exists: near its edge the radius shrinks to 0.45 of the
+    distance to it, and a seed on or beyond the edge is returned as it is.
     """
-    radius = min(0.05, 0.45 * eta)
     for _ in range(iters):
+        radius = min(0.05, 0.45 * eta, 0.45 * (half - abs(nu.real)))
+        if radius <= 0:
+            break
         d = _disc_derivatives(K, nu, (alpha - 1, alpha), radius)
         (g, noise), (gp, _) = d[alpha - 1], d[alpha]
         if gp == 0 or not (np.isfinite(gp.real) and np.isfinite(gp.imag)):

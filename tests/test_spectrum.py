@@ -56,7 +56,7 @@ def test_char_log_derivative():
     nu = 0.4 + 0.2j
     h = 1e-6
     fd = (sp.char_value(K, nu + h) - sp.char_value(K, nu - h)) / (2 * h)
-    ld = sp.char_log_derivative(K, nu) * sp.char_value(K, nu)
+    ld = sp._log_derivative(K, nu)[0] * sp.char_value(K, nu)
     assert abs(fd - ld) < 1e-8
 
 
@@ -314,6 +314,18 @@ def test_growing_circle_stops_at_the_strip():
     res = sp.locate_roots(K)
     assert res.strip < 0.905
     assert_pair_excluded(res, 0.905)
+
+
+def test_offaxis_pair_polished_inside_a_narrow_strip():
+    # The kernel above scaled to rate 0.1: real roots +-0.0905 and poles
+    # +-0.1, with the counted strip 0.09 * 1.011 only 5e-4 past the roots.
+    # Newton's disc and the confirmation circle must stay inside that strip,
+    # since the transform does not exist beyond the poles.
+    r = 0.0905
+    K = kr.ExponentialMixture([((r**2 - 0.01) / 0.2, 0.1, 0.0)])
+    res = sp.locate_roots(K)
+    assert res.strip < r
+    assert_pair_excluded(res, r)
 
 
 def test_winding_steps_past_a_root_and_pole_pair():
