@@ -9,9 +9,10 @@ Reports are byte-stable: keys sorted, floats printed with 17 significant
 digits, LF line endings; re-parsing and re-serializing a report reproduces
 it byte for byte.
 
-Exit codes: 0 success, 1 numerical failure (solver residuals above
-``--tol-solve``, failed shooting, failed scaling certification), 2 input
-error (unreadable or invalid problem file, bad order).
+Exit codes: 0 success, 1 numerical failure (``RuntimeError`` or
+``LinAlgError``: solver residuals above ``--tol-solve``, failed shooting,
+scaling or planar extraction, failed scaling certification), 2 input error
+(``ProblemError``: unreadable or invalid problem file, bad order).
 """
 
 import argparse
@@ -287,9 +288,6 @@ def main(argv=None):
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,7 @@ from .kernel import apply_T, convolution_matrix, taylor_transforms
 # ``apply_term`` and ``solve`` stay bound here because bench/tracer.py
 # wraps cmnl.jet.apply_term and cmnl.jet.solve by name
 from .nonlin import apply_series, apply_term, walk_outer, walk_slots  # noqa: F401
+from .problem import ProblemError
 from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial
 from .tsolve import (  # noqa: F401
     BLOCK_TOL, ROOT_MATCH_TOL, block_operator, check_strip, solve, solve_frequency)
@@ -82,14 +83,24 @@ class JetIndex:
         return (self.order, self.powers + self.mu)
 
     def monomial(self, coords, mu=()):
-        """Numeric value of ``c^powers mu^mu``."""
-        w = 1.0 + 0.0j
-        for c, p in zip(coords, self.powers):
+        """Numeric value of ``c^powers mu^mu``.
+
+        Coordinate j is ``coords[..., j]``: one point, or a path with one
+        point per row.  Every parameter the index raises to a positive power
+        needs a value in ``mu``.
+        """
+        if len(mu) < len(self.mu) and any(self.mu[len(mu):]):
+            raise ValueError(
+                f"index needs {len(self.mu)} parameter values, got {len(mu)}"
+            )
+        coords = np.asarray(coords)
+        w = np.ones(coords.shape[:-1], dtype=complex)
+        for j, p in enumerate(self.powers):
             if p:
-                w *= c**p
+                w = w * coords[..., j] ** p
         for v, r in zip(mu, self.mu):
             if r:
-                w *= v**r
+                w = w * v**r
         return w
 
     def to_data(self):
@@ -525,14 +536,16 @@ def compute_jet(K, projection, F, order, weights=None):
     ``projection`` fixes the kernel basis and the bordering; ``F`` is the
     nonlinearity series.  ``weights`` optionally reweights each formal
     parameter's contribution to the total order (default: weight one each).
+    An order outside ``2..F.max_order`` raises ``ProblemError``: the order
+    comes from the problem file or the command line.
     """
     basis = projection.basis
     M = basis.size
     nparams = F.nparams
     if order < 2:
-        raise ValueError("minimum order 2: the graph map starts at quadratic order")
+        raise ProblemError("minimum order 2: the graph map starts at quadratic order")
     if order > F.max_order:
-        raise ValueError(
+        raise ProblemError(
             f"order {order} exceeds the nonlinearity's Taylor order {F.max_order}"
         )
     if weights is None:
@@ -684,7 +697,7 @@ def scale_field(fld, coord_exponents, x_exponent, param_exponents=(),
                 theta = sum(w * p for w, p in zip(omega, idx.powers)) - omega[i]
             oscillatory = abs(theta) > 1e-9
             if e < -tol:
-                raise ValueError(
+                raise RuntimeError(
                     f"non-positive leading balance: coordinate {i} at index"
                     f" {idx.powers}|{idx.mu} scales like eps^{e:.3g}"
                 )

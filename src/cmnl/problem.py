@@ -23,10 +23,14 @@ Schema (version 1)::
                                                 # {"flavor": "gram",
                                                 #  "weight": "gaussian"|"sech"}
       "order": 3,                         # jet order (>= 2)
-      "verify": {"wave": "homoclinic", "lambdas": [...], "step_x": 0.1},
+      "verify": {"wave": "homoclinic", "lambdas": [...],
+                 "step_x": 0.1, "start": 1e-7},
                                           # optional; or
                                           # {"wave": "front",
-                                          #  "epsilon": ..., "c_star": ...}
+                                          #  "epsilon": ..., "c_star": ...,
+                                          #  "tol_reach": 1e-4}
+                                          # numbers positive and finite;
+                                          # step_x, start, tol_reach optional
       "out": "report.json",               # optional output paths
       "csv": "csv-dir"
     }
@@ -39,6 +43,7 @@ for known names only; the reduction does not use it.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .kernel import from_data as kernel_from_data
@@ -54,10 +59,12 @@ _NONLIN_KEYS = {"max_order", "symmetries", "terms"}
 KNOWN_SYMMETRIES = ("reflection", "sign")
 _TERM_KEYS = {"coeff", "factors", "mu_power", "outer", "target"}
 _PROJECTION_KEYS = {"flavor", "weight"}
-_VERIFY_KEYS = {
-    "wave", "lambdas", "step_x", "epsilon", "c_star", "start", "tol_return",
-    "tol_reach",
+# the keys of a verify plan, by wave
+_WAVE_KEYS = {
+    "homoclinic": {"wave", "lambdas", "step_x", "start"},
+    "front": {"wave", "epsilon", "c_star", "tol_reach"},
 }
+_VERIFY_KEYS = set().union(*_WAVE_KEYS.values())
 
 
 class ProblemError(ValueError):
@@ -202,35 +209,31 @@ def _nonlinearity_from_data(data, kernels, n):
         raise ProblemError(f"'nonlinearity': {exc}") from exc
 
 
+def _positive(value):
+    """Whether ``value`` is a positive finite number (booleans excluded)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
 def _verify_from_data(data):
     _check_keys(data, _VERIFY_KEYS, "'verify'")
     wave = data.get("wave")
+    if wave not in _WAVE_KEYS:
+        raise ProblemError("'verify.wave' must be 'homoclinic' or 'front'")
+    extra = sorted(set(data) - _WAVE_KEYS[wave])
+    if extra:
+        raise ProblemError(f"'verify.{extra[0]}' does not apply to {wave}")
     if wave == "homoclinic":
         lams = data.get("lambdas")
-        if (
-            not isinstance(lams, list)
-            or not lams
-            or not all(
-                isinstance(l, (int, float)) and not isinstance(l, bool) and l > 0
-                for l in lams
-            )
-        ):
+        if not isinstance(lams, list) or not lams or not all(map(_positive, lams)):
             raise ProblemError(
-                "'verify.lambdas' must be a non-empty list of positive numbers"
+                "'verify.lambdas' must be a non-empty list of positive finite numbers"
             )
-        for key in ("epsilon", "c_star", "tol_reach"):
-            if key in data:
-                raise ProblemError(f"'verify.{key}' does not apply to homoclinic")
-    elif wave == "front":
-        for key in ("epsilon", "c_star"):
-            v = data.get(key)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                raise ProblemError(f"'verify.{key}' must be a positive number")
-        for key in ("lambdas", "tol_return"):
-            if key in data:
-                raise ProblemError(f"'verify.{key}' does not apply to front")
-    else:
-        raise ProblemError("'verify.wave' must be 'homoclinic' or 'front'")
+    elif "epsilon" not in data or "c_star" not in data:
+        raise ProblemError("a front plan needs 'verify.epsilon' and 'verify.c_star'")
+    for key in sorted(set(data) - {"wave", "lambdas"}):
+        if not _positive(data[key]):
+            raise ProblemError(f"'verify.{key}' must be a positive finite number")
     return dict(data)
 
 

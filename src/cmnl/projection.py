@@ -43,16 +43,6 @@ class BasisElement:
     head: np.ndarray
     partner: int = -1
 
-    def to_data(self):
-        return {
-            "nu": [self.nu.real, self.nu.imag],
-            "group": self.group,
-            "chain": self.chain,
-            "order": self.order,
-            "partner": self.partner,
-            "function": self.function.to_data(),
-        }
-
 
 class KernelBasis:
     """Ordered basis of ker(u -> u + K*u) over quasi-polynomials.
@@ -72,9 +62,6 @@ class KernelBasis:
     @property
     def size(self):
         return len(self.elements)
-
-    def functions(self):
-        return [el.function for el in self.elements]
 
     def combine(self, coords):
         """The canonical coordinate map: coords -> sum_k coords_k phi_k."""
@@ -107,15 +94,6 @@ class KernelBasis:
         if sv[-1] <= 1e-13 * sv[0]:
             raise RuntimeError("kernel basis functions are numerically dependent")
         return float(sv[0] / sv[-1])
-
-    def to_data(self):
-        return {
-            "size": self.size,
-            "n": self.n,
-            "strip": self.strip,
-            "condition": self.condition,
-            "elements": [el.to_data() for el in self.elements],
-        }
 
 
 def kernel_basis(K, spectrum, tol=1e-8):
@@ -178,13 +156,6 @@ class DerivativeFunctional(_Functional):
         return np.multiply.outer(derivative_weights(nu, self.order, degree),
                                  np.conj(self.direction))
 
-    def to_data(self):
-        return {
-            "kind": "derivative",
-            "order": self.order,
-            "direction": [[z.real, z.imag] for z in np.asarray(self.direction, complex)],
-        }
-
 
 @dataclass
 class WeightedFunctional(_Functional):
@@ -206,9 +177,6 @@ class WeightedFunctional(_Functional):
             out += moments[np.add.outer(np.arange(degree + 1),
                                         np.arange(pc.shape[0]))] @ pc
         return out
-
-    def to_data(self):
-        return {"kind": "weighted", "weight": self.weight, "element": self.element.to_data()}
 
 
 def gaussian_weight_moments(nu, smax):
@@ -236,7 +204,7 @@ def sech_weight_moments(nu, smax):
     """
     nu = complex(nu)
     if abs(nu.real) >= 1.0:
-        raise ValueError(
+        raise RuntimeError(
             f"frequency {nu} outside the sech weight strip |Re nu| < 1"
         )
     a = np.pi / 2
@@ -285,10 +253,6 @@ class Projection:
     weight: str | None = None
     augmented: bool = False
 
-    @property
-    def condition(self):
-        return float(np.linalg.cond(self.gram))
-
     def coordinates(self, u):
         b = np.array([f.apply(u) for f in self.functionals])
         return self.gram_inverse @ b
@@ -298,16 +262,6 @@ class Projection:
         term at ``nu`` to its coordinates; ``coordinates`` sums these."""
         rows = np.array([f.rows(nu, degree).ravel() for f in self.functionals])
         return self.gram_inverse @ rows
-
-    def to_data(self):
-        return {
-            "flavor": self.flavor,
-            "weight": self.weight,
-            "augmented": self.augmented,
-            "condition": self.condition,
-            "gram": [[[z.real, z.imag] for z in row] for row in self.gram],
-            "functionals": [f.to_data() for f in self.functionals],
-        }
 
 
 def _chain_directions(elements, directions):

@@ -654,38 +654,17 @@ def _pair_conjugates(roots, pair_tol):
 # -- Jordan chains ------------------------------------------------------------
 
 
-def _null_spaces(T0, tol):
-    U, s, Vh = np.linalg.svd(T0)
-    scale = max(s.max(initial=0.0), 1.0)
-    small = s < tol * scale
-    right = Vh[small].conj().T  # columns span ker T0
-    left = U[:, small]  # columns span coker (left null space)
-    return right, left
-
-
-def _min_norm_solve(T0, b, tol):
-    """Minimum-norm solution of T0 x = b with singular values below the
-    null-space tolerance treated as exactly zero.
-
-    A machine-precision cutoff (plain lstsq) would happily invert a
-    numerically singular direction and return a huge spurious component in
-    the kernel's complement; truncating at the same tolerance used for
-    null-space detection keeps the solution orthogonal to ker T0.
-    """
-    Uh, s, V, _, _ = _truncated_svd(T0, tol)
-    return V @ ((Uh @ b) / s)
-
-
 def _truncated_svd(T0, tol):
-    """``(U^H, s, V, cutoff, dropped)``: the singular values at or above the
-    cutoff ``tol * max(sigma_max, 1)`` with their vectors, and the largest
-    dropped one (0 if none); ``V @ ((U^H @ b) / s)`` is the minimum-norm
-    solution."""
+    """``(U, s, Vh, keep, cutoff)``: the full SVD of T0 and the mask of the
+    singular values at or above the cutoff ``tol * max(sigma_max, 1)``.
+
+    With the kept values and vectors, ``V @ ((U^H @ b) / s)`` is the
+    minimum-norm solution of ``T0 x = b``; the dropped columns of ``V`` and
+    ``U`` span the kernel and the cokernel.
+    """
     U, s, Vh = np.linalg.svd(T0)
     cutoff = tol * max(s.max(initial=0.0), 1.0)
-    keep = s >= cutoff
-    dropped = float(s[~keep].max(initial=0.0))
-    return U[:, keep].conj().T, s[keep], Vh[keep].conj().T, float(cutoff), dropped
+    return U, s, Vh, s >= cutoff, float(cutoff)
 
 
 def jordan_chains(K, nu, multiplicity, tol=1e-8):
@@ -698,7 +677,15 @@ def jordan_chains(K, nu, multiplicity, tol=1e-8):
     """
     derivs = [t_hat(K, nu, q) for q in range(multiplicity + 1)]
     T0 = derivs[0]
-    right, left = _null_spaces(T0, tol)
+    # One SVD gives ker T0, coker T0 and the solver of the chain equations.
+    # The solver truncates at the null-space cutoff: a machine-precision one
+    # (plain lstsq) would invert a numerically singular direction and return
+    # a huge spurious component in the kernel's complement; truncating keeps
+    # every generalized vector orthogonal to ker T0.
+    U, s, Vh, keep, _ = _truncated_svd(T0, tol)
+    right = Vh[~keep].conj().T  # columns span ker T0
+    left = U[:, ~keep]  # columns span coker (left null space)
+    Uh, s, V = U[:, keep].conj().T, s[keep], Vh[keep].conj().T
     r = right.shape[1]
     if r == 0:
         raise RuntimeError("no kernel at the root; multiplicity/count mismatch")
@@ -729,7 +716,7 @@ def jordan_chains(K, nu, multiplicity, tol=1e-8):
                 b = rhs(chain, j)
             if not solvable(b, scale):
                 return False
-        e = _min_norm_solve(T0, b, tol)
+        e = V @ ((Uh @ b) / s)
         if np.linalg.norm(T0 @ e - b) > 10 * tol * (scale + np.linalg.norm(b)):
             return False
         chain.append(e)

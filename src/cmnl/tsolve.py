@@ -111,9 +111,11 @@ def inverse_series(series):
 def truncated_inverse(A, tol):
     """Minimum-norm solver of ``A c = b`` with singular values below
     ``tol * max(sigma_max, 1)`` truncated, and its truncation record."""
-    Uh, s, V, cutoff, dropped = _truncated_svd(A, tol)
-    kept = float(s.min()) if s.size else 0.0
-    return V @ (Uh / s[:, None]), (cutoff, kept, dropped)
+    U, s, Vh, keep, cutoff = _truncated_svd(A, tol)
+    kept = float(s[keep].min()) if keep.any() else 0.0
+    dropped = float(s[~keep].max(initial=0.0))
+    return (Vh[keep].conj().T @ (U[:, keep].conj().T / s[keep, None]),
+            (cutoff, kept, dropped))
 
 
 def solve_frequency(A, S, coeffs, tol, nu):
@@ -149,7 +151,7 @@ def t_series(K, nus, degree):
 def check_strip(nu, strip):
     """Reject a frequency outside the certified strip |Re nu| <= ``strip``."""
     if strip is not None and abs(nu.real) > strip + 1e-12:
-        raise ValueError(
+        raise RuntimeError(
             f"frequency {nu} lies outside the certified strip |Re| <= {strip}"
         )
 

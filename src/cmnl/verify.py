@@ -224,22 +224,6 @@ def _planar_trajectory(xs, ys):
 # reconstruction
 
 
-def _monomial_path(idx, coords, mu):
-    """``c^powers mu^mu`` along a coordinate path (vectorized JetIndex.monomial)."""
-    if len(mu) < len(idx.mu) and any(idx.mu[len(mu):]):
-        raise ValueError(
-            f"index needs {len(idx.mu)} parameter values, got {len(mu)}"
-        )
-    w = np.ones(coords.shape[0], dtype=complex)
-    for j, p in enumerate(idx.powers):
-        if p:
-            w = w * coords[:, j] ** p
-    for v, r in zip(mu, idx.mu):
-        if r:
-            w = w * v**r
-    return w
-
-
 def reconstruct(J, trajectory, mu=()):
     """Profile of the manifold along a coordinate trajectory.
 
@@ -253,7 +237,7 @@ def reconstruct(J, trajectory, mu=()):
     base = np.array([el.function.evaluate(0.0) for el in J.basis.elements])
     values = coords @ base
     for idx, psi in J.psi.items():
-        w = _monomial_path(idx, coords, mu)
+        w = idx.monomial(coords, mu)
         if np.any(w != 0.0):
             values = values + w[:, None] * psi.evaluate(0.0)[None, :]
     return GridProfile(trajectory.xs, values)
@@ -379,18 +363,17 @@ def residual(K, F, profile, mu=(), tail_tol=1e-10, require_convergence=False):
     if K.n != profile.n:
         raise ValueError("kernel dimension does not match the profile")
     h = profile.h
-    r_fine = _defect(K, F, xs, u, mu, tail_tol)
-    r_coarse = _defect(K, F, xs[::2], u[::2], mu, tail_tol)
-
     kernels = [K] + [k for t in F.terms
                      for k in (t.outer, *(kern for kern, _ in t.factors))
                      if k is not None]
     margin = max(_stencil_halfwidth(k, h, tail_tol) for k in kernels)
     margin_c = max(_stencil_halfwidth(k, 2 * h, tail_tol) for k in kernels)
     if 2 * margin >= len(xs) or 2 * margin_c >= len(xs[::2]):
-        raise ValueError(
+        raise RuntimeError(
             "grid too narrow: the convolution stencil covers the whole domain"
         )
+    r_fine = _defect(K, F, xs, u, mu, tail_tol)
+    r_coarse = _defect(K, F, xs[::2], u[::2], mu, tail_tol)
     diff = np.abs(r_fine[::2] - r_coarse).max(axis=1)
     quadrature_error = float(diff[margin_c:len(diff) - margin_c].max())
 
@@ -565,23 +548,39 @@ def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
 # planar limit systems from a computed reduction
 
 
-def _kept_entry(sf, powers, mu, slot, scale, tol):
-    """Coefficient at one kept slot; off-slot weight must vanish."""
-    idx = JetIndex(powers, mu)
-    vec = sf.field.get(idx)
-    if vec is None:
-        raise ValueError(f"scaled field misses the entry {powers}|{mu}")
-    off = np.abs(np.delete(vec, slot)).max() if len(vec) > 1 else 0.0
-    if off > tol * scale:
-        raise ValueError(
-            f"scaled entry {powers}|{mu} is not concentrated on slot {slot}"
+def _planar_coefficients(sf, expected, tol):
+    """Coefficients of the scaled field at ``expected`` = {index: slot}.
+
+    The kept entries must be exactly the expected ones, each concentrated on
+    its slot, and the first expected entry, the flow coupling ``A' = B``,
+    must be 1.  Returns ``(coefficients, scale)``, with ``scale`` the largest
+    kept magnitude, against which ``tol`` is relative.
+    """
+    extra = set(sf.field) - set(expected)
+    if extra:
+        raise RuntimeError(
+            f"unexpected resonant entries in the scaled field: {sorted(extra, key=JetIndex.graded_key)}"
         )
-    return complex(vec[slot])
+    scale = max(np.abs(v).max() for v in sf.field.values()) if sf.field else 1.0
+    coeffs = {}
+    for idx, slot in expected.items():
+        vec = sf.field.get(idx)
+        if vec is None:
+            raise RuntimeError(f"scaled field misses the entry {idx.powers}|{idx.mu}")
+        off = np.abs(np.delete(vec, slot)).max() if len(vec) > 1 else 0.0
+        if off > tol * scale:
+            raise RuntimeError(
+                f"scaled entry {idx.powers}|{idx.mu} is not concentrated on slot {slot}"
+            )
+        coeffs[idx] = complex(vec[slot])
+    if abs(coeffs[next(iter(expected))] - 1.0) > tol * scale:
+        raise RuntimeError("flow coupling A' = B is not normalized")
+    return coeffs, scale
 
 
 def _check_real(z, name, scale, tol):
     if abs(z.imag) > tol * scale:
-        raise ValueError(f"coefficient {name} is not real: {z}")
+        raise RuntimeError(f"coefficient {name} is not real: {z}")
     return float(z.real)
 
 
@@ -602,19 +601,7 @@ def planar_pulse_system(sf, tol=1e-8):
         JetIndex((2, 1, 0, 0), (0,)): 2,
         JetIndex((1, 2, 0, 0), (0,)): 3,
     }
-    extra = set(sf.field) - set(expected)
-    if extra:
-        raise ValueError(
-            f"unexpected resonant entries in the scaled field: {sorted(extra, key=JetIndex.graded_key)}"
-        )
-    scale = max(np.abs(v).max() for v in sf.field.values()) if sf.field else 1.0
-    coeffs = {
-        idx: _kept_entry(sf, idx.powers, idx.mu, slot, scale, tol)
-        for idx, slot in expected.items()
-    }
-    one = coeffs[JetIndex((0, 0, 1, 0), (0,))]
-    if abs(one - 1.0) > tol * scale:
-        raise ValueError("flow coupling A' = B is not normalized")
+    coeffs, scale = _planar_coefficients(sf, expected, tol)
     lin = coeffs[JetIndex((1, 0, 0, 0), (1,))]
     cub = coeffs[JetIndex((2, 1, 0, 0), (0,))]
     for idx, partner in (
@@ -622,11 +609,11 @@ def planar_pulse_system(sf, tol=1e-8):
         (JetIndex((1, 2, 0, 0), (0,)), cub),
     ):
         if abs(coeffs[idx] - np.conj(partner)) > tol * scale:
-            raise ValueError("conjugate entries of the scaled field disagree")
+            raise RuntimeError("conjugate entries of the scaled field disagree")
     lin = _check_real(lin, "lin", scale, tol)
     cub = _check_real(cub, "cub", scale, tol)
     if lin <= 0 or cub >= 0:
-        raise ValueError(
+        raise RuntimeError(
             f"pulse balance needs lin > 0 > cub, got lin={lin}, cub={cub}"
         )
     return lin, cub
@@ -643,9 +630,9 @@ def planar_front_system(J, tol=1e-8):
     """
     basis = J.basis
     if basis.size != 2 or J.nparams != 2:
-        raise ValueError("front extraction expects 2 coordinates, 2 parameters")
+        raise RuntimeError("front extraction expects 2 coordinates, 2 parameters")
     if max(abs(el.nu) for el in basis.elements) > 1e-6:
-        raise ValueError("front extraction expects the chain at frequency zero")
+        raise RuntimeError("front extraction expects the chain at frequency zero")
     sf = scale_field(J.field, (1, 2), 1.0, (2, 1))
     expected = {
         JetIndex((0, 1), (0, 0)): 0,
@@ -653,24 +640,12 @@ def planar_front_system(J, tol=1e-8):
         JetIndex((1, 0), (1, 0)): 1,
         JetIndex((3, 0), (0, 0)): 1,
     }
-    extra = set(sf.field) - set(expected)
-    if extra:
-        raise ValueError(
-            f"unexpected resonant entries in the scaled field: {sorted(extra, key=JetIndex.graded_key)}"
-        )
-    scale = max(np.abs(v).max() for v in sf.field.values()) if sf.field else 1.0
-    coeffs = {
-        idx: _kept_entry(sf, idx.powers, idx.mu, slot, scale, tol)
-        for idx, slot in expected.items()
-    }
-    one = coeffs[JetIndex((0, 1), (0, 0))]
-    if abs(one - 1.0) > tol * scale:
-        raise ValueError("flow coupling A' = B is not normalized")
+    coeffs, scale = _planar_coefficients(sf, expected, tol)
     g0 = _check_real(coeffs[JetIndex((0, 1), (0, 1))], "g0", scale, tol)
     ga = _check_real(coeffs[JetIndex((1, 0), (1, 0))], "ga", scale, tol)
     gb = _check_real(coeffs[JetIndex((3, 0), (0, 0))], "gb", scale, tol)
     if g0 >= 0 or ga >= 0 or gb <= 0:
-        raise ValueError(
+        raise RuntimeError(
             f"front balance needs g0, ga < 0 < gb, got ({g0}, {ga}, {gb})"
         )
     return -1.0 / g0, ga / g0, -gb / g0
@@ -683,11 +658,13 @@ def planar_front_system(J, tol=1e-8):
 def _pair_phases(J):
     """Carrier frequency of a conjugate-pair reduction, with sanity checks."""
     els = J.basis.elements
-    if len(els) != 4 or [el.partner for el in els] != [1, 0, 3, 2]:
-        raise ValueError("pulse driver expects a conjugate pair of chains")
+    if (len(els) != 4 or [el.partner for el in els] != [1, 0, 3, 2]
+            or J.nparams != 1):
+        raise RuntimeError(
+            "pulse driver expects a conjugate pair of chains and one parameter")
     ell = float(els[0].nu.imag)
     if ell <= 0 or abs(els[0].nu.real) > 1e-9:
-        raise ValueError("pulse driver expects imaginary pair frequencies")
+        raise RuntimeError("pulse driver expects imaginary pair frequencies")
     return ell
 
 

@@ -237,6 +237,33 @@ class TestProblemParsing:
         with pytest.raises(ProblemError, match="does not apply"):
             problem_from_data(data)
 
+    def test_verify_plan_numbers_are_positive_and_finite(self):
+        # a string step_x once reached the shooting and failed there with a
+        # TypeError traceback
+        for key, value in (("step_x", "abc"), ("step_x", 0.0), ("start", -1e-7),
+                           ("start", float("inf")), ("lambdas", [float("nan")])):
+            data = pair_problem_data()
+            data["verify"][key] = value
+            with pytest.raises(ProblemError, match=f"verify.{key}"):
+                problem_from_data(data)
+        data = front_problem_data()
+        data["verify"]["tol_reach"] = float("nan")
+        with pytest.raises(ProblemError, match="verify.tol_reach"):
+            problem_from_data(data)
+
+    def test_verify_plan_keys_that_are_not_used(self):
+        # tol_return was accepted and never passed on; step_x and start
+        # were accepted on front plans and ignored there
+        data = pair_problem_data()
+        data["verify"]["tol_return"] = 1e-30
+        with pytest.raises(ProblemError, match="unknown fields.*tol_return"):
+            problem_from_data(data)
+        for key in ("step_x", "start"):
+            data = front_problem_data()
+            data["verify"][key] = 0.5
+            with pytest.raises(ProblemError, match=f"verify.{key}' does not apply"):
+                problem_from_data(data)
+
     def test_projection_validation(self):
         data = saddle_problem_data()
         data["projection"] = {"flavor": "gram"}
@@ -393,6 +420,9 @@ class TestReduceCommand:
                              extra=["--order", "1"])
         assert code == 2
         assert "minimum order 2" in capsys.readouterr().err
+        code, _ = run_reduce(tmp_path, saddle_problem_data(order=4))
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
 
     def test_front_problem_emits_wave_coefficients(self, tmp_path):
         code, text = run_reduce(tmp_path, front_problem_data())
@@ -469,6 +499,46 @@ class TestVerifyCommand:
         path = write_problem(tmp_path, saddle_problem_data())
         assert main(["verify", path]) == 2
         assert "verify" in capsys.readouterr().err
+
+    def test_bad_plan_number_exits_2(self, tmp_path, capsys):
+        data = pair_problem_data()
+        data["verify"]["step_x"] = "abc"
+        assert main(["verify", write_problem(tmp_path, data)]) == 2
+        assert "verify.step_x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["pulse-on-front", "front-on-pair",
+                                      "pulse-with-two-parameters"])
+    def test_plan_the_reduction_does_not_fit_exits_1(self, tmp_path, capsys, case):
+        # the wave driver refuses the reduction: a numerical failure.  A
+        # second parameter once ended in scale_field's ValueError.
+        if case == "pulse-on-front":
+            data = front_problem_data()
+            data["verify"] = {"wave": "homoclinic", "lambdas": [1e-2]}
+        elif case == "front-on-pair":
+            data = pair_problem_data()
+            data["verify"] = {"wave": "front", "epsilon": 1e-2, "c_star": 1.1}
+        else:
+            data = pair_problem_data()
+            data["nonlinearity"]["terms"][0]["mu_power"] = [1, 1]
+        message = "front extraction" if case == "front-on-pair" else "pulse driver"
+        assert main(["verify", write_problem(tmp_path, data)]) == 1
+        assert f"{message} expects" in capsys.readouterr().err
+
+    def test_two_sample_front_exits_1(self, tmp_path, capsys):
+        # with tol_reach = 1 the shot stops after one step, and the residual
+        # grid once failed with an IndexError on the one-point coarse grid
+        data = front_problem_data()
+        data["verify"]["tol_reach"] = 1.0
+        assert main(["verify", write_problem(tmp_path, data)]) == 1
+        assert "grid too narrow" in capsys.readouterr().err
+
+    def test_linear_algebra_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("cmnl.cli.locate_roots", singular)
+        assert main(["spectrum", write_problem(tmp_path, saddle_problem_data())]) == 1
+        assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
 def package_env():

@@ -40,6 +40,7 @@ from cmnl.jet import (
 )
 from cmnl.kernel import GaussianMixture, SumKernel
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term
+from cmnl.problem import ProblemError
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
 from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
@@ -454,9 +455,9 @@ def test_order_validation():
     basis = kernel_basis(K, locate_roots(K))
     P = build_pointwise(basis)
     F = NonlinearitySpec(tuple(polynomial_terms([0.0, 0.0, -1.0])), max_order=3)
-    with pytest.raises(ValueError, match="minimum order 2"):
+    with pytest.raises(ProblemError, match="minimum order 2"):
         compute_jet(K, P, F, 1)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ProblemError, match="exceeds"):
         compute_jet(K, P, F, 4)
 
 
@@ -628,6 +629,20 @@ def test_evaluate_field_monomials():
     assert np.allclose(out, [1.0, 0.125, 0.0, 0.0])
 
 
+def test_missing_parameters_are_refused():
+    # the front jet has two parameters; evaluating it without them once
+    # took every missing parameter as 1, giving -0.27588 for the B entry
+    _, J, _ = build_front_jet()
+    coords = (0.1, 0.02)
+    assert evaluate_field(J.field, coords, (0.0, 0.0))[1] == pytest.approx(
+        0.00412, abs=1e-5)
+    for mu in ((), (0.0,)):
+        with pytest.raises(ValueError, match="needs 2 parameter values"):
+            evaluate_field(J.field, coords, mu)
+        with pytest.raises(ValueError, match="needs 2 parameter values"):
+            manifold_point(J, coords, mu)
+
+
 def test_scale_field_identity(pair_problem):
     K, P, F, J = pair_problem
     scaled = scale_field(J.field, (0.0,) * 4, 0.0, (0.0,))
@@ -664,5 +679,5 @@ def test_scale_field_pulse_balance(pair_problem):
 
 def test_scale_field_negative_balance_raises(pair_problem):
     K, P, F, J = pair_problem
-    with pytest.raises(ValueError, match="leading balance"):
+    with pytest.raises(RuntimeError, match="leading balance"):
         scale_field(J.field, (1.0,) * 4, 2.0, (2.0,))

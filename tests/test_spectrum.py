@@ -7,9 +7,12 @@ T phi = 0 through the exact convolution — a route independent of the
 linear-algebra used to build the chains.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
+from conftest import build_front_jet
 from conftest import critical_pair_kernel as conftest_pair_kernel
 from conftest import simple_zero_kernel, two_exponential_kernel
 
@@ -487,6 +490,100 @@ def test_two_singleton_chains():
     heads = sorted(np.argmax(np.abs(c[0])) for c in chains)
     assert heads == [0, 1]
     check_T_annihilates(K, 0.0, chains)
+
+
+def _reference_null_spaces(T0, tol):
+    U, s, Vh = np.linalg.svd(T0)
+    small = s < tol * max(s.max(initial=0.0), 1.0)
+    return Vh[small].conj().T, U[:, small]
+
+
+def _reference_min_norm_solve(T0, b, tol):
+    U, s, Vh = np.linalg.svd(T0)
+    keep = s >= tol * max(s.max(initial=0.0), 1.0)
+    return Vh[keep].conj().T @ ((U[:, keep].conj().T @ b) / s[keep])
+
+
+def reference_jordan_chains(K, nu, multiplicity, tol=1e-8):
+    """``jordan_chains`` as it was with one SVD for the null spaces and one
+    more per minimum-norm solve."""
+    derivs = [sp.t_hat(K, nu, q) for q in range(multiplicity + 1)]
+    T0 = derivs[0]
+    right, left = _reference_null_spaces(T0, tol)
+    r = right.shape[1]
+
+    def rhs(chain, j):
+        b = np.zeros(K.n, dtype=complex)
+        for q in range(1, j + 1):
+            b -= comb(j, q) * (derivs[q] @ chain[j - q])
+        return b
+
+    def solvable(b, scale):
+        return np.linalg.norm(left.conj().T @ b) <= 10 * tol * (scale + np.linalg.norm(b))
+
+    def extend(chain):
+        j = len(chain)
+        if j > multiplicity:
+            return False
+        b = rhs(chain, j)
+        scale = max(np.linalg.norm(T0, 2), 1.0)
+        if not solvable(b, scale):
+            if j >= 2 and r > 0:
+                A = j * (left.conj().T @ (derivs[1] @ right))
+                z, *_ = np.linalg.lstsq(A, left.conj().T @ b, rcond=None)
+                chain[j - 1] = chain[j - 1] + right @ z
+                b = rhs(chain, j)
+            if not solvable(b, scale):
+                return False
+        e = _reference_min_norm_solve(T0, b, tol)
+        if np.linalg.norm(T0 @ e - b) > 10 * tol * (scale + np.linalg.norm(b)):
+            return False
+        chain.append(e)
+        return True
+
+    if r == 1 or r == multiplicity:
+        seeds = [right[:, k] for k in range(r)]
+    else:
+        _, sw, Vwh = np.linalg.svd(left.conj().T @ (derivs[1] @ right))
+        seeds = [right @ Vwh[k].conj() for k in np.argsort(sw)]
+    chains = [[v] for v in seeds]
+    remaining = multiplicity - len(chains)
+    progress = True
+    while remaining > 0 and progress:
+        progress = False
+        for chain in chains:
+            if remaining == 0:
+                break
+            if extend(chain):
+                remaining -= 1
+                progress = True
+    assert remaining == 0
+    for chain in chains:
+        head = chain[0]
+        lead = head[np.argmax(np.abs(head) > 1e-8)]
+        factor = 1.0 / (np.linalg.norm(head) * lead / abs(lead))
+        for k in range(len(chain)):
+            chain[k] = chain[k] * factor
+    chains.sort(key=len, reverse=True)
+    return chains
+
+
+@pytest.mark.parametrize("case", ["pair+", "pair-", "simple-zero", "front"])
+def test_jordan_chains_match_reference(case):
+    # one SVD per root reads the same kernel, cokernel and truncated
+    # solver as the separate null-space and minimum-norm SVDs did
+    K, nu, mult = {
+        "pair+": (conftest_pair_kernel(), 1j, 2),
+        "pair-": (conftest_pair_kernel(), -1j, 2),
+        "simple-zero": (simple_zero_kernel(), 0.0, 1),
+        "front": (build_front_jet()[0], 0.0, 2),
+    }[case]
+    got = sp.jordan_chains(K, nu, mult)
+    want = reference_jordan_chains(K, nu, mult)
+    assert [len(c) for c in got] == [len(c) for c in want] == [mult]
+    for chain, ref in zip(got, want):
+        for e, e_ref in zip(chain, ref):
+            assert np.array_equal(e, e_ref)
 
 
 def test_chain_functions_shape():

@@ -171,7 +171,7 @@ def test_wrong_multiplicity_data_rejected():
 def test_frequency_outside_strip_rejected(pair_setup):
     K, P = pair_setup
     g = qp(1, 2.0, [1.0])
-    with pytest.raises(ValueError, match="strip"):
+    with pytest.raises(RuntimeError, match="strip"):
         solve(BorderedProblem(K, P, g))
 
 

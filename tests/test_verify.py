@@ -251,7 +251,7 @@ class TestResidual:
     def test_narrow_grid_raises(self):
         K = critical_pair_kernel()
         xs = np.arange(-10, 11) * 0.1
-        with pytest.raises(ValueError, match="too narrow"):
+        with pytest.raises(RuntimeError, match="too narrow"):
             residual(K, NO_NONLINEARITY, GridProfile(xs, np.zeros(len(xs))))
 
 
@@ -536,7 +536,7 @@ class TestPlanarExtraction:
 
     def test_front_extraction_rejects_pair_reduction(self, pair):
         _, J = pair
-        with pytest.raises(ValueError, match="2 coordinates"):
+        with pytest.raises(RuntimeError, match="2 coordinates"):
             planar_front_system(J)
 
     def _valid_pulse_field(self):
@@ -566,20 +566,20 @@ class TestPlanarExtraction:
     def test_pulse_extraction_rejects_extra_entries(self):
         fld = self._valid_pulse_field()
         fld[JetIndex((1, 1, 0, 0), (0,))] = np.array([0, 0, 1.0, 0], complex)
-        with pytest.raises(ValueError, match="unexpected resonant"):
+        with pytest.raises(RuntimeError, match="unexpected resonant"):
             planar_pulse_system(self._wrap(fld))
 
     def test_pulse_extraction_rejects_complex_coefficients(self):
         fld = self._valid_pulse_field()
         fld[JetIndex((1, 0, 0, 0), (1,))] = np.array([0, 0, 2 + 1j, 0])
-        with pytest.raises(ValueError, match="conjugate|not real"):
+        with pytest.raises(RuntimeError, match="conjugate|not real"):
             planar_pulse_system(self._wrap(fld))
 
     def test_pulse_extraction_rejects_defocusing_sign(self):
         fld = self._valid_pulse_field()
         fld[JetIndex((2, 1, 0, 0), (0,))] = np.array([0, 0, 2.0, 0], complex)
         fld[JetIndex((1, 2, 0, 0), (0,))] = np.array([0, 0, 0, 2.0], complex)
-        with pytest.raises(ValueError, match="lin > 0 > cub"):
+        with pytest.raises(RuntimeError, match="lin > 0 > cub"):
             planar_pulse_system(self._wrap(fld))
 
 
@@ -657,7 +657,7 @@ class TestPulseDrivers:
 
     def test_rejects_front_reduction(self, front):
         _, J, _ = front
-        with pytest.raises(ValueError, match="conjugate pair"):
+        with pytest.raises(RuntimeError, match="conjugate pair"):
             pulse_profile(J, 1e-2)
 
 
