@@ -7,7 +7,8 @@ additionally writes plot-ready CSV profiles under ``--csv``.
 
 Reports are byte-stable: keys sorted, floats printed with 17 significant
 digits, LF line endings; re-parsing and re-serializing a report reproduces
-it byte for byte.
+it byte for byte.  Complex ``ndarray`` leaves are written as the nested
+``[re, im]`` lists that the re-parsed report holds.
 
 Exit codes: 0 success, 1 numerical failure (``RuntimeError`` or
 ``LinAlgError``: solver residuals above ``--tol-solve``, failed shooting,
@@ -16,6 +17,7 @@ scaling or planar extraction, failed scaling certification), 2 input error
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,34 +48,62 @@ def _format_number(x):
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=1024)
+def _array_template(shape, level):
+    """%-template writing a complex array of ``shape`` as nested lists of
+    ``[re, im]`` pairs, laid out as ``_serialize`` lays out lists."""
+    if shape and shape[0] == 0:
+        return "[]"
+    inner = "  " * (level + 1)
+    row = _array_template(shape[1:], level + 1) if shape else "%.17g"
+    body = ",\n".join([inner + row] * (shape[0] if shape else 2))
+    return "[\n" + body + "\n" + "  " * level + "]"
+
+
 def _serialize(obj, level):
+    kind = type(obj)
+    # the exact types first: nearly every value of a report has one
+    if kind is float:
+        return _format_number(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is np.ndarray and obj.dtype == complex:
+        # ``+ 0.0`` writes -0.0 as 0, as ``_format_number`` does
+        values = np.ascontiguousarray(obj).view(float).ravel() + 0.0
+        text = _array_template(obj.shape, level) % tuple(values.tolist())
+        if "n" in text:  # %.17g writes a letter n only in inf and nan
+            raise RuntimeError("non-finite value in report")
+        return text
+    if kind is not dict and kind is not list:
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, float)):
+            return _format_number(obj)
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if not isinstance(obj, (list, tuple, dict)):
+            raise TypeError(f"cannot serialize {type(obj).__name__} in report")
     pad = "  " * level
     inner = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return _format_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(inner + _serialize(v, level + 1) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, dict):
-        items = []
-        for k in sorted(obj):
-            if not isinstance(k, str):
-                raise TypeError("report keys must be strings")
-            items.append(
-                inner + json.dumps(k) + ": " + _serialize(obj[k], level + 1)
-            )
-        if not items:
+        if not obj:
             return "{}"
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} in report")
+        body = ",\n".join([inner + _key(k) + ": " + _serialize(obj[k], level + 1)
+                           for k in sorted(obj)])
+        return "{\n" + body + "\n" + pad + "}"
+    if not obj:
+        return "[]"
+    body = ",\n".join([inner + _serialize(v, level + 1) for v in obj])
+    return "[\n" + body + "\n" + pad + "]"
+
+
+@functools.lru_cache(maxsize=1024)
+def _key(k):
+    if not isinstance(k, str):
+        raise TypeError("report keys must be strings")
+    return json.dumps(k)
 
 
 def canonical_json(obj):

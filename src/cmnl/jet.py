@@ -26,8 +26,11 @@ kernel transforms at the points the right-hand sides reach.  The same
 quasi-polynomials drive these operations.  ``_Solver`` keeps one solve
 operator per (point, degree): block back-substitution off the roots, a
 truncated SVD at a root (its singular-value gap goes to ``root_blocks``).
-The residual ``u + K*u + g`` is one block matvec per point, and the
-coordinates are one row matrix per point from the projection's functionals.
+The right-hand sides of one order depend only on lower orders, so the
+whole order is solved at once: the (index, point) pairs are stacked per
+(point, degree), and each stack gets one solve, one coordinate product,
+one residual matvec and one flow product.  A stacked product is one
+matrix-vector product per pair, so every pair keeps the bits of its own.
 
 The reduced field is obtained by differentiating the translation flow at
 time zero.  Shifting a quasi-polynomial and projecting commutes with
@@ -55,7 +58,7 @@ from .kernel import apply_T, convolution_matrix, taylor_transforms
 # wraps cmnl.jet.apply_term and cmnl.jet.solve by name
 from .nonlin import apply_series, apply_term, walk_outer, walk_slots  # noqa: F401
 from .problem import ProblemError
-from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial
+from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial, kept_rows
 from .tsolve import (  # noqa: F401
     BLOCK_TOL, ROOT_MATCH_TOL, block_operator, check_strip, solve, solve_frequency)
 
@@ -146,24 +149,22 @@ class JetResult:
         return sorted(self.field, key=JetIndex.graded_key)
 
     def to_data(self):
-        entries = []
-        for idx in self.indices():
-            entries.append(
-                {
-                    "index": idx.to_data(),
-                    "psi": self.psi[idx].to_data(),
-                    "residual": self.diagnostics[idx],
-                }
-            )
-        fld = []
-        for idx in self.field_indices():
-            vec = self.field[idx]
-            fld.append(
-                {
-                    "index": idx.to_data(),
-                    "coeff": [[float(z.real), float(z.imag)] for z in vec],
-                }
-            )
+        """Report data.  The psi blocks (``terms[k]["poly"]``) and the field
+        vectors stay complex arrays; ``cli.canonical_json`` writes them as
+        nested lists of ``[re, im]`` pairs."""
+        entries = [
+            {
+                "index": idx.to_data(),
+                "psi": {"n": self.psi[idx].n,
+                        "terms": [{"nu": [nu.real, nu.imag], "poly": c}
+                                  for nu, c in self.psi[idx].terms]},
+                "residual": self.diagnostics[idx],
+            }
+            for idx in self.indices()
+        ]
+        fld = [{"index": idx.to_data(),
+                "coeff": np.asarray(self.field[idx], dtype=complex)}
+               for idx in self.field_indices()]
         return {
             "order": self.order,
             "weights": list(self.weights),
@@ -262,21 +263,32 @@ def _add_rows(acc, rows, scale):
         _accumulate(acc, i, scale * c)
 
 
-def _trim(rows):
-    """Rows without the coefficients below ``TRIM_REL`` of the largest
-    magnitude, trimmed as ``QuasiPolynomial`` trims its terms."""
-    mags = {i: np.abs(c).max(axis=1) for i, c in rows.items()}
-    scale = max((m.max() for m in mags.values()), default=0.0)
-    out = {}
-    for i, m in mags.items():
-        keep = np.flatnonzero(m > TRIM_REL * scale)
-        if keep.size:
-            out[i] = rows[i][: keep[-1] + 1]
+def _trim(rowsets):
+    """Each row set without the coefficients below ``TRIM_REL`` of its own
+    largest magnitude, as ``QuasiPolynomial`` trims; one pass over all rows."""
+    items = [(j, i, c) for j, rows in enumerate(rowsets) for i, c in rows.items()]
+    out = [{} for _ in rowsets]
+    if items:
+        sizes = [c.shape[0] for _, _, c in items]
+        owner = np.repeat([j for j, _, _ in items], sizes)
+        mags = np.abs(np.concatenate([c for _, _, c in items])).max(axis=1)
+        scale = np.zeros(len(rowsets))
+        np.maximum.at(scale, owner, mags)
+        for (j, i, c), k in zip(items, kept_rows(mags, TRIM_REL * scale[owner], sizes)):
+            if k:
+                out[j][i] = c[:k]
     return out
 
 
-def _max_coeff(rows):
-    return max((float(np.abs(c).max()) for c in rows.values()), default=0.0)
+def _stacks(rowsets):
+    """``[(point, js, stack)]``: the arrays of the row sets stacked per
+    (point, rows), ``js`` the numbers of their sets."""
+    groups = {}
+    for j, rows in enumerate(rowsets):
+        for i, c in rows.items():
+            groups.setdefault((i, c.shape[0]), []).append((j, c))
+    return [(i, [j for j, _ in m], np.array([c for _, c in m]))
+            for (i, _), m in groups.items()]
 
 
 class _Rows:
@@ -411,29 +423,51 @@ class _Solver:
             op = self._ops[i, D] = (A, S)
         return op
 
-    def solve(self, g):
-        """Rows of u with u + K*u + g = 0 and zero coordinates."""
+    def solve(self, gs):
+        """Rows of each u with u + K*u + g = 0 and zero coordinates: one
+        stacked solve per (point, degree), then the basis combination that
+        zeroes the coordinates, added to each stack at a basis point."""
         points = self.rows.lattice.points
-        u = {}
-        for i, c in g.items():
-            A, S = self._operator(i, c.shape[0] - 1 + self.alpha[i])
-            u[i] = solve_frequency(A, S, c, self.tol, points[i])
-        for delta, b in zip(-self.coordinates(u), self.basis):
-            if delta != 0:
-                _add_rows(u, b, delta)
-        return u
+        us = [dict.fromkeys(g) for g in gs]
+        stacks = {}
+        for i, js, G in _stacks(gs):
+            A, S = self._operator(i, G.shape[1] - 1 + self.alpha[i])
+            U = solve_frequency(A, S, G, self.tol, points[i])
+            for j, c in zip(js, U):
+                us[j][i] = c
+            stacks.setdefault(i, []).append((js, U))
+        for b, delta in zip(self.basis, -self.coordinates(us).T):
+            for i, c in b.items():
+                for js, U in stacks.get(i, ()):
+                    sel = np.flatnonzero(delta[js])
+                    U[sel, : c.shape[0]] += delta[js][sel, None, None] * c
+                for j in np.flatnonzero(delta).tolist():
+                    if i not in gs[j]:
+                        _accumulate(us[j], i, delta[j] * c)
+        return us
 
-    def residual(self, u, g):
-        """max |u + K*u + g| / (1 + max |g|), one block matvec per point."""
-        worst = 0.0
-        for i, c in u.items():
-            r = c + (self.rows.conv_matrix(self.K, i, c.shape[0] - 1)
-                     @ c.ravel()).reshape(c.shape)
-            gi = g.get(i)
-            if gi is not None:
-                r[: gi.shape[0]] += gi
-            worst = max(worst, float(np.abs(r).max()))
-        return worst / (1.0 + _max_coeff(g))
+    def residual(self, us, gs):
+        """max |u + K*u + g| / (1 + max |g|) of each pair, one stacked block
+        matvec per (point, rows of u, rows of g); rows of g beyond u count
+        in full."""
+        none = np.zeros((0, self.K.n), dtype=complex)
+        groups = {}
+        for j, (u, g) in enumerate(zip(us, gs)):
+            for i in u.keys() | g.keys():
+                c, gi = u.get(i, none), g.get(i, none)
+                groups.setdefault((i, c.shape[0], gi.shape[0]), []).append((j, c, gi))
+        worst, gmax = np.zeros(len(us)), np.zeros(len(us))
+        for (i, du, dg), m in groups.items():
+            js = [j for j, _, _ in m]
+            U, G = np.array([c for _, c, _ in m]), np.array([g for _, _, g in m])
+            r = np.zeros((len(js), max(du, dg), self.K.n), dtype=complex)
+            if du:
+                M = self.rows.conv_matrix(self.K, i, du - 1)
+                r[:, :du] = U + (M[None] @ U.reshape(len(js), -1, 1)).reshape(U.shape)
+            r[:, :dg] += G
+            worst[js] = np.maximum(worst[js], np.abs(r).max(axis=(1, 2)))
+            gmax[js] = np.maximum(gmax[js], np.abs(G).max(axis=(1, 2), initial=0.0))
+        return (worst / (1.0 + gmax)).tolist()
 
     def _coordinate_rows(self, i, degree):
         n = self.K.n
@@ -447,11 +481,20 @@ class _Solver:
             have = self._coords[i] = (R, R @ np.kron(deriv, np.eye(n)))
         return have[0][:, :cols], have[1][:, :cols]
 
-    def coordinates(self, u, flow=False):
-        """Projection coordinates of u, or of u' with ``flow``."""
-        out = np.zeros(self.P.basis.size, dtype=complex)
-        for i, c in u.items():
-            out += self._coordinate_rows(i, c.shape[0] - 1)[flow] @ c.ravel()
+    def coordinates(self, us, flow=False):
+        """Projection coordinates of each u, or of u' with ``flow``: one
+        stacked row-matrix product per (point, degree), the partials of each
+        u added in its own point order."""
+        place = {(j, i): p for j, u in enumerate(us) for p, i in enumerate(u)}
+        parts = np.zeros((max(map(len, us), default=0), len(us), self.P.basis.size),
+                         dtype=complex)
+        for i, js, C in _stacks(us):
+            R = self._coordinate_rows(i, C.shape[1] - 1)[flow]
+            C = C.reshape(len(js), -1, 1)
+            parts[[place[j, i] for j in js], js] = (R[None] @ C)[..., 0]
+        out = np.zeros(parts.shape[1:], dtype=complex)
+        for p in parts:
+            out += p
         return out
 
 
@@ -561,7 +604,7 @@ def compute_jet(K, projection, F, order, weights=None):
     pieces, fld = [], {}
     for i, b in enumerate(solver.basis):
         pieces.append(_Piece(_unit(M, i), zero_rho, b, 1))
-        fld[JetIndex(_unit(M, i), zero_rho)] = solver.coordinates(b, flow=True)
+        fld[JetIndex(_unit(M, i), zero_rho)] = solver.coordinates([b], flow=True)[0]
     psi, diagnostics, vanished = {}, {}, []
 
     for o in range(2, order + 1):
@@ -575,18 +618,19 @@ def compute_jet(K, projection, F, order, weights=None):
                 continue
             for key, g in _term_rhs(t, pieces, budget, rho_t, rows).items():
                 _add_rows(rhs.setdefault(key, {}), g, 1.0)
-        rhs = {key: _trim(g) for key, g in rhs.items()}
+        rhs = dict(zip(rhs, _trim(list(rhs.values()))))
         solver.prefetch(rhs.values())
-        for key in sorted(rhs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1])):
-            g = rhs[key]
+        keys = sorted(rhs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1]))
+        vanished += [JetIndex(*key) for key in keys if not rhs[key]]
+        keys = [key for key in keys if rhs[key]]
+        gs = [rhs[key] for key in keys]
+        us = _trim(solver.solve(gs))
+        for key, u, r, f in zip(keys, us, solver.residual(us, gs),
+                                solver.coordinates(us, flow=True)):
             idx = JetIndex(*key)
-            if not g:
-                vanished.append(idx)
-                continue
-            u = _trim(solver.solve(g))
             psi[idx] = rows.to_quasi(u)
-            diagnostics[idx] = solver.residual(u, g)
-            fld[idx] = solver.coordinates(u, flow=True)
+            diagnostics[idx] = r
+            fld[idx] = f
             pieces.append(_Piece(key[0], key[1], u, o))
 
     blocks = sorted(solver.root_blocks,

@@ -30,6 +30,8 @@ canonical objects, so equality of canonical data is meaningful.
 """
 
 import cmath
+from bisect import bisect_left
+from itertools import accumulate
 from math import comb, factorial
 
 import numpy as np
@@ -53,6 +55,18 @@ def _as_coeff_array(poly, n):
     if arr.ndim != 2 or arr.shape[1] != n:
         raise ValueError(f"coefficient array must have shape (deg+1, {n})")
     return arr
+
+
+def kept_rows(mags, thr, sizes):
+    """Rows to keep of each run of ``sizes`` rows of ``mags``: through the
+    run's last row above ``thr`` (a scalar, or one value per row)."""
+    kept = np.flatnonzero(mags > thr).tolist()
+    out, start = [], 0
+    for size in sizes:
+        k = bisect_left(kept, start + size)
+        out.append(kept[k - 1] + 1 - start if k and kept[k - 1] >= start else 0)
+        start += size
+    return out
 
 
 class QuasiPolynomial:
@@ -117,7 +131,7 @@ class QuasiPolynomial:
                     break
             else:
                 clusters.append([nu])
-        merged = []
+        nus, totals = [], []
         for cl in clusters:
             arrays = [c for nu in cl for c in groups[nu]]
             nu = cl[0]
@@ -128,24 +142,24 @@ class QuasiPolynomial:
                 if wmax > 0:
                     # Normalized so that extreme coefficient magnitudes
                     # cannot overflow the weighted mean.
-                    nus = [v for v in cl for _ in groups[v]]
-                    nu = complex(np.average(nus, weights=weights / wmax))
-            deg1 = max(c.shape[0] for c in arrays)
-            total = np.zeros((deg1, arrays[0].shape[1]), dtype=complex)
-            for c in arrays:
-                total[: c.shape[0]] += c
-            merged.append((nu, total, np.abs(total).max(axis=1)))
-        # Trim against the global coefficient scale.
-        scale = max((mags.max() if mags.size else 0.0) for _, _, mags in merged)
-        if scale == 0.0:
-            return []
-        thr = TRIM_REL * scale
-        out = []
-        for nu, coeffs, mags in merged:
-            keep = np.nonzero(mags > thr)[0]
-            if keep.size == 0:
-                continue
-            out.append((nu, coeffs[: keep[-1] + 1]))
+                    nus_cl = [v for v in cl for _ in groups[v]]
+                    nu = complex(np.average(nus_cl, weights=weights / wmax))
+            total = arrays[0]
+            if len(arrays) > 1:
+                total = np.zeros((max(c.shape[0] for c in arrays),
+                                  arrays[0].shape[1]), dtype=complex)
+                for c in arrays:
+                    total[: c.shape[0]] += c
+            nus.append(nu)
+            totals.append(total)
+        # One fresh buffer, ``+ 0.0`` rounding as a sum started from zero;
+        # trimmed against the global coefficient scale.
+        rows = np.concatenate(totals) + 0.0
+        mags = np.abs(rows).max(axis=1)
+        sizes = [c.shape[0] for c in totals]
+        keep = kept_rows(mags, TRIM_REL * mags.max(initial=0.0), sizes)
+        starts = accumulate(sizes, initial=0)
+        out = [(nu, rows[s: s + k]) for nu, s, k in zip(nus, starts, keep) if k]
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         return out
 
@@ -277,33 +291,7 @@ class QuasiPolynomial:
                 out += w[q] * coeffs[q]
         return out
 
-    # -- serialization / comparison ------------------------------------------
-
-    def to_data(self):
-        """JSON-ready dict: {"n": n, "terms": [{"nu": [re, im], "poly": ...}]}.
-
-        ``poly`` is a list over polynomial degree (constant first) of lists of
-        ``[re, im]`` pairs, one pair per vector component.
-        """
-        terms = []
-        for nu, coeffs in self.terms:
-            poly = [
-                [[float(c.real), float(c.imag)] for c in row] for row in coeffs
-            ]
-            terms.append({"nu": [float(nu.real), float(nu.imag)], "poly": poly})
-        return {"n": self.n, "terms": terms}
-
-    @classmethod
-    def from_data(cls, data):
-        n = int(data["n"])
-        terms = []
-        for t in data["terms"]:
-            nu = complex(t["nu"][0], t["nu"][1])
-            rows = [
-                [complex(pair[0], pair[1]) for pair in row] for row in t["poly"]
-            ]
-            terms.append((nu, np.array(rows, dtype=complex).reshape(-1, n)))
-        return cls(n, terms)
+    # -- display -----------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:

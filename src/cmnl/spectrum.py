@@ -200,8 +200,10 @@ def _rect_points(re0, re1, im0, im1, per_side=12, spacing=MAX_SPACING):
 
 
 def count_in_rectangle(K, re0, re1, im0, im1):
-    """Number of characteristic roots (with multiplicity) in the open rectangle."""
-    points = _rect_points(re0, re1, im0, im1)
+    """Number of characteristic roots (with multiplicity) in the open rectangle,
+    sampled at most half its width apart (see ``_rect_points``)."""
+    points = _rect_points(re0, re1, im0, im1,
+                          spacing=min(MAX_SPACING, 0.5 * (re1 - re0)))
     return winding_number(lambda nu: char_value(K, nu), points)
 
 

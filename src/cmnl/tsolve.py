@@ -22,7 +22,8 @@ The scaled system is block Toeplitz.  ``block_operator`` turns it into one
 solve matrix per (frequency, degree): off the roots, block back-substitution
 with one inverse of the diagonal block (``inverse_series``); at a root, the
 truncated SVD, whose cutoff and singular-value gap it reports.  ``solve``
-and ``compute_jet`` both solve each frequency through ``solve_frequency``.
+and ``compute_jet`` both solve through ``solve_frequency``, which takes a
+stack of right-hand sides at one frequency and degree.
 """
 
 from dataclasses import dataclass
@@ -119,26 +120,28 @@ def truncated_inverse(A, tol):
 
 
 def solve_frequency(A, S, coeffs, tol, nu):
-    """Solve the block system for one frequency of g.
+    """Solve the block systems of a stack of right-hand sides at one frequency.
 
-    ``coeffs`` is the (q+1, n) polynomial part of g at ``nu``; ``A`` and
-    ``S`` come from ``block_operator`` at the ansatz degree D = q + alpha.
-    Returns the (D+1, n) coefficients of u at ``nu``.
+    ``coeffs`` is the (k, q+1, n) stack of polynomial parts of k right-hand
+    sides at ``nu``; ``A`` and ``S`` come from ``block_operator`` at the
+    ansatz degree D = q + alpha.  Returns the (k, D+1, n) solutions, each by
+    its own matrix-vector product, so stacking does not change its bits.
     """
-    n = coeffs.shape[1]
+    k, q1, n = coeffs.shape
     D1 = A.shape[0] // n
     fact = np.array([float(factorial(j)) for j in range(D1)])
-    b = np.zeros((D1, n), dtype=complex)
-    b[: coeffs.shape[0]] = -fact[: coeffs.shape[0], None] * coeffs
-    b = b.ravel()
-    c = S @ b
+    b = np.zeros((k, D1, n), dtype=complex)
+    b[:, :q1] = -fact[:q1, None] * coeffs
+    b = b.reshape(k, -1, 1)
+    c = S[None] @ b
     # ``not <=`` also rejects a NaN from a singular diagonal block
-    if not np.linalg.norm(A @ c - b) <= 10 * tol * (1 + np.linalg.norm(b)):
+    if not (np.linalg.norm((A[None] @ c - b)[..., 0], axis=1)
+            <= 10 * tol * (1 + np.linalg.norm(b[..., 0], axis=1))).all():
         raise RuntimeError(
             f"inconsistent compatibility condition at frequency {nu}: the "
             "multiplicity data does not match the kernel"
         )
-    return c.reshape(D1, n) / fact[:, None]
+    return c.reshape(k, D1, n) / fact[:, None]
 
 
 def t_series(K, nus, degree):
@@ -181,7 +184,7 @@ def solve(problem, tol=BLOCK_TOL):
     terms = []
     for (nu, coeffs, alpha), ser in zip(plan, series):
         A, S, _ = block_operator(ser[: coeffs.shape[0] + alpha], alpha, tol)
-        terms.append((nu, solve_frequency(A, S, coeffs, tol, nu)))
+        terms.append((nu, solve_frequency(A, S, coeffs[None], tol, nu)[0]))
     u = QuasiPolynomial(K.n, terms)
     deltas = problem.target_coords - P.coordinates(u)
     for delta, el in zip(deltas, basis.elements):

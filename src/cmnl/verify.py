@@ -145,15 +145,6 @@ class ResidualReport:
     xs: np.ndarray
     values: np.ndarray
 
-    def to_data(self):
-        return {
-            "max": self.max_norm,
-            "l2": self.l2_norm,
-            "quadrature_error": self.quadrature_error,
-            "converged": self.converged,
-            "margin": self.margin,
-        }
-
 
 @dataclass
 class ShootingResult:

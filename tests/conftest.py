@@ -7,6 +7,7 @@ from cmnl.jet import compute_jet
 from cmnl.kernel import ExponentialMixture, GaussianMixture
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.projection import build_pointwise, kernel_basis
+from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
 
 SQRT_PI = np.sqrt(np.pi)
@@ -15,6 +16,29 @@ SQRT_PI = np.sqrt(np.pi)
 # repeats; nothing is read from or written to an example database.
 settings.register_profile("repeatable", derandomize=True, deadline=None, database=None)
 settings.load_profile("repeatable")
+
+
+def quasi_to_data(f):
+    """The nested-list layout of a quasi-polynomial in ``cm reduce`` reports:
+    {"n": n, "terms": [{"nu": [re, im], "poly": ...}]}, ``poly`` a list over
+    degree (constant first) of lists of ``[re, im]`` pairs, one per component.
+    """
+    terms = []
+    for nu, coeffs in f.terms:
+        poly = [[[float(c.real), float(c.imag)] for c in row] for row in coeffs]
+        terms.append({"nu": [float(nu.real), float(nu.imag)], "poly": poly})
+    return {"n": f.n, "terms": terms}
+
+
+def quasi_from_data(data):
+    """The quasi-polynomial of ``quasi_to_data`` output (or its JSON)."""
+    n = int(data["n"])
+    terms = []
+    for t in data["terms"]:
+        rows = [[complex(pair[0], pair[1]) for pair in row] for row in t["poly"]]
+        terms.append((complex(t["nu"][0], t["nu"][1]),
+                      np.array(rows, dtype=complex).reshape(-1, n)))
+    return QuasiPolynomial(n, terms)
 
 
 def scaled_gaussian(c, a=1.0, b=0.0):

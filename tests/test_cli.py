@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SQRT_PI, critical_pair_kernel, two_exponential_kernel
+from conftest import (
+    SQRT_PI,
+    build_pair_jet,
+    critical_pair_kernel,
+    quasi_to_data,
+    two_exponential_kernel,
+)
 
 import cmnl
 from cmnl.cli import canonical_json, main, write_profile_csv
@@ -303,6 +309,43 @@ class TestCanonicalJson:
         with pytest.raises(RuntimeError, match="non-finite"):
             canonical_json({"x": float("nan")})
 
+    @pytest.mark.parametrize("shape", [(4,), (5, 1), (3, 3), (0, 2)])
+    def test_complex_arrays_write_as_nested_pairs(self, shape):
+        # an array leaf gives the bytes of its [re, im] lists
+        rng = np.random.default_rng(5)
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        arr *= 10.0 ** rng.integers(-300, 300, size=shape)
+        if arr.size:
+            arr.flat[0] = complex(-0.0, 5e-324)
+            arr.flat[-1] = complex(-5e-324, -0.0)
+
+        def pairs(a):
+            if a.ndim > 1:
+                return [pairs(row) for row in a]
+            return [[float(z.real), float(z.imag)] for z in a]
+
+        for wrap in (lambda v: v, lambda v: {"b": [1, {"a": v}], "c": 0.5}):
+            assert canonical_json(wrap(arr)) == canonical_json(wrap(pairs(arr)))
+
+    def test_jet_arrays_write_as_the_list_layout(self):
+        # ``JetResult.to_data`` hands its coefficient blocks over as arrays
+        _, J = build_pair_jet(order=5)
+        data = J.to_data()
+        lists = dict(data)
+        lists["psi"] = [dict(e, psi=quasi_to_data(J.psi[idx]))
+                        for e, idx in zip(data["psi"], J.indices())]
+        lists["field"] = [
+            dict(e, coeff=[[float(z.real), float(z.imag)] for z in J.field[idx]])
+            for e, idx in zip(data["field"], J.field_indices())
+        ]
+        assert canonical_json(data) == canonical_json(lists)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, float("inf")),
+                                     complex(-float("inf"), 1.0)])
+    def test_non_finite_array_raises(self, bad):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            canonical_json({"x": np.array([1.0 + 1.0j, bad])})
+
 
 # ---------------------------------------------------------------------------
 # commands
@@ -438,6 +481,22 @@ class TestReduceCommand:
         assert canonical_json(json.loads(text)) == text
         code2, text2 = run_reduce(tmp_path, pair_problem_data())
         assert text2 == text
+
+    def test_order_five_report_reparses_byte_identical(self, tmp_path):
+        data = pair_problem_data()
+        data["order"] = 5
+        code, text = run_reduce(tmp_path, data)
+        assert code == 0
+        assert canonical_json(json.loads(text)) == text
+
+    def test_order_nine_pair_fails_the_solve_tolerance(self, tmp_path, capsys):
+        # the trimmed solutions at +-7i are shorter than their right-hand
+        # sides; their residuals used to end in a broadcasting traceback
+        data = pair_problem_data()
+        data["order"] = data["nonlinearity"]["max_order"] = 9
+        code, _ = run_reduce(tmp_path, data)
+        assert code == 1
+        assert "bordered-solve residuals exceed tol-solve" in capsys.readouterr().err
 
     def test_tiny_solve_tolerance_fails_numerically(self, tmp_path, capsys):
         code, _ = run_reduce(tmp_path, pair_problem_data(),

@@ -24,11 +24,14 @@ from conftest import (
     project,
     simple_zero_kernel,
 )
+from cmnl import jet
 from cmnl.jet import (
     JetIndex,
     _Lattice,
     _Piece,
     _Rows,
+    _Solver,
+    _add_rows,
     _slot_multisets,
     _term_rhs,
     _unit,
@@ -42,8 +45,9 @@ from cmnl.kernel import GaussianMixture, SumKernel
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term
 from cmnl.problem import ProblemError
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
-from cmnl.quasipoly import QuasiPolynomial
+from cmnl.quasipoly import TRIM_REL, QuasiPolynomial
 from cmnl.spectrum import locate_roots
+from cmnl.tsolve import solve_frequency
 
 
 def kappa(K, m, j):
@@ -590,6 +594,101 @@ def test_front_frequencies_are_one_value():
     _, J, _ = build_front_jet(order=5)
     freqs = {f for u in J.psi.values() for f in u.frequencies}
     assert len(freqs) == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked solves against the per-index reference
+
+
+class _PerIndexSolver(_Solver):
+    """Bordered solves, residuals and coordinates one right-hand side and one
+    point at a time: the reference for the stacked ``_Solver``."""
+
+    def solve(self, gs):
+        points = self.rows.lattice.points
+        us = []
+        for g in gs:
+            u = {}
+            for i, c in g.items():
+                A, S = self._operator(i, c.shape[0] - 1 + self.alpha[i])
+                u[i] = solve_frequency(A, S, c[None], self.tol, points[i])[0]
+            for delta, b in zip(-self.coordinates([u])[0], self.basis):
+                if delta != 0:
+                    _add_rows(u, b, delta)
+            us.append(u)
+        return us
+
+    def residual(self, us, gs):
+        out = []
+        for u, g in zip(us, gs):
+            worst = 0.0
+            for i, c in u.items():
+                r = c + (self.rows.conv_matrix(self.K, i, c.shape[0] - 1)
+                         @ c.ravel()).reshape(c.shape)
+                gi = g.get(i)
+                if gi is not None:
+                    r[: gi.shape[0]] += gi
+                worst = max(worst, float(np.abs(r).max()))
+            out.append(worst / (1.0 + max(float(np.abs(c).max()) for c in g.values())))
+        return out
+
+    def coordinates(self, us, flow=False):
+        out = np.zeros((len(us), self.P.basis.size), dtype=complex)
+        for j, u in enumerate(us):
+            for i, c in u.items():
+                out[j] += self._coordinate_rows(i, c.shape[0] - 1)[flow] @ c.ravel()
+        return out
+
+
+def _per_index_trim(rowsets):
+    out = []
+    for rows in rowsets:
+        mags = {i: np.abs(c).max(axis=1) for i, c in rows.items()}
+        scale = max((m.max() for m in mags.values()), default=0.0)
+        out.append({})
+        for i, m in mags.items():
+            keep = np.flatnonzero(m > TRIM_REL * scale)
+            if keep.size:
+                out[-1][i] = rows[i][: keep[-1] + 1]
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_pair_jet(order=5),
+    lambda: build_front_jet(order=5)[:2],
+], ids=["pair-o5", "front-o5"])
+def test_stacked_solves_match_the_per_index_reference(build, monkeypatch):
+    _, J = build()
+    monkeypatch.setattr(jet, "_Solver", _PerIndexSolver)
+    monkeypatch.setattr(jet, "_trim", _per_index_trim)
+    _, R = build()
+    assert J.psi.keys() == R.psi.keys()
+    for idx, u in J.psi.items():
+        assert [nu for nu, _ in u.terms] == [nu for nu, _ in R.psi[idx].terms]
+        for (_, a), (_, b) in zip(u.terms, R.psi[idx].terms):
+            assert np.array_equal(a, b)
+    assert J.field.keys() == R.field.keys()
+    for idx, vec in J.field.items():
+        assert np.array_equal(vec, R.field[idx])
+    assert J.diagnostics == R.diagnostics
+    assert (J.vanished, J.root_blocks) == (R.vanished, R.root_blocks)
+
+
+def test_residual_counts_rows_of_g_that_u_lacks(pair_problem):
+    # a trimmed u can be shorter than g, or miss a point of g: those rows
+    # of g enter the residual in full
+    K, P, _, _ = pair_problem
+    rows = _Rows(_Lattice([el.nu for el in P.basis.elements], 3), K.n)
+    solver = _Solver(K, P, rows)
+    i, k = rows.lattice.index[3j], rows.lattice.index[-3j]
+    g = {i: np.array([[1.0 + 0.5j], [0.25]])}
+    (u,) = solver.solve([g])
+    assert u[i].shape == (2, 1)
+    longer = {i: np.concatenate([g[i], [[0.5]]])}
+    extra = {**g, k: np.array([[0.5j]])}
+    base, *grown = solver.residual([u, u, u], [g, longer, extra])
+    assert base <= 1e-15
+    assert grown == pytest.approx([0.5 / (1.0 + abs(1.0 + 0.5j))] * 2, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

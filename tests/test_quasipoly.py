@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmnl.quasipoly import QuasiPolynomial, multiply
+from cmnl.quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial, multiply
 
-from conftest import isclose
+from conftest import isclose, quasi_from_data, quasi_to_data
 
 
 def qp(terms, n=1):
@@ -177,6 +177,71 @@ def test_trim_trailing_zeros():
     assert f.terms[0][1].shape[0] == 1
 
 
+def _canonical_terms_reference(terms):
+    """Canonical terms as the constructor built them term by term, before it
+    trimmed all terms in one pass: the reference for the bits of that pass."""
+    groups = {}
+    for nu, coeffs in terms:
+        groups.setdefault(complex(nu), []).append(np.asarray(coeffs, dtype=complex))
+    clusters = []
+    for nu in sorted(groups, key=lambda nu: (nu.real, nu.imag)):
+        for cl in clusters:
+            if abs(nu - cl[0]) <= FREQ_TOL:
+                cl.append(nu)
+                break
+        else:
+            clusters.append([nu])
+    merged = []
+    for cl in clusters:
+        arrays = [c for nu in cl for c in groups[nu]]
+        nu = cl[0]
+        if len(cl) > 1:
+            weights = np.array([np.abs(c).max() if c.size else 0.0 for c in arrays])
+            if weights.max() > 0:
+                nus = [v for v in cl for _ in groups[v]]
+                nu = complex(np.average(nus, weights=weights / weights.max()))
+        total = np.zeros((max(c.shape[0] for c in arrays), arrays[0].shape[1]),
+                         dtype=complex)
+        for c in arrays:
+            total[: c.shape[0]] += c
+        merged.append((nu, total, np.abs(total).max(axis=1)))
+    scale = max(((m.max() if m.size else 0.0) for _, _, m in merged), default=0.0)
+    if scale == 0.0:
+        return []
+    out = []
+    for nu, coeffs, mags in merged:
+        keep = np.nonzero(mags > TRIM_REL * scale)[0]
+        if keep.size:
+            out.append((nu, coeffs[: keep[-1] + 1]))
+    return sorted(out, key=lambda t: (t[0].real, t[0].imag))
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([0j, 1j, 1j + 4e-10, -1j, 0.5 - 2j]),
+    st.integers(0, 3),
+    st.sampled_from([1.0, 1e-14, 0.0, -0.0]),
+    st.integers(0, 2**32 - 1),
+), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_matches_the_term_by_term_reference(spec):
+    # repeated and merged frequencies, tiny, zero and negative-zero tails
+    terms = []
+    for nu, deg, tail, seed in spec:
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(deg + 1, 1)) + 1j * rng.normal(size=(deg + 1, 1))
+        c[-1] *= tail
+        if np.signbit(tail):
+            c.imag[0] = -0.0
+        terms.append((nu, c))
+    got = QuasiPolynomial(1, terms).terms
+    want = _canonical_terms_reference(terms)
+    assert [nu for nu, _ in got] == [nu for nu, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(float), b.view(float))
+        assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+
 def test_cancellation_gives_zero():
     f = qp([(1j, [[1.0], [2.0]])])
     assert (f - f).is_zero()
@@ -197,21 +262,23 @@ def test_term_sorting_deterministic():
 
 
 # -- serialization -----------------------------------------------------------
+# the report layout of a quasi-polynomial, kept in conftest as the list-form
+# reference of ``JetResult.to_data``
 
 
 def test_json_round_trip():
     f = qp(
         [(1j, [[1.0 + 2j], [3.0]]), (-0.5, [[2.0]])],
     )
-    data = f.to_data()
-    g = QuasiPolynomial.from_data(data)
+    data = quasi_to_data(f)
+    g = quasi_from_data(data)
     assert isclose(f, g, tol=0.0)
-    assert data == g.to_data()
+    assert data == quasi_to_data(g)
 
 
 def test_json_schema_shape():
     f = qp([(1j, np.array([[1.0, 2.0]]))], n=2)
-    data = f.to_data()
+    data = quasi_to_data(f)
     assert data["n"] == 2
     assert data["terms"][0]["nu"] == [0.0, 1.0]
     # poly: degree-major, then component, then [re, im]
@@ -221,7 +288,7 @@ def test_json_schema_shape():
 @given(quasi_polys(max_terms=3, max_deg=3))
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip_property(f):
-    assert isclose(QuasiPolynomial.from_data(f.to_data()), f, tol=1e-14)
+    assert isclose(quasi_from_data(quasi_to_data(f)), f, tol=1e-14)
 
 
 # -- helpers used elsewhere --------------------------------------------------

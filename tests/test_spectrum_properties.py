@@ -27,7 +27,7 @@ from cmnl import kernel as kr
 from cmnl import spectrum as sp
 
 GAUSS_WIDTHS = (0.2, 0.35, 0.6, 1.0, 1.7, 3.0)
-EXP_RATES = (0.6, 0.9, 1.3, 1.8, 2.5, 3.5)
+EXP_RATES = (0.1, 0.25, 0.6, 0.9, 1.3, 1.8, 2.5, 3.5)
 MIN_SLOPE = 1e-4  # smallest first nonvanishing s-derivative of d at a prescribed root
 
 
@@ -63,19 +63,26 @@ def amplitudes(rows, scales, chosen, real):
 
 
 @st.composite
-def chosen_roots(draw, scales):
+def chosen_roots(draw, scales, strip):
     """(chosen [(l, m)], real, term scales): distinct axis points 0.1..2.0,
     at least 0.15 apart, with multiplicities 1 or 2; optionally a real pair
-    +-real, 0.15..0.5, inside every strip; one term per condition."""
+    +-real at 0.1 to 0.99 of the strip ``strip(terms)`` that ``locate_roots``
+    starts from; one term per condition.  Nearer the axis, ``locate_roots``
+    can take the pair for a double root at 0, or exhaust the winding budget
+    of the strip it shrinks to."""
     grid = st.integers(2, 40).map(lambda k: 0.05 * k)
     ls = sorted(draw(st.lists(grid, min_size=1, max_size=3, unique=True)))
     assume(all(b - a >= 0.15 for a, b in zip(ls, ls[1:])))
     ms = [draw(st.integers(1, 2)) for _ in ls]
-    real = draw(st.none() | st.integers(3, 10).map(lambda k: 0.05 * k))
-    size = sum(ms) + (real is not None)
+    with_real = draw(st.booleans())
+    size = sum(ms) + with_real
     assume(size <= 4)
-    terms = draw(st.lists(st.sampled_from(scales), min_size=size, max_size=size, unique=True))
-    return list(zip(ls, ms)), real, sorted(terms)
+    terms = sorted(draw(st.lists(st.sampled_from(scales), min_size=size, max_size=size,
+                                 unique=True)))
+    real = None
+    if with_real:
+        real = draw(st.integers(10, 99).map(lambda k: 0.01 * k * strip(terms)))
+    return list(zip(ls, ms)), real, terms
 
 
 def located(K, real):
@@ -102,7 +109,7 @@ def matches(res, nu_im, m):
     return any(abs(r.nu - 1j * nu_im) <= 1e-8 and r.multiplicity == m for r in res.roots)
 
 
-@given(chosen_roots(EXP_RATES))
+@given(chosen_roots(EXP_RATES, lambda rates: 0.9 * min(rates)))
 def test_exponential_mixture_roots_are_exactly_the_chosen_ones(draw):
     chosen, real, rates = draw
     c = amplitudes(exponential_rows, rates, chosen, real)
@@ -114,7 +121,7 @@ def test_exponential_mixture_roots_are_exactly_the_chosen_ones(draw):
     assert len(res.diagnostics["excluded_offaxis"]) == (0 if real is None else 2)
 
 
-@given(chosen_roots(GAUSS_WIDTHS))
+@given(chosen_roots(GAUSS_WIDTHS, lambda widths: 1.0))
 def test_gaussian_mixture_roots_include_the_chosen_ones(draw):
     chosen, real, widths = draw
     c = amplitudes(gaussian_rows, widths, chosen, real)

@@ -241,13 +241,6 @@ class TestResidual:
         with pytest.raises(ValueError, match="parameter"):
             residual(K, J.nonlinearity, prof)
 
-    def test_report_serializes(self):
-        K = critical_pair_kernel()
-        xs = np.arange(-200, 201) * 0.1
-        rep = residual(K, NO_NONLINEARITY, GridProfile(xs, np.zeros(len(xs))))
-        data = json.loads(json.dumps(rep.to_data()))
-        assert set(data) == {"max", "l2", "quadrature_error", "converged", "margin"}
-
     def test_narrow_grid_raises(self):
         K = critical_pair_kernel()
         xs = np.arange(-10, 11) * 0.1
