@@ -150,18 +150,14 @@ class JetResult:
 
     def to_data(self):
         """Report data.  The psi blocks (``terms[k]["poly"]``) and the field
-        vectors stay complex arrays; ``cli.canonical_json`` writes them as
-        nested lists of ``[re, im]`` pairs."""
-        entries = [
-            {
-                "index": idx.to_data(),
-                "psi": {"n": self.psi[idx].n,
-                        "terms": [{"nu": [nu.real, nu.imag], "poly": c}
-                                  for nu, c in self.psi[idx].terms]},
-                "residual": self.diagnostics[idx],
-            }
-            for idx in self.indices()
-        ]
+        vectors stay complex arrays, shared with this result (copy them
+        before editing); ``cli.canonical_json`` writes them as nested lists
+        of ``[re, im]`` pairs, which ``json.dumps`` does not."""
+        entries = [{"index": idx.to_data(), "residual": self.diagnostics[idx],
+                    "psi": {"n": self.psi[idx].n,
+                            "terms": [{"nu": [nu.real, nu.imag], "poly": c}
+                                      for nu, c in self.psi[idx].terms]}}
+                   for idx in self.indices()]
         fld = [{"index": idx.to_data(),
                 "coeff": np.asarray(self.field[idx], dtype=complex)}
                for idx in self.field_indices()]

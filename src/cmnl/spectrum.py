@@ -64,7 +64,8 @@ class ContourError(RuntimeError):
 
 MAX_DEPTH = 48  # bisections of one contour step before a root is presumed on it
 MAX_SPACING = 0.25  # largest distance between the initial samples of a side
-DENSE_SPACING = MAX_SPACING / 8  # sample spacing of a recount the moments disputed
+WINDING_BUDGET = 20000  # points one winding count may evaluate
+RECOUNT = 8  # a recount the moments disputed samples this many times as densely
 QUAD_NODES = 16  # Gauss-Legendre nodes per moment panel
 QUAD_TOL = 1e-10  # quadrature error allowed in each contour moment, above the noise
 QUAD_LEVELS = 40  # halvings of one moment panel
@@ -116,7 +117,7 @@ def _log_derivative(K, nu):
 # -- winding numbers ----------------------------------------------------------
 
 
-def winding_number(f, points, budget=20000):
+def winding_number(f, points, budget=WINDING_BUDGET):
     """Winding of f along the closed polyline ``points`` (adaptively refined).
 
     ``f`` maps an array of points to the array of its values.  A step is
@@ -199,11 +200,14 @@ def _rect_points(re0, re1, im0, im1, per_side=12, spacing=MAX_SPACING):
     return np.concatenate(sides)
 
 
-def count_in_rectangle(K, re0, re1, im0, im1):
+def count_in_rectangle(K, re0, re1, im0, im1, refine=1):
     """Number of characteristic roots (with multiplicity) in the open rectangle,
-    sampled at most half its width apart (see ``_rect_points``)."""
-    points = _rect_points(re0, re1, im0, im1,
-                          spacing=min(MAX_SPACING, 0.5 * (re1 - re0)))
+    sampled min(``MAX_SPACING``, half its width) apart, but at most
+    ``WINDING_BUDGET / (2 RECOUNT)`` times on the perimeter; ``refine``
+    divides that spacing, so a recount starts from at most half the budget."""
+    width, perimeter = re1 - re0, 2 * ((re1 - re0) + (im1 - im0))
+    spacing = min(MAX_SPACING, max(0.5 * width, 2 * RECOUNT * perimeter / WINDING_BUDGET))
+    points = _rect_points(re0, re1, im0, im1, spacing=spacing / refine)
     return winding_number(lambda nu: char_value(K, nu), points)
 
 
@@ -345,7 +349,8 @@ def _count_box(K, half, lo, hi):
     The winding count is checked against s_0 of ``contour_moments``, whose
     quadrature controls its own error: a winding step longer than the
     distance to a nearby root and pole can hide a whole loop of d, and then
-    the box is counted again on a contour sampled eight times as densely.
+    the box is counted again on a contour sampled ``RECOUNT`` times as
+    densely.
     ``moments`` is None when the quadrature fails or its s_0 is not an
     integer to 1e-6; the winding count then stands alone.
     """
@@ -358,8 +363,7 @@ def _count_box(K, half, lo, hi):
     if abs(s0 - round(s0.real)) > 1e-6:
         return cnt, None
     if round(s0.real) != cnt:
-        dense = _rect_points(-half, half, lo, hi, spacing=DENSE_SPACING)
-        cnt = winding_number(lambda nu: char_value(K, nu), dense)
+        cnt = count_in_rectangle(K, -half, half, lo, hi, refine=RECOUNT)
         if cnt != round(s0.real):
             raise ContourError(f"winding count {cnt} but moment count {s0.real:.6g}")
         moments = contour_moments(K, -half, half, lo, hi, max(cnt, 1))

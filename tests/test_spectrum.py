@@ -350,6 +350,28 @@ def test_winding_steps_past_a_root_and_pole_pair():
     assert res.strip == pytest.approx(0.2)
 
 
+def test_thin_strip_counts_stay_inside_the_winding_budget():
+    # Rates 0.25 and 0.6 with axis roots +-0.1i and a real pair +-0.00225:
+    # the strip shrinks to 0.001125, and samples half its width apart along
+    # the window's 16-long sides would be about 28,000 points, more than a
+    # winding count may evaluate, so every count raised and no band could
+    # be isolated.
+    rates = np.array([0.25, 0.6])
+    s = np.array([-0.01, 0.00225**2])
+    c = np.linalg.solve(2 * rates / (rates**2 - s[:, None]), -np.ones(2))
+    K = kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
+    res = sp.locate_roots(K)
+    assert [r.multiplicity for r in res.roots] == [1, 1]
+    assert np.allclose([r.nu.imag for r in res.roots], [-0.1, 0.1], atol=1e-8)
+    ex = sorted(res.diagnostics["excluded_offaxis"], key=lambda z: z.real)
+    assert np.allclose(ex, [-0.00225, 0.00225], rtol=0.0, atol=1e-8)
+    assert res.strip == pytest.approx(0.001125)
+    assert len(sp._rect_points(-res.strip, res.strip, -res.window, res.window,
+                               spacing=res.strip)) > 20000  # the winding budget
+    count = sp.count_in_rectangle(K, -res.strip, res.strip, -res.window, res.window)
+    assert count == res.total_multiplicity
+
+
 def test_newton_steps_stop_at_the_noise_of_a_flat_d():
     # Gaussian widths 0.2, 0.35, 0.6, 1 with amplitudes that put double
     # roots at +-0.1i and +-0.25i: |d| < 1e-6 on the whole disc |nu| < 0.3,

@@ -66,10 +66,10 @@ def amplitudes(rows, scales, chosen, real):
 def chosen_roots(draw, scales, strip):
     """(chosen [(l, m)], real, term scales): distinct axis points 0.1..2.0,
     at least 0.15 apart, with multiplicities 1 or 2; optionally a real pair
-    +-real at 0.1 to 0.99 of the strip ``strip(terms)`` that ``locate_roots``
-    starts from; one term per condition.  Nearer the axis, ``locate_roots``
-    can take the pair for a double root at 0, or exhaust the winding budget
-    of the strip it shrinks to."""
+    +-real inside the strip ``strip(terms)`` that ``locate_roots`` starts
+    from, either at 0.1 to 0.99 of it or on the absolute grid 0.15..0.5;
+    one term per condition.  Nearer the axis than both, ``locate_roots`` can
+    take the pair for a double root at 0."""
     grid = st.integers(2, 40).map(lambda k: 0.05 * k)
     ls = sorted(draw(st.lists(grid, min_size=1, max_size=3, unique=True)))
     assume(all(b - a >= 0.15 for a, b in zip(ls, ls[1:])))
@@ -81,7 +81,10 @@ def chosen_roots(draw, scales, strip):
                                  unique=True)))
     real = None
     if with_real:
-        real = draw(st.integers(10, 99).map(lambda k: 0.01 * k * strip(terms)))
+        width = strip(terms)
+        relative = st.integers(10, 99).map(lambda k: 0.01 * k * width)
+        absolute = [0.05 * k for k in range(3, 11) if 0.05 * k < 0.99 * width]
+        real = draw(relative | st.sampled_from(absolute) if absolute else relative)
     return list(zip(ls, ms)), real, terms
 
 
