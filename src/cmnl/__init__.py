@@ -16,19 +16,18 @@ an analytic superposition/convolution nonlinearity.  The pipeline is:
 5. ``verify``     -- shooting of the planar limit systems, profile
                      reconstruction, and convolution residuals.
 
-Everything is exact arithmetic over the quasi-polynomial algebra implemented
-in ``quasipoly``; floating point enters only through kernel transforms and
-linear solves.  ``problem`` and ``cli`` wrap the pipeline behind a JSON
-problem-file schema and the ``cm`` command.
+The jet is solved order by order on coefficient rows over the lattice of
+root frequencies, through per-frequency closed forms (``kernel``,
+``tsolve``), so floating point enters only through kernel transforms and
+linear solves; the basis and the graph map come back as ``QuasiPolynomial``
+(``quasipoly``).  ``verify`` then works on x-grids.  ``problem`` and ``cli``
+wrap the pipeline behind a JSON problem-file schema and the ``cm`` command.
 """
 
 from cmnl.jet import (
     JetIndex,
     JetResult,
     compute_jet,
-    equation_residual,
-    evaluate_field,
-    manifold_point,
     scale_field,
 )
 from cmnl.kernel import (
@@ -74,15 +73,12 @@ __all__ = [
     "build_pointwise",
     "compute_jet",
     "convolve",
-    "equation_residual",
-    "evaluate_field",
     "front_report",
     "grid_convolve",
     "kernel_basis",
     "kernel_from_data",
     "load_problem",
     "locate_roots",
-    "manifold_point",
     "pulse_scaling_report",
     "reconstruct",
     "residual",

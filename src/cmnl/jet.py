@@ -53,10 +53,10 @@ from operator import add
 
 import numpy as np
 
-from .kernel import apply_T, convolution_matrix, taylor_transforms
+from .kernel import convolution_matrix, taylor_transforms
 # ``apply_term`` and ``solve`` stay bound here because bench/tracer.py
 # wraps cmnl.jet.apply_term and cmnl.jet.solve by name
-from .nonlin import apply_series, apply_term, walk_outer, walk_slots  # noqa: F401
+from .nonlin import apply_term, walk_outer, walk_slots  # noqa: F401
 from .problem import ProblemError
 from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial, kept_rows
 from .tsolve import (  # noqa: F401
@@ -391,8 +391,8 @@ class _Solver:
     per point come from ``Projection.coordinate_rows``.
     """
 
-    def __init__(self, K, projection, rows, tol=BLOCK_TOL):
-        self.K, self.P, self.rows, self.tol = K, projection, rows, tol
+    def __init__(self, K, projection, rows):
+        self.K, self.P, self.rows = K, projection, rows
         index = rows.lattice.index
         self.alpha = Counter(index[el.nu] for el in projection.basis.elements)
         self.basis = [rows.from_quasi(el.function)
@@ -413,7 +413,7 @@ class _Solver:
         if op is None:
             series = self.rows.series(self.K, i, D)[: D + 1].copy()
             series[0] += np.eye(self.K.n)
-            A, S, gap = block_operator(series, self.alpha[i], self.tol)
+            A, S, gap = block_operator(series, self.alpha[i], BLOCK_TOL)
             if gap is not None:
                 self.root_blocks.append((self.rows.lattice.points[i], D, gap))
             op = self._ops[i, D] = (A, S)
@@ -428,7 +428,7 @@ class _Solver:
         stacks = {}
         for i, js, G in _stacks(gs):
             A, S = self._operator(i, G.shape[1] - 1 + self.alpha[i])
-            U = solve_frequency(A, S, G, self.tol, points[i])
+            U = solve_frequency(A, S, G, BLOCK_TOL, points[i])
             for j, c in zip(js, U):
                 us[j][i] = c
             stacks.setdefault(i, []).append((js, U))
@@ -647,32 +647,12 @@ def compute_jet(K, projection, F, order, weights=None):
     )
 
 
-def evaluate_field(fld, coords, mu=()):
-    """Numeric right-hand side ``f(coords, mu)`` of the reduced equation."""
-    coords = np.asarray(coords, dtype=complex)
-    out = np.zeros(coords.shape[0], dtype=complex)
-    for idx, vec in fld.items():
-        out += np.asarray(vec) * idx.monomial(coords, mu)
-    return out
-
-
-def manifold_point(J, coords, mu=()):
-    """Quasi-polynomial on the manifold graph at the given coordinates."""
-    u = J.basis.combine(coords)
-    for idx, psi in J.psi.items():
-        w = idx.monomial(coords, mu)
-        if w != 0:
-            u = u + psi.scale(w)
-    return u
-
-
-def equation_residual(K, F, u, mu=()):
-    """Exact algebra residual ``u + K*u + F(u, mu)``."""
-    return apply_T(K, u) + apply_series(F, u, mu)
-
-
 # ---------------------------------------------------------------------------
 # scaling
+
+# relative size below which a scaled coefficient is a numerical zero, and
+# absolute size below which an epsilon order counts as zero
+SCALE_TOL = 1e-9
 
 
 @dataclass
@@ -693,7 +673,7 @@ class ScaledField:
 
 
 def scale_field(fld, coord_exponents, x_exponent, param_exponents=(),
-                phases=None, tol=1e-9):
+                phases=None):
     """Apply ``x = eps^a x_hat``, ``c_i = eps^{b_i} e^{i omega_i x} c_hat_i``,
     ``mu_p = eps^{g_p} mu_hat_p`` and return the leading-order field.
 
@@ -718,9 +698,8 @@ def scale_field(fld, coord_exponents, x_exponent, param_exponents=(),
             if idx in work:
                 work[idx][i] -= 1j * omega[i]
 
-    # coefficients below tol relative to the largest one are numerical zeros
     peak = max((float(np.abs(v).max()) for v in work.values()), default=0.0)
-    floor = tol * peak
+    floor = SCALE_TOL * peak
     kept = {}
     dropped = []
     for idx, vec in work.items():
@@ -736,12 +715,12 @@ def scale_field(fld, coord_exponents, x_exponent, param_exponents=(),
             if omega is not None:
                 theta = sum(w * p for w, p in zip(omega, idx.powers)) - omega[i]
             oscillatory = abs(theta) > 1e-9
-            if e < -tol:
+            if e < -SCALE_TOL:
                 raise RuntimeError(
                     f"non-positive leading balance: coordinate {i} at index"
                     f" {idx.powers}|{idx.mu} scales like eps^{e:.3g}"
                 )
-            if oscillatory or e > tol:
+            if oscillatory or e > SCALE_TOL:
                 dropped.append((int(i), idx, float(e), oscillatory))
             else:
                 if idx not in kept:

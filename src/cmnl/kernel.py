@@ -1,20 +1,16 @@
-"""Convolution kernels: closed-form families, transforms, moments, convolution.
+"""Convolution kernels: closed-form families, transforms, convolution.
 
 A kernel is a matrix-valued function K : R -> C^{n x n} with exponential
-decay.  The two quantities everything downstream consumes are
+decay.  Everything downstream consumes its two-sided Laplace transform
+Khat(nu) = int K(x) exp(-nu x) dx and the nu-derivatives, analytic on a strip
+|Re nu| < eta0; the exponential moments int x^m K(x) exp(-nu x) dx are
+(-1)^m Khat^(m)(nu).  Convolution maps quasi-polynomials to themselves:
 
-* the two-sided Laplace transform  Khat(nu) = int K(x) exp(-nu x) dx  and its
-  nu-derivatives, analytic on a strip |Re nu| < eta0;
-* the exponential moments  kappa_m(nu) = int x^m K(x) exp(-nu x) dx
-                                       = (-1)^m Khat^(m)(nu).
+    K * (x^q exp(nu x)) = exp(nu x) * sum_{r=0}^q C(q,r) Khat^(r)(nu) x^{q-r}
 
-Convolution maps the quasi-polynomial algebra to itself:
-
-    K * (x^q exp(nu x)) = exp(nu x) * sum_{r=0}^q C(q,r) (-1)^r kappa_r(nu) x^{q-r}
-
-(expand (x - z)^q under the integral), implemented exactly in ``convolve``.
-``convolve_quadrature`` evaluates the same convolution by Gauss-Legendre
-panels in x-space and is used as an independent check throughout the tests.
+(expand (x - z)^q under the integral), implemented exactly in ``convolve``
+and, per frequency, as ``convolution_matrix``.  The grid code in ``verify``
+convolves with ``eval_x`` and ``point_masses`` instead.
 
 Closed-form families keep their transforms exact (derivative recursions, no
 finite differences); symbol-defined kernels fall back to 4th-order central
@@ -74,10 +70,6 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def moment(self, m, nu):
-        """kappa_m(nu) = int x^m K(x) exp(-nu x) dx."""
-        return (-1) ** m * self.transform(nu, m)
-
     def eta0(self):
         """Half-width of the strip where the transform is analytic (may be inf)."""
         raise NotImplementedError
@@ -97,18 +89,6 @@ class Kernel:
     def decay_radius(self, tol=1e-12):
         """R with the kernel mass outside [-R, R] below tol, relatively."""
         raise NotImplementedError
-
-    def scale(self, a):
-        """The kernel a * K."""
-        raise NotImplementedError
-
-    def __add__(self, other):
-        if not isinstance(other, Kernel):
-            return NotImplemented
-        parts = []
-        for k in (self, other):
-            parts.extend(k.parts if isinstance(k, SumKernel) else [k])
-        return SumKernel(parts)
 
 
 class GaussianMixture(Kernel):
@@ -200,40 +180,6 @@ class GaussianMixture(Kernel):
             R = max(R, r)
         return R
 
-    def scale(self, s):
-        return GaussianMixture([(s * c, a, b) for c, a, b in self.terms], n=self.n)
-
-    def differentiate(self):
-        """The kernel K' (transform nu * Khat(nu)); stays in the family."""
-        new_terms = []
-        for coeffs, a, b in self.terms:
-            deg1 = coeffs.shape[0]
-            new = np.zeros((deg1 + 1, self.n, self.n), dtype=complex)
-            for j in range(deg1):
-                if j >= 1:
-                    new[j - 1] += j * coeffs[j]
-                # d/dx exp(-a(x-b)^2) factor: -2a(x-b)
-                new[j] += 2 * a * b * coeffs[j]
-                new[j + 1] += -2 * a * coeffs[j]
-            new_terms.append((new, a, b))
-        return GaussianMixture(new_terms, n=self.n)
-
-    def to_data(self):
-        terms = []
-        for coeffs, a, b in self.terms:
-            entry = {"a": a, "b": b}
-            if self.n == 1 and coeffs.shape[0] == 1:
-                entry["c"] = _num_data(coeffs[0, 0, 0])
-            elif self.n == 1:
-                entry["c"] = 1.0
-                entry["poly"] = [_num_data(c[0, 0]) for c in coeffs]
-            else:
-                entry["c"] = [[_num_data(v) for v in row] for row in coeffs[0]]
-                if coeffs.shape[0] > 1:
-                    raise ValueError("matrix gaussian terms serialize degree 0 only")
-            terms.append(entry)
-        return {"family": "gaussian", "n": self.n, "terms": terms}
-
 
 class ExponentialMixture(Kernel):
     """sum_m C_m exp(-a_m |x - b_m|), analytic strip |Re nu| < min a_m."""
@@ -286,19 +232,6 @@ class ExponentialMixture(Kernel):
     def breakpoints(self):
         return [b for _, _, b in self.terms]
 
-    def scale(self, s):
-        return ExponentialMixture([(s * c, a, b) for c, a, b in self.terms], n=self.n)
-
-    def to_data(self):
-        terms = []
-        for c, a, b in self.terms:
-            if self.n == 1:
-                entry = {"c": _num_data(c[0, 0]), "a": a, "b": b}
-            else:
-                entry = {"c": [[_num_data(v) for v in row] for row in c], "a": a, "b": b}
-            terms.append(entry)
-        return {"family": "exponential", "n": self.n, "terms": terms}
-
 
 class DiracMixture(Kernel):
     """sum_m A_m delta(x - xi_m); transform sum_m A_m exp(-nu xi_m)."""
@@ -327,18 +260,6 @@ class DiracMixture(Kernel):
 
     def decay_radius(self, tol=1e-12):
         return max((abs(xi) for _, xi in self.terms), default=0.0)
-
-    def scale(self, s):
-        return DiracMixture([(s * c, xi) for c, xi in self.terms], n=self.n)
-
-    def to_data(self):
-        terms = []
-        for c, xi in self.terms:
-            if self.n == 1:
-                terms.append({"c": _num_data(c[0, 0]), "xi": xi})
-            else:
-                terms.append({"c": [[_num_data(v) for v in row] for row in c], "xi": xi})
-        return {"family": "dirac", "n": self.n, "terms": terms}
 
 
 class SymbolKernel(Kernel):
@@ -427,19 +348,6 @@ class SymbolKernel(Kernel):
             return self._decay_radius
         return 40.0
 
-    def scale(self, s):
-        base_sym, base_der = self._symbol, self._derivative
-        der = None
-        if base_der is not None:
-            der = lambda nu, order: s * np.asarray(base_der(nu, order))
-        return SymbolKernel(
-            lambda nu: s * np.asarray(base_sym(nu)),
-            self._eta0,
-            n=self.n,
-            derivative=der,
-            decay_radius=self._decay_radius,
-        )
-
 
 class SumKernel(Kernel):
     """Sum of kernels of possibly different families."""
@@ -488,14 +396,6 @@ class SumKernel(Kernel):
             out.extend(p.breakpoints())
         return out
 
-    def scale(self, s):
-        return SumKernel([p.scale(s) for p in self.parts])
-
-    def differentiate(self):
-        return SumKernel([p.differentiate() for p in self.parts])
-
-    def to_data(self):
-        return {"family": "sum", "parts": [p.to_data() for p in self.parts]}
 
 
 # -- convolution -------------------------------------------------------------
@@ -576,36 +476,6 @@ def apply_T(K, u):
     return u + convolve(K, u)
 
 
-def convolve_quadrature(K, u, xs, tol=1e-12, panel=1.0, npts=24):
-    """Convolution (K * u)(xs) by panelled Gauss-Legendre quadrature.
-
-    Independent x-space route used to cross-check ``convolve``: integrates
-    K(z) u(x - z) over |z| <= decay radius.  ``u`` may be a QuasiPolynomial
-    or a callable returning (n,) values.  Returns (len(xs), n).
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ueval = u.evaluate if isinstance(u, QuasiPolynomial) else u
-    n = K.n
-    R = K.decay_radius(tol)
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
-    edges = np.linspace(-R, R, max(2, int(np.ceil(2 * R / panel)) + 1))
-    inner = [b for b in K.breakpoints() if -R < b < R]
-    if inner:
-        edges = np.unique(np.concatenate([edges, inner]))
-    out = np.zeros((xs.size, n), dtype=complex)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        zs = mid + half * nodes
-        Kz = K.eval_x(zs)  # (npts, n, n)
-        for iz, z in enumerate(zs):
-            vals = np.atleast_2d(ueval(xs - z))
-            out += (weights[iz] * half) * vals @ Kz[iz].T
-    for A, xi in K.point_masses():
-        vals = np.atleast_2d(ueval(xs - xi))
-        out += vals @ A.T
-    return out
-
-
 # -- decay / strip validation -------------------------------------------------
 
 
@@ -617,21 +487,22 @@ class DecayReport:
         self.ok = ok
         self.checks = checks
 
-    def __repr__(self):
-        return f"DecayReport(eta={self.eta:.4g}, ok={self.ok})"
+
+# share of the family analyticity bound that ``validate_decay`` proposes
+DECAY_MARGIN = 0.9
 
 
-def validate_decay(K, eta=None, margin=0.9):
+def validate_decay(K, eta=None):
     """Certify a strip |Re nu| <= eta of analyticity with decaying transform.
 
-    The candidate is ``margin`` times the family analyticity bound (or the
-    explicit ``eta``); the check samples ||Khat|| along both strip edges and
+    The candidate is ``DECAY_MARGIN`` times the family analyticity bound (or
+    the explicit ``eta``); the check samples ||Khat|| along both strip edges and
     requires decay to below 0.5 in the tails (Riemann-Lebesgue proxy for the
     weighted-L1 hypothesis on K and K').
     """
     bound = K.eta0()
     if eta is None:
-        eta = 1.0 if np.isinf(bound) else margin * bound
+        eta = 1.0 if np.isinf(bound) else DECAY_MARGIN * bound
     elif eta >= bound:
         return DecayReport(eta, False, {"reason": "outside analyticity bound"})
     ls = np.concatenate([np.linspace(0, 10, 41), np.logspace(1.01, 3, 25)])
@@ -646,13 +517,6 @@ def validate_decay(K, eta=None, margin=0.9):
         if not np.isfinite(tail) or tail >= 0.5:
             ok = False
     return DecayReport(eta, ok, checks)
-
-
-def _num_data(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
 
 
 def _num_from_data(v):

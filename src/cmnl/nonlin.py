@@ -179,19 +179,3 @@ def mu_weight(term, mu):
             )
         weight *= mu[p] ** r
     return weight
-
-
-def apply_series(F, u, mu=()):
-    """Evaluate the whole series at the single argument ``u``, exactly.
-
-    ``mu`` supplies numeric values of the formal parameters; every term's
-    arguments are all equal to ``u``.
-    """
-    mu = (mu,) if np.isscalar(mu) else tuple(mu)
-    out = QuasiPolynomial.zero(u.n)
-    for t in F.terms:
-        weight = mu_weight(t, mu)
-        if weight == 0:
-            continue
-        out = out + apply_term(t, [u] * t.degree).scale(weight)
-    return out

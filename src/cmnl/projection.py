@@ -12,8 +12,7 @@ onto its span in two flavors:
   gaussian or hyperbolic-secant weight, evaluated in closed form.
 
 Either flavor yields coordinates c = A^{-1} (functionals applied to u) in the
-fixed basis ordering; ``basis.combine(c)`` is the projected element
-sum_k c_k phi_k.
+fixed basis ordering; the projected element is sum_k c_k phi_k.
 """
 
 from dataclasses import dataclass, field
@@ -63,16 +62,6 @@ class KernelBasis:
     def size(self):
         return len(self.elements)
 
-    def combine(self, coords):
-        """The canonical coordinate map: coords -> sum_k coords_k phi_k."""
-        coords = np.asarray(coords, dtype=complex)
-        if coords.shape != (self.size,):
-            raise ValueError(f"expected {self.size} coordinates, got {coords.shape}")
-        total = QuasiPolynomial.zero(self.n)
-        for c, el in zip(coords, self.elements):
-            total = total + el.function.scale(c)
-        return total
-
     def _independence_condition(self):
         """Condition number of the derivative-jet coordinate matrix.
 
@@ -96,7 +85,7 @@ class KernelBasis:
         return float(sv[0] / sv[-1])
 
 
-def kernel_basis(K, spectrum, tol=1e-8):
+def kernel_basis(K, spectrum):
     """Assemble the kernel basis from a located spectrum.
 
     Chains are computed once per conjugate pair (at the +Im root) and
@@ -106,14 +95,14 @@ def kernel_basis(K, spectrum, tol=1e-8):
     for gi, group in enumerate(spectrum.pair_groups()):
         if len(group) == 1:
             root = spectrum.roots[group[0]]
-            chains = jordan_chains(K, root.nu, root.multiplicity, tol)
+            chains = jordan_chains(K, root.nu, root.multiplicity)
             for k, chain in enumerate(chains):
                 for p, fn in enumerate(chain_functions(root.nu, chain)):
                     elements.append(BasisElement(fn, root.nu, gi, k, p, chain[0]))
         else:
             plus = spectrum.roots[group[0]]
             minus = spectrum.roots[group[1]]
-            chains = jordan_chains(K, plus.nu, plus.multiplicity, tol)
+            chains = jordan_chains(K, plus.nu, plus.multiplicity)
             cchains = conjugate_chains(chains)
             for k, (chain, cchain) in enumerate(zip(chains, cchains)):
                 fns = chain_functions(plus.nu, chain)

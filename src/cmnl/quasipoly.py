@@ -1,22 +1,22 @@
-"""Quasi-polynomial algebra: finite sums of polynomial-times-exponential terms.
+"""Quasi-polynomials: finite sums of polynomial-times-exponential terms.
 
 A quasi-polynomial is a function R -> C^n of the form
 
     f(x) = sum_j p_j(x) exp(nu_j x)
 
 with distinct complex frequencies nu_j and polynomials p_j whose coefficients
-are vectors in C^n.  The class of such functions is closed under addition,
-differentiation, translation, complex conjugation, multiplication by scalar
-quasi-polynomials, and (see ``kernel.convolve``) convolution with an
-exponentially decaying kernel.  That closure is what makes the whole
-reduction pipeline exact: every field the solver touches lives in this
-algebra, and floating point enters only through the coefficients.
+are vectors in C^n.  The kernel basis and the graph-map entries are returned
+as ``QuasiPolynomial``.  Inside ``jet.compute_jet`` the same functions are
+held as coefficient rows on the lattice of root frequencies, and ``verify``
+evaluates them at x = 0.  The per-frequency closed forms serve both:
+``derivative_weights`` here, ``kernel.convolution_matrix`` and
+``tsolve.solve_frequency``.
 
-``QuasiPolynomial`` is the public type: the kernel basis and the graph-map
-entries are returned as such.  Inside ``jet.compute_jet`` the same functions
-are held as coefficient rows on the lattice of root frequencies.  The
-per-frequency closed forms serve both: ``derivative_weights`` here,
-``kernel.convolution_matrix`` and ``tsolve.solve_frequency``.
+The class keeps what the pipeline runs: sums, scalar multiples, components,
+conjugation, evaluation and derivatives at zero, plus the pointwise product
+(``multiply``) and ``place_component`` behind ``nonlin.apply_term``.  The
+rest of the ring (differences, translation, differentiation) is the test
+suite's reference algebra, in ``tests/reference.py``.
 
 Canonical form
 --------------
@@ -25,11 +25,10 @@ it is.  Only distinct frequencies closer than ``FREQ_TOL`` are averaged:
 their coefficient arrays are added and the merged frequency is their
 coefficient-weighted mean.  Trailing polynomial coefficients and whole terms
 below ``TRIM_REL`` times the largest coefficient magnitude are dropped, and
-terms are sorted by (Re nu, Im nu).  All constructors and operations return
-canonical objects, so equality of canonical data is meaningful.
+terms are sorted by (Re nu, Im nu).  Every ``QuasiPolynomial`` comes out of
+the canonicalizing constructor, so equality of canonical data is meaningful.
 """
 
-import cmath
 from bisect import bisect_left
 from itertools import accumulate
 from math import comb, factorial
@@ -91,26 +90,6 @@ class QuasiPolynomial:
         prepared = [(complex(nu), _as_coeff_array(poly, self.n)) for nu, poly in terms]
         self.terms = self._canonicalize(prepared)
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls, n=1):
-        return cls(n, ())
-
-    @classmethod
-    def exponential(cls, nu, vec=(1.0,)):
-        """vec * exp(nu x)."""
-        vec = np.atleast_1d(np.asarray(vec, dtype=complex))
-        return cls(vec.size, [(nu, vec.reshape(1, -1))])
-
-    @classmethod
-    def monomial(cls, nu, power, vec=(1.0,)):
-        """vec * x^power * exp(nu x)."""
-        vec = np.atleast_1d(np.asarray(vec, dtype=complex))
-        coeffs = np.zeros((power + 1, vec.size), dtype=complex)
-        coeffs[power] = vec
-        return cls(vec.size, [(nu, coeffs)])
-
     # -- canonical form ------------------------------------------------------
 
     @staticmethod
@@ -165,17 +144,6 @@ class QuasiPolynomial:
 
     # -- basic queries -------------------------------------------------------
 
-    @property
-    def frequencies(self):
-        return [nu for nu, _ in self.terms]
-
-    def term_for(self, nu, tol=FREQ_TOL):
-        """Coefficient array for the term at frequency ``nu`` (zero-size if absent)."""
-        for nu_j, coeffs in self.terms:
-            if abs(nu_j - nu) <= tol:
-                return coeffs
-        return np.zeros((0, self.n), dtype=complex)
-
     def component(self, i):
         """Scalar-valued quasi-polynomial holding component ``i``."""
         if not 0 <= i < self.n:
@@ -186,22 +154,13 @@ class QuasiPolynomial:
             1, [(nu, c[:, i : i + 1]) for nu, c in self.terms]
         )
 
-    def max_coeff(self):
-        """Largest coefficient magnitude (0 for the zero element)."""
-        if not self.terms:
-            return 0.0
-        return max(np.abs(c).max() for _, c in self.terms)
-
-    def is_zero(self, tol=0.0):
-        return self.max_coeff() <= tol
-
     def degree(self):
         """Largest polynomial degree over all terms (-1 for zero)."""
         if not self.terms:
             return -1
         return max(c.shape[0] - 1 for _, c in self.terms)
 
-    # -- ring operations -----------------------------------------------------
+    # -- operations ----------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, QuasiPolynomial):
@@ -210,54 +169,12 @@ class QuasiPolynomial:
             raise ValueError("dimension mismatch")
         return QuasiPolynomial(self.n, list(self.terms) + list(other.terms))
 
-    def __neg__(self):
-        return QuasiPolynomial(self.n, [(nu, -c) for nu, c in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, a):
         """Multiply by the complex scalar ``a``."""
         a = complex(a)
         return QuasiPolynomial(self.n, [(nu, a * c) for nu, c in self.terms])
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        if not isinstance(other, QuasiPolynomial):
-            return NotImplemented
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    # -- calculus ------------------------------------------------------------
-
-    def differentiate(self):
-        """d/dx, term by term: (p' + nu p) exp(nu x)."""
-        out = []
-        for nu, coeffs in self.terms:
-            deg1 = coeffs.shape[0]
-            new = nu * coeffs.astype(complex)
-            for q in range(deg1 - 1):
-                new[q] = new[q] + (q + 1) * coeffs[q + 1]
-            out.append((nu, new))
-        return QuasiPolynomial(self.n, out)
-
-    def shift(self, xi):
-        """Translate: return g with g(x) = f(x + xi)."""
-        xi = complex(xi)
-        out = []
-        for nu, coeffs in self.terms:
-            deg1 = coeffs.shape[0]
-            new = np.zeros_like(coeffs)
-            for q in range(deg1):
-                for j in range(q + 1):
-                    new[j] += comb(q, j) * xi ** (q - j) * coeffs[q]
-            out.append((nu, cmath.exp(nu * xi) * new))
-        return QuasiPolynomial(self.n, out)
+    # -- evaluation ----------------------------------------------------------
 
     def conjugate(self):
         """Complex conjugate: conj(f)(x) = conj(f(x)) for real x."""
@@ -290,16 +207,6 @@ class QuasiPolynomial:
             for q in np.flatnonzero(w):
                 out += w[q] * coeffs[q]
         return out
-
-    # -- display -----------------------------------------------------------------
-
-    def __repr__(self):
-        if not self.terms:
-            return f"QuasiPolynomial(n={self.n}, 0)"
-        bits = []
-        for nu, coeffs in self.terms:
-            bits.append(f"deg {coeffs.shape[0] - 1} @ nu={nu:.6g}")
-        return f"QuasiPolynomial(n={self.n}, " + "; ".join(bits) + ")"
 
 
 def derivative_weights(nu, order, degree):

@@ -77,6 +77,11 @@ RANK_GAP = 1e3  # kept singular values exceed the noise floor by this factor
 MULT_TOL = 0.01  # distance of a Vandermonde weight from its integer multiplicity
 CONFIRM_RADIUS = 2e-3  # circle that confirms each root's multiplicity
 FLOOR = 1e-3  # height below which a box is not bisected
+CIRCLE_NODES = 48  # initial samples of a confirmation circle
+DISC_NODES = 64  # trapezoid nodes of the Cauchy coefficients on a disc
+NEWTON_ITERS = 5  # Newton steps of one root polish
+PAIR_TOL = 1e-7  # relative distance of two roots paired as conjugates
+CHAIN_TOL = 1e-8  # null-space cutoff and residual scale of the Jordan chains
 
 
 def t_hat(K, nu, order=0):
@@ -211,8 +216,8 @@ def count_in_rectangle(K, re0, re1, im0, im1, refine=1):
     return winding_number(lambda nu: char_value(K, nu), points)
 
 
-def count_on_circle(K, center, radius, nodes=48):
-    pts = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+def count_on_circle(K, center, radius):
+    pts = center + radius * np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
     return winding_number(lambda nu: char_value(K, nu), pts)
 
 
@@ -522,7 +527,7 @@ def _confirm(K, nu, multiplicity, radius, limit):
     return False
 
 
-def _disc_derivatives(K, center, orders, radius, nodes=64):
+def _disc_derivatives(K, center, orders, radius):
     """``{order: (d^(order)(center), noise)}`` via Cauchy coefficients.
 
     Taylor coefficients are trapezoid averages of d on a circle of moderate
@@ -531,7 +536,7 @@ def _disc_derivatives(K, center, orders, radius, nodes=64):
     the rounding error eps (1 + |d|) of the values on the circle through
     the same average.
     """
-    th = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, DISC_NODES, endpoint=False)
     vals = char_value(K, center + radius * np.exp(1j * th))
     noise = np.finfo(float).eps * (1 + np.abs(vals).max())
     return {
@@ -543,7 +548,7 @@ def _disc_derivatives(K, center, orders, radius, nodes=64):
     }
 
 
-def _newton_polish(K, nu, alpha, eta, half, iters=5):
+def _newton_polish(K, nu, alpha, eta, half):
     """Refine a cluster centroid by Newton iteration on d^(alpha-1).
 
     A genuine multiplicity-``alpha`` root is a simple zero of d^(alpha-1), so
@@ -557,7 +562,7 @@ def _newton_polish(K, nu, alpha, eta, half, iters=5):
     the transform exists: near its edge the radius shrinks to 0.45 of the
     distance to it, and a seed on or beyond the edge is returned as it is.
     """
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         radius = min(0.05, 0.45 * eta, 0.45 * (half - abs(nu.real)))
         if radius <= 0:
             break
@@ -574,7 +579,20 @@ def _newton_polish(K, nu, alpha, eta, half, iters=5):
     return nu
 
 
-def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
+def _axis_root(K, nu, alpha, eta, found):
+    """True when the root ``nu`` of multiplicity ``alpha``, found off the
+    axis, is the axis point i Im nu: no other found root is nearer to that
+    point, and d^(alpha-1) vanishes there within ``NOISE_FACTOR`` times its
+    rounding noise, the test at which ``_newton_polish`` stops."""
+    axis = complex(0.0, nu.imag)
+    if any(abs(o - axis) <= abs(nu.real) for o, _ in found if o != nu):
+        return False
+    radius = min(0.05, 0.45 * eta)
+    g, noise = _disc_derivatives(K, axis, (alpha - 1,), radius)[alpha - 1]
+    return abs(g) <= NOISE_FACTOR * noise
+
+
+def locate_roots(K, tol_root=1e-9):
     """Find all characteristic roots in a certified strip around the axis.
 
     Returns a SpectrumResult whose ``strip`` is a half-width in which every
@@ -584,12 +602,11 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
     clusters no circle confirmed, the decay checks of the strip and the
     final boxes of the last pass (``_resolve_box``).
     """
-    report = validate_decay(K, eta=eta)
+    report = validate_decay(K)
     if not report.ok:
         raise RuntimeError(f"kernel decay validation failed: {report.checks}")
     eta = report.eta
-    if window is None:
-        window = _choose_window(K, eta)
+    window = _choose_window(K, eta)
     excluded = []
     clusters = []
     shrinks = 0
@@ -605,7 +622,8 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
                 raise RuntimeError("no certifiable strip: unresolved root clusters")
             continue
         found = [root for _, roots, _ in boxes for root in roots]
-        off = [nu for nu, _ in found if abs(nu.real) > tol_root]
+        off = [nu for nu, m in found
+               if abs(nu.real) > tol_root and not _axis_root(K, nu, m, eta, found)]
         if not off:
             roots = [
                 Root(
@@ -615,7 +633,7 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
                 )
                 for nu, m in found
             ]
-            _pair_conjugates(roots, pair_tol)
+            _pair_conjugates(roots)
             roots.sort(key=lambda r: r.nu.imag)
             return SpectrumResult(
                 roots=roots,
@@ -637,16 +655,16 @@ def locate_roots(K, eta=None, window=None, tol_root=1e-9, pair_tol=1e-7):
     raise RuntimeError("strip certification did not converge")
 
 
-def _pair_conjugates(roots, pair_tol):
+def _pair_conjugates(roots):
     for i, r in enumerate(roots):
-        if r.pair >= 0 or abs(r.nu.imag) <= pair_tol:
+        if r.pair >= 0 or abs(r.nu.imag) <= PAIR_TOL:
             continue
         for j in range(i + 1, len(roots)):
             s = roots[j]
             if s.pair >= 0:
                 continue
             if (
-                abs(s.nu - np.conj(r.nu)) <= pair_tol * (1 + abs(r.nu))
+                abs(s.nu - np.conj(r.nu)) <= PAIR_TOL * (1 + abs(r.nu))
                 and s.multiplicity == r.multiplicity
             ):
                 im = 0.5 * (abs(r.nu.imag) + abs(s.nu.imag))
@@ -673,7 +691,7 @@ def _truncated_svd(T0, tol):
     return U, s, Vh, s >= cutoff, float(cutoff)
 
 
-def jordan_chains(K, nu, multiplicity, tol=1e-8):
+def jordan_chains(K, nu, multiplicity):
     """Jordan chains at a characteristic root.
 
     Returns a list of chains, each a list [e^0, ..., e^{p-1}] of (n,) arrays
@@ -688,7 +706,7 @@ def jordan_chains(K, nu, multiplicity, tol=1e-8):
     # (plain lstsq) would invert a numerically singular direction and return
     # a huge spurious component in the kernel's complement; truncating keeps
     # every generalized vector orthogonal to ker T0.
-    U, s, Vh, keep, _ = _truncated_svd(T0, tol)
+    U, s, Vh, keep, _ = _truncated_svd(T0, CHAIN_TOL)
     right = Vh[~keep].conj().T  # columns span ker T0
     left = U[:, ~keep]  # columns span coker (left null space)
     Uh, s, V = U[:, keep].conj().T, s[keep], Vh[keep].conj().T
@@ -703,7 +721,8 @@ def jordan_chains(K, nu, multiplicity, tol=1e-8):
         return b
 
     def solvable(b, scale):
-        return np.linalg.norm(left.conj().T @ b) <= 10 * tol * (scale + np.linalg.norm(b))
+        bound = 10 * CHAIN_TOL * (scale + np.linalg.norm(b))
+        return np.linalg.norm(left.conj().T @ b) <= bound
 
     def extend(chain):
         j = len(chain)
@@ -723,7 +742,7 @@ def jordan_chains(K, nu, multiplicity, tol=1e-8):
             if not solvable(b, scale):
                 return False
         e = V @ ((Uh @ b) / s)
-        if np.linalg.norm(T0 @ e - b) > 10 * tol * (scale + np.linalg.norm(b)):
+        if np.linalg.norm(T0 @ e - b) > 10 * CHAIN_TOL * (scale + np.linalg.norm(b)):
             return False
         chain.append(e)
         return True
@@ -761,11 +780,11 @@ def jordan_chains(K, nu, multiplicity, tol=1e-8):
         for k in range(len(chain)):
             chain[k] = chain[k] * factor
     chains.sort(key=len, reverse=True)
-    verify_chains(derivs, chains, tol)
+    verify_chains(derivs, chains)
     return chains
 
 
-def verify_chains(derivs, chains, tol=1e-8):
+def verify_chains(derivs, chains):
     """Check the chain conditions sum_q C(j,q) That^(q) e^{j-q} = 0."""
     scale = max(np.linalg.norm(derivs[0], 2), 1.0)
     for chain in chains:
@@ -773,7 +792,7 @@ def verify_chains(derivs, chains, tol=1e-8):
             resid = np.zeros_like(chain[0])
             for q in range(j + 1):
                 resid = resid + comb(j, q) * (derivs[q] @ chain[j - q])
-            if np.linalg.norm(resid) > 100 * tol * scale:
+            if np.linalg.norm(resid) > 100 * CHAIN_TOL * scale:
                 raise RuntimeError(f"chain condition {j} violated: {resid}")
 
 

@@ -15,8 +15,8 @@ predictions numerically and independently of the quasi-polynomial route:
   fixed-step classical Runge-Kutta ``rk4_step`` on pairs of floats;
 * ``planar_pulse_system`` / ``planar_front_system`` -- structure-checked
   extraction of those planar systems from a computed reduction;
-* ``pulse_profile`` / ``pulse_scaling_report`` and ``front_profile`` /
-  ``front_report`` -- end-to-end drivers producing ``WaveReport`` artifacts.
+* ``pulse_scaling_report`` and ``front_profile`` / ``front_report`` --
+  end-to-end drivers producing ``WaveReport`` artifacts.
 """
 
 from array import array
@@ -61,7 +61,7 @@ class GridProfile:
 
     Builders choose the half-width at least five times the slowest decay
     length of the profile, so that boundary values of localized profiles
-    stay below 1e-6 of the peak; ``localized`` checks the latter.
+    stay below 1e-6 of the peak.
     """
 
     xs: np.ndarray
@@ -83,48 +83,11 @@ class GridProfile:
         return float(self.xs[1] - self.xs[0])
 
     @property
-    def halfwidth(self):
-        return float(self.xs[-1] - self.xs[0]) / 2.0
-
-    @property
     def n(self):
         return self.values.shape[1]
 
     def peak(self):
         return float(np.abs(self.values).max())
-
-    def boundary_fraction(self):
-        """Largest boundary magnitude relative to the peak."""
-        p = self.peak()
-        if p == 0.0:
-            return 0.0
-        edge = max(np.abs(self.values[0]).max(), np.abs(self.values[-1]).max())
-        return float(edge / p)
-
-    def localized(self, tol=1e-6):
-        return self.boundary_fraction() <= tol
-
-    def decay_length(self):
-        """Tail e-folding length, estimated from running maxima.
-
-        Per side, the length over which the running maximum grows by a
-        factor e from the boundary value; infinite when the profile does
-        not decay toward that side.  Oscillation-proof (uses envelopes);
-        an estimate, meant for grid-sizing sanity checks.
-        """
-        mag = np.abs(self.values).max(axis=1)
-        window = max(1, mag.shape[0] // 100)  # envelope-safe boundary level
-        worst = 0.0
-        for side in (mag, mag[::-1]):
-            b = float(side[:window].max())
-            if b == 0.0:
-                continue
-            run = np.maximum.accumulate(side)
-            hit = np.nonzero(run >= np.e * b)[0]
-            if hit.size == 0:
-                return np.inf
-            worst = max(worst, hit[0] * self.h)
-        return worst
 
 
 @dataclass
@@ -237,10 +200,13 @@ def reconstruct(J, trajectory, mu=()):
 # ---------------------------------------------------------------------------
 # grid convolution and residuals
 
+# relative kernel mass left outside the truncated convolution support
+TAIL_TOL = 1e-10
 
-def _stencil_halfwidth(K, h, tail_tol=1e-10):
+
+def _stencil_halfwidth(K, h):
     """Stencil points per side covering the kernel's decay radius."""
-    return int(ceil(K.decay_radius(tail_tol) / h))
+    return int(ceil(K.decay_radius(TAIL_TOL) / h))
 
 
 def _interp_shifted(xs, values, shift):
@@ -254,10 +220,10 @@ def _interp_shifted(xs, values, shift):
     return out
 
 
-def grid_convolve(K, xs, values, tail_tol=1e-10):
+def grid_convolve(K, xs, values):
     """``(K * u)(xs)`` by the trapezoidal rule on the truncated support.
 
-    The truncation radius is the kernel decay radius at ``tail_tol``
+    The truncation radius is the kernel decay radius at ``TAIL_TOL``
     (relative tail mass); beyond the grid the profile is continued by its
     edge values, so localized and front-like profiles are both handled.
     Smooth kernel parts use aligned trapezoid sums; point masses shift the
@@ -274,7 +240,7 @@ def grid_convolve(K, xs, values, tail_tol=1e-10):
     out = np.zeros((m, n), dtype=complex)
 
     if getattr(K, "family", None) != "dirac":
-        half = _stencil_halfwidth(K, h, tail_tol)
+        half = _stencil_halfwidth(K, h)
         zs = np.arange(-half, half + 1) * h
         km = K.eval_x(zs)  # (2 half + 1, n, n)
         w = np.full(zs.shape, h)
@@ -306,7 +272,7 @@ def _place_column(s, n, target):
     return out
 
 
-def grid_nonlinearity(F, xs, values, mu=(), tail_tol=1e-10):
+def grid_nonlinearity(F, xs, values, mu=()):
     """``F(u, mu)`` on the grid; numeric counterpart of the exact series.
 
     Runs the exact evaluator's slot walk (``nonlin.walk_term``) on grid
@@ -320,7 +286,7 @@ def grid_nonlinearity(F, xs, values, mu=(), tail_tol=1e-10):
     m, n = values.shape
 
     def conv(kern, v):
-        return grid_convolve(kern, xs, v, tail_tol)
+        return grid_convolve(kern, xs, v)
 
     out = np.zeros((m, n), dtype=complex)
     for t in F.terms:
@@ -333,15 +299,15 @@ def grid_nonlinearity(F, xs, values, mu=(), tail_tol=1e-10):
     return out
 
 
-def _defect(K, F, xs, values, mu, tail_tol):
+def _defect(K, F, xs, values, mu):
     return (
         values
-        + grid_convolve(K, xs, values, tail_tol)
-        + grid_nonlinearity(F, xs, values, mu, tail_tol)
+        + grid_convolve(K, xs, values)
+        + grid_nonlinearity(F, xs, values, mu)
     )
 
 
-def residual(K, F, profile, mu=(), tail_tol=1e-10, require_convergence=False):
+def residual(K, F, profile, mu=(), require_convergence=False):
     """Defect norms of ``u + K*u + F(u, mu) = 0`` for a grid profile.
 
     Computes the defect on the grid and on its every-other-point coarsening;
@@ -357,14 +323,14 @@ def residual(K, F, profile, mu=(), tail_tol=1e-10, require_convergence=False):
     kernels = [K] + [k for t in F.terms
                      for k in (t.outer, *(kern for kern, _ in t.factors))
                      if k is not None]
-    margin = max(_stencil_halfwidth(k, h, tail_tol) for k in kernels)
-    margin_c = max(_stencil_halfwidth(k, 2 * h, tail_tol) for k in kernels)
+    margin = max(_stencil_halfwidth(k, h) for k in kernels)
+    margin_c = max(_stencil_halfwidth(k, 2 * h) for k in kernels)
     if 2 * margin >= len(xs) or 2 * margin_c >= len(xs[::2]):
         raise RuntimeError(
             "grid too narrow: the convolution stencil covers the whole domain"
         )
-    r_fine = _defect(K, F, xs, u, mu, tail_tol)
-    r_coarse = _defect(K, F, xs[::2], u[::2], mu, tail_tol)
+    r_fine = _defect(K, F, xs, u, mu)
+    r_coarse = _defect(K, F, xs[::2], u[::2], mu)
     diff = np.abs(r_fine[::2] - r_coarse).max(axis=1)
     quadrature_error = float(diff[margin_c:len(diff) - margin_c].max())
 
@@ -474,7 +440,7 @@ def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
 
 
 def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
-               tol_reach=1e-4, max_span=None):
+               tol_reach=1e-4):
     """Front of ``kappa a'' + c a' + a (alpha - beta a^2) = 0`` by shooting.
 
     Starts on the saddle's one-dimensional unstable manifold (eigenvector
@@ -494,9 +460,8 @@ def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
         (c_star - sqrt(disc)) / (2 * kappa)
     if step is None:
         step = 0.01 / max(1.0, s_unstable, c_star / kappa)
-    if max_span is None:
-        max_span = 3.0 * (log(a_star / start) / s_unstable
-                          + log(a_star / tol_reach) / slow + 20.0)
+    max_span = 3.0 * (log(a_star / start) / s_unstable
+                      + log(a_star / tol_reach) / slow + 20.0)
 
     # numpy divides complex numbers by multiplying with the reciprocal; the
     # complex-array reference shooter in the tests must agree bit for bit
@@ -539,13 +504,17 @@ def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
 # planar limit systems from a computed reduction
 
 
-def _planar_coefficients(sf, expected, tol):
+# planar extraction: tolerance relative to the largest kept coefficient
+PLANAR_TOL = 1e-8
+
+
+def _planar_coefficients(sf, expected):
     """Coefficients of the scaled field at ``expected`` = {index: slot}.
 
     The kept entries must be exactly the expected ones, each concentrated on
     its slot, and the first expected entry, the flow coupling ``A' = B``,
     must be 1.  Returns ``(coefficients, scale)``, with ``scale`` the largest
-    kept magnitude, against which ``tol`` is relative.
+    kept magnitude, against which ``PLANAR_TOL`` is relative.
     """
     extra = set(sf.field) - set(expected)
     if extra:
@@ -559,23 +528,23 @@ def _planar_coefficients(sf, expected, tol):
         if vec is None:
             raise RuntimeError(f"scaled field misses the entry {idx.powers}|{idx.mu}")
         off = np.abs(np.delete(vec, slot)).max() if len(vec) > 1 else 0.0
-        if off > tol * scale:
+        if off > PLANAR_TOL * scale:
             raise RuntimeError(
                 f"scaled entry {idx.powers}|{idx.mu} is not concentrated on slot {slot}"
             )
         coeffs[idx] = complex(vec[slot])
-    if abs(coeffs[next(iter(expected))] - 1.0) > tol * scale:
+    if abs(coeffs[next(iter(expected))] - 1.0) > PLANAR_TOL * scale:
         raise RuntimeError("flow coupling A' = B is not normalized")
     return coeffs, scale
 
 
-def _check_real(z, name, scale, tol):
-    if abs(z.imag) > tol * scale:
+def _check_real(z, name, scale):
+    if abs(z.imag) > PLANAR_TOL * scale:
         raise RuntimeError(f"coefficient {name} is not real: {z}")
     return float(z.real)
 
 
-def planar_pulse_system(sf, tol=1e-8):
+def planar_pulse_system(sf):
     """Extract ``a'' = lam lin a + cub a^3`` from a scaled pair reduction.
 
     Expects the leading-order field of a reversible conjugate-pair reduction
@@ -592,17 +561,17 @@ def planar_pulse_system(sf, tol=1e-8):
         JetIndex((2, 1, 0, 0), (0,)): 2,
         JetIndex((1, 2, 0, 0), (0,)): 3,
     }
-    coeffs, scale = _planar_coefficients(sf, expected, tol)
+    coeffs, scale = _planar_coefficients(sf, expected)
     lin = coeffs[JetIndex((1, 0, 0, 0), (1,))]
     cub = coeffs[JetIndex((2, 1, 0, 0), (0,))]
     for idx, partner in (
         (JetIndex((0, 1, 0, 0), (1,)), lin),
         (JetIndex((1, 2, 0, 0), (0,)), cub),
     ):
-        if abs(coeffs[idx] - np.conj(partner)) > tol * scale:
+        if abs(coeffs[idx] - np.conj(partner)) > PLANAR_TOL * scale:
             raise RuntimeError("conjugate entries of the scaled field disagree")
-    lin = _check_real(lin, "lin", scale, tol)
-    cub = _check_real(cub, "cub", scale, tol)
+    lin = _check_real(lin, "lin", scale)
+    cub = _check_real(cub, "cub", scale)
     if lin <= 0 or cub >= 0:
         raise RuntimeError(
             f"pulse balance needs lin > 0 > cub, got lin={lin}, cub={cub}"
@@ -610,7 +579,7 @@ def planar_pulse_system(sf, tol=1e-8):
     return lin, cub
 
 
-def planar_front_system(J, tol=1e-8):
+def planar_front_system(J):
     """Extract ``(kappa, alpha, beta)`` of the front equation from a reduction.
 
     Expects a reduction over a length-two chain at frequency zero with two
@@ -631,10 +600,10 @@ def planar_front_system(J, tol=1e-8):
         JetIndex((1, 0), (1, 0)): 1,
         JetIndex((3, 0), (0, 0)): 1,
     }
-    coeffs, scale = _planar_coefficients(sf, expected, tol)
-    g0 = _check_real(coeffs[JetIndex((0, 1), (0, 1))], "g0", scale, tol)
-    ga = _check_real(coeffs[JetIndex((1, 0), (1, 0))], "ga", scale, tol)
-    gb = _check_real(coeffs[JetIndex((3, 0), (0, 0))], "gb", scale, tol)
+    coeffs, scale = _planar_coefficients(sf, expected)
+    g0 = _check_real(coeffs[JetIndex((0, 1), (0, 1))], "g0", scale)
+    ga = _check_real(coeffs[JetIndex((1, 0), (1, 0))], "ga", scale)
+    gb = _check_real(coeffs[JetIndex((3, 0), (0, 0))], "gb", scale)
     if g0 >= 0 or ga >= 0 or gb <= 0:
         raise RuntimeError(
             f"front balance needs g0, ga < 0 < gb, got ({g0}, {ga}, {gb})"
@@ -714,21 +683,6 @@ def _pulse_on_grid(J, orbit, lam, step_x, span_factor):
     return reconstruct(J, traj, mu=(lam,))
 
 
-def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,
-                  span_factor=0.98):
-    """Reconstructed pulse at parameter ``lam > 0``.
-
-    Scales the reduced field to its leading pulse balance, shoots the
-    reversible planar homoclinic, extends it symmetrically, and maps the
-    slow coordinates back through carrier phases and the graph map.
-    Returns ``(GridProfile, ShootingResult)``.
-    """
-    if lam <= 0:
-        raise ValueError("pulse reconstruction needs lam > 0")
-    orbit = _pulse_orbit(J, step_scaled, start)
-    return _pulse_on_grid(J, orbit, lam, step_x, span_factor), orbit[-1]
-
-
 def slope_loglog(xs, ys):
     """Least-squares slope of ``log ys`` against ``log xs``."""
     return float(
@@ -745,8 +699,9 @@ def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None,
     defect, and fits the log-log slope of residual against amplitude.
     ``details['amplitude_ratio']`` is peak / sqrt(lam) at the smallest
     parameter.  ``on_profile(lam, profile, residual_report)`` is called once
-    per parameter when supplied.  The remaining keywords are those of
-    ``pulse_profile``.
+    per parameter when supplied.  ``step_scaled`` and ``start`` set the
+    scaled shot, ``step_x`` the profile grid, and ``span_factor`` the share
+    of the half orbit that grid covers.
     """
     lams = sorted(float(l) for l in lams)
     if lams[0] <= 0:

@@ -7,8 +7,9 @@ from cmnl.jet import compute_jet
 from cmnl.kernel import ExponentialMixture, GaussianMixture
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.projection import build_pointwise, kernel_basis
-from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
+
+from reference import add_kernels, combine, differentiate_kernel, scale_kernel
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -16,29 +17,6 @@ SQRT_PI = np.sqrt(np.pi)
 # repeats; nothing is read from or written to an example database.
 settings.register_profile("repeatable", derandomize=True, deadline=None, database=None)
 settings.load_profile("repeatable")
-
-
-def quasi_to_data(f):
-    """The nested-list layout of a quasi-polynomial in ``cm reduce`` reports:
-    {"n": n, "terms": [{"nu": [re, im], "poly": ...}]}, ``poly`` a list over
-    degree (constant first) of lists of ``[re, im]`` pairs, one per component.
-    """
-    terms = []
-    for nu, coeffs in f.terms:
-        poly = [[[float(c.real), float(c.imag)] for c in row] for row in coeffs]
-        terms.append({"nu": [float(nu.real), float(nu.imag)], "poly": poly})
-    return {"n": f.n, "terms": terms}
-
-
-def quasi_from_data(data):
-    """The quasi-polynomial of ``quasi_to_data`` output (or its JSON)."""
-    n = int(data["n"])
-    terms = []
-    for t in data["terms"]:
-        rows = [[complex(pair[0], pair[1]) for pair in row] for row in t["poly"]]
-        terms.append((complex(t["nu"][0], t["nu"][1]),
-                      np.array(rows, dtype=complex).reshape(-1, n)))
-    return QuasiPolynomial(n, terms)
 
 
 def scaled_gaussian(c, a=1.0, b=0.0):
@@ -68,7 +46,7 @@ def critical_pair_kernel():
     """
     c1 = -(4.0 / 3.0) * np.exp(0.25) / SQRT_PI
     c2 = np.e / (6.0 * SQRT_PI)
-    return scaled_gaussian(c1, 1.0) + scaled_gaussian(c2, 0.25)
+    return add_kernels(scaled_gaussian(c1, 1.0), scaled_gaussian(c2, 0.25))
 
 
 def two_exponential_kernel():
@@ -79,16 +57,10 @@ def two_exponential_kernel():
     return ExponentialMixture([(c1, 1.0, 0.0), (c2, 2.0, 0.0)])
 
 
-def isclose(f, g, tol=1e-10):
-    """True when max coefficient of f - g is below tol * (1 + max scale)."""
-    scale = 1.0 + max(f.max_coeff(), g.max_coeff())
-    return (f - g).max_coeff() <= tol * scale
-
-
 def project(P, u):
     """(coordinates of u, their combination of the basis) under projection P."""
     coords = P.coordinates(u)
-    return coords, P.basis.combine(coords)
+    return coords, combine(P.basis, coords)
 
 
 def polynomial_terms(coeffs, kernel=None, outer=None, mu_power=()):
@@ -138,9 +110,9 @@ def build_front_jet(order=3):
     (K, jet result, G).
     """
     G = GaussianMixture.single(1.0 / SQRT_PI, 1.0)
-    K = G.scale(-1.0)
-    Gp = G.differentiate()
-    Gpp = Gp.differentiate()
+    K = scale_kernel(G, -1.0)
+    Gp = differentiate_kernel(G)
+    Gpp = differentiate_kernel(Gp)
     basis = kernel_basis(K, locate_roots(K))
     P = build_pointwise(basis)
     F = NonlinearitySpec(

@@ -1,0 +1,327 @@
+"""Reference algebra of the test suite: what the tests use of the
+quasi-polynomial ring, of exact evaluation on the manifold, of kernels and of
+wave profiles beyond what ``cm`` runs, as free functions over the library's
+types.  The pipeline holds the jet on lattice rows and checks waves on
+x-grids, so none of this is library code.
+"""
+
+import cmath
+from math import comb
+
+import numpy as np
+
+from cmnl.kernel import ExponentialMixture, GaussianMixture, SumKernel, apply_T
+from cmnl.nonlin import apply_term, mu_weight
+from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
+from cmnl.verify import _pulse_on_grid, _pulse_orbit
+
+# -- the quasi-polynomial ring -----------------------------------------------
+
+
+def zero(n=1):
+    return QuasiPolynomial(n, ())
+
+
+def exponential(nu, vec=(1.0,)):
+    """vec * exp(nu x)."""
+    return monomial(nu, 0, vec)
+
+
+def monomial(nu, power, vec=(1.0,)):
+    """vec * x^power * exp(nu x)."""
+    vec = np.atleast_1d(np.asarray(vec, dtype=complex))
+    coeffs = np.zeros((power + 1, vec.size), dtype=complex)
+    coeffs[power] = vec
+    return QuasiPolynomial(vec.size, [(nu, coeffs)])
+
+
+def frequencies(f):
+    return [nu for nu, _ in f.terms]
+
+
+def term_for(f, nu, tol=FREQ_TOL):
+    """Coefficient array for the term at frequency ``nu`` (zero-size if absent)."""
+    for nu_j, coeffs in f.terms:
+        if abs(nu_j - nu) <= tol:
+            return coeffs
+    return np.zeros((0, f.n), dtype=complex)
+
+
+def max_coeff(f):
+    """Largest coefficient magnitude (0 for the zero element)."""
+    return max((np.abs(c).max() for _, c in f.terms), default=0.0)
+
+
+def is_zero(f, tol=0.0):
+    return max_coeff(f) <= tol
+
+
+def sub(f, g):
+    return f + QuasiPolynomial(g.n, [(nu, -c) for nu, c in g.terms])
+
+
+def mul(a, b):
+    """Product of two quasi-polynomials (one of them scalar-valued), or of a
+    quasi-polynomial and a number, in either order."""
+    if isinstance(a, (int, float, complex)):
+        a, b = b, a
+    if isinstance(b, (int, float, complex)):
+        return a.scale(b)
+    return multiply(a, b)
+
+
+def differentiate(f):
+    """d/dx, term by term: (p' + nu p) exp(nu x)."""
+    out = []
+    for nu, coeffs in f.terms:
+        new = nu * coeffs
+        new[:-1] += np.arange(1, coeffs.shape[0])[:, None] * coeffs[1:]
+        out.append((nu, new))
+    return QuasiPolynomial(f.n, out)
+
+
+def shift(f, xi):
+    """Translate: return g with g(x) = f(x + xi)."""
+    xi = complex(xi)
+    out = []
+    for nu, coeffs in f.terms:
+        deg1 = coeffs.shape[0]
+        new = np.zeros_like(coeffs)
+        for q in range(deg1):
+            for j in range(q + 1):
+                new[j] += comb(q, j) * xi ** (q - j) * coeffs[q]
+        out.append((nu, cmath.exp(nu * xi) * new))
+    return QuasiPolynomial(f.n, out)
+
+
+# -- exact evaluators of the reduction ---------------------------------------
+
+
+def apply_series(F, u, mu=()):
+    """Evaluate the whole series at the single argument ``u``, exactly.
+
+    ``mu`` supplies numeric values of the formal parameters; every term's
+    arguments are all equal to ``u``.
+    """
+    mu = (mu,) if np.isscalar(mu) else tuple(mu)
+    out = zero(u.n)
+    for t in F.terms:
+        weight = mu_weight(t, mu)
+        if weight == 0:
+            continue
+        out = out + apply_term(t, [u] * t.degree).scale(weight)
+    return out
+
+
+def combine(basis, coords):
+    """The canonical coordinate map: coords -> sum_k coords_k phi_k."""
+    coords = np.asarray(coords, dtype=complex)
+    if coords.shape != (basis.size,):
+        raise ValueError(f"expected {basis.size} coordinates, got {coords.shape}")
+    total = zero(basis.n)
+    for c, el in zip(coords, basis.elements):
+        total = total + el.function.scale(c)
+    return total
+
+
+def evaluate_field(fld, coords, mu=()):
+    """Numeric right-hand side ``f(coords, mu)`` of the reduced equation."""
+    coords = np.asarray(coords, dtype=complex)
+    out = np.zeros(coords.shape[0], dtype=complex)
+    for idx, vec in fld.items():
+        out += np.asarray(vec) * idx.monomial(coords, mu)
+    return out
+
+
+def manifold_point(J, coords, mu=()):
+    """Quasi-polynomial on the manifold graph at the given coordinates."""
+    u = combine(J.basis, coords)
+    for idx, psi in J.psi.items():
+        w = idx.monomial(coords, mu)
+        if w != 0:
+            u = u + psi.scale(w)
+    return u
+
+
+def equation_residual(K, F, u, mu=()):
+    """Exact algebra residual ``u + K*u + F(u, mu)``."""
+    return apply_T(K, u) + apply_series(F, u, mu)
+
+
+# -- kernels -------------------------------------------------------------------
+
+
+def moment(K, m, nu):
+    """kappa_m(nu) = int x^m K(x) exp(-nu x) dx."""
+    return (-1) ** m * K.transform(nu, m)
+
+
+def convolve_quadrature(K, u, xs, tol=1e-12, panel=1.0, npts=24):
+    """Convolution (K * u)(xs) by panelled Gauss-Legendre quadrature.
+
+    Independent x-space route used to cross-check ``kernel.convolve``:
+    integrates K(z) u(x - z) over |z| <= decay radius.  ``u`` may be a
+    QuasiPolynomial or a callable returning (n,) values.  Returns
+    (len(xs), n).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ueval = u.evaluate if isinstance(u, QuasiPolynomial) else u
+    n = K.n
+    R = K.decay_radius(tol)
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    edges = np.linspace(-R, R, max(2, int(np.ceil(2 * R / panel)) + 1))
+    inner = [b for b in K.breakpoints() if -R < b < R]
+    if inner:
+        edges = np.unique(np.concatenate([edges, inner]))
+    out = np.zeros((xs.size, n), dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        zs = mid + half * nodes
+        Kz = K.eval_x(zs)  # (npts, n, n)
+        for iz, z in enumerate(zs):
+            vals = np.atleast_2d(ueval(xs - z))
+            out += (weights[iz] * half) * vals @ Kz[iz].T
+    for A, xi in K.point_masses():
+        vals = np.atleast_2d(ueval(xs - xi))
+        out += vals @ A.T
+    return out
+
+
+def scale_kernel(K, s):
+    """The kernel s * K of a closed-form family, in its family."""
+    return type(K)([(s * c, *rest) for c, *rest in K.terms], n=K.n)
+
+
+def differentiate_kernel(K):
+    """The kernel K' (transform nu * Khat(nu)) of a gaussian mixture."""
+    new_terms = []
+    for coeffs, a, b in K.terms:
+        deg1 = coeffs.shape[0]
+        new = np.zeros((deg1 + 1, K.n, K.n), dtype=complex)
+        for j in range(deg1):
+            if j >= 1:
+                new[j - 1] += j * coeffs[j]
+            # d/dx exp(-a(x-b)^2) factor: -2a(x-b)
+            new[j] += 2 * a * b * coeffs[j]
+            new[j + 1] += -2 * a * coeffs[j]
+        new_terms.append((new, a, b))
+    return GaussianMixture(new_terms, n=K.n)
+
+
+def add_kernels(*kernels):
+    """One ``SumKernel`` over the parts of all ``kernels``."""
+    return SumKernel([p for k in kernels
+                      for p in (k.parts if isinstance(k, SumKernel) else [k])])
+
+
+def _real(z):
+    if z.imag:
+        raise ValueError(f"complex coefficient {z} in a real-coefficient kernel")
+    return float(z.real)
+
+
+def kernel_to_data(K):
+    """The problem-file dict (``kernel.from_data``) of a scalar gaussian or
+    exponential mixture with real coefficients, or of a sum of them."""
+    if isinstance(K, SumKernel):
+        return {"family": "sum", "parts": [kernel_to_data(p) for p in K.parts]}
+    terms = []
+    for c, a, b in K.terms:
+        if isinstance(K, ExponentialMixture):
+            terms.append({"c": _real(c[0, 0]), "a": a, "b": b})
+        elif c.shape[0] == 1:
+            terms.append({"c": _real(c[0, 0, 0]), "a": a, "b": b})
+        else:
+            poly = [_real(p) for p in c[:, 0, 0]]
+            terms.append({"c": 1.0, "a": a, "b": b, "poly": poly})
+    return {"family": K.family, "n": K.n, "terms": terms}
+
+
+# -- waves -----------------------------------------------------------------------
+
+
+def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,
+                  span_factor=0.98):
+    """Reconstructed pulse at parameter ``lam > 0``.
+
+    Scales the reduced field to its leading pulse balance, shoots the
+    reversible planar homoclinic, extends it symmetrically, and maps the
+    slow coordinates back through carrier phases and the graph map.
+    Returns ``(GridProfile, ShootingResult)``.
+    """
+    if lam <= 0:
+        raise ValueError("pulse reconstruction needs lam > 0")
+    orbit = _pulse_orbit(J, step_scaled, start)
+    return _pulse_on_grid(J, orbit, lam, step_x, span_factor), orbit[-1]
+
+
+def halfwidth(profile):
+    return float(profile.xs[-1] - profile.xs[0]) / 2.0
+
+
+def boundary_fraction(profile):
+    """Largest boundary magnitude relative to the peak."""
+    p = profile.peak()
+    if p == 0.0:
+        return 0.0
+    edge = max(np.abs(profile.values[0]).max(), np.abs(profile.values[-1]).max())
+    return float(edge / p)
+
+
+def localized(profile, tol=1e-6):
+    return boundary_fraction(profile) <= tol
+
+
+def decay_length(profile):
+    """Tail e-folding length, estimated from running maxima.
+
+    Per side, the length over which the running maximum grows by a factor e
+    from the boundary value; infinite when the profile does not decay toward
+    that side.  Oscillation-proof (uses envelopes); an estimate, meant for
+    grid-sizing sanity checks.
+    """
+    mag = np.abs(profile.values).max(axis=1)
+    window = max(1, mag.shape[0] // 100)  # envelope-safe boundary level
+    worst = 0.0
+    for side in (mag, mag[::-1]):
+        b = float(side[:window].max())
+        if b == 0.0:
+            continue
+        run = np.maximum.accumulate(side)
+        hit = np.nonzero(run >= np.e * b)[0]
+        if hit.size == 0:
+            return np.inf
+        worst = max(worst, hit[0] * profile.h)
+    return worst
+
+
+# -- report layout and comparison ----------------------------------------------
+
+
+def quasi_to_data(f):
+    """The nested-list layout of a quasi-polynomial in ``cm reduce`` reports:
+    {"n": n, "terms": [{"nu": [re, im], "poly": ...}]}, ``poly`` a list over
+    degree (constant first) of lists of ``[re, im]`` pairs, one per component.
+    """
+    terms = []
+    for nu, coeffs in f.terms:
+        poly = [[[float(c.real), float(c.imag)] for c in row] for row in coeffs]
+        terms.append({"nu": [float(nu.real), float(nu.imag)], "poly": poly})
+    return {"n": f.n, "terms": terms}
+
+
+def quasi_from_data(data):
+    """The quasi-polynomial of ``quasi_to_data`` output (or its JSON)."""
+    n = int(data["n"])
+    terms = []
+    for t in data["terms"]:
+        rows = [[complex(pair[0], pair[1]) for pair in row] for row in t["poly"]]
+        terms.append((complex(t["nu"][0], t["nu"][1]),
+                      np.array(rows, dtype=complex).reshape(-1, n)))
+    return QuasiPolynomial(n, terms)
+
+
+def isclose(f, g, tol=1e-10):
+    """True when max coefficient of f - g is below tol * (1 + max scale)."""
+    scale = 1.0 + max(max_coeff(f), max_coeff(g))
+    return max_coeff(sub(f, g)) <= tol * scale

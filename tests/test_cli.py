@@ -14,6 +14,8 @@ Oracle notes
 import json
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +27,12 @@ from conftest import (
     SQRT_PI,
     build_pair_jet,
     critical_pair_kernel,
-    quasi_to_data,
     two_exponential_kernel,
 )
+from reference import differentiate_kernel, kernel_to_data, quasi_to_data, scale_kernel
 
 import cmnl
+from cmnl import jet, nonlin, quasipoly, tsolve
 from cmnl.cli import canonical_json, main, write_profile_csv
 from cmnl.kernel import ExponentialMixture, GaussianMixture
 from cmnl.problem import ProblemError, load_problem, problem_from_data
@@ -64,7 +67,7 @@ def pair_problem_data(lambdas=(1e-2, 1e-3)):
     return {
         "schema": 1,
         "name": "critical-pair",
-        "kernels": {"K": critical_pair_kernel().to_data()},
+        "kernels": {"K": kernel_to_data(critical_pair_kernel())},
         "kernel": "K",
         "nonlinearity": {
             "max_order": 5,
@@ -90,15 +93,15 @@ def pair_problem_data(lambdas=(1e-2, 1e-3)):
 
 def front_problem_data(epsilon=1e-2, c_star=1.1):
     G = GaussianMixture.single(1.0 / SQRT_PI, 1.0)
-    Gp = G.differentiate()
+    Gp = differentiate_kernel(G)
     return {
         "schema": 1,
         "name": "comoving-pitchfork",
         "kernels": {
-            "K": G.scale(-1.0).to_data(),
-            "G": G.to_data(),
-            "Gp": Gp.to_data(),
-            "Gpp": Gp.differentiate().to_data(),
+            "K": kernel_to_data(scale_kernel(G, -1.0)),
+            "G": kernel_to_data(G),
+            "Gp": kernel_to_data(Gp),
+            "Gpp": kernel_to_data(differentiate_kernel(Gp)),
         },
         "kernel": "K",
         "nonlinearity": {
@@ -386,7 +389,7 @@ class TestSpectrumCommand:
         # the isolating circles once left the strip of this kernel, and the
         # transform's strip check surfaced as an input error (exit 2)
         data = saddle_problem_data()
-        data["kernels"]["K"] = two_exponential_kernel().to_data()
+        data["kernels"]["K"] = kernel_to_data(two_exponential_kernel())
         path = write_problem(tmp_path, data)
         out = tmp_path / "spec.json"
         assert main(["spectrum", path, "--out", str(out)]) == 0
@@ -400,7 +403,8 @@ class TestSpectrumCommand:
         # a real root pair +-0.905 inside the first strip: the report records
         # the shrink, the excluded roots as [re, im] pairs and every final box
         data = saddle_problem_data()
-        data["kernels"]["K"] = ExponentialMixture([((0.905**2 - 1) / 2, 1.0, 0.0)]).to_data()
+        data["kernels"]["K"] = kernel_to_data(
+            ExponentialMixture([((0.905**2 - 1) / 2, 1.0, 0.0)]))
         path = write_problem(tmp_path, data)
         texts = []
         for name in ("a.json", "b.json"):
@@ -600,6 +604,9 @@ class TestVerifyCommand:
         assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def package_env():
     """This environment with the tested ``cmnl`` importable in a child
     process, also when only pytest's ``pythonpath`` setting found it."""
@@ -650,6 +657,54 @@ class TestCommandLineEntry:
         summary = json.loads(trace.read_text(encoding="utf-8"))
         assert summary["exit_code"] == 0
         assert summary["seconds"]["jet.compute"] > 0
+
+    def test_library_keeps_only_what_cm_runs(self, tmp_path):
+        # every function of the jet's modules runs in the seed-1 bench
+        # commands, or is a body the tracer pins or a helper such a body calls
+        problems = ROOT / "bench" / "problems.py"
+        paths = runpy.run_path(str(problems))["write"](1, str(tmp_path))
+        ran = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            for path in paths.values():
+                plan = '"verify"' in Path(path).read_text(encoding="utf-8")
+                for command in ("spectrum", "reduce", "verify")[: 2 + plan]:
+                    assert main([command, path, "--out", str(tmp_path / "r.json")]) == 0
+        finally:
+            sys.setprofile(None)
+        pinned = {
+            "quasipoly.QuasiPolynomial.component", "quasipoly.QuasiPolynomial.degree",
+            "quasipoly.QuasiPolynomial.__add__", "quasipoly.QuasiPolynomial.scale",
+            "quasipoly.multiply", "quasipoly.place_component", "nonlin.apply_term",
+            "tsolve.BorderedProblem.__post_init__", "tsolve._root_multiplicities",
+            "tsolve.t_series", "tsolve.solve"}
+        defined = {}
+        for mod in (quasipoly, nonlin, tsolve, jet):
+            short = mod.__name__.split(".")[-1]
+            for name, obj in vars(mod).items():
+                members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+                for attr, fn in members:
+                    fn = getattr(fn, "fget", None) or getattr(fn, "__func__", fn)
+                    code = getattr(fn, "__code__", None)
+                    if code is not None and code.co_filename == mod.__file__:
+                        defined[".".join(filter(None, (short, name, attr)))] = code
+        assert pinned <= defined.keys()
+        assert {name for name, code in defined.items() if code not in ran} == pinned
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        names = {}
+        exec(example, names)
+        fld = names["J"].field
+        assert fld[jet.JetIndex((2,), ())] == pytest.approx([1.0])
+        assert fld[jet.JetIndex((3,), ())] == pytest.approx([0.5])
+        assert len(capsys.readouterr().out.splitlines()) == len(fld) == 3
 
 
 class TestCsvWriter:

