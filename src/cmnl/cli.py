@@ -198,10 +198,12 @@ def _reduce_data(prob, tol_root, tol_solve, order):
         "problem": prob.name,
         "n": prob.n,
         "basis": basis,
+        "basis_condition": J.basis.condition,
         "projection": {
             "flavor": P.flavor,
             "weight": P.weight,
             "augmented": P.augmented,
+            "condition": P.condition,
         },
         "result": J.to_data(),
     }

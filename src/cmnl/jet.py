@@ -85,27 +85,6 @@ class JetIndex:
         """Sort key: graded lexicographic, coordinates before parameters."""
         return (self.order, self.powers + self.mu)
 
-    def monomial(self, coords, mu=()):
-        """Numeric value of ``c^powers mu^mu``.
-
-        Coordinate j is ``coords[..., j]``: one point, or a path with one
-        point per row.  Every parameter the index raises to a positive power
-        needs a value in ``mu``.
-        """
-        if len(mu) < len(self.mu) and any(self.mu[len(mu):]):
-            raise ValueError(
-                f"index needs {len(self.mu)} parameter values, got {len(mu)}"
-            )
-        coords = np.asarray(coords)
-        w = np.ones(coords.shape[:-1], dtype=complex)
-        for j, p in enumerate(self.powers):
-            if p:
-                w = w * coords[..., j] ** p
-        for v, r in zip(mu, self.mu):
-            if r:
-                w = w * v**r
-        return w
-
     def to_data(self):
         return {"powers": list(self.powers), "mu": list(self.mu)}
 

@@ -137,16 +137,6 @@ def walk_outer(term, prod, n, convolve, place):
     return out if outer is None else convolve(outer, out)
 
 
-def walk_term(term, args, n, convolve, component, product, place):
-    """The slot walk of one term, shared by the exact and the grid evaluators.
-
-    ``walk_slots`` followed by ``walk_outer``.  Neither the coefficient nor
-    the ``mu^r`` factor is applied.
-    """
-    prod = walk_slots(term, args, n, convolve, component, product)
-    return walk_outer(term, prod, n, convolve, place)
-
-
 def apply_term(term, args):
     """Evaluate one term on quasi-polynomial arguments, exactly.
 
@@ -162,8 +152,9 @@ def apply_term(term, args):
     n = args[0].n
     if any(u.n != n for u in args):
         raise ValueError("argument dimensions differ")
-    out = walk_term(term, args, n, convolve, QuasiPolynomial.component,
-                    multiply, place_component)
+    prod = walk_slots(term, args, n, convolve, QuasiPolynomial.component,
+                      multiply)
+    out = walk_outer(term, prod, n, convolve, place_component)
     return out.scale(term.coeff)
 
 

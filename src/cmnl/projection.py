@@ -231,7 +231,7 @@ class Projection:
     ``gram`` holds the functional matrix A with A[k, l] = f_k(phi_l);
     coordinates of u are A^{-1} (f_k(u))_k.  ``augmented`` records whether the
     default functional choice was ill conditioned and extra derivative orders
-    were selected greedily.
+    were selected greedily; ``condition`` is the 2-norm condition number of A.
     """
 
     basis: KernelBasis
@@ -241,6 +241,7 @@ class Projection:
     flavor: str
     weight: str | None = None
     augmented: bool = False
+    condition: float = 1.0
 
     def coordinates(self, u):
         b = np.array([f.apply(u) for f in self.functionals])
@@ -310,7 +311,8 @@ def build_pointwise(basis, directions=None):
         functionals.extend(pool[:s])
     A = _functional_matrix(functionals, basis)
     augmented = False
-    if np.linalg.cond(A) > GRAM_COND_LIMIT:
+    condition = float(np.linalg.cond(A))
+    if condition > GRAM_COND_LIMIT:
         max_order = basis.size + max(el.order for el in basis.elements) + 3
         dirs = _chain_directions(basis.elements, directions)
         pool = [
@@ -319,7 +321,8 @@ def build_pointwise(basis, directions=None):
         functionals = _greedy_select(pool, basis, basis.size)
         A = _functional_matrix(functionals, basis)
         augmented = True
-        if np.linalg.cond(A) > GRAM_COND_LIMIT:
+        condition = float(np.linalg.cond(A))
+        if condition > GRAM_COND_LIMIT:
             raise RuntimeError(
                 "functional matrix is singular even after derivative-order "
                 "augmentation; degenerate direction choice"
@@ -331,6 +334,7 @@ def build_pointwise(basis, directions=None):
         gram_inverse=np.linalg.inv(A),
         flavor="pointwise",
         augmented=augmented,
+        condition=condition,
     )
 
 
@@ -338,7 +342,8 @@ def build_gram(basis, weight="gaussian"):
     """Projection from weighted inner products against the basis functions."""
     functionals = [WeightedFunctional(weight, el.function) for el in basis.elements]
     A = _functional_matrix(functionals, basis)
-    if np.linalg.cond(A) > GRAM_COND_LIMIT:
+    condition = float(np.linalg.cond(A))
+    if condition > GRAM_COND_LIMIT:
         raise RuntimeError(f"singular Gram matrix for weight {weight!r}")
     return Projection(
         basis=basis,
@@ -347,4 +352,5 @@ def build_gram(basis, weight="gaussian"):
         gram_inverse=np.linalg.inv(A),
         flavor="gram",
         weight=weight,
+        condition=condition,
     )

@@ -4,10 +4,13 @@ The exact algebra ends at the reduced vector field; this module checks its
 predictions numerically and independently of the quasi-polynomial route:
 
 * ``reconstruct`` -- pointwise graph evaluation of a coordinate trajectory,
-  ``u(x) = (u0(c(x)) + Psi(c(x), mu))(0)``, sampled on the trajectory grid;
+  ``u(x) = (u0(c(x)) + Psi(c(x), mu))(0)``, sampled on the trajectory grid
+  one bounded block of rows at a time, each monomial one multiply from a
+  monomial of lower degree;
 * ``grid_convolve`` / ``residual`` -- trapezoidal convolution quadrature on a
   truncated uniform grid with a two-grid Richardson error estimate, measuring
-  how well a profile satisfies ``u + K*u + F(u, mu) = 0``;
+  how well a profile satisfies ``u + K*u + F(u, mu) = 0``; the defect sums the
+  terms that share an outer kernel and convolves each such group once;
 * ``find_homoclinic`` / ``find_front`` -- deterministic shooting for the two
   planar limit systems produced by ``scale_field``: the reversible pulse
   equation ``a'' = lam lin a + cub a^3`` and the damped front equation
@@ -26,7 +29,7 @@ from math import ceil, log, sqrt
 import numpy as np
 
 from .jet import JetIndex, scale_field
-from .nonlin import mu_weight, walk_term
+from .nonlin import mu_weight, walk_slots
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +181,72 @@ def _planar_trajectory(xs, ys):
 # reconstruction
 
 
+# trajectory rows that ``reconstruct`` evaluates at once; bounds the size of
+# its monomial temporaries
+RECONSTRUCT_ROWS = 2048
+
+
+def _monomial_plan(powers):
+    """``{power: (parent power, coordinate)}`` for every nonzero power in
+    ``powers`` and the powers they are built from, parents first: the
+    monomial of ``power`` is that of its parent times that coordinate."""
+    plan = {}
+
+    def add(p):
+        if p in plan or not any(p):
+            return
+        j = next(k for k, e in enumerate(p) if e)
+        parent = p[:j] + (p[j] - 1,) + p[j + 1:]
+        add(parent)
+        plan[p] = (parent, j)
+
+    for p in powers:
+        add(p)
+    return plan
+
+
 def reconstruct(J, trajectory, mu=()):
     """Profile of the manifold along a coordinate trajectory.
 
     The grid point at ``x`` uses the trajectory point at ``x`` through the
     graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``.
+    The parameter factors ``mu^r`` fold into one coefficient vector per
+    coordinate power, the basis values at the origin joining the linear
+    powers.  The path is evaluated ``RECONSTRUCT_ROWS`` rows at a time, and
+    every monomial of a block is one multiply from a monomial of lower
+    degree, so each row's value does not depend on the block it falls in.
     """
     mu = (mu,) if np.isscalar(mu) else tuple(mu)
     coords = trajectory.ys
-    if coords.shape[1] != J.basis.size:
+    size = J.basis.size
+    if coords.shape[1] != size:
         raise ValueError("trajectory dimension does not match the basis")
-    base = np.array([el.function.evaluate(0.0) for el in J.basis.elements])
-    values = coords @ base
+    coeffs = {}
+    for j, el in enumerate(J.basis.elements):
+        unit = tuple(int(k == j) for k in range(size))
+        coeffs[unit] = el.function.evaluate(0.0)
     for idx, psi in J.psi.items():
-        w = idx.monomial(coords, mu)
-        if np.any(w != 0.0):
-            values = values + w[:, None] * psi.evaluate(0.0)[None, :]
+        if len(mu) < len(idx.mu) and any(idx.mu[len(mu):]):
+            raise ValueError(
+                f"index needs {len(idx.mu)} parameter values, got {len(mu)}"
+            )
+        w = 1.0
+        for v, r in zip(mu, idx.mu):
+            w *= v**r
+        coeffs[idx.powers] = coeffs.get(idx.powers, 0.0) + w * psi.evaluate(0.0)
+    plan = _monomial_plan(coeffs)
+    values = np.zeros((coords.shape[0], J.basis.n), dtype=complex)
+    for lo in range(0, coords.shape[0], RECONSTRUCT_ROWS):
+        cols = np.ascontiguousarray(coords[lo:lo + RECONSTRUCT_ROWS].T)
+        mono = {}
+        for p, (parent, j) in plan.items():
+            mono[p] = mono[parent] * cols[j] if parent in mono else cols[j]
+        out = values[lo:lo + RECONSTRUCT_ROWS]
+        for p, c in coeffs.items():
+            # array times scalar, per component: numpy rounds a one-row
+            # broadcast product (1, 1) * (n,) differently from longer ones
+            for k, ck in enumerate(c):
+                out[:, k] += mono[p] * ck if p in mono else ck
     return GridProfile(trajectory.xs, values)
 
 
@@ -266,55 +319,57 @@ def grid_convolve(K, xs, values):
     return out
 
 
-def _place_column(s, n, target):
-    out = np.zeros((s.shape[0], n), dtype=complex)
-    out[:, target] = s[:, 0]
-    return out
+def _defect(K, F, xs, values, mu):
+    """``u + K*u + F(u, mu)`` on the grid, one convolution per outer kernel.
 
-
-def grid_nonlinearity(F, xs, values, mu=()):
-    """``F(u, mu)`` on the grid; numeric counterpart of the exact series.
-
-    Runs the exact evaluator's slot walk (``nonlin.walk_term``) on grid
-    values, with ``grid_convolve`` in place of the coefficient identity.
+    Each term's pointwise product comes from the exact evaluator's slot walk
+    (``nonlin.walk_slots``), with ``grid_convolve`` for the inner kernels.
+    The outer kernel acts linearly (``nonlin.walk_outer``), so the weighted
+    products of the terms that share one are summed first, ``u`` joins the
+    group of ``K``, and every group is convolved once.  A scalar outer
+    kernel of a vector problem acts on one component, so its groups are
+    per target component.
     """
-    mu = (mu,) if np.isscalar(mu) else tuple(mu)
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None]
     m, n = values.shape
 
     def conv(kern, v):
         return grid_convolve(kern, xs, v)
 
-    out = np.zeros((m, n), dtype=complex)
+    # (outer kernel, target component or None for all of them) -> sum
+    groups = {(K, None): values.copy()}
     for t in F.terms:
         weight = t.coeff * mu_weight(t, mu)
         if weight == 0:
             continue
-        out += weight * walk_term(t, [values] * t.degree, n, conv,
-                                  lambda v, c: v[:, [c]], np.multiply,
-                                  _place_column)
+        prod = walk_slots(t, [values] * t.degree, n, conv,
+                          lambda v, c: v[:, [c]], np.multiply)
+        if t.outer is not None and t.outer.n == 1 and n != 1:
+            key, col = (t.outer, t.target), 0
+        else:
+            key, col = (t.outer, None), t.target
+        if key not in groups:
+            groups[key] = np.zeros((m, n if key[1] is None else 1), dtype=complex)
+        groups[key][:, col] += weight * prod[:, 0]
+    out = values.copy()
+    for (kern, target), acc in groups.items():
+        if kern is not None:
+            acc = conv(kern, acc)
+        if target is None:
+            out += acc
+        else:
+            out[:, target] += acc[:, 0]
     return out
-
-
-def _defect(K, F, xs, values, mu):
-    return (
-        values
-        + grid_convolve(K, xs, values)
-        + grid_nonlinearity(F, xs, values, mu)
-    )
 
 
 def residual(K, F, profile, mu=(), require_convergence=False):
     """Defect norms of ``u + K*u + F(u, mu) = 0`` for a grid profile.
 
-    Computes the defect on the grid and on its every-other-point coarsening;
-    their difference estimates the quadrature error (the trapezoid rule is
-    second order, so the coarse defect carries roughly four times the fine
-    error).  Norms exclude the stencil margin at both ends.  With
-    ``require_convergence`` a quadrature-dominated measurement raises.
+    Computes the defect on the grid and on its every-other-point coarsening,
+    each with one ``grid_convolve`` per distinct outer kernel (``K``
+    included); their difference estimates the quadrature error (the
+    trapezoid rule is second order, so the coarse defect carries roughly four
+    times the fine error).  Norms exclude the stencil margin at both ends.
+    With ``require_convergence`` a quadrature-dominated measurement raises.
     """
     xs, u = profile.xs, profile.values
     if K.n != profile.n:
@@ -628,17 +683,21 @@ def _pair_phases(J):
     return ell
 
 
-def _hermite(ts, f, df, t):
-    """Cubic Hermite interpolant of values ``f``, slopes ``df`` at nodes ``ts``."""
+def _hermite_weights(ts, t):
+    """Node indices and cubic Hermite weights at the abscissae ``t`` for the
+    nodes ``ts``; ``_hermite`` applies them to values and slopes."""
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
     s = (t - ts[i]) / h
-    return (
-        (1.0 + 2.0 * s) * (1.0 - s) ** 2 * f[i]
-        + s * (1.0 - s) ** 2 * h * df[i]
-        + s**2 * (3.0 - 2.0 * s) * f[i + 1]
-        - s**2 * (1.0 - s) * h * df[i + 1]
-    )
+    return (i, (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2 * h,
+            s**2 * (3.0 - 2.0 * s), s**2 * (1.0 - s) * h)
+
+
+def _hermite(weights, f, df):
+    """Cubic Hermite interpolant of values ``f``, slopes ``df`` at the nodes
+    and abscissae of ``weights`` (from ``_hermite_weights``)."""
+    i, w00, w10, w01, w11 = weights
+    return w00 * f[i] + w10 * df[i] + w01 * f[i + 1] - w11 * df[i + 1]
 
 
 def _pulse_orbit(J, step_scaled, start):
@@ -672,9 +731,9 @@ def _pulse_on_grid(J, orbit, lam, step_x, span_factor):
     tau = hom.trajectory.xs - T1
     a_n = hom.trajectory.ys[:, 0].real
     p_n = hom.trajectory.ys[:, 1].real
-    z = -np.abs(eps * xs)
-    a = _hermite(tau, a_n, p_n, z)
-    p = _hermite(tau, p_n, lin * a_n + cub * a_n**3, z)
+    weights = _hermite_weights(tau, -np.abs(eps * xs))
+    a = _hermite(weights, a_n, p_n)
+    p = _hermite(weights, p_n, lin * a_n + cub * a_n**3)
     p = np.where(xs <= 0, p, -p)
     phase = np.exp(1j * ell * xs)
     A = eps * a * phase

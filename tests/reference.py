@@ -11,9 +11,9 @@ from math import comb
 import numpy as np
 
 from cmnl.kernel import ExponentialMixture, GaussianMixture, SumKernel, apply_T
-from cmnl.nonlin import apply_term, mu_weight
+from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
 from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
-from cmnl.verify import _pulse_on_grid, _pulse_orbit
+from cmnl.verify import _pulse_on_grid, _pulse_orbit, grid_convolve
 
 # -- the quasi-polynomial ring -----------------------------------------------
 
@@ -97,6 +97,28 @@ def shift(f, xi):
 # -- exact evaluators of the reduction ---------------------------------------
 
 
+def index_monomial(idx, coords, mu=()):
+    """Numeric value of ``c^powers mu^mu`` for the ``JetIndex`` ``idx``.
+
+    Coordinate j is ``coords[..., j]``: one point, or a path with one point
+    per row.  Every parameter the index raises to a positive power needs a
+    value in ``mu``.
+    """
+    if len(mu) < len(idx.mu) and any(idx.mu[len(mu):]):
+        raise ValueError(
+            f"index needs {len(idx.mu)} parameter values, got {len(mu)}"
+        )
+    coords = np.asarray(coords)
+    w = np.ones(coords.shape[:-1], dtype=complex)
+    for j, p in enumerate(idx.powers):
+        if p:
+            w = w * coords[..., j] ** p
+    for v, r in zip(mu, idx.mu):
+        if r:
+            w = w * v**r
+    return w
+
+
 def apply_series(F, u, mu=()):
     """Evaluate the whole series at the single argument ``u``, exactly.
 
@@ -129,7 +151,7 @@ def evaluate_field(fld, coords, mu=()):
     coords = np.asarray(coords, dtype=complex)
     out = np.zeros(coords.shape[0], dtype=complex)
     for idx, vec in fld.items():
-        out += np.asarray(vec) * idx.monomial(coords, mu)
+        out += np.asarray(vec) * index_monomial(idx, coords, mu)
     return out
 
 
@@ -137,7 +159,7 @@ def manifold_point(J, coords, mu=()):
     """Quasi-polynomial on the manifold graph at the given coordinates."""
     u = combine(J.basis, coords)
     for idx, psi in J.psi.items():
-        w = idx.monomial(coords, mu)
+        w = index_monomial(idx, coords, mu)
         if w != 0:
             u = u + psi.scale(w)
     return u
@@ -238,6 +260,46 @@ def kernel_to_data(K):
 
 
 # -- waves -----------------------------------------------------------------------
+
+
+def _place_column(s, n, target):
+    out = np.zeros((s.shape[0], n), dtype=complex)
+    out[:, target] = s[:, 0]
+    return out
+
+
+def grid_nonlinearity(F, xs, values, mu=()):
+    """``F(u, mu)`` on the grid, one ``grid_convolve`` per kernel of a term.
+
+    Runs the exact evaluator's slot walk (``nonlin.walk_slots`` and
+    ``walk_outer``) on grid values, term by term, with ``grid_convolve`` in
+    place of the coefficient identity.
+    """
+    mu = (mu,) if np.isscalar(mu) else tuple(mu)
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim == 1:
+        values = values[:, None]
+    m, n = values.shape
+
+    def conv(kern, v):
+        return grid_convolve(kern, xs, v)
+
+    out = np.zeros((m, n), dtype=complex)
+    for t in F.terms:
+        weight = t.coeff * mu_weight(t, mu)
+        if weight == 0:
+            continue
+        prod = walk_slots(t, [values] * t.degree, n, conv,
+                          lambda v, c: v[:, [c]], np.multiply)
+        out += weight * walk_outer(t, prod, n, conv, _place_column)
+    return out
+
+
+def defect_per_term(K, F, xs, values, mu=()):
+    """``u + K*u + F(u, mu)`` with a convolution per term: the oracle of the
+    grouped defect of ``verify.residual``."""
+    return values + grid_convolve(K, xs, values) + grid_nonlinearity(F, xs, values, mu)
 
 
 def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,

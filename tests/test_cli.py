@@ -23,23 +23,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (
-    SQRT_PI,
-    build_pair_jet,
-    critical_pair_kernel,
-    two_exponential_kernel,
-)
-from reference import differentiate_kernel, kernel_to_data, quasi_to_data, scale_kernel
+from conftest import SQRT_PI, build_pair_jet, two_exponential_kernel
+from reference import kernel_to_data, quasi_to_data
 
 import cmnl
 from cmnl import jet, nonlin, quasipoly, tsolve
 from cmnl.cli import canonical_json, main, write_profile_csv
-from cmnl.kernel import ExponentialMixture, GaussianMixture
+from cmnl.kernel import ExponentialMixture
 from cmnl.problem import ProblemError, load_problem, problem_from_data
+from cmnl.projection import build_gram, build_pointwise, kernel_basis
+from cmnl.spectrum import locate_roots
 
 
 # ---------------------------------------------------------------------------
 # problem builders
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_PROBLEMS = runpy.run_path(str(ROOT / "bench" / "problems.py"))
 
 
 def saddle_problem_data(b=-2.0 / SQRT_PI, order=3):
@@ -63,66 +63,16 @@ def saddle_problem_data(b=-2.0 / SQRT_PI, order=3):
     }
 
 
-def pair_problem_data(lambdas=(1e-2, 1e-3)):
-    return {
-        "schema": 1,
-        "name": "critical-pair",
-        "kernels": {"K": kernel_to_data(critical_pair_kernel())},
-        "kernel": "K",
-        "nonlinearity": {
-            "max_order": 5,
-            "symmetries": ["reflection", "sign"],
-            "terms": [
-                {
-                    "coeff": -1.0,
-                    "factors": [[None, 0]],
-                    "mu_power": [1],
-                    "outer": "K",
-                },
-                {
-                    "coeff": 1.0 / 3.0,
-                    "factors": [[None, 0], [None, 0], [None, 0]],
-                    "outer": "K",
-                },
-            ],
-        },
-        "order": 3,
-        "verify": {"wave": "homoclinic", "lambdas": list(lambdas)},
-    }
+def pair_problem_data():
+    """The pair-o3 problem of the benchmark, with a two-value pulse sweep."""
+    data = BENCH_PROBLEMS["pair_problem"](-1.0, 1.0 / 3.0, 3, verify=True)
+    data["verify"]["lambdas"] = [1e-2, 1e-3]
+    return data
 
 
-def front_problem_data(epsilon=1e-2, c_star=1.1):
-    G = GaussianMixture.single(1.0 / SQRT_PI, 1.0)
-    Gp = differentiate_kernel(G)
-    return {
-        "schema": 1,
-        "name": "comoving-pitchfork",
-        "kernels": {
-            "K": kernel_to_data(scale_kernel(G, -1.0)),
-            "G": kernel_to_data(G),
-            "Gp": kernel_to_data(Gp),
-            "Gpp": kernel_to_data(differentiate_kernel(Gp)),
-        },
-        "kernel": "K",
-        "nonlinearity": {
-            "max_order": 5,
-            "symmetries": ["reflection", "sign"],
-            "terms": [
-                {"coeff": -1.0, "factors": [[None, 0]], "mu_power": [1, 0],
-                 "outer": "G"},
-                {"coeff": -1.0, "factors": [[None, 0]], "mu_power": [0, 1],
-                 "outer": "Gp"},
-                {"coeff": -1.0, "factors": [[None, 0]], "mu_power": [0, 2],
-                 "outer": "Gpp"},
-                {"coeff": -1.0, "factors": [[None, 0]], "mu_power": [1, 1],
-                 "outer": "Gp"},
-                {"coeff": 1.0, "factors": [[None, 0], [None, 0], [None, 0]],
-                 "outer": "G"},
-            ],
-        },
-        "order": 3,
-        "verify": {"wave": "front", "epsilon": epsilon, "c_star": c_star},
-    }
+def front_problem_data():
+    """The comoving pitchfork of the benchmark at order 3."""
+    return BENCH_PROBLEMS["front_problem"](3)
 
 
 def write_problem(tmp_path, data, name="problem.json"):
@@ -515,6 +465,23 @@ class TestReduceCommand:
         assert code == 0
         assert abs(field_entry(json.loads(text), [2])[0] - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("flavor", ["pointwise", "gram"])
+    def test_report_carries_the_condition_numbers(self, tmp_path, flavor):
+        data = pair_problem_data()
+        if flavor == "gram":
+            data["projection"] = {"flavor": "gram", "weight": "gaussian"}
+        code, text = run_reduce(tmp_path, data)
+        assert code == 0
+        report = json.loads(text)
+        K = problem_from_data(data).kernel
+        basis = kernel_basis(K, locate_roots(K))
+        P = build_gram(basis) if flavor == "gram" else build_pointwise(basis)
+        assert report["basis_condition"] == pytest.approx(basis.condition, rel=1e-12)
+        assert report["projection"]["condition"] == pytest.approx(
+            np.linalg.cond(P.gram), rel=1e-12)
+        assert report["basis_condition"] >= 1.0
+        assert report["projection"]["condition"] >= 1.0
+
 
 class TestVerifyCommand:
     def test_pulse_sweep_report_and_csv(self, tmp_path):
@@ -602,9 +569,6 @@ class TestVerifyCommand:
         monkeypatch.setattr("cmnl.cli.locate_roots", singular)
         assert main(["spectrum", write_problem(tmp_path, saddle_problem_data())]) == 1
         assert "numerical failure: Singular matrix" in capsys.readouterr().err
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def package_env():

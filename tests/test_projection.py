@@ -8,6 +8,7 @@ from conftest import critical_pair_kernel, project
 from reference import exponential, frequencies, max_coeff, sub, zero
 from cmnl.kernel import apply_T
 from cmnl.projection import (
+    GRAM_COND_LIMIT,
     BasisElement,
     KernelBasis,
     build_gram,
@@ -181,6 +182,8 @@ def test_dependent_heads_trigger_order_augmentation():
     )
     P = build_pointwise(basis)
     assert P.augmented
+    # the condition of the reselected functionals, not of the default ones
+    assert P.condition == np.linalg.cond(P.gram) < GRAM_COND_LIMIT
     for k, el in enumerate(basis.elements):
         coords, _ = project(P, el.function)
         assert np.allclose(coords, np.eye(3)[k], atol=1e-10)

@@ -23,13 +23,15 @@ import pytest
 
 from conftest import build_front_jet, build_pair_jet, critical_pair_kernel
 from reference import (
-    apply_series, boundary_fraction, decay_length, halfwidth, localized,
-    manifold_point, moment, pulse_profile)
+    apply_series, boundary_fraction, decay_length, defect_per_term,
+    grid_nonlinearity, halfwidth, localized, manifold_point, moment,
+    pulse_profile)
 
 import cmnl.verify
-from cmnl.jet import JetIndex, ScaledField, scale_field
+from cmnl.jet import JetIndex, ScaledField, compute_jet, scale_field
 from cmnl.kernel import DiracMixture, ExponentialMixture, GaussianMixture
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm
+from cmnl.projection import build_gram
 from cmnl.quasipoly import QuasiPolynomial
 from cmnl.verify import (
     GridProfile,
@@ -39,7 +41,6 @@ from cmnl.verify import (
     front_profile,
     front_report,
     grid_convolve,
-    grid_nonlinearity,
     planar_front_system,
     planar_pulse_system,
     pulse_scaling_report,
@@ -59,6 +60,14 @@ def pair():
 @pytest.fixture(scope="module")
 def front():
     return build_front_jet(3)
+
+
+@pytest.fixture(scope="module")
+def gram_jets(pair, front):
+    """The pair and front reductions under the gaussian Gram projection."""
+    (K, J), (Kf, Jf, _) = pair, front
+    return [compute_jet(k, build_gram(j.basis), j.nonlinearity, 3)
+            for k, j in ((K, J), (Kf, Jf))]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +195,33 @@ class TestGridNonlinearity:
         assert np.abs(exact[inner]).max() > 0.1
         assert np.abs(grid[inner] - exact[inner]).max() < 1e-9
 
+    def test_grouped_defect_matches_the_per_term_walk(self):
+        # the branches of the grouping: no outer kernel, a scalar outer
+        # kernel on one component, and a matrix outer kernel equal to K, so
+        # that its term joins the group of u
+        g = GaussianMixture.single(0.6, 1.0)
+        g2 = GaussianMixture.single(-0.4, 2.0, b=0.3)
+        Km = GaussianMixture.single(np.array([[0.3, 0.5], [-0.2, 0.1]]), 1.5, n=2)
+        F = NonlinearitySpec(
+            (
+                TaylorTerm(0.7, ((g, 0), (None, 1)), target=1),
+                TaylorTerm(-0.4, ((None, 0), (None, 0), (Km, 1)), outer=g2),
+                TaylorTerm(0.9, ((None, 1), (None, 1)), outer=g2, target=1),
+                TaylorTerm(1.3, ((None, 1),), mu_power=(1, 2), outer=Km,
+                           target=1),
+                TaylorTerm(0.5, ((None, 0), (None, 1)), mu_power=(0, 1),
+                           outer=Km),
+            ),
+            max_order=4,
+        )
+        xs = np.arange(-400, 401) * 0.05
+        u = np.stack([np.exp(0.5j * xs) / np.cosh(0.2 * xs),
+                      (0.3 - 0.8j) / np.cosh(0.1 * xs)], axis=1)
+        mu = (0.3, -0.7)
+        grouped = cmnl.verify._defect(Km, F, xs, u, mu)
+        assert np.abs(grouped - defect_per_term(Km, F, xs, u, mu)).max() \
+            <= 1e-12 * np.abs(u).max()
+
 
 # ---------------------------------------------------------------------------
 # residuals
@@ -243,6 +279,34 @@ class TestResidual:
         with pytest.raises(ValueError, match="parameter"):
             residual(K, J.nonlinearity, prof)
 
+    def test_grouped_defect_matches_the_per_term_walk_on_wave_grids(self, pair, front):
+        (K, J), (Kf, Jf, _) = pair, front
+        pulse = pulse_profile(J, 1e-2)[0]
+        fr = front_profile(Jf, 1e-2, 1.1)[0]
+        for K, J, prof, mu in ((K, J, pulse, (1e-2,)),
+                               (Kf, Jf, fr, (1e-4, 1.1e-2))):
+            F = J.nonlinearity
+            for xs, u in ((prof.xs, prof.values), (prof.xs[::2], prof.values[::2])):
+                grouped = cmnl.verify._defect(K, F, xs, u, mu)
+                assert np.abs(grouped - defect_per_term(K, F, xs, u, mu)).max() \
+                    <= 1e-12 * np.abs(u).max()
+
+    def test_one_convolution_per_grid_on_the_pair_problem(self, pair, monkeypatch):
+        # the pair-o3 problem: both terms convolve with K itself, so each of
+        # the fine and the coarse defect needs one convolution
+        K, J = pair
+        xs = np.arange(-300, 301) * 0.1
+        prof = GridProfile(xs, 0.1 * np.exp(1j * xs) / np.cosh(0.1 * xs))
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return grid_convolve(*args)
+
+        monkeypatch.setattr(cmnl.verify, "grid_convolve", counting)
+        residual(K, J.nonlinearity, prof, mu=(1e-2,))
+        assert calls == [len(xs), len(xs[::2])]
+
     def test_narrow_grid_raises(self):
         K = critical_pair_kernel()
         xs = np.arange(-10, 11) * 0.1
@@ -278,6 +342,43 @@ class TestReconstruct:
         for i, c in enumerate(rows):
             exact = manifold_point(J, c, (0.3,)).evaluate(0.0)
             assert np.abs(prof.values[i] - exact).max() < 1e-12
+
+    def test_matches_exact_graph_evaluation_under_gram_projection(self, gram_jets):
+        # the pointwise functionals make every Psi vanish at the origin, the
+        # Gram ones do not: this checks the graph coefficients and their
+        # parameter powers, with one and with two parameters
+        pair_rows = np.array(
+            [
+                [0.1 + 0.05j, 0.1 - 0.05j, -0.02 + 0.01j, -0.02 - 0.01j],
+                [0.3j, -0.3j, 0.2, 0.2],
+            ]
+        )
+        front_rows = np.array([[0.2, -0.05], [0.01 + 0.1j, 0.03j], [-0.3, 0.1]])
+        for J, rows, mu in zip(gram_jets, (pair_rows, front_rows),
+                               ((0.3,), (0.04, -0.3))):
+            assert any(np.abs(psi.evaluate(0.0)).max() > 0.1
+                       for idx, psi in J.psi.items() if any(idx.mu))
+            prof = reconstruct(J, Trajectory(np.arange(len(rows), dtype=float), rows), mu=mu)
+            for i, c in enumerate(rows):
+                exact = manifold_point(J, c, mu).evaluate(0.0)
+                assert np.abs(prof.values[i] - exact).max() < 1e-12
+
+    def test_row_blocks_leave_every_row_unchanged(self, gram_jets, monkeypatch):
+        J = gram_jets[0]
+        rng = np.random.default_rng(3)
+        rows = 0.2 * (rng.standard_normal((2500, 4))
+                      + 1j * rng.standard_normal((2500, 4)))
+        traj = Trajectory(np.arange(2500.0), rows)
+        whole = reconstruct(J, traj, mu=(0.3,)).values
+        for size in (1, 7, 4096):
+            monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", size)
+            assert np.array_equal(reconstruct(J, traj, mu=(0.3,)).values, whole)
+
+    def test_missing_parameter_raises(self, front):
+        _, J, _ = front
+        traj = Trajectory(np.arange(3.0), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="2 parameter values, got 1"):
+            reconstruct(J, traj, mu=(0.1,))
 
     def test_dimension_mismatch_raises(self, pair):
         _, J = pair
