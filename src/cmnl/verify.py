@@ -212,9 +212,10 @@ def reconstruct(J, trajectory, mu=()):
     graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``.
     The parameter factors ``mu^r`` fold into one coefficient vector per
     coordinate power, the basis values at the origin joining the linear
-    powers.  The path is evaluated ``RECONSTRUCT_ROWS`` rows at a time, and
-    every monomial of a block is one multiply from a monomial of lower
-    degree, so each row's value does not depend on the block it falls in.
+    powers.  The path is evaluated ``RECONSTRUCT_ROWS`` rows at a time,
+    every monomial of a block one multiply from a monomial of lower degree.
+    Every operation is elementwise over the rows, so a row's value does not
+    depend on the block it falls in.
     """
     mu = (mu,) if np.isscalar(mu) else tuple(mu)
     coords = trajectory.ys
