@@ -10,8 +10,10 @@ an analytic superposition/convolution nonlinearity.  The pipeline is:
 1. ``spectrum``   -- characteristic roots of nu |-> det(I + Khat(nu)) in a
                      strip around the imaginary axis, with Jordan chains;
 2. ``projection`` -- dual functionals spanning the center subspace;
-3. ``tsolve``     -- bordered solver for T u = g on quasi-polynomials;
-4. ``jet``        -- order-by-order Taylor jet of the reduction map and the
+3. ``tsolve``     -- per-frequency block systems of the bordered problem
+                     T u + g = 0, Q(u) = target;
+4. ``jet``        -- the bordered solver on coefficient rows, and with it the
+                     order-by-order Taylor jet of the reduction map and the
                      reduced vector field on the center coordinates;
 5. ``verify``     -- shooting of the planar limit systems, profile
                      reconstruction, and convolution residuals.
@@ -20,8 +22,9 @@ The jet is solved order by order on coefficient rows over the lattice of
 root frequencies, through per-frequency closed forms (``kernel``,
 ``tsolve``), so floating point enters only through kernel transforms and
 linear solves; the basis and the graph map come back as ``QuasiPolynomial``
-(``quasipoly``).  ``verify`` then works on x-grids.  ``problem`` and ``cli``
-wrap the pipeline behind a JSON problem-file schema and the ``cm`` command.
+(``quasipoly``).  ``solve`` runs one ``BorderedProblem`` through the same
+solver.  ``verify`` then works on x-grids.  ``problem`` and ``cli`` wrap the
+pipeline behind a JSON problem-file schema and the ``cm`` command.
 """
 
 from cmnl.jet import (
@@ -29,6 +32,7 @@ from cmnl.jet import (
     JetResult,
     compute_jet,
     scale_field,
+    solve,
 )
 from cmnl.kernel import (
     DiracMixture,
@@ -39,13 +43,13 @@ from cmnl.kernel import (
     apply_T,
     convolve,
 )
-from cmnl.kernel import from_data as kernel_from_data
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm
-from cmnl.problem import ProblemDefinition, ProblemError, load_problem
+from cmnl.problem import (
+    ProblemDefinition, ProblemError, kernel_from_data, load_problem)
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
 from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
-from cmnl.tsolve import BorderedProblem, solve
+from cmnl.tsolve import BorderedProblem
 from cmnl.verify import (
     front_report,
     grid_convolve,

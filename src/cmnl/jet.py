@@ -31,6 +31,10 @@ whole order is solved at once: the (index, point) pairs are stacked per
 (point, degree), and each stack gets one solve, one coordinate product,
 one residual matvec and one flow product.  A stacked product is one
 matrix-vector product per pair, so every pair keeps the bits of its own.
+``solve``, the public bordered solver, runs one ``BorderedProblem``
+through the same ``_Solver`` on an order-one lattice that also has the
+right-hand side's frequencies, so frequencies meet roots in ``_Lattice``
+only.
 
 The reduced field is obtained by differentiating the translation flow at
 time zero.  Shifting a quasi-polynomial and projecting commutes with
@@ -54,13 +58,15 @@ from operator import add
 import numpy as np
 
 from .kernel import convolution_matrix, taylor_transforms
-# ``apply_term`` and ``solve`` stay bound here because bench/tracer.py
-# wraps cmnl.jet.apply_term and cmnl.jet.solve by name
+# ``apply_term`` stays bound here because bench/tracer.py wraps
+# cmnl.jet.apply_term by name
 from .nonlin import apply_term, walk_outer, walk_slots  # noqa: F401
 from .problem import ProblemError
 from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial, kept_rows
-from .tsolve import (  # noqa: F401
-    BLOCK_TOL, ROOT_MATCH_TOL, block_operator, check_strip, solve, solve_frequency)
+from .tsolve import BLOCK_TOL, block_operator, check_strip, solve_frequency
+
+# a frequency this close to a characteristic root is that root
+ROOT_MATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -183,17 +189,19 @@ def _vectors(G, left):
 class _Lattice:
     """The jet's frequencies sum_r k_r nu_r over the distinct roots nu_r.
 
-    A root whose negative is already a generator (the conjugate of an axis
-    root) adds none.  The integer vectors k with sum |k_r| <= order are
-    enumerated by increasing sum; a vector whose frequency lies within
-    ``FREQ_TOL`` of an earlier one names that point, and each root keeps its
-    exact value.  ``add[i][j]`` is the point of the sum of the points i and
-    j (their first vectors added), -1 beyond the order.
+    A root within ``ROOT_MATCH_TOL`` of a generator or of its negative (the
+    conjugate of an axis root) adds none; so does such an ``extra``
+    frequency, which otherwise joins the generators.  The integer vectors k
+    with sum |k_r| <= order are enumerated by increasing sum; a vector whose
+    frequency lies within ``FREQ_TOL`` of an earlier one names that point,
+    and each root keeps its exact value.  ``add[i][j]`` is the point of the
+    sum of the points i and j (their first vectors added), -1 beyond the
+    order.
     """
 
-    def __init__(self, roots, order):
+    def __init__(self, roots, order, extra=()):
         gens = []
-        for nu in roots:
+        for nu in [*roots, *extra]:
             if all(abs(nu - g) > ROOT_MATCH_TOL and abs(nu + g) > ROOT_MATCH_TOL
                    for g in gens):
                 gens.append(nu)
@@ -471,6 +479,33 @@ class _Solver:
         for p in parts:
             out += p
         return out
+
+
+def solve(problem):
+    """Unique quasi-polynomial u with u + K*u + g = 0 and Q(u) = target.
+
+    ``g`` goes on rows over the order-one lattice of the basis roots with
+    the frequencies of ``g`` as extra generators, so a frequency within
+    ``ROOT_MATCH_TOL`` of a root is solved at that root.  ``_Solver`` solves
+    it with zero coordinates, and the target coordinates times the basis
+    are added.  Checking the residual ``u + K*u + g`` is the caller's job:
+    the CLI gates the jet's per-index residual with ``--tol-solve``.
+    """
+    K, P, g = problem.K, problem.projection, problem.g
+    if g.n != K.n:
+        raise ValueError("right-hand side dimension does not match the kernel")
+    rows = _Rows(_Lattice([el.nu for el in P.basis.elements], 1,
+                          [nu for nu, _ in g.terms]), K.n)
+    points = rows.lattice.points
+    rhs = {}
+    for nu, c in g.terms:
+        _accumulate(rhs, int(np.abs(points - nu).argmin()), c.copy())
+    solver = _Solver(K, P, rows)
+    solver.prefetch([rhs])
+    (u,) = solver.solve([rhs])
+    for b, target in zip(solver.basis, problem.target_coords):
+        _add_rows(u, b, target)
+    return rows.to_quasi(u)
 
 
 def _slot_multisets(term, pieces, budget):

@@ -82,10 +82,6 @@ class Kernel:
         """List of (matrix, position) Dirac components (empty by default)."""
         return []
 
-    def breakpoints(self):
-        """x-locations where the kernel is not smooth (for quadrature panels)."""
-        return []
-
     def decay_radius(self, tol=1e-12):
         """R with the kernel mass outside [-R, R] below tol, relatively."""
         raise NotImplementedError
@@ -228,9 +224,6 @@ class ExponentialMixture(Kernel):
             scale = max(np.abs(c).max(), 1.0)
             R = max(R, abs(b) + np.log(scale / tol) / a)
         return R
-
-    def breakpoints(self):
-        return [b for _, _, b in self.terms]
 
 
 class DiracMixture(Kernel):
@@ -390,13 +383,6 @@ class SumKernel(Kernel):
     def decay_radius(self, tol=1e-12):
         return max(p.decay_radius(tol) for p in self.parts)
 
-    def breakpoints(self):
-        out = []
-        for p in self.parts:
-            out.extend(p.breakpoints())
-        return out
-
-
 
 # -- convolution -------------------------------------------------------------
 
@@ -517,66 +503,3 @@ def validate_decay(K, eta=None):
         if not np.isfinite(tail) or tail >= 0.5:
             ok = False
     return DecayReport(eta, ok, checks)
-
-
-def _num_from_data(v):
-    if isinstance(v, list):
-        return complex(v[0], v[1])
-    return complex(v)
-
-
-def _check_keys(d, required, optional=()):
-    keys = set(d)
-    missing = set(required) - keys
-    unknown = keys - set(required) - set(optional)
-    if missing:
-        raise ValueError(f"missing keys: {sorted(missing)}")
-    if unknown:
-        raise ValueError(f"unknown keys: {sorted(unknown)}")
-
-
-def from_data(data):
-    """Build a kernel from its JSON dict (strict: unknown keys rejected)."""
-    _check_keys(data, ["family"], ["n", "terms", "parts"])
-    family = data["family"]
-    if family == "sum":
-        _check_keys(data, ["family", "parts"])
-        return SumKernel([from_data(p) for p in data["parts"]])
-    n = int(data.get("n", 1))
-    terms = data.get("terms", [])
-    if family == "gaussian":
-        built = []
-        for t in terms:
-            _check_keys(t, ["c", "a"], ["b", "poly"])
-            cm = _coeff_from_data(t["c"], n)
-            pcoeffs = [_num_from_data(p) for p in t.get("poly", [1.0])]
-            coeffs = np.array([p * cm for p in pcoeffs])
-            built.append((coeffs, t["a"], t.get("b", 0.0)))
-        return GaussianMixture(built, n=n)
-    if family == "exponential":
-        built = []
-        for t in terms:
-            _check_keys(t, ["c", "a"], ["b"])
-            built.append((_coeff_from_data(t["c"], n), t["a"], t.get("b", 0.0)))
-        return ExponentialMixture(built, n=n)
-    if family == "dirac":
-        built = []
-        for t in terms:
-            _check_keys(t, ["c", "xi"])
-            built.append((_coeff_from_data(t["c"], n), t["xi"]))
-        return DiracMixture(built, n=n)
-    raise ValueError(f"unknown kernel family: {family}")
-
-
-def _coeff_from_data(v, n):
-    """Number -> scalar matrix; [re, im] -> complex scalar; nested list -> matrix."""
-    if isinstance(v, (int, float)):
-        return _as_matrix(complex(v), n)
-    if isinstance(v, list) and v:
-        if isinstance(v[0], list):
-            return np.array(
-                [[_num_from_data(x) for x in row] for row in v], dtype=complex
-            )
-        if len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-            return _as_matrix(complex(v[0], v[1]), n)
-    raise ValueError("bad coefficient entry")

@@ -35,18 +35,29 @@ Schema (version 1)::
       "csv": "csv-dir"
     }
 
-Unknown fields anywhere are rejected, and every kernel name used by a term
-must exist in the ``kernels`` table.  All ingestion failures raise
+A kernel is ``{"family": "gaussian"|"exponential"|"dirac", "n": 1,
+"terms": [...]}`` or ``{"family": "sum", "parts": [kernel, ...]}``; its
+terms are ``{"c", "a", "b", "poly"}`` (gaussian ``c * poly(x) *
+exp(-a (x - b)^2)``), ``{"c", "a", "b"}`` (exponential ``c exp(-a |x - b|)``)
+or ``{"c", "xi"}`` (dirac ``c delta(x - xi)``), with ``b`` and ``poly``
+optional.  ``c`` is a number, an ``[re, im]`` pair or a matrix as a list of
+rows; ``poly`` lists numbers or pairs; ``a``, ``b`` and ``xi`` are real.
+
+Every number is finite, and neither a boolean nor a string.  Unknown fields
+anywhere are rejected, and every kernel name used by a term must exist in
+the ``kernels`` table.  All ingestion failures raise
 ``ProblemError`` (an input error, as opposed to numerical failures later in
 the pipeline).  ``symmetries`` is accepted for existing files and checked
 for known names only; the reduction does not use it.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
-from .kernel import from_data as kernel_from_data
+import numpy as np
+
+from .kernel import DiracMixture, ExponentialMixture, GaussianMixture, SumKernel
 from .nonlin import NonlinearitySpec, TaylorTerm
 
 SCHEMA_VERSION = 1
@@ -79,17 +90,77 @@ def _check_keys(data, allowed, where):
         raise ProblemError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
-def _number(value, where):
-    """A real or complex number from a JSON scalar or ``[re, im]`` pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ProblemError(f"{where} must be a number or an [re, im] pair")
+def _finite(value):
+    """Whether ``value`` is a JSON number that is a finite float (booleans
+    and integers beyond the float range excluded)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _number(value, where, pair=True):
+    """A finite real number, or with ``pair`` also a complex one from an
+    ``[re, im]`` pair of finite numbers."""
+    parts = value if pair and isinstance(value, list) and len(value) == 2 else [value]
+    if not all(map(_finite, parts)):
+        kind = "(finite) or an [re, im] pair of finite numbers" if pair else "(finite, real)"
+        raise ProblemError(f"{where} must be a number {kind}")
+    return complex(*parts) if len(parts) == 2 else float(value)
+
+
+def _numbers(values, where):
+    """A list of numbers, each real or an ``[re, im]`` pair, as complex."""
+    if not isinstance(values, list):
+        raise ProblemError(f"{where} must be a list of numbers")
+    return [complex(_number(v, f"{where}[{j}]")) for j, v in enumerate(values)]
+
+
+def _coefficient(value, n, where):
+    """A kernel coefficient: a number times the identity, or a matrix given
+    as a list of rows."""
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        return np.array([_numbers(row, f"{where}[{i}]")
+                         for i, row in enumerate(value)], dtype=complex)
+    return complex(_number(value, where)) * np.eye(n, dtype=complex)
+
+
+# per kernel family: its class, the keys of a term, and the real ones among
+# them in the constructor's order (``b`` defaults to 0)
+_FAMILIES = {
+    "gaussian": (GaussianMixture, {"c", "a", "b", "poly"}, ("a", "b")),
+    "exponential": (ExponentialMixture, {"c", "a", "b"}, ("a", "b")),
+    "dirac": (DiracMixture, {"c", "xi"}, ("xi",)),
+}
+
+
+def kernel_from_data(data, where="kernel"):
+    """Build a kernel from its JSON object (strict: unknown keys rejected)."""
+    _check_keys(data, {"family", "n", "terms", "parts"}, where)
+    family = data.get("family")
+    if family == "sum":
+        _check_keys(data, {"family", "parts"}, where)
+        parts = data.get("parts")
+        if not isinstance(parts, list):
+            raise ProblemError(f"{where}.parts must be a list of kernels")
+        return SumKernel([kernel_from_data(p, f"{where}.parts[{j}]")
+                          for j, p in enumerate(parts)])
+    if family not in _FAMILIES:
+        raise ProblemError(f"{where}: unknown kernel family {family!r}")
+    n = data.get("n", 1)
+    if not (isinstance(n, int) and _finite(n)):
+        raise ProblemError(f"{where}.n must be an integer")
+    cls, keys, reals = _FAMILIES[family]
+    built = []
+    for j, t in enumerate(data.get("terms", [])):
+        at = f"{where}.terms[{j}]"
+        _check_keys(t, keys, at)
+        if "c" not in t or reals[0] not in t:
+            raise ProblemError(f"{at} needs 'c' and {reals[0]!r}")
+        c = _coefficient(t["c"], n, f"{at}.c")
+        if "poly" in keys:
+            c = np.array([p * c for p in _numbers(t.get("poly", [1.0]), f"{at}.poly")])
+        built.append((c, *(_number(t.get(k, 0.0), f"{at}.{k}", pair=False)
+                           for k in reals)))
+    return cls(built, n=n)
 
 
 @dataclass
@@ -120,8 +191,10 @@ def _kernel_table(data, n):
     table = {}
     for name, desc in data.items():
         try:
-            table[name] = kernel_from_data(desc)
-        except (ValueError, KeyError, TypeError) as exc:
+            table[name] = kernel_from_data(desc, f"kernel {name!r}")
+        except ProblemError:
+            raise
+        except (ValueError, TypeError) as exc:
             raise ProblemError(f"kernel {name!r}: {exc}") from exc
         if table[name].n != n:
             raise ProblemError(
@@ -211,8 +284,7 @@ def _nonlinearity_from_data(data, kernels, n):
 
 def _positive(value):
     """Whether ``value`` is a positive finite number (booleans excluded)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
+    return _finite(value) and value > 0
 
 
 def _verify_from_data(data):

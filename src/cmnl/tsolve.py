@@ -1,4 +1,4 @@
-"""Bordered linear solver: u + K*u + g = 0 with prescribed kernel coordinates.
+"""Per-frequency algebra of the bordered problem u + K*u + g = 0, Q(u) = target.
 
 On quasi-polynomials the operator T(u) = u + K*u acts frequency by frequency:
 T(x^j e^{nu x} c) = e^{nu x} sum_r C(j,r) That^(r)(nu) c x^{j-r}, so each
@@ -21,9 +21,11 @@ blocks do not grow with the degree.
 The scaled system is block Toeplitz.  ``block_operator`` turns it into one
 solve matrix per (frequency, degree): off the roots, block back-substitution
 with one inverse of the diagonal block (``inverse_series``); at a root, the
-truncated SVD, whose cutoff and singular-value gap it reports.  ``solve``
-and ``compute_jet`` both solve through ``solve_frequency``, which takes a
-stack of right-hand sides at one frequency and degree.
+truncated SVD, whose cutoff and singular-value gap it reports.
+``solve_frequency`` applies it to a stack of right-hand sides at one
+frequency and degree.  The solver itself is ``jet._Solver``: ``compute_jet``
+stacks a whole jet order on it, and ``jet.solve`` runs one
+``BorderedProblem`` through it.
 """
 
 from dataclasses import dataclass
@@ -31,11 +33,9 @@ from math import factorial
 
 import numpy as np
 
-from .kernel import taylor_transforms, toeplitz_blocks
+from .kernel import toeplitz_blocks
 from .quasipoly import QuasiPolynomial
 from .spectrum import _truncated_svd
-
-ROOT_MATCH_TOL = 1e-7
 
 # relative SVD cutoff of the block systems at a root
 BLOCK_TOL = 1e-9
@@ -62,19 +62,6 @@ class BorderedProblem:
             self.target_coords = np.asarray(self.target_coords, dtype=complex)
             if self.target_coords.shape != (m,):
                 raise ValueError(f"expected {m} target coordinates")
-
-
-def _root_multiplicities(basis):
-    """Representative root frequencies with algebraic multiplicities."""
-    roots = []
-    for el in basis.elements:
-        for k, (nu, alpha) in enumerate(roots):
-            if abs(el.nu - nu) <= ROOT_MATCH_TOL:
-                roots[k] = (nu, alpha + 1)
-                break
-        else:
-            roots.append((el.nu, 1))
-    return roots
 
 
 def block_operator(series, alpha, tol):
@@ -144,50 +131,9 @@ def solve_frequency(A, S, coeffs, tol, nu):
     return c.reshape(k, D1, n) / fact[:, None]
 
 
-def t_series(K, nus, degree):
-    """Taylor coefficients of That = I + Khat at ``nus`` through ``degree``."""
-    series = taylor_transforms(K, nus, degree)
-    series[:, 0] += np.eye(K.n)
-    return series
-
-
 def check_strip(nu, strip):
     """Reject a frequency outside the certified strip |Re nu| <= ``strip``."""
     if strip is not None and abs(nu.real) > strip + 1e-12:
         raise RuntimeError(
             f"frequency {nu} lies outside the certified strip |Re| <= {strip}"
         )
-
-
-def solve(problem, tol=BLOCK_TOL):
-    """Unique quasi-polynomial u with u + K*u + g = 0 and Q(u) = target.
-
-    Checking the residual ``u + K*u + g`` is the caller's job: the CLI gates
-    the jet's per-index residual with ``--tol-solve``.
-    """
-    K, P, g = problem.K, problem.projection, problem.g
-    basis = P.basis
-    if g.n != K.n:
-        raise ValueError("right-hand side dimension does not match the kernel")
-    roots = _root_multiplicities(basis)
-    plan = []
-    for nu, coeffs in g.terms:
-        check_strip(nu, basis.strip)
-        alpha = 0
-        for nu_r, a in roots:
-            if abs(nu - nu_r) <= ROOT_MATCH_TOL:
-                nu, alpha = nu_r, a
-                break
-        plan.append((nu, coeffs, alpha))
-    top = max((c.shape[0] - 1 + a for _, c, a in plan), default=0)
-    series = t_series(K, [nu for nu, _, _ in plan], top)
-    terms = []
-    for (nu, coeffs, alpha), ser in zip(plan, series):
-        A, S, _ = block_operator(ser[: coeffs.shape[0] + alpha], alpha, tol)
-        terms.append((nu, solve_frequency(A, S, coeffs[None], tol, nu)[0]))
-    u = QuasiPolynomial(K.n, terms)
-    deltas = problem.target_coords - P.coordinates(u)
-    for delta, el in zip(deltas, basis.elements):
-        if delta != 0:
-            terms.extend((nu, delta * c) for nu, c in el.function.terms)
-    return QuasiPolynomial(K.n, terms)

@@ -13,7 +13,7 @@ predictions numerically and independently of the quasi-polynomial route:
   terms that share an outer kernel and convolves each such group once;
 * ``find_homoclinic`` / ``find_front`` -- deterministic shooting for the two
   planar limit systems produced by ``scale_field``: the reversible pulse
-  equation ``a'' = lam lin a + cub a^3`` and the damped front equation
+  equation ``a'' = lin a + cub a^3`` and the damped front equation
   ``kappa a'' + c a' + a (alpha - beta a^2) = 0``, integrated by the
   fixed-step classical Runge-Kutta ``rk4_step`` on pairs of floats;
 * ``planar_pulse_system`` / ``planar_front_system`` -- structure-checked
@@ -415,32 +415,37 @@ def residual(K, F, profile, mu=(), require_convergence=False):
 # ---------------------------------------------------------------------------
 # shooting: reversible pulse
 
+# distance to the origin at which a shot counts as back (pulse) or arrived
+# (front), the step of the scaled pulse shot, and the front shot's offset
+# from the saddle
+ARRIVAL_TOL = 1e-4
+HOMOCLINIC_STEP = 1e-3
+FRONT_START = 1e-6
 
-def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
-                    tol_return=1e-4, max_span=None):
-    """Homoclinic loop of the reversible planar system ``a'' = lam lin a + cub a^3``.
+
+def find_homoclinic(lin, cub, start=1e-6):
+    """Homoclinic loop of the reversible planar system ``a'' = lin a + cub a^3``.
 
     Shoots from the one-dimensional unstable manifold of the origin (offset
     ``start`` along the eigenvector), integrates to the symmetric section
     ``a' = 0`` with the crossing time refined by bisection, then continues
-    for the mirrored duration and reports the closest return to the origin.
-    Deterministic: fixed steps, fixed bisection depth.
+    for the mirrored duration and reports the closest return to the origin;
+    it succeeds within ``ARRIVAL_TOL``.  Deterministic: fixed steps
+    ``HOMOCLINIC_STEP``, fixed bisection depth.
     """
-    lin, cub, lam_hat = float(lin), float(cub), float(lam_hat)
-    if lam_hat * lin <= 0 or cub >= 0:
+    lin, cub = float(lin), float(cub)
+    if lin <= 0 or cub >= 0:
         raise ValueError(
-            "homoclinic shooting needs an unstable origin (lam lin > 0) and a"
+            "homoclinic shooting needs an unstable origin (lin > 0) and a"
             " focusing cubic (cub < 0)"
         )
-    k = sqrt(lam_hat * lin)
-    peak = sqrt(2.0 * lam_hat * lin / -cub)
-    if max_span is None:
-        max_span = 4.0 * (log(peak / start) + 5.0) / k
-
-    rate = lam_hat * lin
+    k = sqrt(lin)
+    peak = sqrt(2.0 * lin / -cub)
+    max_span = 4.0 * (log(peak / start) + 5.0) / k
+    step = HOMOCLINIC_STEP
 
     def f(a, p):
-        return p, rate * a + cub * (a * a * a)
+        return p, lin * a + cub * (a * a * a)
 
     y = (start, start * k)
     ts, ys = array("d", [0.0]), array("d", y)
@@ -482,7 +487,7 @@ def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
         y = rk4_step(f, y, step)
         return_distance = min(return_distance, max(abs(y[0]), abs(y[1])))
     return ShootingResult(
-        success=return_distance < tol_return,
+        success=return_distance < ARRIVAL_TOL,
         trajectory=half,
         section_value=float(half.ys[-1, 0].real),
         crossing_time=crossing,
@@ -495,15 +500,15 @@ def find_homoclinic(lin, cub, lam_hat=1.0, start=1e-6, step=1e-3,
 # shooting: front
 
 
-def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
-               tol_reach=1e-4):
+def find_front(kappa, alpha, beta, c_star, tol_reach=ARRIVAL_TOL):
     """Front of ``kappa a'' + c a' + a (alpha - beta a^2) = 0`` by shooting.
 
     Starts on the saddle's one-dimensional unstable manifold (eigenvector
-    offset ``start`` from ``sqrt(alpha/beta)``) and integrates toward the
-    rest state at the origin.  Success means the trajectory comes within
-    ``tol_reach`` of the origin; the monotone flag checks the sign of the
-    derivative samples (and non-negativity) up to that point.
+    offset ``FRONT_START`` from ``sqrt(alpha/beta)``) and integrates toward
+    the rest state at the origin, in steps of 0.01 over the fastest rate.
+    Success means the trajectory comes within ``tol_reach`` of the origin;
+    the monotone flag checks the sign of the derivative samples (and
+    non-negativity) up to that point.
     """
     kappa, alpha, beta = float(kappa), float(alpha), float(beta)
     c_star = float(c_star)
@@ -514,8 +519,8 @@ def find_front(kappa, alpha, beta, c_star, start=1e-6, step=None,
     disc = c_star**2 - 4 * kappa * alpha
     slow = c_star / (2 * kappa) if disc < 0 else \
         (c_star - sqrt(disc)) / (2 * kappa)
-    if step is None:
-        step = 0.01 / max(1.0, s_unstable, c_star / kappa)
+    start = FRONT_START
+    step = 0.01 / max(1.0, s_unstable, c_star / kappa)
     max_span = 3.0 * (log(a_star / start) / s_unstable
                       + log(a_star / tol_reach) / slow + 20.0)
 
@@ -670,6 +675,9 @@ def planar_front_system(J):
 # ---------------------------------------------------------------------------
 # end-to-end drivers
 
+# share of the scaled half orbit that the pulse grid covers on each side
+PULSE_SPAN = 0.98
+
 
 def _pair_phases(J):
     """Carrier frequency of a conjugate-pair reduction, with sanity checks."""
@@ -701,7 +709,7 @@ def _hermite(weights, f, df):
     return w00 * f[i] + w10 * df[i] + w01 * f[i + 1] - w11 * df[i + 1]
 
 
-def _pulse_orbit(J, step_scaled, start):
+def _pulse_orbit(J, start):
     """The parameter-independent part of the pulse family.
 
     Scales the reduced field to its leading pulse balance and shoots the
@@ -711,14 +719,15 @@ def _pulse_orbit(J, step_scaled, start):
     sf = scale_field(J.field, (1, 1, 2, 2), 1.0, (2,),
                      phases=(ell, -ell, ell, -ell))
     lin, cub = planar_pulse_system(sf)
-    hom = find_homoclinic(lin, cub, lam_hat=1.0, start=start, step=step_scaled)
+    hom = find_homoclinic(lin, cub, start=start)
     if not hom.success:
         raise RuntimeError("no homoclinic loop detected in the scaled system")
     return ell, lin, cub, hom
 
 
-def _pulse_on_grid(J, orbit, lam, step_x, span_factor):
-    """Map the scaled orbit to parameter ``lam`` and reconstruct the profile.
+def _pulse_on_grid(J, orbit, lam, step_x):
+    """Map the scaled orbit to parameter ``lam`` and reconstruct the profile
+    on a grid over ``PULSE_SPAN`` of the half orbit.
 
     The half orbit is interpolated by cubic Hermite pieces whose node slopes
     come from the planar field itself: ``a' = p`` and ``p' = lin a + cub a^3``.
@@ -726,7 +735,7 @@ def _pulse_on_grid(J, orbit, lam, step_x, span_factor):
     ell, lin, cub, hom = orbit
     eps = sqrt(lam)
     T1 = hom.crossing_time
-    m = int(ceil(span_factor * T1 / (eps * step_x)))
+    m = int(ceil(PULSE_SPAN * T1 / (eps * step_x)))
     xs = np.arange(-m, m + 1) * step_x
     # half orbit, peak at tau = 0: a even, a' odd
     tau = hom.trajectory.xs - T1
@@ -750,8 +759,7 @@ def slope_loglog(xs, ys):
     )
 
 
-def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None,
-                         step_scaled=1e-3, start=1e-7, span_factor=0.98):
+def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, start=1e-7):
     """Residual-vs-amplitude scaling of the pulse family.
 
     Shoots the parameter-independent scaled homoclinic once, builds the
@@ -759,18 +767,17 @@ def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None,
     defect, and fits the log-log slope of residual against amplitude.
     ``details['amplitude_ratio']`` is peak / sqrt(lam) at the smallest
     parameter.  ``on_profile(lam, profile, residual_report)`` is called once
-    per parameter when supplied.  ``step_scaled`` and ``start`` set the
-    scaled shot, ``step_x`` the profile grid, and ``span_factor`` the share
-    of the half orbit that grid covers.
+    per parameter when supplied.  ``start`` sets the scaled shot and
+    ``step_x`` the profile grid.
     """
     lams = sorted(float(l) for l in lams)
     if lams[0] <= 0:
         raise ValueError("pulse reconstruction needs lam > 0")
-    orbit = _pulse_orbit(J, step_scaled, start)
+    orbit = _pulse_orbit(J, start)
     hom = orbit[-1]
     rows = []
     for lam in reversed(lams):
-        prof = _pulse_on_grid(J, orbit, lam, step_x, span_factor)
+        prof = _pulse_on_grid(J, orbit, lam, step_x)
         rep = residual(K, J.nonlinearity, prof, mu=(lam,))
         if on_profile is not None:
             on_profile(lam, prof, rep)
@@ -804,8 +811,7 @@ def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None,
     )
 
 
-def front_profile(J, epsilon, c_star, scaled_step=None, start=1e-6,
-                  tol_reach=1e-4):
+def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
     """Reconstructed front at parameter ``epsilon`` and scaled speed ``c_star``.
 
     Extracts the planar front system from the reduction, shoots from the
@@ -817,8 +823,7 @@ def front_profile(J, epsilon, c_star, scaled_step=None, start=1e-6,
     if epsilon <= 0:
         raise ValueError("front reconstruction needs epsilon > 0")
     kappa, alpha, beta = planar_front_system(J)
-    fr = find_front(kappa, alpha, beta, c_star, start=start,
-                    step=scaled_step, tol_reach=tol_reach)
+    fr = find_front(kappa, alpha, beta, c_star, tol_reach=tol_reach)
     if not fr.success:
         raise RuntimeError("front shooting did not reach the rest state")
     fr.details.update(kappa=kappa, alpha=alpha, beta=beta)
@@ -831,12 +836,12 @@ def front_profile(J, epsilon, c_star, scaled_step=None, start=1e-6,
     return reconstruct(J, traj, mu=(epsilon**2, epsilon * c_star)), fr
 
 
-def front_report(K, J, epsilon, c_star, on_profile=None, **kwargs):
+def front_report(K, J, epsilon, c_star, on_profile=None, tol_reach=ARRIVAL_TOL):
     """Wave report for a single front run: defect norms and monotonicity.
 
     ``on_profile(epsilon, profile, residual_report)`` is called when supplied.
     """
-    prof, fr = front_profile(J, epsilon, c_star, **kwargs)
+    prof, fr = front_profile(J, epsilon, c_star, tol_reach)
     rep = residual(K, J.nonlinearity, prof, mu=(epsilon**2, epsilon * c_star))
     if on_profile is not None:
         on_profile(epsilon, prof, rep)

@@ -10,7 +10,8 @@ from math import comb
 
 import numpy as np
 
-from cmnl.kernel import ExponentialMixture, GaussianMixture, SumKernel, apply_T
+from cmnl.kernel import (
+    ExponentialMixture, GaussianMixture, SumKernel, apply_T, taylor_transforms)
 from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
 from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
 from cmnl.verify import _pulse_on_grid, _pulse_orbit, grid_convolve
@@ -178,6 +179,23 @@ def moment(K, m, nu):
     return (-1) ** m * K.transform(nu, m)
 
 
+def breakpoints(K):
+    """x-locations where the kernel is not smooth (for quadrature panels):
+    the centres of the exponential terms, also inside sums."""
+    if isinstance(K, SumKernel):
+        return [b for p in K.parts for b in breakpoints(p)]
+    if isinstance(K, ExponentialMixture):
+        return [b for _, _, b in K.terms]
+    return []
+
+
+def t_series(K, nus, degree):
+    """Taylor coefficients of That = I + Khat at ``nus`` through ``degree``."""
+    series = taylor_transforms(K, nus, degree)
+    series[:, 0] += np.eye(K.n)
+    return series
+
+
 def convolve_quadrature(K, u, xs, tol=1e-12, panel=1.0, npts=24):
     """Convolution (K * u)(xs) by panelled Gauss-Legendre quadrature.
 
@@ -192,7 +210,7 @@ def convolve_quadrature(K, u, xs, tol=1e-12, panel=1.0, npts=24):
     R = K.decay_radius(tol)
     nodes, weights = np.polynomial.legendre.leggauss(npts)
     edges = np.linspace(-R, R, max(2, int(np.ceil(2 * R / panel)) + 1))
-    inner = [b for b in K.breakpoints() if -R < b < R]
+    inner = [b for b in breakpoints(K) if -R < b < R]
     if inner:
         edges = np.unique(np.concatenate([edges, inner]))
     out = np.zeros((xs.size, n), dtype=complex)
@@ -243,7 +261,7 @@ def _real(z):
 
 
 def kernel_to_data(K):
-    """The problem-file dict (``kernel.from_data``) of a scalar gaussian or
+    """The problem-file dict (``problem.kernel_from_data``) of a scalar gaussian or
     exponential mixture with real coefficients, or of a sum of them."""
     if isinstance(K, SumKernel):
         return {"family": "sum", "parts": [kernel_to_data(p) for p in K.parts]}
@@ -302,8 +320,7 @@ def defect_per_term(K, F, xs, values, mu=()):
     return values + grid_convolve(K, xs, values) + grid_nonlinearity(F, xs, values, mu)
 
 
-def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,
-                  span_factor=0.98):
+def pulse_profile(J, lam, step_x=0.1, start=1e-7):
     """Reconstructed pulse at parameter ``lam > 0``.
 
     Scales the reduced field to its leading pulse balance, shoots the
@@ -313,8 +330,8 @@ def pulse_profile(J, lam, step_x=0.1, step_scaled=1e-3, start=1e-7,
     """
     if lam <= 0:
         raise ValueError("pulse reconstruction needs lam > 0")
-    orbit = _pulse_orbit(J, step_scaled, start)
-    return _pulse_on_grid(J, orbit, lam, step_x, span_factor), orbit[-1]
+    orbit = _pulse_orbit(J, start)
+    return _pulse_on_grid(J, orbit, lam, step_x), orbit[-1]
 
 
 def halfwidth(profile):

@@ -19,11 +19,11 @@ from reference import (
     moment as kernel_moment, monomial, shift, term_for)
 
 from cmnl.cli import main
-from cmnl.jet import JetIndex
+from cmnl.jet import JetIndex, solve
 from cmnl.kernel import GaussianMixture, apply_T
 from cmnl.projection import build_pointwise, kernel_basis
 from cmnl.spectrum import count_in_rectangle, locate_roots
-from cmnl.tsolve import BorderedProblem, solve
+from cmnl.tsolve import BorderedProblem
 from cmnl.verify import front_report, planar_front_system, pulse_scaling_report
 
 ELL = 1.0  # critical frequency of the two-Gaussian pair kernel

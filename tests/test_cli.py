@@ -27,7 +27,8 @@ from conftest import SQRT_PI, build_pair_jet, two_exponential_kernel
 from reference import kernel_to_data, quasi_to_data
 
 import cmnl
-from cmnl import jet, nonlin, quasipoly, tsolve
+from cmnl import (
+    cli, jet, nonlin, problem, projection, quasipoly, spectrum, tsolve, verify)
 from cmnl.cli import canonical_json, main, write_profile_csv
 from cmnl.kernel import ExponentialMixture
 from cmnl.problem import ProblemError, load_problem, problem_from_data
@@ -173,6 +174,37 @@ class TestProblemParsing:
         data["nonlinearity"]["terms"][0]["coeff"] = True
         with pytest.raises(ProblemError, match="must be a number"):
             problem_from_data(data)
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["scalar", "pair"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, "2"],
+                             ids=["nan", "inf", "-inf", "huge", "bool", "string"])
+    @pytest.mark.parametrize("field", ["a", "b", "c", "poly", "xi", "n", "coeff"])
+    def test_numbers_are_finite(self, tmp_path, capsys, field, value, pair):
+        # NaN rows once vanished from the jet, booleans and strings passed
+        # as kernel numbers, and an integer beyond the float range ended in
+        # a traceback; each number is a finite float, also in a pair
+        data = saddle_problem_data()
+        gauss = {"family": "gaussian",
+                 "terms": [{"c": 1.0, "a": 1.0, "b": 0.0, "poly": [1.0, 0.5]}]}
+        dirac = {"family": "dirac", "terms": [{"c": 1.0, "xi": 0.5}]}
+        data["kernels"].update(G=gauss, D=dirac)
+        value = [0.0, value] if pair else value
+        if field == "n":
+            gauss["n"], where = value, "kernel 'G'.n"
+        elif field == "xi":
+            dirac["terms"][0]["xi"], where = value, "kernel 'D'.terms[0].xi"
+        elif field == "poly":
+            gauss["terms"][0]["poly"][1] = value
+            where = "kernel 'G'.terms[0].poly[1]"
+        elif field == "coeff":
+            data["nonlinearity"]["terms"][0]["coeff"] = value
+            where = "'nonlinearity.terms[0]'.coeff"
+        else:
+            gauss["terms"][0][field], where = value, f"kernel 'G'.terms[0].{field}"
+        with pytest.raises(ProblemError, match=re.escape(where)):
+            problem_from_data(data)
+        assert main(["reduce", write_problem(tmp_path, data)]) == 2
+        assert where in capsys.readouterr().err
 
     def test_parameter_free_linear_term_rejected(self):
         data = saddle_problem_data()
@@ -623,8 +655,9 @@ class TestCommandLineEntry:
         assert summary["seconds"]["jet.compute"] > 0
 
     def test_library_keeps_only_what_cm_runs(self, tmp_path):
-        # every function of the jet's modules runs in the seed-1 bench
-        # commands, or is a body the tracer pins or a helper such a body calls
+        # every function of the pipeline's modules runs in the seed-1 bench
+        # commands, or is a body the tracer pins or a helper such a body
+        # calls, or is listed with the path that runs it
         problems = ROOT / "bench" / "problems.py"
         paths = runpy.run_path(str(problems))["write"](1, str(tmp_path))
         ran = set()
@@ -645,10 +678,19 @@ class TestCommandLineEntry:
             "quasipoly.QuasiPolynomial.component", "quasipoly.QuasiPolynomial.degree",
             "quasipoly.QuasiPolynomial.__add__", "quasipoly.QuasiPolynomial.scale",
             "quasipoly.multiply", "quasipoly.place_component", "nonlin.apply_term",
-            "tsolve.BorderedProblem.__post_init__", "tsolve._root_multiplicities",
-            "tsolve.t_series", "tsolve.solve"}
+            "tsolve.BorderedProblem.__post_init__", "jet.solve",
+            # paths that the seed-1 problems do not take
+            "cli.write_profile_csv",  # --csv
+            "projection._Functional.rows",  # abstract: every functional overrides it
+            "projection._greedy_select",  # an ill-conditioned pointwise jet matrix
+            "projection.sech_weight_moments",  # the sech weight of a gram projection
+            "projection.Projection.coordinates",  # the acceptance tests' projections
+            "spectrum._axis_root",  # a double root found just off the axis
+            "verify._interp_shifted",  # Dirac kernels on the verify grid
+        }
         defined = {}
-        for mod in (quasipoly, nonlin, tsolve, jet):
+        for mod in (quasipoly, nonlin, tsolve, jet, problem, cli, spectrum,
+                    projection, verify):
             short = mod.__name__.split(".")[-1]
             for name, obj in vars(mod).items():
                 members = vars(obj).items() if isinstance(obj, type) else [("", obj)]

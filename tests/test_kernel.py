@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cmnl import kernel as kr
+from cmnl.problem import kernel_from_data
 from cmnl.quasipoly import QuasiPolynomial
 
 from reference import (
@@ -358,10 +359,10 @@ def test_kernel_json_round_trip_gaussian():
         "n": 1,
         "terms": [{"c": -0.5642, "a": 1.0, "b": 0.0}],
     }
-    K = kr.from_data(data)
+    K = kernel_from_data(data)
     assert isinstance(K, kr.GaussianMixture)
     assert abs(K.transform(0.0)[0, 0] - (-0.5642) * np.sqrt(np.pi)) < 1e-12
-    assert kr.from_data(kernel_to_data(K)).transform(1j)[0, 0] == pytest.approx(
+    assert kernel_from_data(kernel_to_data(K)).transform(1j)[0, 0] == pytest.approx(
         K.transform(1j)[0, 0]
     )
 
@@ -372,19 +373,19 @@ def test_kernel_json_poly_prefactor():
         "n": 1,
         "terms": [{"c": 1.0, "a": 1.0, "b": 0.0, "poly": [0.5, -1.0]}],
     }
-    K = kr.from_data(data)
+    K = kernel_from_data(data)
     assert abs(K.eval_x(0.3)[0, 0] - (0.5 - 0.3) * np.exp(-0.09)) < 1e-14
 
 
 def test_kernel_json_rejects_unknown_keys():
     with pytest.raises(ValueError):
-        kr.from_data({"family": "gaussian", "n": 1, "terms": [], "zzz": 1})
+        kernel_from_data({"family": "gaussian", "n": 1, "terms": [], "zzz": 1})
     with pytest.raises(ValueError):
-        kr.from_data(
+        kernel_from_data(
             {"family": "gaussian", "n": 1, "terms": [{"c": 1.0, "a": 1.0, "q": 2}]}
         )
     with pytest.raises(ValueError):
-        kr.from_data({"family": "mystery"})
+        kernel_from_data({"family": "mystery"})
 
 
 def test_kernel_json_sum_and_dirac():
@@ -395,7 +396,7 @@ def test_kernel_json_sum_and_dirac():
             {"family": "exponential", "n": 1, "terms": [{"c": 0.5, "a": 2.0, "b": 0.0}]},
         ],
     }
-    K = kr.from_data(data)
+    K = kernel_from_data(data)
     nu = 0.7j
     expected = np.exp(-0.25 * nu) + 0.5 * (1 / (2 - nu) + 1 / (2 + nu))
     assert abs(K.transform(nu)[0, 0] - expected) < 1e-13

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
+import cmnl
+
 from conftest import critical_pair_kernel, project, simple_zero_kernel
 from reference import (
-    add_kernels, combine, convolve_quadrature, exponential, isclose, moment, sub)
+    add_kernels, combine, convolve_quadrature, exponential, isclose, moment, sub,
+    t_series)
+from cmnl import jet
+from cmnl.jet import solve
 from cmnl.kernel import GaussianMixture, convolve
 from cmnl.projection import BasisElement, KernelBasis, build_pointwise, kernel_basis
 from cmnl.quasipoly import QuasiPolynomial
 from cmnl.spectrum import locate_roots
-from cmnl.tsolve import (
-    BorderedProblem,
-    block_operator,
-    solve,
-    t_series,
-    truncated_inverse,
-)
+from cmnl.tsolve import BorderedProblem, block_operator, truncated_inverse
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +174,34 @@ def test_frequency_outside_strip_rejected(pair_setup):
     g = qp(1, 2.0, [1.0])
     with pytest.raises(RuntimeError, match="strip"):
         solve(BorderedProblem(K, P, g))
+
+
+def test_solve_runs_the_jet_solver(pair_setup, monkeypatch):
+    # the public solve is a front end over the stacked solver of compute_jet
+    calls = []
+    stacked = jet._Solver.solve
+
+    def counted(self, gs):
+        calls.append(len(gs))
+        return stacked(self, gs)
+
+    monkeypatch.setattr(jet._Solver, "solve", counted)
+    K, P = pair_setup
+    cmnl.solve(BorderedProblem(K, P, qp(1, 3j, [0.5]) + qp(1, 0.0, [1.0])))
+    assert calls == [1]
+    assert cmnl.solve is jet.solve
+
+
+def test_frequency_near_a_root_is_solved_at_the_root(pair_setup):
+    # within ROOT_MATCH_TOL a frequency is the root: same rows, same bits
+    K, P = pair_setup
+    g = convolve(K, P.basis.elements[0].function)
+    near = QuasiPolynomial(1, [(nu + 0.5 * jet.ROOT_MATCH_TOL, c) for nu, c in g.terms])
+    u = solve(BorderedProblem(K, P, g))
+    v = solve(BorderedProblem(K, P, near))
+    assert [nu for nu, _ in v.terms] == [nu for nu, _ in u.terms]
+    for (_, a), (_, b) in zip(u.terms, v.terms):
+        assert np.array_equal(a, b)
 
 
 def test_target_length_validated(pair_setup):
