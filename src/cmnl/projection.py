@@ -243,13 +243,10 @@ class Projection:
     augmented: bool = False
     condition: float = 1.0
 
-    def coordinates(self, u):
-        b = np.array([f.apply(u) for f in self.functionals])
-        return self.gram_inverse @ b
-
     def coordinate_rows(self, nu, degree):
         """(M, (degree+1) n) matrix taking the flattened coefficients of one
-        term at ``nu`` to its coordinates; ``coordinates`` sums these."""
+        term at ``nu`` to its coordinates; the coordinates of a sum of terms
+        are the sum of these products."""
         rows = np.array([f.rows(nu, degree).ravel() for f in self.functionals])
         return self.gram_inverse @ rows
 

@@ -11,11 +11,13 @@ predictions numerically and independently of the quasi-polynomial route:
   truncated uniform grid with a two-grid Richardson error estimate, measuring
   how well a profile satisfies ``u + K*u + F(u, mu) = 0``; the defect sums the
   terms that share an outer kernel and convolves each such group once;
-* ``find_homoclinic`` / ``find_front`` -- deterministic shooting for the two
-  planar limit systems produced by ``scale_field``: the reversible pulse
-  equation ``a'' = lin a + cub a^3`` and the damped front equation
-  ``kappa a'' + c a' + a (alpha - beta a^2) = 0``, integrated by the
-  fixed-step classical Runge-Kutta ``rk4_step`` on pairs of floats;
+* ``find_homoclinic`` / ``find_front`` -- the waves of the two planar limit
+  systems produced by ``scale_field``: the homoclinic loop of the reversible
+  pulse equation ``a'' = lin a + cub a^3`` in closed form,
+  ``a = P sech(sqrt(lin) s)`` with ``P = sqrt(2 lin / -cub)``, and the front
+  of the damped equation ``kappa a'' + c a' + a (alpha - beta a^2) = 0`` by
+  deterministic shooting with the fixed-step classical Runge-Kutta
+  ``rk4_step`` on pairs of floats;
 * ``planar_pulse_system`` / ``planar_front_system`` -- structure-checked
   extraction of those planar systems from a computed reduction;
 * ``pulse_scaling_report`` and ``front_profile`` / ``front_report`` --
@@ -24,7 +26,7 @@ predictions numerically and independently of the quasi-polynomial route:
 
 from array import array
 from dataclasses import dataclass, field as dataclass_field
-from math import ceil, log, sqrt
+from math import acosh, ceil, log, sqrt
 
 import numpy as np
 
@@ -212,8 +214,10 @@ def reconstruct(J, trajectory, mu=()):
     graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``.
     The parameter factors ``mu^r`` fold into one coefficient vector per
     coordinate power, the basis values at the origin joining the linear
-    powers.  The path is evaluated ``RECONSTRUCT_ROWS`` rows at a time,
-    every monomial of a block one multiply from a monomial of lower degree.
+    powers; a power whose folded vector is exactly zero, as most are under
+    a pointwise projection, is dropped.  The path is evaluated
+    ``RECONSTRUCT_ROWS`` rows at a time, every monomial of a block one
+    multiply from a monomial of lower degree.
     Every operation is elementwise over the rows, so a row's value does not
     depend on the block it falls in.
     """
@@ -235,6 +239,7 @@ def reconstruct(J, trajectory, mu=()):
         for v, r in zip(mu, idx.mu):
             w *= v**r
         coeffs[idx.powers] = coeffs.get(idx.powers, 0.0) + w * psi.evaluate(0.0)
+    coeffs = {p: c for p, c in coeffs.items() if np.any(c)}
     plan = _monomial_plan(coeffs)
     values = np.zeros((coords.shape[0], J.basis.n), dtype=complex)
     for lo in range(0, coords.shape[0], RECONSTRUCT_ROWS):
@@ -413,86 +418,61 @@ def residual(K, F, profile, mu=(), require_convergence=False):
 
 
 # ---------------------------------------------------------------------------
-# shooting: reversible pulse
+# the reversible pulse, in closed form
 
-# distance to the origin at which a shot counts as back (pulse) or arrived
-# (front), the step of the scaled pulse shot, and the front shot's offset
-# from the saddle
+# distance to the origin at which a loop counts as back (pulse) or a shot as
+# arrived (front), the front shot's offset from the saddle, and the samples
+# of the returned half pulse orbit
 ARRIVAL_TOL = 1e-4
-HOMOCLINIC_STEP = 1e-3
 FRONT_START = 1e-6
+HALF_ORBIT_SAMPLES = 4097
+
+
+def _sech_orbit(peak, k, s):
+    """``(a, a')`` of the pulse ``a = peak sech(k s)`` at the times ``s``."""
+    z = k * s
+    sech = 1.0 / np.cosh(z)
+    return peak * sech, -(peak * k) * sech * np.tanh(z)
 
 
 def find_homoclinic(lin, cub, start=1e-6):
     """Homoclinic loop of the reversible planar system ``a'' = lin a + cub a^3``.
 
-    Shoots from the one-dimensional unstable manifold of the origin (offset
-    ``start`` along the eigenvector), integrates to the symmetric section
-    ``a' = 0`` with the crossing time refined by bisection, then continues
-    for the mirrored duration and reports the closest return to the origin;
-    it succeeds within ``ARRIVAL_TOL``.  Deterministic: fixed steps
-    ``HOMOCLINIC_STEP``, fixed bisection depth.
+    The loop is the exact orbit ``a = P sech(k s)`` with ``k = sqrt(lin)`` and
+    ``P = sqrt(2 lin / -cub)``: it leaves the origin along the unstable
+    eigenvector and returns along the stable one.  The half orbit starts at
+    ``a = start`` and meets the symmetric section ``a' = 0`` at the peak after
+    ``T1 = arccosh(P / start) / k`` (``crossing_time``), with
+    ``section_value`` ``P``; ``HALF_ORBIT_SAMPLES`` equally spaced times
+    sample it.  ``return_distance`` is the orbit's distance
+    ``max(|a|, |a'|)`` from the origin at the mirrored time ``2 T1``:
+    ``max(1, k tanh(k T1)) start``, about ``max(1, k) start``.  The loop
+    counts as found when that is below ``ARRIVAL_TOL``.  A ``start`` at or
+    beyond the peak never crosses the section and raises ``RuntimeError``.
     """
-    lin, cub = float(lin), float(cub)
-    if lin <= 0 or cub >= 0:
+    lin, cub, start = float(lin), float(cub), float(start)
+    if lin <= 0 or cub >= 0 or start <= 0:
         raise ValueError(
-            "homoclinic shooting needs an unstable origin (lin > 0) and a"
-            " focusing cubic (cub < 0)"
+            "homoclinic loop needs an unstable origin (lin > 0), a focusing"
+            " cubic (cub < 0) and start > 0"
         )
     k = sqrt(lin)
     peak = sqrt(2.0 * lin / -cub)
-    max_span = 4.0 * (log(peak / start) + 5.0) / k
-    step = HOMOCLINIC_STEP
-
-    def f(a, p):
-        return p, lin * a + cub * (a * a * a)
-
-    y = (start, start * k)
-    ts, ys = array("d", [0.0]), array("d", y)
-    t = 0.0
-    crossing = None
-    while t < max_span:
-        ynew = rk4_step(f, y, step)
-        if ynew[1] <= 0.0:
-            lo, hi = 0.0, step
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if rk4_step(f, y, mid)[1] <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            tau = 0.5 * (lo + hi)
-            y = rk4_step(f, y, tau)
-            if t + tau > t:
-                t += tau
-                ts.append(t)
-                ys.extend(y)
-            else:
-                ys[-2:] = array("d", y)
-            crossing = t
-            break
-        y = ynew
-        t += step
-        ts.append(t)
-        ys.extend(y)
-    half = _planar_trajectory(ts, ys)
-    if crossing is None:
-        return ShootingResult(success=False, trajectory=half,
-                              details={"rate": k, "reason": "no section crossing"})
-
-    # return leg: mirror duration, track the closest approach to the origin
-    nsteps = int(ceil(crossing / step))
-    return_distance = np.inf
-    for _ in range(nsteps):
-        y = rk4_step(f, y, step)
-        return_distance = min(return_distance, max(abs(y[0]), abs(y[1])))
+    if start >= peak:
+        raise RuntimeError(
+            f"verify.start = {start:.6g} is not below the pulse peak P = {peak:.6g}"
+        )
+    crossing = acosh(peak / start) / k
+    ts = np.linspace(0.0, crossing, HALF_ORBIT_SAMPLES)
+    half = Trajectory(ts, np.stack(_sech_orbit(peak, k, ts - crossing), axis=1))
+    return_distance = start * max(1.0, k * sqrt(1.0 - (start / peak) ** 2))
     return ShootingResult(
         success=return_distance < ARRIVAL_TOL,
         trajectory=half,
-        section_value=float(half.ys[-1, 0].real),
+        section_value=peak,
         crossing_time=crossing,
         return_distance=return_distance,
-        details={"rate": k, "peak_prediction": peak},
+        details={"rate": k},
     )
 
 
@@ -692,28 +672,11 @@ def _pair_phases(J):
     return ell
 
 
-def _hermite_weights(ts, t):
-    """Node indices and cubic Hermite weights at the abscissae ``t`` for the
-    nodes ``ts``; ``_hermite`` applies them to values and slopes."""
-    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-    h = ts[i + 1] - ts[i]
-    s = (t - ts[i]) / h
-    return (i, (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2 * h,
-            s**2 * (3.0 - 2.0 * s), s**2 * (1.0 - s) * h)
-
-
-def _hermite(weights, f, df):
-    """Cubic Hermite interpolant of values ``f``, slopes ``df`` at the nodes
-    and abscissae of ``weights`` (from ``_hermite_weights``)."""
-    i, w00, w10, w01, w11 = weights
-    return w00 * f[i] + w10 * df[i] + w01 * f[i + 1] - w11 * df[i + 1]
-
-
 def _pulse_orbit(J, start):
     """The parameter-independent part of the pulse family.
 
-    Scales the reduced field to its leading pulse balance and shoots the
-    reversible planar homoclinic once.  Returns ``(ell, lin, cub, shot)``.
+    Scales the reduced field to its leading pulse balance and builds the
+    reversible planar homoclinic once.  Returns ``(ell, loop)``.
     """
     ell = _pair_phases(J)
     sf = scale_field(J.field, (1, 1, 2, 2), 1.0, (2,),
@@ -721,30 +684,26 @@ def _pulse_orbit(J, start):
     lin, cub = planar_pulse_system(sf)
     hom = find_homoclinic(lin, cub, start=start)
     if not hom.success:
-        raise RuntimeError("no homoclinic loop detected in the scaled system")
-    return ell, lin, cub, hom
+        raise RuntimeError(
+            f"the pulse loop from verify.start = {start:.6g} ends"
+            f" {hom.return_distance:.3g} from the origin, not within {ARRIVAL_TOL:g}"
+        )
+    return ell, hom
 
 
 def _pulse_on_grid(J, orbit, lam, step_x):
     """Map the scaled orbit to parameter ``lam`` and reconstruct the profile
     on a grid over ``PULSE_SPAN`` of the half orbit.
 
-    The half orbit is interpolated by cubic Hermite pieces whose node slopes
-    come from the planar field itself: ``a' = p`` and ``p' = lin a + cub a^3``.
+    The slow amplitude and its derivative are the closed-form loop at
+    ``z = sqrt(lam) x``, with its peak at ``x = 0``: ``a = P sech(k z)`` and
+    ``a' = -P k sech(k z) tanh(k z)``.
     """
-    ell, lin, cub, hom = orbit
+    ell, hom = orbit
     eps = sqrt(lam)
-    T1 = hom.crossing_time
-    m = int(ceil(PULSE_SPAN * T1 / (eps * step_x)))
+    m = int(ceil(PULSE_SPAN * hom.crossing_time / (eps * step_x)))
     xs = np.arange(-m, m + 1) * step_x
-    # half orbit, peak at tau = 0: a even, a' odd
-    tau = hom.trajectory.xs - T1
-    a_n = hom.trajectory.ys[:, 0].real
-    p_n = hom.trajectory.ys[:, 1].real
-    weights = _hermite_weights(tau, -np.abs(eps * xs))
-    a = _hermite(weights, a_n, p_n)
-    p = _hermite(weights, p_n, lin * a_n + cub * a_n**3)
-    p = np.where(xs <= 0, p, -p)
+    a, p = _sech_orbit(hom.section_value, hom.details["rate"], eps * xs)
     phase = np.exp(1j * ell * xs)
     A = eps * a * phase
     B = eps**2 * p * phase
@@ -762,19 +721,20 @@ def slope_loglog(xs, ys):
 def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, start=1e-7):
     """Residual-vs-amplitude scaling of the pulse family.
 
-    Shoots the parameter-independent scaled homoclinic once, builds the
+    Builds the parameter-independent scaled homoclinic loop once, then the
     reconstructed pulse for every parameter value, measures the equation
     defect, and fits the log-log slope of residual against amplitude.
     ``details['amplitude_ratio']`` is peak / sqrt(lam) at the smallest
     parameter.  ``on_profile(lam, profile, residual_report)`` is called once
-    per parameter when supplied.  ``start`` sets the scaled shot and
-    ``step_x`` the profile grid.
+    per parameter when supplied.  ``start`` is the amplitude at which the
+    scaled half orbit starts (see ``find_homoclinic``) and ``step_x`` the
+    profile grid's spacing.
     """
     lams = sorted(float(l) for l in lams)
     if lams[0] <= 0:
         raise ValueError("pulse reconstruction needs lam > 0")
     orbit = _pulse_orbit(J, start)
-    hom = orbit[-1]
+    hom = orbit[1]
     rows = []
     for lam in reversed(lams):
         prof = _pulse_on_grid(J, orbit, lam, step_x)

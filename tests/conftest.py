@@ -9,7 +9,7 @@ from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.projection import build_pointwise, kernel_basis
 from cmnl.spectrum import locate_roots
 
-from reference import add_kernels, combine, differentiate_kernel, scale_kernel
+from reference import add_kernels, combine, coordinates, differentiate_kernel, scale_kernel
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -59,7 +59,7 @@ def two_exponential_kernel():
 
 def project(P, u):
     """(coordinates of u, their combination of the basis) under projection P."""
-    coords = P.coordinates(u)
+    coords = coordinates(P, u)
     return coords, combine(P.basis, coords)
 
 

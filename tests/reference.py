@@ -136,6 +136,12 @@ def apply_series(F, u, mu=()):
     return out
 
 
+def coordinates(P, u):
+    """Coordinates ``A^{-1} (f_k(u))_k`` of the quasi-polynomial ``u`` under
+    the projection ``P``, by applying each functional to ``u`` as a whole."""
+    return P.gram_inverse @ np.array([f.apply(u) for f in P.functionals])
+
+
 def combine(basis, coords):
     """The canonical coordinate map: coords -> sum_k coords_k phi_k."""
     coords = np.asarray(coords, dtype=complex)
@@ -323,9 +329,9 @@ def defect_per_term(K, F, xs, values, mu=()):
 def pulse_profile(J, lam, step_x=0.1, start=1e-7):
     """Reconstructed pulse at parameter ``lam > 0``.
 
-    Scales the reduced field to its leading pulse balance, shoots the
-    reversible planar homoclinic, extends it symmetrically, and maps the
-    slow coordinates back through carrier phases and the graph map.
+    Scales the reduced field to its leading pulse balance, evaluates the
+    closed-form reversible planar homoclinic on the grid, and maps the slow
+    coordinates back through carrier phases and the graph map.
     Returns ``(GridProfile, ShootingResult)``.
     """
     if lam <= 0:

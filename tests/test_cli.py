@@ -594,6 +594,16 @@ class TestVerifyCommand:
         assert main(["verify", write_problem(tmp_path, data)]) == 1
         assert "grid too narrow" in capsys.readouterr().err
 
+    def test_start_beyond_the_pulse_peak_exits_1(self, tmp_path, capsys):
+        # the pulse's half orbit rises from amplitude `start` to its peak
+        # P = sqrt(2) and cannot start above it
+        data = pair_problem_data()
+        data["verify"]["start"] = 5
+        assert main(["verify", write_problem(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: verify.start = 5" in err
+        assert "P = 1.41421" in err
+
     def test_linear_algebra_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -684,7 +694,6 @@ class TestCommandLineEntry:
             "projection._Functional.rows",  # abstract: every functional overrides it
             "projection._greedy_select",  # an ill-conditioned pointwise jet matrix
             "projection.sech_weight_moments",  # the sech weight of a gram projection
-            "projection.Projection.coordinates",  # the acceptance tests' projections
             "spectrum._axis_root",  # a double root found just off the axis
             "verify._interp_shifted",  # Dirac kernels on the verify grid
         }

@@ -13,6 +13,9 @@ Oracle notes
   front equation (1/4) a'' + c a' + a (1 - a^2) = 0, so the monotonicity
   threshold is 2 sqrt(kappa alpha) = 1 and the saddle sits at 1; the
   saddle's unstable rate solves kappa s^2 + c s - 2 alpha = 0.
+* Newell-Whitehead front: kappa a'' + c a' + a (alpha - beta a^2) = 0 has the
+  exact front a = sqrt(alpha/beta) / (1 + exp(x sqrt(alpha / (2 kappa)))) at
+  c = 3 sqrt(kappa alpha / 2); substituting it leaves zero.
 """
 
 import json
@@ -20,6 +23,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_front_jet, build_pair_jet, critical_pair_kernel
 from reference import (
@@ -343,6 +347,41 @@ class TestReconstruct:
             exact = manifold_point(J, c, (0.3,)).evaluate(0.0)
             assert np.abs(prof.values[i] - exact).max() < 1e-12
 
+    def test_zero_graph_values_build_no_monomials(self, front, monkeypatch):
+        # on the front reduction the pointwise functionals make every Psi
+        # vanish exactly at the origin, and the chain's second element x is 0
+        # there too, so one power is built; the others would add exact zeros
+        # to the same sums
+        _, J, _ = front
+        assert not any(np.any(psi.evaluate(0.0)) for psi in J.psi.values())
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((40, 2))
+        mu = (0.3, 0.2)
+        plans, plan_of = [], cmnl.verify._monomial_plan
+
+        def recorded(powers):
+            plans.append(plan_of(powers))
+            return plans[-1]
+
+        monkeypatch.setattr(cmnl.verify, "_monomial_plan", recorded)
+        got = reconstruct(J, Trajectory(np.arange(40.0), rows), mu=mu).values
+        units = [(1, 0), (0, 1)]
+        assert [list(plan) for plan in plans] == [[(1, 0)]]
+        assert len({idx.powers for idx in J.psi}) > 2
+        # every folded power, the zero ones included, in reconstruct's order
+        unskipped = np.zeros((40, J.basis.n), dtype=complex)
+        terms = [(u, el.function.evaluate(0.0))
+                 for u, el in zip(units, J.basis.elements)]
+        terms += [(idx.powers,
+                   mu[0] ** idx.mu[0] * mu[1] ** idx.mu[1] * psi.evaluate(0.0))
+                  for idx, psi in J.psi.items()]
+        for power, c in terms:
+            mono = (rows[:, units.index(power)] if power in units
+                    else np.prod(rows ** np.array(power), axis=1))
+            for k, ck in enumerate(c):
+                unskipped[:, k] += mono * ck
+        assert np.array_equal(got, unskipped)
+
     def test_matches_exact_graph_evaluation_under_gram_projection(self, gram_jets):
         # the pointwise functionals make every Psi vanish at the origin, the
         # Gram ones do not: this checks the graph coefficients and their
@@ -411,6 +450,16 @@ class TestHomoclinicShooting:
     def test_returns_to_rest_state(self):
         res = find_homoclinic(2.0, -2.0)
         assert res.return_distance < 1e-4
+        # the mirrored start: a = start, a' = -sqrt(2) tanh(sqrt(2) T1) start
+        assert res.return_distance == pytest.approx(SQRT2 * 1e-6, rel=1e-12)
+
+    def test_samples_are_the_closed_form(self):
+        res = find_homoclinic(2.0, -2.0, start=1e-7)
+        assert res.crossing_time == pytest.approx(math.acosh(SQRT2 * 1e7) / SQRT2)
+        a, p = _sech_orbit(SQRT2, SQRT2, res.trajectory.xs - res.crossing_time)
+        assert np.abs(res.trajectory.ys[:, 0] - a).max() < 1e-15
+        assert np.abs(res.trajectory.ys[:, 1] - p).max() < 1e-15
+        assert res.trajectory.ys[0, 0].real == pytest.approx(1e-7, rel=1e-9)
 
     def test_energy_is_conserved_along_the_orbit(self):
         res = find_homoclinic(2.0, -2.0)
@@ -430,6 +479,14 @@ class TestHomoclinicShooting:
             find_homoclinic(-1.0, -2.0)
         with pytest.raises(ValueError, match="focusing"):
             find_homoclinic(2.0, 1.0)
+        with pytest.raises(ValueError, match="start > 0"):
+            find_homoclinic(2.0, -2.0, start=0.0)
+
+    @pytest.mark.parametrize("start", [SQRT2, 5.0])
+    def test_start_at_or_beyond_the_peak_raises(self, start):
+        # the half orbit rises from a = start to the peak P = sqrt(2)
+        with pytest.raises(RuntimeError, match=r"verify\.start .* P = 1\.41421"):
+            find_homoclinic(2.0, -2.0, start=start)
 
 
 class TestFrontShooting:
@@ -441,6 +498,22 @@ class TestFrontShooting:
         assert res.details["saddle"] == pytest.approx(1.0)
         s = res.details["unstable_rate"]
         assert abs(0.25 * s**2 + 1.1 * s - 2.0) < 1e-12
+
+    def test_matches_the_newell_whitehead_front(self):
+        # kappa = 1/4, alpha = beta = 1 at c = 3 sqrt(kappa alpha / 2): the
+        # exact front 1 / (1 + exp(x sqrt(2))), translated by the mean shift
+        # log(1/a - 1) / sqrt(2) - x over the samples with 0.1 < a < 0.9
+        kappa, c = 0.25, 3.0 * math.sqrt(0.125)
+        res = find_front(kappa, 1.0, 1.0, c)
+        assert res.success and res.monotone
+        xs, a = res.trajectory.xs, res.trajectory.ys[:, 0].real
+        rate = math.sqrt(1.0 / (2.0 * kappa))
+        band = (a > 0.1) & (a < 0.9)
+        shift = np.mean(np.log(1.0 / a[band] - 1.0) / rate - xs[band])
+        exact = 1.0 / (1.0 + np.exp(rate * (xs + shift)))
+        dexact = -rate * exact * (1.0 - exact)
+        assert np.abs(a - exact).max() < 1e-8
+        assert np.abs(res.trajectory.ys[:, 1].real - dexact).max() < 1e-8
 
     def test_threshold_speed_still_connects(self):
         res = find_front(0.25, 1.0, 1.0, 1.0)
@@ -464,9 +537,12 @@ class TestFrontShooting:
             find_front(0.25, 1.0, 1.0, 0.0)
 
 
-# The complex-array shooter that the scalar one replaced, kept as a bitwise
-# reference: every state is real, so the zero imaginary parts change no bit
-# of the real parts, and the scalar shooter must reproduce this one exactly.
+# The complex-array shooters that the scalar ones replaced.  The front shooter
+# is a bitwise reference: every state is real, so the zero imaginary parts
+# change no bit of the real parts, and the scalar shooter must reproduce it
+# exactly.  The homoclinic shooter (RK4 steps of 1e-3, an 80-step bisection of
+# the section crossing and a mirrored return leg) is the independent oracle of
+# the closed-form loop.
 
 
 def _array_rk4_step(f, y, h):
@@ -553,16 +629,57 @@ def _array_front(kappa, alpha, beta, c_star, start=1e-6, tol_reach=1e-4):
     return step * np.arange(len(ys)), ys, reach_distance, monotone
 
 
-class TestScalarShooterMatchesArrayReference:
-    def test_homoclinic_is_bitwise_equal(self):
-        ts, ys, crossing, return_distance = _array_homoclinic(2.0, -2.0)
-        res = find_homoclinic(2.0, -2.0)
-        assert np.array_equal(res.trajectory.xs, ts)
-        assert np.array_equal(res.trajectory.ys, ys)
-        assert res.crossing_time == crossing
-        assert res.section_value == ys[-1, 0].real
-        assert res.return_distance == return_distance
+def _sech_orbit(peak, k, s):
+    """``(a, a')`` of ``a = peak sech(k s)``."""
+    sech = 1.0 / np.cosh(k * s)
+    return peak * sech, -peak * k * sech * np.tanh(k * s)
 
+
+class TestClosedFormLoopMatchesRk4Shooter:
+    """The closed-form loop that ``find_homoclinic`` reports, at the times of
+    the RK4 shot from the same start, against that shot."""
+
+    @staticmethod
+    def _check(lin, cub, start):
+        ts, ys, crossing, _ = _array_homoclinic(lin, cub, start)
+        res = find_homoclinic(lin, cub, start)
+        assert res.success
+        a, p = _sech_orbit(res.section_value, res.details["rate"],
+                           ts - res.crossing_time)
+        assert np.abs(a - ys[:, 0].real).max() < 1e-9
+        assert np.abs(p - ys[:, 1].real).max() < 1e-9
+        assert abs(res.crossing_time - crossing) < 1e-9
+        assert abs(res.section_value - ys[-1, 0].real) < 1e-9
+
+    def test_model_pair(self):
+        self._check(2.0, -2.0, 1e-6)
+
+    def test_seed_1_pair_problem(self, pair, monkeypatch):
+        # the planar balance and start that `cm verify` uses on the pair-o3
+        # problem of the benchmark
+        _, J = pair
+        seen = []
+
+        def capture(lin, cub, start):
+            seen.append((lin, cub, start))
+            return find_homoclinic(lin, cub, start)
+
+        monkeypatch.setattr(cmnl.verify, "find_homoclinic", capture)
+        pulse_scaling_report(critical_pair_kernel(), J, [1e-2])
+        (args,) = seen
+        assert args[2] == 1e-7
+        self._check(*args)
+
+    # the shot starts on the unstable eigenvector, (start, k start), off the
+    # loop by O(start^2): that shifts its time by about (start / P)^2 / (4 k)
+    @settings(max_examples=4)
+    @given(lin=st.floats(1.0, 4.0), cub=st.floats(-4.0, -0.25),
+           fraction=st.floats(1e-7, 1e-5))
+    def test_hypothesis_draws(self, lin, cub, fraction):
+        self._check(lin, cub, fraction * math.sqrt(2.0 * lin / -cub))
+
+
+class TestScalarShooterMatchesArrayReference:
     # kappa = 0.37 is not a power of two: numpy divides a complex number by
     # multiplying with the reciprocal, which rounds unlike a float quotient
     @pytest.mark.parametrize("args", [(0.25, 1.0, 1.0, 1.1), (0.25, 1.0, 1.0, 1.0),
@@ -577,10 +694,9 @@ class TestScalarShooterMatchesArrayReference:
 
 
 class TestStepCount:
-    """Each shot steps through the module-level ``rk4_step``, once per step.
-
-    The counts were measured on the complex-array shooter; the homoclinic
-    count includes 80 bisection steps and the return leg.
+    """Each front shot steps through the module-level ``rk4_step``, once per
+    step; the count was measured on the complex-array shooter.  The
+    homoclinic loop is in closed form and takes no step.
     """
 
     @pytest.fixture
@@ -597,7 +713,7 @@ class TestStepCount:
 
     def test_homoclinic(self, steps):
         find_homoclinic(2.0, -2.0)
-        assert steps[0] == 21091
+        assert steps[0] == 0
 
     def test_front(self, steps):
         find_front(0.25, 1.0, 1.0, 1.1)
@@ -748,6 +864,12 @@ class TestPulseDrivers:
         _, J = pair
         with pytest.raises(ValueError, match="lam > 0"):
             pulse_profile(J, 0.0)
+
+    def test_start_too_far_from_the_origin_raises(self, pair):
+        # the half orbit from a = 1e-3 comes back to sqrt(2) 1e-3 of the origin
+        _, J = pair
+        with pytest.raises(RuntimeError, match=r"verify\.start = 0\.001 ends 0\.00141"):
+            pulse_profile(J, 1e-2, start=1e-3)
 
     def test_rejects_front_reduction(self, front):
         _, J, _ = front
