@@ -26,7 +26,7 @@ predictions numerically and independently of the quasi-polynomial route:
 
 from array import array
 from dataclasses import dataclass, field as dataclass_field
-from math import acosh, ceil, log, sqrt
+from math import acosh, ceil, inf, log, sqrt
 
 import numpy as np
 
@@ -116,7 +116,8 @@ class ResidualReport:
 
 @dataclass
 class ShootingResult:
-    """Outcome of a deterministic shooting run on a planar system."""
+    """A wave of a planar system: a deterministic shot, or the closed-form
+    pulse loop."""
 
     success: bool
     trajectory: Trajectory
@@ -171,12 +172,6 @@ def rk4_step(f, y, h):
     w = h / 6.0
     return (a + w * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
             p + w * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-
-
-def _planar_trajectory(xs, ys):
-    """``Trajectory`` of a planar shot whose ``(a, p)`` samples are interleaved
-    in the flat ``array("d")`` ``ys``."""
-    return Trajectory(xs, np.frombuffer(ys).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +443,8 @@ def find_homoclinic(lin, cub, start=1e-6):
     ``max(|a|, |a'|)`` from the origin at the mirrored time ``2 T1``:
     ``max(1, k tanh(k T1)) start``, about ``max(1, k) start``.  The loop
     counts as found when that is below ``ARRIVAL_TOL``.  A ``start`` at or
-    beyond the peak never crosses the section and raises ``RuntimeError``.
+    beyond the peak, or so small that ``P / start`` overflows, leaves no half
+    orbit and raises ``RuntimeError``.
     """
     lin, cub, start = float(lin), float(cub), float(start)
     if lin <= 0 or cub >= 0 or start <= 0:
@@ -458,9 +454,10 @@ def find_homoclinic(lin, cub, start=1e-6):
         )
     k = sqrt(lin)
     peak = sqrt(2.0 * lin / -cub)
-    if start >= peak:
+    if not 1.0 < peak / start < inf:
         raise RuntimeError(
-            f"verify.start = {start:.6g} is not below the pulse peak P = {peak:.6g}"
+            f"verify.start = {start:.6g} must lie below the pulse peak"
+            f" P = {peak:.6g}, at a finite ratio to it"
         )
     crossing = acosh(peak / start) / k
     ts = np.linspace(0.0, crossing, HALF_ORBIT_SAMPLES)
@@ -526,7 +523,9 @@ def find_front(kappa, alpha, beta, c_star, tol_reach=ARRIVAL_TOL):
             break
         if y[0] < -0.5 * a_star or d > 1e6:
             break
-    traj = _planar_trajectory(step * np.arange(len(ys) // 2), ys)
+    # the (a, p) samples are interleaved in the flat array ys
+    traj = Trajectory(step * np.arange(len(ys) // 2),
+                      np.frombuffer(ys).reshape(-1, 2))
     slack = 1e-9 * a_star
     monotone = bool(
         traj.ys[:, 1].real.max() <= slack

@@ -482,9 +482,10 @@ class TestHomoclinicShooting:
         with pytest.raises(ValueError, match="start > 0"):
             find_homoclinic(2.0, -2.0, start=0.0)
 
-    @pytest.mark.parametrize("start", [SQRT2, 5.0])
-    def test_start_at_or_beyond_the_peak_raises(self, start):
-        # the half orbit rises from a = start to the peak P = sqrt(2)
+    @pytest.mark.parametrize("start", [SQRT2, 5.0, 1e-320])
+    def test_start_off_the_half_orbit_raises(self, start):
+        # the half orbit rises from a = start to the peak P = sqrt(2); from a
+        # subnormal start, P / start overflows and it would never arrive
         with pytest.raises(RuntimeError, match=r"verify\.start .* P = 1\.41421"):
             find_homoclinic(2.0, -2.0, start=start)
 
