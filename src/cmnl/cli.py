@@ -13,10 +13,12 @@ it byte for byte.  Complex ``ndarray`` leaves are written as the nested
 Exit codes: 0 success, 1 numerical failure (``RuntimeError`` or
 ``LinAlgError``: solver residuals above ``--tol-solve``, failed shooting,
 scaling or planar extraction, failed scaling certification), 2 input error
-(``ProblemError``: unreadable or invalid problem file, bad order).
+(``ProblemError``: unreadable or invalid problem file, bad order; or a
+command line that ``_parse`` rejects: an unknown command or option, a
+missing value or ``PROBLEM``, a tolerance that is not finite and positive,
+an order or seed that is not an integer).  ``-h`` prints the usage and exits 0.
 """
 
-import argparse
 import functools
 import json
 import math
@@ -254,65 +256,136 @@ def _verify_data(prob, tol_root, tol_solve, csv_dir, seed):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+DESCRIPTION = (
+    "Center-manifold reduction of nonlocal convolution equations\n"
+    "u + K*u + F(u, mu) = 0: characteristic spectrum, order-by-order reduced\n"
+    "vector fields, and numerical wave verification."
+)
 
-def _parser():
-    parser = argparse.ArgumentParser(
-        prog="cm",
-        description="Center-manifold reduction of nonlocal convolution "
-        "equations u + K*u + F(u, mu) = 0: characteristic spectrum, "
-        "order-by-order reduced vector fields, and numerical wave "
-        "verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# option: (metavar, type, default, help); a float is a tolerance, which must
+# be finite and positive
+OPTIONS = {
+    "--out": ("FILE", str, None, "write the JSON report here (default: stdout)"),
+    "--tol-root": ("TOL", float, 1e-9,
+                   "characteristic-root refinement tolerance (default 1e-9)"),
+    "--tol-solve": ("TOL", float, 1e-7,
+                    "acceptable bordered-solve relative residual (default 1e-7)"),
+    "--order": ("N", int, None,
+                "jet truncation order (default: the problem file's 'order')"),
+    "--csv": ("DIR", str, None, "directory for plot-ready CSV profiles"),
+    "--seed": ("N", int, 0, "recorded in the report; the pipeline itself is "
+               "deterministic (default 0)"),
+}
 
-    def common(p, solve=True):
-        p.add_argument("problem", help="problem definition JSON file")
-        p.add_argument("--out", help="write the JSON report here (default: stdout)")
-        p.add_argument(
-            "--tol-root", type=float, default=1e-9,
-            help="characteristic-root refinement tolerance (default 1e-9)",
-        )
-        if solve:
-            p.add_argument(
-                "--tol-solve", type=float, default=1e-7,
-                help="acceptable bordered-solve relative residual (default 1e-7)",
-            )
+# command: (help, its options)
+COMMANDS = {
+    "spectrum": ("locate characteristic roots", ("--out", "--tol-root")),
+    "reduce": ("compute the reduced vector field",
+               ("--out", "--tol-root", "--tol-solve", "--order")),
+    "verify": ("reconstruct waves and measure residuals",
+               ("--out", "--tol-root", "--tol-solve", "--csv", "--seed")),
+}
 
-    p = sub.add_parser("spectrum", help="locate characteristic roots")
-    common(p, solve=False)
 
-    p = sub.add_parser("reduce", help="compute the reduced vector field")
-    common(p)
-    p.add_argument(
-        "--order", type=int, default=None,
-        help="jet truncation order (default: the problem file's 'order')",
-    )
+class UsageError(Exception):
+    """A command line that ``_parse`` cannot read."""
 
-    p = sub.add_parser("verify", help="reconstruct waves and measure residuals")
-    common(p)
-    p.add_argument("--csv", help="directory for plot-ready CSV profiles")
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="recorded in the report; the pipeline itself is deterministic",
-    )
-    return parser
+
+def _parse(argv):
+    """``(command, options)`` for the argument list ``argv``: ``options``
+    maps ``problem`` and every option of the command, with dashes as
+    underscores, to its value or default.  ``options`` is None when the list
+    asks for help (``-h`` or ``--help``).  An option's value follows it as
+    the next argument or after ``=``; option names are matched whole, never
+    by prefix.  Raises ``UsageError``."""
+    if not argv:
+        raise UsageError("no command given")
+    if argv[0] in ("-h", "--help"):
+        return None, None
+    command, rest = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
+    names = COMMANDS[command][1]
+    options = {name[2:].replace("-", "_"): OPTIONS[name][2] for name in names}
+    positional = []
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return command, None
+        if arg == "--":
+            positional += rest
+        elif not arg.startswith("-"):
+            positional.append(arg)
+        else:
+            name, eq, text = arg.partition("=")
+            if name not in names:
+                raise UsageError(f"cm {command} has no option {name}")
+            if not eq:
+                text = next(rest, None)
+                if text is None:
+                    raise UsageError(f"option {name} needs a value")
+            kind = OPTIONS[name][1]
+            try:
+                value = kind(text)
+                if kind is float and not 0 < value < math.inf:
+                    raise ValueError
+            except ValueError:
+                expected = "an integer" if kind is int else "a finite positive number"
+                raise UsageError(f"option {name}: {text!r} is not {expected}") from None
+            options[name[2:].replace("-", "_")] = value
+    if len(positional) != 1:
+        raise UsageError("missing PROBLEM" if not positional
+                         else f"unexpected argument {positional[1]!r}")
+    options["problem"] = positional[0]
+    return command, options
+
+
+def _usage(command):
+    """The usage lines of ``command``, or of every command if it names none."""
+    lines = [
+        f"cm {name} PROBLEM "
+        + " ".join(f"[{opt} {OPTIONS[opt][0]}]" for opt in COMMANDS[name][1])
+        for name in ([command] if command in COMMANDS else COMMANDS)
+    ]
+    lines.append(f"cm {command if command in COMMANDS else '[COMMAND]'} -h")
+    return "usage: " + "\n       ".join(lines)
+
+
+def _help(command):
+    """``-h``: the usage, then the options of ``command`` (of every command
+    if None) with their help."""
+    parts = [_usage(command)]
+    if command is None:
+        parts.append(DESCRIPTION)
+    for name in [command] if command else COMMANDS:
+        what, opts = COMMANDS[name]
+        rows = [("PROBLEM", "problem definition JSON file")] + [
+            (f"{opt} {OPTIONS[opt][0]}", OPTIONS[opt][3]) for opt in opts]
+        parts.append(f"cm {name}: {what}\n" + "\n".join(
+            f"  {left:<17} {right}" for left, right in rows))
+    return "\n\n".join(parts)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        prob = load_problem(args.problem)
-        if args.command == "spectrum":
-            data = _spectrum_data(prob, args.tol_root)
-        elif args.command == "reduce":
-            order = args.order if args.order is not None else prob.order
-            data = _reduce_data(prob, args.tol_root, args.tol_solve, order)
+        command, args = _parse(argv)
+    except UsageError as exc:
+        print(f"error: {exc}\n{_usage(argv[0] if argv else None)}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_help(command))
+        return 0
+    try:
+        prob = load_problem(args["problem"])
+        if command == "spectrum":
+            data = _spectrum_data(prob, args["tol_root"])
+        elif command == "reduce":
+            order = args["order"] if args["order"] is not None else prob.order
+            data = _reduce_data(prob, args["tol_root"], args["tol_solve"], order)
         else:
-            csv_dir = args.csv or prob.csv_path
-            data = _verify_data(
-                prob, args.tol_root, args.tol_solve, csv_dir, args.seed
-            )
-        _emit(canonical_json(data), args.out or prob.out_path)
+            data = _verify_data(prob, args["tol_root"], args["tol_solve"],
+                                args["csv"] or prob.csv_path, args["seed"])
+        _emit(canonical_json(data), args["out"] or prob.out_path)
         return 0
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,8 +146,12 @@ class GaussianMixture(Kernel):
             i0 = np.sqrt(np.pi / a) * np.exp(nus * nus / (4 * a) - nus * b)
             polys = self._log_deriv_polys(a, b, coeffs.shape[0] - 1 + order)
             for j in range(coeffs.shape[0]):
-                pm = polys[j + order]
-                val = np.polynomial.polynomial.polyval(nus, pm)
+                # Horner's rule for P_m at every point, in the operations and
+                # shapes of numpy.polynomial's polyval
+                pm = polys[j + order].reshape((-1,) + (1,) * nus.ndim)
+                val = pm[-1] + nus * 0
+                for c in pm[-2::-1]:
+                    val = c + val * nus
                 out += ((-1) ** j * val * i0)[..., None, None] * coeffs[j]
         return out
 

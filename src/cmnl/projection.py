@@ -18,7 +18,6 @@ fixed basis ordering; the projected element is sum_k c_k phi_k.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .quasipoly import QuasiPolynomial, derivative_weights
 from .spectrum import chain_functions, conjugate_chains, jordan_chains
@@ -202,13 +201,15 @@ def sech_weight_moments(nu, smax):
     poly = np.array([1.0])  # coefficients in t, low order first
     out = []
     for _ in range(smax + 1):
-        out.append(np.pi * sec * complex(npoly.polyval(t, poly)))
-        poly = a * (
-            npoly.polyadd(
-                npoly.polymul([0.0, 1.0], poly),
-                npoly.polymul([1.0, 0.0, 1.0], npoly.polyder(poly)),
-            )
-        )
+        val = poly[-1] + t * 0  # Horner's rule, as numpy.polynomial's polyval
+        for c in poly[-2::-1]:
+            val = c + val * t
+        out.append(np.pi * sec * complex(val))
+        nxt = np.zeros(len(poly) + 1)
+        nxt[1:] = poly  # t P_j
+        if len(poly) > 1:  # (1 + t^2) P_j'
+            nxt += np.convolve([1.0, 0.0, 1.0], np.arange(1, len(poly)) * poly[1:])
+        poly = a * nxt
     return out
 
 

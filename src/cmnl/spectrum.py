@@ -49,7 +49,6 @@ points to the array of values.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -82,6 +81,22 @@ DISC_NODES = 64  # trapezoid nodes of the Cauchy coefficients on a disc
 NEWTON_ITERS = 5  # Newton steps of one root polish
 PAIR_TOL = 1e-7  # relative distance of two roots paired as conjugates
 CHAIN_TOL = 1e-8  # null-space cutoff and residual scale of the Jordan chains
+
+# The QUAD_NODES- and QUAD_NODES/2-point Gauss-Legendre rules on [-1, 1], as
+# (nodes, weights), nodes falling from 1 to -1.  The numbers are the bits of
+# Newton's method on the Legendre recurrence (tests/reference.py), whose
+# nodes and weights are exactly mirror-symmetric; tabled, so that no
+# process recomputes them.
+_X16 = np.array([
+    0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+    0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744])
+_W16 = np.array([
+    0.027152459411754058, 0.062253523938647776, 0.0951585116824929, 0.12462897125553395,
+    0.14959598881657682, 0.16915651939500256, 0.1826034150449236, 0.18945061045506847])
+_X8 = np.array([0.9602898564975363, 0.7966664774136268, 0.525532409916329, 0.1834346424956498])
+_W8 = np.array([0.10122853629037618, 0.22238103445337445, 0.3137066458778874, 0.362683783378362])
+GAUSS_LEGENDRE_HI = (np.concatenate([_X16, -_X16[::-1]]), np.concatenate([_W16, _W16[::-1]]))
+GAUSS_LEGENDRE_LO = (np.concatenate([_X8, -_X8[::-1]]), np.concatenate([_W8, _W8[::-1]]))
 
 
 def t_hat(K, nu, order=0):
@@ -221,22 +236,6 @@ def count_on_circle(K, center, radius):
     return winding_number(lambda nu: char_value(K, nu), pts)
 
 
-@cache
-def _gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
-    Newton's method on the three-term recurrence of P_n, from the usual
-    cosine guesses.  (An eigenvalue solver would map LAPACK code that
-    nothing else in a run uses.)  Computed on first use, not at import."""
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / dp
-    return x, 2 / ((1 - x * x) * dp * dp)
-
-
 def contour_moments(K, re0, re1, im0, im1, count):
     """``(s, noise, center, scale, panels)``: the scaled log-derivative moments
         s_k = (1/(2 pi i)) contour_int ((nu - center)/scale)^k d'(nu)/d(nu) dnu
@@ -259,7 +258,7 @@ def contour_moments(K, re0, re1, im0, im1, count):
     a = _rect_points(re0, re1, im0, im1, per_side=1, spacing=MAX_PANEL)
     b = np.roll(a, -1)
     share = 2 * np.pi * QUAD_TOL / np.abs(b - a).sum()
-    (x_hi, w_hi), (x_lo, w_lo) = _gauss_legendre(QUAD_NODES), _gauss_legendre(QUAD_NODES // 2)
+    (x_hi, w_hi), (x_lo, w_lo) = GAUSS_LEGENDRE_HI, GAUSS_LEGENDRE_LO
     nodes = np.concatenate([x_hi, x_lo])
     powers = np.arange(2 * count)
     s = np.zeros(2 * count, dtype=complex)

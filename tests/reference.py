@@ -9,6 +9,7 @@ import cmath
 from math import comb
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from cmnl.kernel import (
     ExponentialMixture, GaussianMixture, SumKernel, apply_T, taylor_transforms)
@@ -258,6 +259,53 @@ def add_kernels(*kernels):
     """One ``SumKernel`` over the parts of all ``kernels``."""
     return SumKernel([p for k in kernels
                       for p in (k.parts if isinstance(k, SumKernel) else [k])])
+
+
+# -- quadrature rules and polynomials -------------------------------------------
+
+
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the three-term recurrence of P_n, from the usual
+    cosine guesses.  The oracle of the rules that ``spectrum`` tables."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def gaussian_transform(K, nus, order=0):
+    """``GaussianMixture.transform_batch`` with P_m evaluated by
+    ``numpy.polynomial``'s ``polyval``."""
+    nus = np.asarray(nus, dtype=complex)
+    out = np.zeros(nus.shape + (K.n, K.n), dtype=complex)
+    for coeffs, a, b in K.terms:
+        i0 = np.sqrt(np.pi / a) * np.exp(nus * nus / (4 * a) - nus * b)
+        polys = K._log_deriv_polys(a, b, coeffs.shape[0] - 1 + order)
+        for j in range(coeffs.shape[0]):
+            val = npoly.polyval(nus, polys[j + order])
+            out += ((-1) ** j * val * i0)[..., None, None] * coeffs[j]
+    return out
+
+
+def sech_weight_moments(nu, smax):
+    """``projection.sech_weight_moments`` through ``numpy.polynomial``:
+    pi sec(pi nu/2) times the tan-polynomials P_{j+1} = (pi/2)(t P_j +
+    (1 + t^2) P_j')."""
+    a = np.pi / 2
+    t = complex(np.tan(a * nu))
+    sec = 1.0 / complex(np.cos(a * nu))
+    poly = np.array([1.0])
+    out = []
+    for _ in range(smax + 1):
+        out.append(np.pi * sec * complex(npoly.polyval(t, poly)))
+        poly = a * npoly.polyadd(npoly.polymul([0.0, 1.0], poly),
+                                 npoly.polymul([1.0, 0.0, 1.0], npoly.polyder(poly)))
+    return out
 
 
 def _real(z):

@@ -613,6 +613,69 @@ class TestVerifyCommand:
         assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
+class TestArguments:
+    @pytest.mark.parametrize("argv, named", [
+        ([], "no command"),
+        (["simplify", "P"], "'simplify'"),
+        (["reduce"], "PROBLEM"),
+        (["reduce", "P", "Q"], "'Q'"),
+        (["reduce", "P", "--bogus", "1"], "--bogus"),
+        (["spectrum", "P", "--order", "3"], "--order"),
+        (["verify", "P", "--order=3"], "--order"),
+        (["reduce", "P", "--tol-sol", "1e-7"], "--tol-sol"),  # no prefixes
+        (["reduce", "P", "--order"], "--order"),
+        (["reduce", "P", "--order", "x"], "--order"),
+        (["reduce", "P", "--order", "3.0"], "--order"),
+        (["verify", "P", "--seed", "1.5"], "--seed"),
+        (["reduce", "P", "--tol-solve", "nan"], "--tol-solve"),
+        (["reduce", "P", "--tol-solve", "-1"], "--tol-solve"),
+        (["verify", "P", "--tol-solve=0"], "--tol-solve"),
+        (["spectrum", "P", "--tol-root", "nan"], "--tol-root"),
+        (["spectrum", "P", "--tol-root", "-1"], "--tol-root"),
+        (["spectrum", "P", "--tol-root=inf"], "--tol-root"),
+        (["spectrum", "P", "--tol-root", "1e-9x"], "--tol-root"),
+    ])
+    def test_usage_errors_exit_2(self, tmp_path, capsys, argv, named):
+        path = write_problem(tmp_path, saddle_problem_data())
+        assert main([path if a == "P" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        first, *usage = captured.err.splitlines()
+        assert first.startswith("error: ") and named in first
+        assert usage[0].startswith("usage: cm ")
+        assert captured.out == ""  # no report
+
+    def test_help_lists_every_command_and_option(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cm", "--help"])
+        assert main() == 0  # reads sys.argv[1:]
+        out = capsys.readouterr().out
+        for text in ("cm spectrum", "cm reduce", "cm verify", "--out", "--tol-root",
+                     "(default 1e-9)", "--tol-solve", "(default 1e-7)", "--order",
+                     "--csv", "--seed", "PROBLEM"):
+            assert text in out
+        assert main(["-h"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_command_help_lists_its_options(self, capsys):
+        assert main(["reduce", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cm reduce PROBLEM")
+        for option in ("--out", "--tol-root", "--tol-solve", "--order"):
+            assert option in out
+        assert "--csv" not in out and "--seed" not in out and "cm verify" not in out
+        # help is printed before the problem file is read
+        assert main(["spectrum", "missing.json", "-h"]) == 0
+        assert "--tol-root" in capsys.readouterr().out
+
+    def test_equals_form_and_option_order(self, tmp_path):
+        path = write_problem(tmp_path, saddle_problem_data(order=2))
+        first, second, third = (tmp_path / f"{k}.json" for k in "abc")
+        assert main(["reduce", path, "--out", str(first), "--order", "3"]) == 0
+        assert main(["reduce", f"--out={second}", "--order=3", path]) == 0
+        assert main(["reduce", "--order", "3", "--out", str(third), "--", path]) == 0
+        assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+        assert '"order": 3' in first.read_text(encoding="utf-8")
+
+
 def package_env():
     """This environment with the tested ``cmnl`` importable in a child
     process, also when only pytest's ``pythonpath`` setting found it."""
@@ -648,6 +711,22 @@ class TestCommandLineEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_commands_load_no_argparse_or_numpy_polynomial(self, tmp_path):
+        # every cm process would pay for these imports before its work
+        path = write_problem(tmp_path, saddle_problem_data())
+        code = (
+            "import sys; from cmnl.cli import main\n"
+            "for command in ('spectrum', 'reduce'):\n"
+            f"    assert main([command, {path!r}, '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m in "
+            "('argparse', 'gettext', 'locale', 'numpy.polynomial')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_tracer_runs_reduce(self, tmp_path):
         # bench/tracer.py wraps functions of the package by name; a refactor
@@ -691,6 +770,8 @@ class TestCommandLineEntry:
             "tsolve.BorderedProblem.__post_init__", "jet.solve",
             # paths that the seed-1 problems do not take
             "cli.write_profile_csv",  # --csv
+            "cli._usage",  # a usage error, or -h
+            "cli._help",  # -h
             "projection._Functional.rows",  # abstract: every functional overrides it
             "projection._greedy_select",  # an ill-conditioned pointwise jet matrix
             "projection.sech_weight_moments",  # the sech weight of a gram projection

@@ -11,18 +11,22 @@ is pinned numerically (test_convolve_cubic_coefficients) before anything
 downstream relies on it.
 """
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cmnl import kernel as kr
-from cmnl.problem import kernel_from_data
+from cmnl.problem import kernel_from_data, load_problem
 from cmnl.quasipoly import QuasiPolynomial
 
 from reference import (
     add_kernels, convolve_quadrature, differentiate_kernel, exponential,
-    kernel_to_data, moment, monomial, scale_kernel, shift, term_for)
+    gaussian_transform, kernel_to_data, moment, monomial, scale_kernel, shift,
+    term_for)
 
 
 def quad_moment(kfun, m, nu, lim=60.0, breakpoints=()):
@@ -401,3 +405,26 @@ def test_kernel_json_sum_and_dirac():
     expected = np.exp(-0.25 * nu) + 0.5 * (1 / (2 - nu) + 1 / (2 + nu))
     assert abs(K.transform(nu)[0, 0] - expected) < 1e-13
     assert len(K.point_masses()) == 1
+
+
+def _gaussian_parts(K):
+    if isinstance(K, kr.SumKernel):
+        return [g for p in K.parts for g in _gaussian_parts(p)]
+    return [K] if isinstance(K, kr.GaussianMixture) else []
+
+
+def test_gaussian_transform_keeps_the_bits_of_polyval(tmp_path):
+    # Horner's rule in the operations of numpy.polynomial's polyval, on every
+    # gaussian kernel of the seed-1 bench problems
+    root = Path(__file__).resolve().parents[1]
+    paths = runpy.run_path(str(root / "bench" / "problems.py"))["write"](1, str(tmp_path))
+    kernels = [g for path in paths.values()
+               for K in load_problem(path).kernels.values() for g in _gaussian_parts(K)]
+    assert len(kernels) >= 5
+    rng = np.random.default_rng(1)
+    grid = rng.normal(size=(3, 7)) * 0.3 + 1j * rng.normal(size=(3, 7)) * 4
+    for K in kernels:
+        for order in range(4):
+            for nus in (grid, grid[0], 0.7j):
+                assert np.array_equal(K.transform_batch(nus, order),
+                                      gaussian_transform(K, nus, order))

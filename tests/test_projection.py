@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import critical_pair_kernel, project
+import reference
 from reference import exponential, frequencies, max_coeff, sub, zero
 from cmnl.kernel import apply_T
 from cmnl.projection import (
@@ -83,6 +84,11 @@ def test_gaussian_pairing_closed_form():
 def test_sech_moments_match_quadrature(s, nu):
     vals = sech_weight_moments(nu, s)
     assert np.isclose(vals[s], weighted_moment_oracle("sech", s, nu), atol=1e-9)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3j, -2.5j, 0.4 + 0.2j, -0.9 - 1.1j])
+def test_sech_moments_keep_the_bits_of_numpy_polynomial(nu):
+    assert sech_weight_moments(nu, 9) == reference.sech_weight_moments(nu, 9)
 
 
 @pytest.mark.parametrize("nu", [1.0, -1.2, 1.0 + 0.5j])

@@ -15,7 +15,7 @@ import pytest
 from conftest import (
     build_front_jet, critical_pair_kernel, scaled_gaussian, simple_zero_kernel,
     two_exponential_kernel)
-from reference import add_kernels, max_coeff, term_for
+from reference import add_kernels, gauss_legendre, max_coeff, term_for
 
 from cmnl import kernel as kr
 from cmnl import spectrum as sp
@@ -45,6 +45,18 @@ def test_char_log_derivative():
     fd = (sp.char_value(K, nu + h) - sp.char_value(K, nu - h)) / (2 * h)
     ld = sp._log_derivative(K, nu)[0] * sp.char_value(K, nu)
     assert abs(fd - ld) < 1e-8
+
+
+@pytest.mark.parametrize("rule, n", [
+    (sp.GAUSS_LEGENDRE_HI, sp.QUAD_NODES), (sp.GAUSS_LEGENDRE_LO, sp.QUAD_NODES // 2)])
+def test_tabled_gauss_legendre_rules(rule, n):
+    # the tables hold the bits of Newton's method, so the moments do not move
+    nodes, weights = rule
+    x, w = gauss_legendre(n)
+    assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+    xl, wl = np.polynomial.legendre.leggauss(n)  # ascending nodes
+    assert np.abs(nodes[::-1] - xl).max() <= 1e-15
+    assert np.abs(weights[::-1] - wl).max() <= 1e-15
 
 
 def test_winding_counts_known_roots():
