@@ -62,6 +62,107 @@ def _array_template(shape, level):
     return "[\n" + body + "\n" + "  " * level + "]"
 
 
+class _Slot(str):
+    """A leaf of a template skeleton, written as it is: a %-directive."""
+
+
+_INDEX = {"mu", "powers"}
+_PSI = {"index", "psi", "residual"}
+_FIELD = {"coeff", "index"}
+_QUASI = {"n", "terms"}
+_TERM = {"nu", "poly"}
+_INT, _FLOAT = _Slot("%d"), _Slot("%.17g")
+
+
+@functools.lru_cache(maxsize=1024)
+def _field_template(mu, powers, shape, level):
+    """%-template of a field entry at ``level``: ``_serialize`` of its
+    skeleton."""
+    index = {"mu": [_INT] * mu, "powers": [_INT] * powers}
+    return _serialize({"coeff": _Slot(_array_template(shape, level + 1)), "index": index},
+                      level)
+
+
+@functools.lru_cache(maxsize=1024)
+def _psi_frame(mu, powers, level, terms):
+    """The %-template of a psi entry at ``level`` without terms, or with
+    ``terms`` the (head, separator, tail) around its term templates."""
+    entry = {"index": {"mu": [_INT] * mu, "powers": [_INT] * powers}, "residual": _FLOAT,
+             "psi": {"n": _INT, "terms": [_Slot("\0")] * 2 if terms else []}}
+    return tuple(_serialize(entry, level).split("\0"))
+
+
+@functools.lru_cache(maxsize=1024)
+def _term_template(shape, level):
+    poly = _Slot(_array_template(shape, level + 1))
+    return _Slot(_serialize({"nu": [_FLOAT] * 2, "poly": poly}, level))
+
+
+def _array_values(arr, out):
+    """Append the ``[re, im]`` leaves of a complex array to ``out``; False
+    when ``arr`` is not one."""
+    if type(arr) is not np.ndarray or arr.dtype != complex:
+        return False
+    # ``+ 0.0`` writes -0.0 as 0, as ``_format_number`` does
+    out += (arr.ravel() + 0.0).view(float).tolist()
+    return True
+
+
+def _entry(e, level, out):
+    """The %-template at ``level`` of a psi or field entry of
+    ``JetResult.to_data``, its leaves appended to ``out``; None when ``e``
+    has another layout or a leaf of another type, which the generic walk
+    then writes."""
+    index = e.get("index") if type(e) is dict else None
+    if type(index) is not dict or index.keys() != _INDEX:
+        return None
+    mu, powers = index["mu"], index["powers"]
+    if type(mu) is not list or type(powers) is not list or not all(
+            type(v) is int for v in mu + powers):
+        return None
+    if e.keys() == _FIELD:  # keys in order: coeff, index
+        coeff = e["coeff"]
+        if not _array_values(coeff, out):
+            return None
+        out += mu + powers
+        return _field_template(len(mu), len(powers), coeff.shape, level)
+    out += mu + powers
+    psi, residual = e.get("psi"), e.get("residual")
+    if (e.keys() != _PSI or type(psi) is not dict or psi.keys() != _QUASI
+            or type(psi["n"]) is not int or type(psi["terms"]) is not list
+            or type(residual) is not float):
+        return None
+    out.append(psi["n"])
+    terms = []
+    for term in psi["terms"]:
+        nu = term.get("nu") if type(term) is dict and term.keys() == _TERM else None
+        if type(nu) is not list or len(nu) != 2 or not all(type(v) is float for v in nu):
+            return None
+        out += (nu[0] + 0.0, nu[1] + 0.0)
+        if not _array_values(term["poly"], out):
+            return None
+        terms.append(_term_template(term["poly"].shape, level + 3))
+    out.append(residual + 0.0)
+    if not terms:
+        return _psi_frame(len(mu), len(powers), level, False)[0]
+    head, sep, tail = _psi_frame(len(mu), len(powers), level, True)
+    return head + sep.join(terms) + tail
+
+
+def _entries(entries, level):
+    """A list of psi or field entries through one %-call on the joined
+    entry templates, or None when one of them is not such an entry."""
+    values, inner = [], "  " * (level + 1)
+    parts = [_entry(e, level + 1, values) for e in entries]
+    if None in parts:
+        return None
+    body = ",\n".join([inner + t for t in parts])
+    text = ("[\n" + body + "\n" + "  " * level + "]") % tuple(values)
+    if "nan" in text or "inf" in text:  # no key of an entry holds either
+        raise RuntimeError("non-finite value in report")
+    return text
+
+
 def _serialize(obj, level):
     kind = type(obj)
     # the exact types first: nearly every value of a report has one
@@ -77,6 +178,8 @@ def _serialize(obj, level):
             raise RuntimeError("non-finite value in report")
         return text
     if kind is not dict and kind is not list:
+        if kind is _Slot:
+            return obj
         if obj is None:
             return "null"
         if isinstance(obj, bool):
@@ -97,6 +200,10 @@ def _serialize(obj, level):
         return "{\n" + body + "\n" + pad + "}"
     if not obj:
         return "[]"
+    if type(obj[0]) is dict:
+        text = _entries(obj, level)
+        if text is not None:
+            return text
     body = ",\n".join([inner + _serialize(v, level + 1) for v in obj])
     return "[\n" + body + "\n" + pad + "]"
 

@@ -31,6 +31,8 @@ whole order is solved at once: the (index, point) pairs are stacked per
 (point, degree), and each stack gets one solve, one coordinate product,
 one residual matvec and one flow product.  A stacked product is one
 matrix-vector product per pair, so every pair keeps the bits of its own.
+A real problem (``_conjugation``) solves one index of each conjugate pair
+(m, sigma m) and conjugates the result onto the other.
 ``solve``, the public bordered solver, runs one ``BorderedProblem``
 through the same ``_Solver`` on an order-one lattice that also has the
 right-hand side's frequencies, so frequencies meet roots in ``_Lattice``
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from math import factorial
 from operator import add
 
@@ -126,6 +129,13 @@ class JetResult:
     def nparams(self):
         return self.nonlinearity.nparams
 
+    @cached_property
+    def psi_at_zero(self):
+        """{index: Psi_m(0)}, each the sum of its entry's constant rows,
+        as ``QuasiPolynomial.evaluate(0.0)`` adds them; computed once."""
+        return {idx: sum((c[0] for _, c in q.terms), np.zeros(q.n, dtype=complex))
+                for idx, q in self.psi.items()}
+
     def indices(self):
         """Stored graph indices in graded lexicographic order."""
         return sorted(self.psi, key=JetIndex.graded_key)
@@ -167,13 +177,20 @@ def _pad(t, n):
     return tuple(t) + (0,) * (n - len(t))
 
 
+def _code(exponents):
+    """One int for a tuple of exponents, 16 bits each: the code of a sum of
+    exponent tuples is the sum of their codes."""
+    return sum(e << (16 * j) for j, e in enumerate(exponents))
+
+
 class _Piece:
     """One summand of the graph expansion: lattice rows times monomial."""
 
-    __slots__ = ("m", "rho", "value", "order")
+    __slots__ = ("m", "rho", "value", "order", "code")
 
     def __init__(self, m, rho, value, order):
         self.m, self.rho, self.value, self.order = m, rho, value, order
+        self.code = _code((*m, *rho))
 
 
 def _vectors(G, left):
@@ -286,19 +303,31 @@ class _Rows:
     def __init__(self, lattice, n):
         self.lattice = lattice
         self.n = n
+        self.conj = None  # the conjugate of each point, when rows are mirrored
         self._series = {}
         self._conv = {}
 
     def from_quasi(self, u):
         return {self.lattice.index[nu]: c.copy() for nu, c in u.terms}
 
-    def to_quasi(self, rows):
-        return QuasiPolynomial(
-            self.n, [(self.lattice.points[i], c) for i, c in rows.items()])
+    def to_quasi(self, rows, trimmed=False):
+        """The rows as a QuasiPolynomial; rows that ``_trim`` trimmed are
+        already canonical up to the sort and the ``+ 0.0``."""
+        terms = [(complex(self.lattice.points[i]), c) for i, c in rows.items()]
+        if not trimmed:
+            return QuasiPolynomial(self.n, terms)
+        return QuasiPolynomial.canonical(
+            self.n, sorted([(nu, c + 0.0) for nu, c in terms],
+                           key=lambda t: (t[0].real, t[0].imag)))
 
     def prefetch(self, K, wants):
-        """Extend K's Taylor coefficients to ``wants`` = {point: degree}."""
+        """Extend K's Taylor coefficients to ``wants`` = {point: degree},
+        and to the conjugate points, which mirrored rows reach."""
         have = self._series.setdefault(K, {})
+        if self.conj:
+            wants = dict(wants)
+            for i, d in list(wants.items()):
+                wants[self.conj[i]] = max(d, wants.get(self.conj[i], -1))
         need = {i: d for i, d in wants.items()
                 if i not in have or have[i].shape[0] <= d}
         if not need:
@@ -374,8 +403,8 @@ class _Solver:
 
     One solve operator per (point, degree) comes from ``tsolve``: block
     back-substitution off the roots, the truncated SVD at a root, whose
-    truncation record is kept in ``root_blocks``.  Coordinate and flow rows
-    per point come from ``Projection.coordinate_rows``.
+    truncation record is kept in ``gaps`` per (point, degree).  Coordinate
+    and flow rows per point come from ``Projection.coordinate_rows``.
     """
 
     def __init__(self, K, projection, rows):
@@ -386,7 +415,7 @@ class _Solver:
                       for el in projection.basis.elements]
         self._ops = {}
         self._coords = {}
-        self.root_blocks = []
+        self.gaps = {}
 
     def prefetch(self, rhs):
         """Check the strip and fetch the transforms of the solves of ``rhs``."""
@@ -402,7 +431,7 @@ class _Solver:
             series[0] += np.eye(self.K.n)
             A, S, gap = block_operator(series, self.alpha[i], BLOCK_TOL)
             if gap is not None:
-                self.root_blocks.append((self.rows.lattice.points[i], D, gap))
+                self.gaps[i, D] = gap
             op = self._ops[i, D] = (A, S)
         return op
 
@@ -428,6 +457,15 @@ class _Solver:
                     if i not in gs[j]:
                         _accumulate(us[j], i, delta[j] * c)
         return us
+
+    def mirror_gaps(self, gs, conj):
+        """Copy the record of each root block (i, D) that the solves of
+        ``gs`` used to (conj[i], D), the block their mirrors would use."""
+        for g in gs:
+            for i, c in g.items():
+                D = c.shape[0] - 1 + self.alpha[i]
+                if (i, D) in self.gaps:
+                    self.gaps.setdefault((conj[i], D), self.gaps[i, D])
 
     def residual(self, us, gs):
         """max |u + K*u + g| / (1 + max |g|) of each pair, one stacked block
@@ -508,6 +546,10 @@ def solve(problem):
     return rows.to_quasi(u)
 
 
+def _graded(key):
+    return sum(key[0]) + sum(key[1]), key[0] + key[1]
+
+
 def _slot_multisets(term, pieces, budget):
     """Yield ``(weight, args)``: the term's argument lists whose piece orders
     sum to ``budget``, each once up to reordering interchangeable slots.
@@ -559,20 +601,29 @@ def _slot_multisets(term, pieces, budget):
         yield weight, args
 
 
-def _term_rhs(term, pieces, budget, rho_t, rows):
-    """One term's part of the right-hand sides, as {(m, rho): rows}.
+def _term_rhs(term, pieces, budget, rho_t, rows, keep=None):
+    """One term's part of the right-hand sides, as {(m, rho): rows}, for
+    the indices m with ``keep(m)`` (all without ``keep``).
 
     The slot products of each index are summed first; the coefficient, the
     placement and the outer convolution are applied once.
     """
     n = rows.n
     parts = {}
+    base = _code((0,) * len(pieces[0].m) + rho_t)
+    keys = {}  # code of (m, rho) -> (m, rho), or None when not kept
     for weight, args in _slot_multisets(term, pieces, budget):
-        m = tuple(map(sum, zip(*(p.m for p in args))))
-        rho = tuple(map(sum, zip(rho_t, *(p.rho for p in args))))
+        code = sum([p.code for p in args], base)
+        key = keys.get(code, ())
+        if key == ():
+            m = tuple(map(sum, zip(*(p.m for p in args))))
+            rho = tuple(map(sum, zip(rho_t, *(p.rho for p in args))))
+            key = keys[code] = (m, rho) if keep is None or keep(m) else None
+        if key is None:
+            continue
         prod = walk_slots(term, [p.value for p in args], n, rows.convolve,
                           rows.component, rows.product)
-        _add_rows(parts.setdefault((m, rho), {}), prod, weight)
+        _add_rows(parts.setdefault(key, {}), prod, weight)
     if term.outer is not None:
         rows.prefetch(term.outer, _degrees(parts.values()))
     out = {}
@@ -583,6 +634,50 @@ def _term_rhs(term, pieces, budget, rho_t, rows):
     return out
 
 
+def _real_kernel(K):
+    """True when every coefficient of K is real, so that Khat(conj nu) is
+    conj Khat(nu); a ``SymbolKernel`` has no coefficients to read."""
+    if hasattr(K, "parts"):
+        return all(map(_real_kernel, K.parts))
+    return hasattr(K, "terms") and not any(np.imag(t[0]).any() for t in K.terms)
+
+
+def _conjugation(K, projection, F, lattice):
+    """``(sigma, conj)`` when the problem is real, else None.
+
+    ``sigma[i]`` is the partner of basis coordinate i (i itself on the real
+    axis) and ``conj[p]`` the lattice point of conj(nu_p).  Real means: real
+    kernel coefficients and term coefficients, each basis function exactly
+    the conjugate of its partner's, and a projection that commutes with
+    conjugation (Gram, whose weights are real, or pointwise with directions
+    closed under conjugation).  Then Psi_{sigma m} = conj Psi_m and
+    f_{sigma m} = conj(f_m)[sigma], with (sigma m)_i = m_{sigma i}.
+    """
+    kernels = {K, *(t.outer for t in F.terms),
+               *(k for t in F.terms for k, _ in t.factors)}
+    kernels.discard(None)
+    if any(t.coeff.imag for t in F.terms) or not all(map(_real_kernel, kernels)):
+        return None
+    els = projection.basis.elements
+    sigma = [i if el.partner < 0 else el.partner for i, el in enumerate(els)]
+    for el, s in zip(els, sigma):
+        mirror = {nu.conjugate(): c.conj() for nu, c in els[s].function.terms}
+        if len(mirror) != len(el.function.terms) or not all(
+                np.array_equal(c, mirror.get(nu)) for nu, c in el.function.terms):
+            return None
+    fs = projection.functionals if projection.flavor == "pointwise" else ()
+    if not all(any(g.order == f.order
+                   and np.array_equal(g.direction, f.direction.conj()) for g in fs)
+               for f in fs):
+        return None
+    pts = lattice.points
+    dist = np.abs(pts[None, :] - pts.conj()[:, None])
+    conj = dist.argmin(axis=1)
+    if dist[np.arange(len(pts)), conj].max(initial=0.0) > FREQ_TOL:
+        return None
+    return sigma, conj.tolist()
+
+
 def compute_jet(K, projection, F, order, weights=None):
     """Compute the graph map and reduced field to the given total order.
 
@@ -591,6 +686,11 @@ def compute_jet(K, projection, F, order, weights=None):
     parameter's contribution to the total order (default: weight one each).
     An order outside ``2..F.max_order`` raises ``ProblemError``: the order
     comes from the problem file or the command line.
+
+    When the problem is real (``_conjugation``), only one index of each
+    pair (m, sigma m) is solved; the other takes the conjugate rows on the
+    conjugate points, the same residual and the conjugate field entry, and
+    the root blocks its solve would have used get the mirrored records.
     """
     basis = projection.basis
     M = basis.size
@@ -609,6 +709,14 @@ def compute_jet(K, projection, F, order, weights=None):
 
     rows = _Rows(_Lattice([el.nu for el in basis.elements], order), K.n)
     solver = _Solver(K, projection, rows)
+    sigma, rows.conj = _conjugation(K, projection, F, rows.lattice) or (None, None)
+    conj = rows.conj
+
+    def mirror(key):  # (sigma m, rho)
+        return (tuple(key[0][s] for s in sigma), key[1]) if sigma else key
+
+    # of each pair (m, sigma m) the smaller is solved
+    keep = (lambda m: m <= tuple(m[s] for s in sigma)) if sigma else None
     inner = {kern for t in F.terms for kern, _ in t.factors if kern is not None}
     zero_rho = (0,) * nparams
     pieces, fld = [], {}
@@ -626,24 +734,34 @@ def compute_jet(K, projection, F, order, weights=None):
             budget = o - sum(w * r for w, r in zip(weights, rho_t))
             if budget < t.degree:
                 continue
-            for key, g in _term_rhs(t, pieces, budget, rho_t, rows).items():
+            for key, g in _term_rhs(t, pieces, budget, rho_t, rows, keep).items():
                 _add_rows(rhs.setdefault(key, {}), g, 1.0)
         rhs = dict(zip(rhs, _trim(list(rhs.values()))))
         solver.prefetch(rhs.values())
-        keys = sorted(rhs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1]))
-        vanished += [JetIndex(*key) for key in keys if not rhs[key]]
-        keys = [key for key in keys if rhs[key]]
+        keys = [key for key in sorted(rhs, key=_graded) if rhs[key]]
         gs = [rhs[key] for key in keys]
         us = _trim(solver.solve(gs))
-        for key, u, r, f in zip(keys, us, solver.residual(us, gs),
-                                solver.coordinates(us, flow=True)):
+        done = dict(zip(keys, zip(us, solver.residual(us, gs),
+                                  solver.coordinates(us, flow=True))))
+        if sigma:
+            pairs = [(key, mirror(key)) for key in keys if mirror(key) != key]
+            solver.mirror_gaps([rhs[key] for key, _ in pairs], conj)
+            for key, other in pairs:
+                u, r, f = done[key]
+                done[other] = ({conj[i]: c.conj() for i, c in u.items()}, r,
+                               f.conj()[sigma])
+        gone = ({mirror(key) for key in rhs} | rhs.keys()) - done.keys()
+        vanished += [JetIndex(*key) for key in sorted(gone, key=_graded)]
+        for key in sorted(done, key=_graded):
+            u, r, f = done[key]
             idx = JetIndex(*key)
-            psi[idx] = rows.to_quasi(u)
+            psi[idx] = rows.to_quasi(u, trimmed=True)
             diagnostics[idx] = r
             fld[idx] = f
             pieces.append(_Piece(key[0], key[1], u, o))
 
-    blocks = sorted(solver.root_blocks,
+    blocks = sorted(((rows.lattice.points[i], D, gap)
+                     for (i, D), gap in solver.gaps.items()),
                     key=lambda b: (b[0].imag, b[0].real, b[1]))
     return JetResult(
         projection=projection,

@@ -90,6 +90,14 @@ class QuasiPolynomial:
         prepared = [(complex(nu), _as_coeff_array(poly, self.n)) for nu, poly in terms]
         self.terms = self._canonicalize(prepared)
 
+    @classmethod
+    def canonical(cls, n, terms):
+        """The quasi-polynomial of ``terms`` that are in canonical form
+        already (merged, trimmed, sorted, ``+ 0.0``), taken as they are."""
+        q = cls.__new__(cls)
+        q.n, q.terms = n, terms
+        return q
+
     # -- canonical form ------------------------------------------------------
 
     @staticmethod

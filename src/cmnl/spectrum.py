@@ -231,9 +231,11 @@ def count_in_rectangle(K, re0, re1, im0, im1, refine=1):
     return winding_number(lambda nu: char_value(K, nu), points)
 
 
-def count_on_circle(K, center, radius):
+def count_on_circle(K, center, radius, d=None):
+    """Roots inside the circle; ``d`` (``char_value`` of K by default) maps
+    points to values, first those of the ``CIRCLE_NODES`` equispaced nodes."""
     pts = center + radius * np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
-    return winding_number(lambda nu: char_value(K, nu), pts)
+    return winding_number(d or (lambda nu: char_value(K, nu)), pts)
 
 
 def contour_moments(K, re0, re1, im0, im1, count):
@@ -512,17 +514,29 @@ def _choose_window(K, eta):
 
 def _confirm(K, nu, multiplicity, radius, limit):
     """True when a circle of about ``radius`` around ``nu`` counts exactly
-    ``multiplicity`` roots; the radius grows when the contour runs into a
-    root.  The radius stays below ``limit``, the distance from ``nu`` to the
-    edge of the strip the root was counted in."""
+    ``multiplicity`` roots and d(nu) vanishes within ``NOISE_FACTOR`` times
+    its rounding noise eps (1 + max |d|); the radius grows when the contour
+    runs into a root.  The mean of d over the circle's equispaced nodes is
+    d(nu) by the trapezoid rule, so the check costs no evaluation.  The
+    radius stays below ``limit``, the distance from ``nu`` to the edge of
+    the strip the root was counted in."""
     radius = min(radius, 0.9 * limit)
     for _ in range(5):
         if not 0 < radius < limit:
             return False
+        seen = []
+
+        def d(z):
+            seen.append(char_value(K, z))
+            return seen[-1]
+
         try:
-            return count_on_circle(K, nu, radius) == multiplicity
+            count = count_on_circle(K, nu, radius, d)
         except ContourError:
             radius *= 1.37
+            continue
+        noise = np.finfo(float).eps * (1 + np.abs(seen[0]).max())
+        return count == multiplicity and abs(seen[0].mean()) <= NOISE_FACTOR * noise
     return False
 
 

@@ -206,7 +206,8 @@ def reconstruct(J, trajectory, mu=()):
     """Profile of the manifold along a coordinate trajectory.
 
     The grid point at ``x`` uses the trajectory point at ``x`` through the
-    graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``.
+    graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``,
+    with the values ``J.psi_at_zero`` that a sweep shares.
     The parameter factors ``mu^r`` fold into one coefficient vector per
     coordinate power, the basis values at the origin joining the linear
     powers; a power whose folded vector is exactly zero, as most are under
@@ -225,7 +226,7 @@ def reconstruct(J, trajectory, mu=()):
     for j, el in enumerate(J.basis.elements):
         unit = tuple(int(k == j) for k in range(size))
         coeffs[unit] = el.function.evaluate(0.0)
-    for idx, psi in J.psi.items():
+    for idx, value in J.psi_at_zero.items():
         if len(mu) < len(idx.mu) and any(idx.mu[len(mu):]):
             raise ValueError(
                 f"index needs {len(idx.mu)} parameter values, got {len(mu)}"
@@ -233,7 +234,7 @@ def reconstruct(J, trajectory, mu=()):
         w = 1.0
         for v, r in zip(mu, idx.mu):
             w *= v**r
-        coeffs[idx.powers] = coeffs.get(idx.powers, 0.0) + w * psi.evaluate(0.0)
+        coeffs[idx.powers] = coeffs.get(idx.powers, 0.0) + w * value
     coeffs = {p: c for p, c in coeffs.items() if np.any(c)}
     plan = _monomial_plan(coeffs)
     values = np.zeros((coords.shape[0], J.basis.n), dtype=complex)
@@ -504,24 +505,31 @@ def find_front(kappa, alpha, beta, c_star, tol_reach=ARRIVAL_TOL):
     # numpy divides complex numbers by multiplying with the reciprocal; the
     # complex-array reference shooter in the tests must agree bit for bit
     inv_kappa = 1.0 / kappa
-
-    def f(a, p):
-        return p, -(c_star * p + a * (alpha - beta * (a * a))) * inv_kappa
-
-    y = (a_star - start, -start * s_unstable)
-    ys = array("d", y)
+    a, p = a_star - start, -start * s_unstable
+    ys = array("d", (a, p))
     nmax = int(ceil(max_span / step))
-    reach_distance = max(abs(y[0]), abs(y[1]))
+    reach_distance = max(abs(a), abs(p))
     success = False
+    half, w = 0.5 * step, step / 6.0
     for _ in range(nmax):
-        y = rk4_step(f, y, step)
-        ys.extend(y)
-        d = max(abs(y[0]), abs(y[1]))
+        # ``rk4_step`` of (a, p)' = (p, -(c p + a (alpha - beta a^2)) / kappa),
+        # its stages and their field inlined in the same operation order
+        k1 = -(c_star * p + a * (alpha - beta * (a * a))) * inv_kappa
+        a2, p2 = a + half * p, p + half * k1
+        k2 = -(c_star * p2 + a2 * (alpha - beta * (a2 * a2))) * inv_kappa
+        a3, p3 = a + half * p2, p + half * k2
+        k3 = -(c_star * p3 + a3 * (alpha - beta * (a3 * a3))) * inv_kappa
+        a4, p4 = a + step * p3, p + step * k3
+        k4 = -(c_star * p4 + a4 * (alpha - beta * (a4 * a4))) * inv_kappa
+        a, p = (a + w * (p + 2.0 * p2 + 2.0 * p3 + p4),
+                p + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        ys.extend((a, p))
+        d = max(abs(a), abs(p))
         reach_distance = min(reach_distance, d)
         if d <= tol_reach:
             success = True
             break
-        if y[0] < -0.5 * a_star or d > 1e6:
+        if a < -0.5 * a_star or d > 1e6:
             break
     # the (a, p) samples are interleaved in the flat array ys
     traj = Trajectory(step * np.arange(len(ys) // 2),

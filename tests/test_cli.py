@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SQRT_PI, build_pair_jet, two_exponential_kernel
 from reference import kernel_to_data, quasi_to_data
@@ -332,6 +333,94 @@ class TestCanonicalJson:
             canonical_json({"x": np.array([1.0 + 1.0j, bad])})
 
 
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_entry_templates_write_the_generic_bytes(self, data):
+        # psi and field entries go through cached templates; the same
+        # entries with their arrays as lists take the generic walk
+        entries, level = data.draw(report_entries())
+        arrays, lists = entries, [_as_lists(e) for e in entries]
+        for _ in range(level):
+            arrays, lists = {"r": [arrays]}, {"r": [lists]}
+        assert canonical_json(arrays) == canonical_json(lists)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_entry_leaf_raises(self, data, bad):
+        entries, _ = data.draw(report_entries(allow_ints=False))
+        leaves = [(e, k) for e in entries for k in _float_leaves(e)]
+        if not leaves:
+            return
+        _, (where, key) = data.draw(st.sampled_from(leaves))
+        where[key] = bad
+        with pytest.raises(RuntimeError, match="non-finite"):
+            canonical_json({"psi": entries})
+
+
+LEAVES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e300]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def report_entries(draw, allow_ints=True):
+    """(entries, nesting level): psi and field entries as ``JetResult.to_data``
+    writes them, with random shapes, signed zeros, empty terms and, unless
+    ``allow_ints`` is False, an int now and then where a float belongs."""
+    with_ints = allow_ints and draw(st.integers(0, 3)) == 0
+    leaf = st.one_of(LEAVES, st.integers(-3, 3)) if with_ints else LEAVES
+    nparams, size = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    n = draw(st.integers(1, 2))
+
+    def array(shape):
+        count = int(np.prod(shape)) * 2
+        values = draw(st.lists(LEAVES, min_size=count, max_size=count))
+        return np.array(values).view(complex).reshape(shape)
+
+    def index():
+        ints = st.lists(st.integers(0, 2**40), min_size=nparams, max_size=nparams)
+        powers = st.lists(st.integers(0, 6), min_size=size, max_size=size)
+        return {"mu": draw(ints), "powers": draw(powers)}
+
+    entries = []
+    kinds = st.lists(st.sampled_from(["psi", "field"]), min_size=1, max_size=4)
+    for kind in draw(kinds):
+        if kind == "field":
+            entries.append({"coeff": array((size,)), "index": index()})
+            continue
+        terms = [{"nu": [draw(leaf), draw(leaf)],
+                  "poly": array((draw(st.integers(0, 3)), n))}
+                 for _ in range(draw(st.integers(0, 3)))]
+        entries.append({"index": index(), "psi": {"n": n, "terms": terms},
+                        "residual": draw(leaf)})
+    return entries, draw(st.integers(0, 3))
+
+
+def _as_lists(entry):
+    """An entry with its complex arrays as nested ``[re, im]`` lists."""
+    if isinstance(entry, np.ndarray):
+        return entry.view(float).reshape(entry.shape + (2,)).tolist()
+    if isinstance(entry, dict):
+        return {k: _as_lists(v) for k, v in entry.items()}
+    if isinstance(entry, list):
+        return [_as_lists(v) for v in entry]
+    return entry
+
+
+def _float_leaves(entry):
+    """(container, key) of every float leaf of an entry; a complex array
+    is a flat float view of its real and imaginary parts."""
+    def parts(a):
+        flat = a.view(float).reshape(-1)
+        return [(flat, k) for k in range(flat.size)]
+
+    if "coeff" in entry:
+        return parts(entry["coeff"])
+    out = [(entry, "residual")]
+    for term in entry["psi"]["terms"]:
+        out += [(term["nu"], 0), (term["nu"], 1)] + parts(term["poly"])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -483,6 +572,19 @@ class TestReduceCommand:
         code, _ = run_reduce(tmp_path, data)
         assert code == 1
         assert "bordered-solve residuals exceed tol-solve" in capsys.readouterr().err
+
+    def test_complex_coefficient_pair_passes_the_solve_tolerance(self, tmp_path):
+        # a complex cubic coefficient: no conjugate symmetry, every index is
+        # solved, and every residual passes the gate
+        data = pair_problem_data()
+        data["order"] = 5
+        cubic = data["nonlinearity"]["terms"][1]
+        cubic["coeff"] = [cubic["coeff"], 0.25 * cubic["coeff"]]
+        code, text = run_reduce(tmp_path, data, extra=["--tol-solve", "1e-7"])
+        assert code == 0
+        psi = json.loads(text)["result"]["psi"]
+        assert len(psi) == 132
+        assert max(e["residual"] for e in psi) <= 1e-7
 
     def test_tiny_solve_tolerance_fails_numerically(self, tmp_path, capsys):
         code, _ = run_reduce(tmp_path, pair_problem_data(),
@@ -768,6 +870,8 @@ class TestCommandLineEntry:
             "quasipoly.QuasiPolynomial.__add__", "quasipoly.QuasiPolynomial.scale",
             "quasipoly.multiply", "quasipoly.place_component", "nonlin.apply_term",
             "tsolve.BorderedProblem.__post_init__", "jet.solve",
+            # the front shot inlines its stages; the tracer counts its calls
+            "verify.rk4_step",
             # paths that the seed-1 problems do not take
             "cli.write_profile_csv",  # --csv
             "cli._usage",  # a usage error, or -h

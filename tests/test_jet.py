@@ -707,6 +707,97 @@ def test_pair_order7_root_blocks_keep_a_wide_gap(pair_order7):
 
 
 # ---------------------------------------------------------------------------
+# real problems: one solve per conjugate pair (m, sigma m)
+
+
+def _mirror(idx, sigma):
+    return JetIndex(tuple(idx.powers[s] for s in sigma), idx.mu)
+
+
+def _bits(a):
+    """The bits of a complex array, -0.0 written as 0.0."""
+    return np.ascontiguousarray(a + 0.0).view(np.uint64)
+
+
+def _counted_jet(K, P, F, order):
+    """``compute_jet`` and the number of right-hand sides it solved."""
+    solved = []
+    solve = _Solver.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Solver, "solve",
+                   lambda self, gs: solved.append(len(gs)) or solve(self, gs))
+        J = compute_jet(K, P, F, order)
+    return J, sum(solved)
+
+
+@pytest.fixture(scope="module", params=["pointwise", "gram"])
+def pair_jets(request):
+    """The order-5 pair jet with mirrored solves, and with every index
+    solved, under the pointwise and the Gram projection."""
+    K, J = build_pair_jet(order=2)
+    P = J.projection if request.param == "pointwise" else build_gram(J.basis)
+    mirrored = _counted_jet(K, P, J.nonlinearity, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jet, "_conjugation", lambda *args: None)
+        full = _counted_jet(K, P, J.nonlinearity, 5)
+    return mirrored, full
+
+
+def test_pair_mirrored_entries_are_conjugates(pair_jets):
+    (J, solved), _ = pair_jets
+    sigma = [el.partner for el in J.basis.elements]
+    assert sigma == [1, 0, 3, 2]
+    pairs = [(idx, _mirror(idx, sigma)) for idx in J.psi]
+    pairs = [(idx, other) for idx, other in pairs if other != idx]
+    assert solved == len(J.psi) - len(pairs) // 2
+    for idx, other in pairs:
+        conj = {nu.conjugate(): c.conj() for nu, c in J.psi[idx].terms}
+        assert len(conj) == len(J.psi[other].terms)
+        for nu, c in J.psi[other].terms:
+            assert np.array_equal(_bits(c), _bits(conj[nu]))
+        assert np.array_equal(_bits(J.field[other]), _bits(J.field[idx].conj()[sigma]))
+        assert J.diagnostics[other] == J.diagnostics[idx]
+    blocks = {(b["nu"][0], b["nu"][1], b["degree"]): b for b in J.root_blocks}
+    for (re, im, degree), b in blocks.items():
+        mirror = dict(blocks[re, -im, degree], nu=b["nu"])
+        assert mirror == b
+
+
+def test_pair_mirrored_jet_matches_every_index_solved(pair_jets):
+    (J, solved), (R, every) = pair_jets
+    assert every == len(R.psi) > solved
+    assert J.psi.keys() == R.psi.keys() and J.field.keys() == R.field.keys()
+    assert J.vanished == R.vanished
+    assert ([(b["nu"], b["degree"]) for b in J.root_blocks]
+            == [(b["nu"], b["degree"]) for b in R.root_blocks])
+    for idx, q in R.psi.items():
+        got = dict(J.psi[idx].terms)
+        assert got.keys() == dict(q.terms).keys()
+        scale = max(np.abs(c).max() for _, c in q.terms)
+        for nu, c in q.terms:
+            assert got[nu].shape == c.shape
+            assert np.abs(got[nu] - c).max() <= 1e-13 * scale
+        field = R.field[idx]
+        assert np.abs(J.field[idx] - field).max() <= 1e-13 * np.abs(field).max()
+    assert max(J.diagnostics.values()) <= 1e-13
+
+
+def test_pair_with_a_complex_coefficient_solves_every_index():
+    # a coefficient off the real axis breaks the symmetry between m and
+    # sigma m: every index is solved, and the residuals stay tiny
+    K, J = build_pair_jet(order=2)
+    lin, cubic = J.nonlinearity.terms
+    F = NonlinearitySpec((lin, TaylorTerm(cubic.coeff * (1 + 0.25j), cubic.factors,
+                                          outer=cubic.outer)), max_order=5)
+    C, solved = _counted_jet(K, J.projection, F, 5)
+    assert solved == len(C.psi) == 132
+    assert max(C.diagnostics.values()) <= 1e-13
+    idx = JetIndex((2, 1, 0, 0), (0,))
+    other = _mirror(idx, [1, 0, 3, 2])
+    assert np.abs(C.field[other] - C.field[idx].conj()[[1, 0, 3, 2]]).max() > 1e-3
+
+
+# ---------------------------------------------------------------------------
 # scaling and real form
 
 

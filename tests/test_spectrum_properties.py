@@ -131,3 +131,18 @@ def test_gaussian_mixture_roots_include_the_chosen_ones(draw):
     K = kr.GaussianMixture([(np.array([[[ci]]]), a, 0.0) for ci, a in zip(c, widths)])
     res = located(K, real)
     assert all(matches(res, l, m) for l, m in expected_roots(chosen))
+
+
+def test_real_pair_next_to_the_axis_is_no_double_root_at_zero():
+    # rates (0.1, 0.25), axis roots +-0.1i and a real pair +-0.0009: the
+    # confirmation circle around 0 counts the pair as two roots, but
+    # d(0) = 1.3e-5 is not zero, so the cluster is unconfirmed and the box
+    # is split until the pair is located and excluded
+    rates, real = (0.1, 0.25), 0.0009
+    A = [[exponential_rows(b, s, 0) for b in rates] for s in (-0.01, real * real)]
+    c = np.linalg.solve(A, [-1.0, -1.0])
+    K = kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
+    assert abs(sp.char_value(K, 0.0)) > 1e-5
+    res = located(K, real)
+    assert len(res.roots) == 2
+    assert all(matches(res, l, 1) for l in (-0.1, 0.1))

@@ -693,11 +693,28 @@ class TestScalarShooterMatchesArrayReference:
         assert res.reach_distance == reach_distance
         assert res.monotone == monotone
 
+    @pytest.mark.parametrize("args", [(0.25, 1.0, 1.0, 1.1), (0.37, 0.9, 1.3, 0.7)])
+    def test_inlined_stages_are_rk4_step(self, args):
+        # the front shot inlines the stages of ``rk4_step`` and its field
+        kappa, alpha, beta, c_star = args
+        res = find_front(*args)
+        inv_kappa = 1.0 / kappa
+
+        def f(a, p):
+            return p, -(c_star * p + a * (alpha - beta * (a * a))) * inv_kappa
+
+        step = res.trajectory.xs[1]
+        y = tuple(res.trajectory.ys[0].real)
+        for row in res.trajectory.ys[1:]:
+            y = cmnl.verify.rk4_step(f, y, step)
+            assert y == (row[0].real, row[1].real)
+
 
 class TestStepCount:
-    """Each front shot steps through the module-level ``rk4_step``, once per
-    step; the count was measured on the complex-array shooter.  The
-    homoclinic loop is in closed form and takes no step.
+    """The front shot takes one step per trajectory sample after the first,
+    and no call of the module-level ``rk4_step``: its stages are inlined.
+    The step count was measured on the complex-array shooter.  The homoclinic
+    loop is in closed form and takes no step.
     """
 
     @pytest.fixture
@@ -717,8 +734,8 @@ class TestStepCount:
         assert steps[0] == 0
 
     def test_front(self, steps):
-        find_front(0.25, 1.0, 1.0, 1.1)
-        assert steps[0] == 7589
+        res = find_front(0.25, 1.0, 1.0, 1.1)
+        assert (steps[0], len(res.trajectory.xs) - 1) == (0, 7589)
 
 
 # ---------------------------------------------------------------------------
