@@ -26,6 +26,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "bench"))
+sys.dont_write_bytecode = True  # leave no cache in bench/
 
 import problems  # noqa: E402
 
