@@ -5,25 +5,25 @@ symbol That(nu) = I + Khat(nu); bounded solutions on the line are governed
 by the roots of d(nu) = det That(nu) inside the analyticity strip.  This
 module
 
-* counts roots in rectangles by the argument principle with adaptive phase
-  tracking along the contour (samples at most ``MAX_SPACING`` apart, then
-  bisection of every step whose phase or value jumps),
 * computes the contour moments of a box,
       s_k = (1/(2 pi i)) contour_int ((nu - c)/R)^k d'(nu)/d(nu) dnu,
   with d'/d = tr(That^{-1} Khat'), by adaptive composite Gauss-Legendre
-  quadrature; s_0 cross-checks the winding count, and the numerical rank of
-  the Hankel matrix [s_{i+j}] is the number of distinct roots in the box
-  (Delves and Lyness, Math. Comp. 21, 1967; Kravanja and Van Barel, LNM
-  1727, 2000),
+  quadrature, which controls its own error.  s_0 is the number of roots in
+  the box, counted with multiplicity (the argument principle); a count is
+  refused when s_0 is more than ``COUNT_TOL`` from an integer or its
+  rounding noise exceeds ``COUNT_TOL``, as it does when a root lies on the
+  contour.  The numerical rank of the Hankel matrix [s_{i+j}] is the
+  number of distinct roots in the box (Delves and Lyness, Math. Comp. 21,
+  1967; Kravanja and Van Barel, LNM 1727, 2000),
 * reads one cluster off a rank-one box as the centroid c + R s_1/s_0, and
   several distinct roots with their multiplicities off a higher-rank box
   from the eigenvalues of the shifted Hankel pencil, bisecting a box in the
-  imaginary direction only when its rank is ambiguous or its quadrature
-  fails,
+  imaginary direction only when its rank is ambiguous,
 * polishes every root by Newton's method on d^(alpha-1) and confirms its
-  multiplicity alpha with a winding count on a small circle,
-* snaps near-axis roots onto the imaginary axis (recording the distance) and
-  symmetrizes conjugate pairs,
+  multiplicity alpha with s_0 of a small circle by the trapezoid rule,
+* snaps near-axis roots onto the imaginary axis (recording the distance),
+  symmetrizes conjugate pairs and, for a real kernel, puts a lone root
+  near 0 at 0,
 * certifies a strip holding only the axis roots (shrinking it when genuine
   off-axis roots appear), and
 * computes Jordan chains e^0, ..., e^{p-1} per root from
@@ -40,12 +40,9 @@ Batch contract: ``t_hat`` and ``char_value`` take a scalar nu or an array
 of any shape and evaluate every point through one ``Kernel.transform_batch``
 call; a scalar gives a Python complex (an (n, n) matrix for ``t_hat``), an
 array gives an array of its shape.  ``_log_derivative`` evaluates an array
-the same way, with one call for Khat and one for Khat'.  Every contour
-is sampled in one such call, and its adaptive refinement adds one call per
-bisection level, holding the midpoints of all the steps that failed at that
-level; the moment quadrature likewise evaluates all the panels of one level
-together.  ``winding_number`` therefore takes an ``f`` that maps an array of
-points to the array of values.
+the same way, with one call for Khat and one for Khat'.  The moment
+quadrature evaluates all the panels of one refinement level in one such
+pair of calls, and a confirmation circle all its nodes.
 """
 
 from dataclasses import dataclass, field
@@ -58,13 +55,10 @@ from cmnl.quasipoly import QuasiPolynomial
 
 
 class ContourError(RuntimeError):
-    """A contour ran too close to a root to track the phase reliably."""
+    """A contour ran too close to a root to count the roots inside reliably."""
 
 
-MAX_DEPTH = 48  # bisections of one contour step before a root is presumed on it
-MAX_SPACING = 0.25  # largest distance between the initial samples of a side
-WINDING_BUDGET = 20000  # points one winding count may evaluate
-RECOUNT = 8  # a recount the moments disputed samples this many times as densely
+COUNT_TOL = 1e-3  # largest distance of a root count s_0 from its integer, and its noise
 QUAD_NODES = 16  # Gauss-Legendre nodes per moment panel
 QUAD_TOL = 1e-10  # quadrature error allowed in each contour moment, above the noise
 QUAD_LEVELS = 40  # halvings of one moment panel
@@ -120,174 +114,104 @@ def char_value(K, nu):
 
 
 def _log_derivative(K, nu):
-    """``(d'/d, noise)`` at every point of ``nu``, with
+    """``(d'/d, noise, That)`` at every point of ``nu``, with
     d'/d = tr[(I + Khat)^{-1} Khat'] (valid away from roots).  ``noise`` is the
     first-order rounding error of d'/d: forming That = I + Khat costs about
     eps (1 + |Khat|), which That^{-1} amplifies.  It is large where |d| is
     small on a contour that passes near a multiple root."""
     khat = K.transform_batch(nu)
-    inv = np.linalg.inv(khat + np.eye(K.n))
+    that = khat + np.eye(K.n)
+    inv = np.linalg.inv(that)
     quot = inv @ K.transform_batch(nu, 1)
     norm = np.linalg.norm
     amplification = 1 + (1 + norm(khat, axis=(-2, -1))) * norm(inv, axis=(-2, -1))
     noise = np.finfo(float).eps * norm(quot, axis=(-2, -1)) * amplification
-    return np.trace(quot, axis1=-2, axis2=-1), noise
+    return np.trace(quot, axis1=-2, axis2=-1), noise, that
 
 
-# -- winding numbers ----------------------------------------------------------
+# -- contour moments ---------------------------------------------------------
 
 
-def winding_number(f, points, budget=WINDING_BUDGET):
-    """Winding of f along the closed polyline ``points`` (adaptively refined).
-
-    ``f`` maps an array of points to the array of its values.  A step is
-    accepted only when the phase jump is small AND the value change is small
-    relative to the endpoints; the second criterion catches fast 2-pi sweeps
-    hiding between samples near small-|d| dips, where the wrapped phase jump
-    alone would look innocent.  Every rejected step is bisected, one level
-    at a time: all the midpoints of a level go to ``f`` in one call, and a
-    bisected step's phase increment is its left half's plus its right
-    half's.  The points evaluated and the sum are those of a depth-first
-    recursion over the same steps.
-
-    A root lying (numerically) on the contour is caught by the refinement
-    depth cap: near a zero the relative value change between endpoints stays
-    order one at every scale, so subdivision cannot terminate.  High-order
-    roots near the contour produce legitimately tiny values, which is why no
-    absolute smallness guard is applied.  ``budget`` caps the number of
-    points evaluated, the initial ones included.
-    """
-    z0 = np.asarray(points, dtype=complex)
-    evals = z0.size
-    if evals > budget:
-        raise ContourError("refinement budget exhausted; root near the contour")
-    v0 = f(z0)
-    if np.any(v0 == 0):
-        raise ContourError("contour hits a root")
-    z1, v1 = np.roll(z0, -1), np.roll(v0, -1)
-    levels = []  # (phase jump, accepted) of every step, level by level
-    for depth in range(MAX_DEPTH + 1):
-        dphi = np.angle(v1 / v0)
-        ok = (np.abs(dphi) <= np.pi / 3) & (
-            np.abs(v1 - v0) <= 0.7 * np.maximum(np.abs(v0), np.abs(v1))
-        )
-        levels.append((dphi, ok))
-        if ok.all():
-            break
-        if depth == MAX_DEPTH:
-            raise ContourError("phase varies too fast; root on or near the contour")
-        bad = ~ok
-        a, b, va, vb = z0[bad], z1[bad], v0[bad], v1[bad]
-        zm = 0.5 * (a + b)
-        evals += zm.size
-        if evals > budget:
-            raise ContourError("refinement budget exhausted; root near the contour")
-        vm = f(zm)
-        if np.any(vm == 0):
-            raise ContourError("contour hits a root")
-        # the halves of each rejected step, in contour order: left, then right
-        z0, z1 = np.stack([a, zm], -1).ravel(), np.stack([zm, b], -1).ravel()
-        v0, v1 = np.stack([va, vm], -1).ravel(), np.stack([vm, vb], -1).ravel()
-    inc = None
-    for dphi, ok in reversed(levels):
-        if inc is not None:
-            dphi[~ok] = inc[0::2] + inc[1::2]
-        inc = dphi
-    w = np.cumsum(inc)[-1] / (2 * np.pi)  # in order, as a running sum
-    if abs(w - round(w)) > 0.05:
-        raise ContourError(f"winding {w:.4f} is not close to an integer")
-    return int(round(w))
-
-
-def _rect_points(re0, re1, im0, im1, per_side=12, spacing=MAX_SPACING):
-    """Counter-clockwise samples: at least ``per_side`` on each side and at
-    most ``spacing`` apart.
-
-    The phase test of ``winding_number`` compares the two ends of a step
-    only, so a loop of d around 0 between two far-apart samples with close
-    values would go unseen; on a long side that is a real risk.
-    """
-    corners = np.array([
-        complex(re1, im0),
-        complex(re1, im1),
-        complex(re0, im1),
-        complex(re0, im0),
-    ])
-    sides = []
-    for a, b in zip(corners, np.roll(corners, -1)):
-        m = max(per_side, int(np.ceil(abs(b - a) / spacing)))
-        sides.append(a + np.linspace(0.0, 1.0, m, endpoint=False) * (b - a))
-    return np.concatenate(sides)
-
-
-def count_in_rectangle(K, re0, re1, im0, im1, refine=1):
-    """Number of characteristic roots (with multiplicity) in the open rectangle,
-    sampled min(``MAX_SPACING``, half its width) apart, but at most
-    ``WINDING_BUDGET / (2 RECOUNT)`` times on the perimeter; ``refine``
-    divides that spacing, so a recount starts from at most half the budget."""
-    width, perimeter = re1 - re0, 2 * ((re1 - re0) + (im1 - im0))
-    spacing = min(MAX_SPACING, max(0.5 * width, 2 * RECOUNT * perimeter / WINDING_BUDGET))
-    points = _rect_points(re0, re1, im0, im1, spacing=spacing / refine)
-    return winding_number(lambda nu: char_value(K, nu), points)
-
-
-def count_on_circle(K, center, radius, d=None):
-    """Roots inside the circle; ``d`` (``char_value`` of K by default) maps
-    points to values, first those of the ``CIRCLE_NODES`` equispaced nodes."""
-    pts = center + radius * np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
-    return winding_number(d or (lambda nu: char_value(K, nu)), pts)
-
-
-def contour_moments(K, re0, re1, im0, im1, count):
-    """``(s, noise, center, scale, panels)``: the scaled log-derivative moments
+def contour_moments(K, re0, re1, im0, im1):
+    """``(count, s, noise, center, scale, panels)``: the number of roots in
+    the rectangle, with multiplicity, and the scaled log-derivative moments
         s_k = (1/(2 pi i)) contour_int ((nu - center)/scale)^k d'(nu)/d(nu) dnu
-    of the rectangle for k < 2 ``count``, with ``center`` its middle and
-    ``scale`` its half-diagonal, so |(nu - center)/scale| <= 1 on it.  By the
-    residue theorem s_k = sum_j m_j z_j^k over the distinct scaled roots z_j
-    inside, with multiplicities m_j.
+    for k < 2 max(``count``, 1), with ``center`` its middle and ``scale`` its
+    half-diagonal, so |(nu - center)/scale| <= 1 on it.  By the residue
+    theorem s_k = sum_j m_j z_j^k over the distinct scaled roots z_j
+    inside, with multiplicities m_j; ``count`` is s_0, rounded.
 
-    Composite Gauss-Legendre: each panel is integrated with ``QUAD_NODES``
-    nodes and with half as many, and accepted when the two agree in every
-    moment within its share (by length) of ``QUAD_TOL`` plus
-    ``NOISE_FACTOR`` times its integrated rounding noise; the rest are
-    halved.  ``noise`` sums that noise allowance over the accepted panels,
-    ``panels`` counts them.  All nodes of one level go to one batched
-    evaluation.  Raises ``ContourError`` when the refinement exceeds
-    ``QUAD_LEVELS`` levels or ``QUAD_BUDGET`` points.
+    Composite Gauss-Legendre on panels at most ``MAX_PANEL`` long: each
+    panel is integrated with ``QUAD_NODES`` nodes and with half as many, and
+    accepted when the two agree in s_0 and s_1 within its share (by length)
+    of ``QUAD_TOL`` plus ``NOISE_FACTOR`` times its integrated rounding
+    noise; the rest are halved.  (A real pair on a side, placed
+    symmetrically about the middle of a panel, makes the integrand of s_0
+    odd there, and both rules give its principal value; that of s_1 is
+    not.)  All nodes of one level go to one batched evaluation.  The
+    moments are then summed from the ``QUAD_NODES``-point rule on the
+    accepted panels, level by level.  ``noise`` sums the noise allowance
+    over the accepted panels (over 2 pi), ``panels`` counts them.
+
+    Raises ``ContourError`` when the refinement exceeds ``QUAD_LEVELS``
+    levels or ``QUAD_BUDGET`` points, and refuses the count when s_0 is
+    more than ``COUNT_TOL`` from an integer or ``noise`` is above
+    ``COUNT_TOL``.  A root on the contour makes d'/d singular there, and the
+    quadrature converges only to its rounding noise; s_0 can then still
+    read a clean integer, half of each root on the contour counted, so the
+    noise decides.
     """
     center = 0.5 * complex(re0 + re1, im0 + im1)
     scale = 0.5 * abs(complex(re1 - re0, im1 - im0))
-    a = _rect_points(re0, re1, im0, im1, per_side=1, spacing=MAX_PANEL)
+    corners = np.array([
+        complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)])
+    a = np.concatenate([  # counter-clockwise panel starts
+        p + np.linspace(0.0, 1.0, int(np.ceil(abs(q - p) / MAX_PANEL)), endpoint=False) * (q - p)
+        for p, q in zip(corners, np.roll(corners, -1))
+    ])
     b = np.roll(a, -1)
     share = 2 * np.pi * QUAD_TOL / np.abs(b - a).sum()
     (x_hi, w_hi), (x_lo, w_lo) = GAUSS_LEGENDRE_HI, GAUSS_LEGENDRE_LO
     nodes = np.concatenate([x_hi, x_lo])
-    powers = np.arange(2 * count)
-    s = np.zeros(2 * count, dtype=complex)
+    accepted = []  # (nodes, weighted d'/d) of the accepted panels, level by level
+    s0 = 0.0
     noise = 0.0
-    panels = evals = 0
+    evals = 0
     for _ in range(QUAD_LEVELS):
         half = 0.5 * (b - a)
         z = 0.5 * (a + b)[:, None] + half[:, None] * nodes
         evals += z.size
         if evals > QUAD_BUDGET:
             raise ContourError("moment quadrature budget exhausted")
-        f, eps = _log_derivative(K, z)
+        f, eps, _ = _log_derivative(K, z)
         f = f * half[:, None]
-        terms = f[..., None] * ((z - center) / scale)[..., None] ** powers
+        terms = f[..., None] * ((z - center) / scale)[..., None] ** np.arange(2)
         hi = np.einsum("pjk,j->pk", terms[:, :QUAD_NODES], w_hi)
         lo = np.einsum("pjk,j->pk", terms[:, QUAD_NODES:], w_lo)
         allowance = NOISE_FACTOR * np.abs(half) * (eps[:, :QUAD_NODES] @ w_hi)
         ok = np.abs(hi - lo).max(axis=1) <= share * np.abs(b - a) + allowance
-        s += hi[ok].sum(axis=0)
+        accepted.append((z[ok, :QUAD_NODES], f[ok, :QUAD_NODES]))
+        s0 += hi[ok, 0].sum()
         noise += allowance[ok].sum()
-        panels += int(ok.sum())
         if ok.all():
-            return s / (2j * np.pi), noise / (2 * np.pi), center, scale, panels
+            break
         a, b = a[~ok], b[~ok]
         m = 0.5 * (a + b)
         a, b = np.stack([a, m], -1).ravel(), np.stack([m, b], -1).ravel()
-    raise ContourError("moment quadrature did not converge")
+    else:
+        raise ContourError("moment quadrature did not converge")
+    s0, noise = s0 / (2j * np.pi), noise / (2 * np.pi)
+    count = np.rint(s0.real)
+    if not (abs(s0 - count) <= COUNT_TOL and noise <= COUNT_TOL):
+        raise ContourError(f"count {s0:.6g} with noise {noise:.3g}; root near the contour")
+    count = int(count)
+    powers = np.arange(2 * max(count, 1))
+    s = np.zeros(powers.size, dtype=complex)
+    for z, f in accepted:
+        terms = f[..., None] * ((z - center) / scale)[..., None] ** powers
+        s += np.einsum("pjk,j->pk", terms, w_hi).sum(axis=0)
+    panels = sum(len(f) for _, f in accepted)
+    return count, s / (2j * np.pi), noise, center, scale, panels
 
 
 # -- roots -------------------------------------------------------------------
@@ -349,37 +273,10 @@ def _hankel(s, m, shift):
     return s[idx[:, None] + idx + shift]
 
 
-def _count_box(K, half, lo, hi):
-    """``(count, moments)`` of the box |Re nu| < half, lo < Im nu < hi.
-
-    The winding count is checked against s_0 of ``contour_moments``, whose
-    quadrature controls its own error: a winding step longer than the
-    distance to a nearby root and pole can hide a whole loop of d, and then
-    the box is counted again on a contour sampled ``RECOUNT`` times as
-    densely.
-    ``moments`` is None when the quadrature fails or its s_0 is not an
-    integer to 1e-6; the winding count then stands alone.
-    """
-    cnt = count_in_rectangle(K, -half, half, lo, hi)
-    try:
-        moments = contour_moments(K, -half, half, lo, hi, max(cnt, 1))
-    except ContourError:
-        return cnt, None
-    s0 = moments[0][0]
-    if abs(s0 - round(s0.real)) > 1e-6:
-        return cnt, None
-    if round(s0.real) != cnt:
-        cnt = count_in_rectangle(K, -half, half, lo, hi, refine=RECOUNT)
-        if cnt != round(s0.real):
-            raise ContourError(f"winding count {cnt} but moment count {s0.real:.6g}")
-        moments = contour_moments(K, -half, half, lo, hi, max(cnt, 1))
-    return cnt, moments
-
-
-def _resolve_box(K, half, lo, hi, cnt, moments, eta):
+def _resolve_box(K, half, lo, hi, moments, eta):
     """``(record, roots, confirmed)`` for the box |Re nu| < half,
-    lo < Im nu < hi holding ``cnt`` roots, or None when it should be split.
-    ``moments`` are those of ``_count_box``.
+    lo < Im nu < hi, or None when it should be split.  ``moments`` are its
+    ``contour_moments``, with the count cnt of its roots.
 
     The numerical rank r of the cnt x cnt Hankel matrix [s_{i+j}] is the
     number of distinct roots.  With r = 1 the box holds one cluster at the
@@ -389,34 +286,29 @@ def _resolve_box(K, half, lo, hi, cnt, moments, eta):
     their multiplicities.  A singular value counts when it exceeds
     ``RANK_GAP`` times the noise floor (the larger of ``RANK_DROP`` of the
     largest and the quadrature noise) and is dropped below the floor itself.
-    Each root is polished by Newton's method and confirmed by a winding
-    count on a small circle, both on discs inside the strip |Re nu| < half,
-    where the transform is known to exist.
+    Each root is polished by Newton's method and confirmed by s_0 of a
+    small circle, both on discs inside the strip |Re nu| < half, where the
+    transform is known to exist.
 
-    The box is split when it has no moments, when a singular value lies
-    between the two thresholds, when the roots or weights come out outside
-    the box or off the integers, or when a root is not confirmed.  A box
-    ``FLOOR`` high is not split: it is one cluster of all ``cnt`` roots,
-    seeded at the centroid (the box centre without moments), and
-    ``confirmed`` tells whether its circle saw them.  ``record`` is the
+    The box is split when a singular value lies between the two
+    thresholds, when the roots or weights come out outside the box or off
+    the integers, or when a root is not confirmed.  A box ``FLOOR`` high is
+    not split: it is one cluster of all cnt roots, seeded at the centroid,
+    and ``confirmed`` tells whether its circle saw them.  ``record`` is the
     box's entry in the diagnostics.
     """
+    cnt, s, noise, center, scale, panels = moments
     final = hi - lo <= FLOOR
-    record = {"im": [lo, hi], "count": cnt, "rank": None, "gap": None, "panels": 0}
-    fallback = complex(0.0, 0.5 * (lo + hi))
-    seeds = None
-    if moments is not None:
-        s, noise, center, scale, record["panels"] = moments
-        fallback = center + scale * s[1] / s[0]
-        seeds = _hankel_roots(s, noise, cnt, record)
-        if seeds is not None:
-            seeds = [(center + scale * z, m) for z, m in seeds]
-            if not all(abs(nu.real) < half and lo < nu.imag < hi for nu, _ in seeds):
-                seeds = None
+    rank, gap, seeds = _hankel_roots(s, noise, cnt)
+    record = {"im": [lo, hi], "count": cnt, "rank": rank, "gap": gap, "panels": panels}
+    if seeds is not None:
+        seeds = [(center + scale * z, m) for z, m in seeds]
+        if not all(abs(nu.real) < half and lo < nu.imag < hi for nu, _ in seeds):
+            seeds = None
     if seeds is None:
         if not final:
             return None
-        seeds = [(fallback, cnt)]
+        seeds = [(center + scale * s[1] / s[0], cnt)]
     roots = [(complex(_newton_polish(K, nu, m, eta, half)), m) for nu, m in seeds]
     confirmed = all(
         _confirm(
@@ -431,26 +323,27 @@ def _resolve_box(K, half, lo, hi, cnt, moments, eta):
     return record, sorted(roots, key=lambda r: (r[0].imag, r[0].real)), confirmed
 
 
-def _hankel_roots(s, noise, cnt, record):
-    """Distinct scaled roots with multiplicities from the moments, or None
-    when the rank is ambiguous or the weights are not positive integers
-    summing to ``cnt``.  Writes the rank and gap into ``record``."""
+def _hankel_roots(s, noise, cnt):
+    """``(rank, gap, roots)``: the numerical rank of the Hankel matrix, its
+    first dropped singular value over the largest, and the distinct scaled
+    roots with multiplicities, or None for ``roots`` when the rank is
+    ambiguous or the weights are not positive integers summing to
+    ``cnt``."""
     U, sigma, Vh = np.linalg.svd(_hankel(s, cnt, 0))
     floor = max(RANK_DROP * sigma[0], noise)
     r = int(np.count_nonzero(sigma > RANK_GAP * floor))
-    record["rank"] = r
-    record["gap"] = float(sigma[r] / sigma[0]) if r < cnt else 0.0
+    gap = float(sigma[r] / sigma[0]) if r < cnt else 0.0
     if r == 0 or np.any((sigma > floor) & (sigma <= RANK_GAP * floor)):
-        return None
+        return r, gap, None
     if r == 1:
-        return [(s[1] / s[0], cnt)]
+        return r, gap, [(s[1] / s[0], cnt)]
     pencil = (U[:, :r].conj().T @ _hankel(s, cnt, 1) @ Vh[:r].conj().T) / sigma[:r, None]
     z = np.linalg.eigvals(pencil)
     w = np.linalg.solve(z ** np.arange(r)[:, None], s[:r])
     mult = np.rint(w.real)
     if (mult < 1).any() or mult.sum() != cnt or np.abs(w - mult).max() > MULT_TOL:
-        return None
-    return [(z[j], int(mult[j])) for j in range(r)]
+        return r, gap, None
+    return r, gap, [(z[j], int(mult[j])) for j in range(r)]
 
 
 def _isolate(K, eta, lo, hi):
@@ -474,11 +367,11 @@ def _isolate(K, eta, lo, hi):
     raise ContourError(f"cannot isolate root clusters in band [{lo}, {hi}]")
 
 
-def _isolate_at(K, half, lo, hi, eta, counted=None):
-    cnt, moments = counted or _count_box(K, half, lo, hi)
-    if cnt == 0:
+def _isolate_at(K, half, lo, hi, eta, moments=None):
+    moments = moments or contour_moments(K, -half, half, lo, hi)
+    if moments[0] == 0:
         return []
-    box = _resolve_box(K, half, lo, hi, cnt, moments, eta)
+    box = _resolve_box(K, half, lo, hi, moments, eta)
     if box is not None:
         return [box]
     mid = 0.5 * (lo + hi)
@@ -487,12 +380,14 @@ def _isolate_at(K, half, lo, hi, eta, counted=None):
         # Validate the cut cheaply (children must sum to the parent) before
         # committing to either subtree, so that a cut landing near a root is
         # rejected without recomputing whole subtrees.
+        if _vanishes(K, 1j * m):
+            continue
         try:
-            left = _count_box(K, half, lo, m)
-            right = _count_box(K, half, m, hi)
+            left = contour_moments(K, -half, half, lo, m)
+            right = contour_moments(K, -half, half, m, hi)
         except ContourError:
             continue
-        if left[0] + right[0] != cnt:
+        if left[0] + right[0] != moments[0]:
             continue
         try:
             return (_isolate_at(K, half, lo, m, eta, left)
@@ -500,6 +395,20 @@ def _isolate_at(K, half, lo, hi, eta, counted=None):
         except ContourError:
             continue
     raise ContourError(f"cannot split band [{lo}, {hi}] consistently")
+
+
+def _vanishes(K, nu):
+    """True when d(nu) vanishes within ``NOISE_FACTOR`` times its rounding
+    noise eps max(1, |That(nu)|)^n.
+
+    Asked of the axis point of a cut: an axis root there lies in the middle
+    of a panel of both boxes when the cut has an odd number of panels.  The
+    symmetric Gauss-Legendre rules then agree on the principal value, far
+    from the rounding noise, and each box counts half the root, a clean
+    integer for a double root."""
+    that = t_hat(K, nu)
+    noise = np.finfo(float).eps * max(1.0, np.linalg.norm(that, 2)) ** K.n
+    return abs(np.linalg.det(that)) <= NOISE_FACTOR * noise
 
 
 def _choose_window(K, eta):
@@ -513,30 +422,34 @@ def _choose_window(K, eta):
 
 
 def _confirm(K, nu, multiplicity, radius, limit):
-    """True when a circle of about ``radius`` around ``nu`` counts exactly
+    """True when a circle of about ``radius`` around ``nu`` holds exactly
     ``multiplicity`` roots and d(nu) vanishes within ``NOISE_FACTOR`` times
-    its rounding noise eps (1 + max |d|); the radius grows when the contour
-    runs into a root.  The mean of d over the circle's equispaced nodes is
-    d(nu) by the trapezoid rule, so the check costs no evaluation.  The
-    radius stays below ``limit``, the distance from ``nu`` to the edge of
-    the strip the root was counted in."""
+    its rounding noise eps (1 + max |d|).
+
+    The count is s_0 of the circle by the trapezoid rule on its
+    ``CIRCLE_NODES`` equispaced nodes.  It stands when it is within
+    ``COUNT_TOL`` of an integer and the rule on the even nodes agrees with
+    it within ``COUNT_TOL`` plus ``NOISE_FACTOR`` times the rounding noise
+    of d'/d, which is large on a flat d; otherwise the circle runs too close
+    to a root, and the radius grows.  The mean of d = det That over the
+    same nodes is d(nu) by the trapezoid rule, so one circle costs the two
+    transform calls of ``_log_derivative``.  The radius stays below
+    ``limit``, the distance from ``nu`` to the edge of the strip the root
+    was counted in."""
     radius = min(radius, 0.9 * limit)
     for _ in range(5):
         if not 0 < radius < limit:
             return False
-        seen = []
-
-        def d(z):
-            seen.append(char_value(K, z))
-            return seen[-1]
-
-        try:
-            count = count_on_circle(K, nu, radius, d)
-        except ContourError:
-            radius *= 1.37
-            continue
-        noise = np.finfo(float).eps * (1 + np.abs(seen[0]).max())
-        return count == multiplicity and abs(seen[0].mean()) <= NOISE_FACTOR * noise
+        z = radius * np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
+        f, eps, that = _log_derivative(K, nu + z)
+        s0, even = np.mean(f * z), np.mean(f[::2] * z[::2])
+        allowance = NOISE_FACTOR * radius * eps.mean()
+        count = np.rint(s0.real)
+        if abs(s0 - count) <= COUNT_TOL and abs(s0 - even) <= COUNT_TOL + allowance:
+            d = np.linalg.det(that)
+            noise = np.finfo(float).eps * (1 + np.abs(d).max())
+            return count == multiplicity and abs(d.mean()) <= NOISE_FACTOR * noise
+        radius *= 1.37
     return False
 
 

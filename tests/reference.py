@@ -261,6 +261,50 @@ def add_kernels(*kernels):
                       for p in (k.parts if isinstance(k, SumKernel) else [k])])
 
 
+# -- an independent root count --------------------------------------------------
+
+
+WINDING_CHUNK = 1 << 16  # boundary points per transform call
+
+
+def winding_count(K, points):
+    """Winding number of d = det(I + Khat) along the closed polyline
+    ``points``: the sum of its wrapped phase steps over 2 pi.
+
+    The oracle of the root counts of ``spectrum``, by the argument principle
+    on a fixed sampling with no refinement.  Every step must turn by less
+    than pi/2, or the sampling is too coarse to trust and the count fails.
+    """
+    points = np.asarray(points, dtype=complex)
+    d = np.concatenate([
+        np.linalg.det(np.eye(K.n) + K.transform_batch(points[i:i + WINDING_CHUNK]))
+        for i in range(0, points.size, WINDING_CHUNK)])
+    steps = np.angle(np.roll(d, -1) / d)
+    assert np.abs(steps).max() < np.pi / 2, "winding steps too coarse"
+    w = steps.sum() / (2 * np.pi)
+    assert abs(w - round(w)) < 1e-6
+    return round(w)
+
+
+def rectangle(re0, re1, im0, im1, spacing=None):
+    """Counter-clockwise samples of the rectangle's boundary ``spacing``
+    apart, by default a sixteenth of its shorter side and at most 0.0025:
+    the roots the counts of ``spectrum`` check lie at least half a strip
+    width from the long sides, and the poles of an exponential mixture at
+    least 0.01 from them."""
+    if spacing is None:
+        spacing = min(0.0025, min(re1 - re0, im1 - im0) / 16)
+    corners = [complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)]
+    return np.concatenate([
+        a + np.arange(int(np.ceil(abs(b - a) / spacing))) / np.ceil(abs(b - a) / spacing) * (b - a)
+        for a, b in zip(corners, corners[1:] + corners[:1])])
+
+
+def circle(center, radius, nodes=4096):
+    """``nodes`` equispaced samples of the circle, counter-clockwise."""
+    return center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
 # -- quadrature rules and polynomials -------------------------------------------
 
 

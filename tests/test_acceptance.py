@@ -16,13 +16,14 @@ import pytest
 from conftest import SQRT_PI, build_front_jet, build_pair_jet, critical_pair_kernel, project
 from reference import (
     combine, coordinates, differentiate, equation_residual, exponential,
-    manifold_point, moment as kernel_moment, monomial, shift, term_for)
+    manifold_point, moment as kernel_moment, monomial, rectangle, shift, term_for,
+    winding_count)
 
 from cmnl.cli import main
 from cmnl.jet import JetIndex, solve
 from cmnl.kernel import GaussianMixture, apply_T
 from cmnl.projection import build_pointwise, kernel_basis
-from cmnl.spectrum import count_in_rectangle, locate_roots
+from cmnl.spectrum import locate_roots
 from cmnl.tsolve import BorderedProblem
 from cmnl.verify import front_report, planar_front_system, pulse_scaling_report
 
@@ -401,8 +402,7 @@ def test_criterion_8_invariant_representatives(pair, pair_projection):
 
     # winding count equals kernel dimension
     spec = locate_roots(Kp)
-    count = count_in_rectangle(Kp, -spec.strip, spec.strip,
-                               -spec.window, spec.window)
+    count = winding_count(Kp, rectangle(-spec.strip, spec.strip, -spec.window, spec.window))
     assert count == basis.size == spec.total_multiplicity == 4
 
     # moment / transform derivative consistency

@@ -15,7 +15,8 @@ import pytest
 from conftest import (
     build_front_jet, critical_pair_kernel, scaled_gaussian, simple_zero_kernel,
     two_exponential_kernel)
-from reference import add_kernels, gauss_legendre, max_coeff, term_for
+from reference import (
+    add_kernels, circle, gauss_legendre, max_coeff, rectangle, term_for, winding_count)
 
 from cmnl import kernel as kr
 from cmnl import spectrum as sp
@@ -59,150 +60,177 @@ def test_tabled_gauss_legendre_rules(rule, n):
     assert np.abs(weights[::-1] - wl).max() <= 1e-15
 
 
+def moment_count(K, re0, re1, im0, im1):
+    return sp.contour_moments(K, re0, re1, im0, im1)[0]
+
+
 def test_winding_counts_known_roots():
+    # the oracle and the moment count s_0 on boxes around the real roots +-1
     K = real_pair_kernel()
-    f = lambda nu: sp.char_value(K, nu)
-    assert sp.count_in_rectangle(K, 0.5, 1.5, -0.5, 0.5) == 1
-    assert sp.count_in_rectangle(K, -1.5, 1.5, -0.5, 0.5) == 2
-    assert sp.count_in_rectangle(K, -0.4, 0.4, -0.4, 0.4) == 0
-    assert sp.count_on_circle(K, 1.0, 0.3) == 1
+    for box, count in [((0.5, 1.5, -0.5, 0.5), 1), ((-1.5, 1.5, -0.5, 0.5), 2),
+                       ((-0.4, 0.4, -0.4, 0.4), 0)]:
+        assert winding_count(K, rectangle(*box)) == moment_count(K, *box) == count
+    assert winding_count(K, circle(1.0, 0.3)) == 1
+    assert sp._confirm(K, 1.0, 1, 0.3, 1.0)
 
 
 def test_winding_double_root():
     K = double_root_at_zero()
-    assert sp.count_on_circle(K, 0.0, 0.5) == 2
+    assert winding_count(K, circle(0.0, 0.5)) == 2
+    assert sp._confirm(K, 0.0, 2, 0.5, 1.0)
+    assert not sp._confirm(K, 0.0, 1, 0.5, 1.0)
 
 
 def test_contour_through_root_raises():
-    K = real_pair_kernel()
+    # the corner 1 of the box is the root: the quadrature sees the rounding
+    # noise of d'/d next to it
+    with pytest.raises(sp.ContourError, match="root near the contour"):
+        moment_count(real_pair_kernel(), 1.0, 2.0, 0.0, 1.0)
+
+
+def test_root_at_a_midpoint_raises():
+    # the root 1 is the midpoint of the lower side, where the symmetric
+    # Gauss-Legendre rules agree on the principal value: half the root
+    with pytest.raises(sp.ContourError, match="count 0.5"):
+        moment_count(real_pair_kernel(), 0.5, 1.5, 0.0, 1.0)
+
+
+def test_root_inside_a_step_hits_the_depth_cap():
+    # the root 1 lies on the lower side 0.7 -> 1.4 but at no dyadic point of it
     with pytest.raises(sp.ContourError):
-        sp.winding_number(
-            lambda nu: sp.char_value(K, nu),
-            [1.0 + 0j, 1.0 + 1j, 2.0 + 1j, 2.0 + 0j],  # corner hits the root
-        )
+        moment_count(real_pair_kernel(), 0.7, 1.4, 0.0, 1.0)
 
 
-def _recursive_winding(f, points, budget=20000):
-    """Reference for ``winding_number``: depth-first bisection, one value of
-    ``f`` per call.  Returns the winding, the points evaluated and the
-    number of bisection levels that evaluated a midpoint."""
-    evaluated = []
-    levels = set()
+def _recursive_moments(K, re0, re1, im0, im1):
+    """Reference for the level batching of ``contour_moments``: its panel
+    rule, depth-first, one panel per evaluation.  Returns s_0, the points
+    evaluated and the number of refinement levels that evaluated a panel."""
+    center = 0.5 * complex(re0 + re1, im0 + im1)
+    scale = 0.5 * abs(complex(re1 - re0, im1 - im0))
+    corners = [complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)]
+    panels = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        n = int(np.ceil(abs(q - p) / sp.MAX_PANEL))
+        panels += [(p + k / n * (q - p), p + (k + 1) / n * (q - p)) for k in range(n)]
+    share = 2 * np.pi * sp.QUAD_TOL / sum(abs(b - a) for a, b in panels)
+    (x_hi, w_hi), (x_lo, w_lo) = sp.GAUSS_LEGENDRE_HI, sp.GAUSS_LEGENDRE_LO
+    evaluated, levels = [], set()
 
-    def ev(z, level=0):
+    def integrate(a, b, level):
+        half = 0.5 * (b - a)
+        z = 0.5 * (a + b) + half * np.concatenate([x_hi, x_lo])
         evaluated.append(z)
         levels.add(level)
-        if len(evaluated) > budget:
-            raise sp.ContourError("budget")
-        v = f(z)
-        if v == 0:
-            raise sp.ContourError("root")
-        return v
+        f, eps, _ = sp._log_derivative(K, z)
+        f = f * half
+        g = f * (z - center) / scale
+        hi = np.array([f[:16] @ w_hi, g[:16] @ w_hi])
+        lo = np.array([f[16:] @ w_lo, g[16:] @ w_lo])
+        allowance = sp.NOISE_FACTOR * abs(half) * (eps[:16] @ w_hi)
+        if np.abs(hi - lo).max() <= share * abs(b - a) + allowance:
+            return hi[0]
+        m = 0.5 * (a + b)
+        return integrate(a, m, level + 1) + integrate(m, b, level + 1)
 
-    def increment(z0, z1, v0, v1, depth):
-        dphi = np.angle(v1 / v0)
-        if abs(dphi) <= np.pi / 3 and abs(v1 - v0) <= 0.7 * max(abs(v0), abs(v1)):
-            return dphi
-        if depth >= 48:
-            raise sp.ContourError("depth")
-        zm = 0.5 * (z0 + z1)
-        vm = ev(zm, depth + 1)
-        return increment(z0, zm, v0, vm, depth + 1) + increment(
-            zm, z1, vm, v1, depth + 1
-        )
-
-    vals = [ev(z) for z in points]
-    m = len(points)
-    total = 0.0
-    for k in range(m):
-        total += increment(points[k], points[(k + 1) % m], vals[k], vals[(k + 1) % m], 0)
-    w = total / (2 * np.pi)
-    assert abs(w - round(w)) <= 0.05
-    return int(round(w)), evaluated, len(levels - {0})
-
-
-def _circle(center, radius, nodes=48):
-    return center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    s0 = sum(integrate(a, b, 0) for a, b in panels) / (2j * np.pi)
+    return s0, np.concatenate(evaluated), len(levels)
 
 
 @pytest.mark.parametrize(
     "kernel, points, expected",
     [
         # simple root at 1 just inside / just outside the contour
-        (real_pair_kernel, sp._rect_points(0.999, 1.5, -0.5, 0.5), 1),
-        (real_pair_kernel, sp._rect_points(1.001, 1.5, -0.5, 0.5), 0),
-        (real_pair_kernel, _circle(1.2, 0.2005), 1),
+        (real_pair_kernel, (0.999, 1.5, -0.5, 0.5), 1),
+        (real_pair_kernel, (1.001, 1.5, -0.5, 0.5), 0),
+        (real_pair_kernel, (0.9995, 1.4, -0.2, 0.2), 1),
         # double root at 0 near the contour
-        (double_root_at_zero, _circle(0.01, 0.0101), 2),
-        (double_root_at_zero, _circle(0.01, 0.0099), 0),
-        (double_root_at_zero, sp._rect_points(-0.5, -0.002, -0.5, 0.5), 0),
-        (double_root_at_zero, sp._rect_points(-0.5, 0.002, -0.5, 0.5), 2),
+        (double_root_at_zero, (-0.0001, 0.02, -0.01, 0.01), 2),
+        (double_root_at_zero, (0.0001, 0.02, -0.01, 0.01), 0),
+        (double_root_at_zero, (-0.5, -0.002, -0.5, 0.5), 0),
+        (double_root_at_zero, (-0.5, 0.002, -0.5, 0.5), 2),
     ],
 )
-def test_level_batched_winding_matches_recursion(kernel, points, expected):
+def test_level_batched_winding_matches_recursion(monkeypatch, kernel, points, expected):
+    # s_0 is the winding number of d along the box
     K = kernel()
+    s0, evaluated, levels = _recursive_moments(K, *points)
     batches = []
+    log_derivative = sp._log_derivative
 
-    def batched(nus):
-        batches.append(np.array(nus))
-        return sp.char_value(K, nus)
+    def batched(K, nus):
+        batches.append(nus.ravel())
+        return log_derivative(K, nus)
 
-    w = sp.winding_number(batched, points)
-    w_ref, evaluated, levels = _recursive_winding(
-        lambda nu: sp.char_value(K, nu), list(points)
-    )
-    assert w == w_ref == expected
+    monkeypatch.setattr(sp, "_log_derivative", batched)
+    count, s = sp.contour_moments(K, *points)[:2]
+    assert count == round(s0.real) == expected
+    assert abs(s[0] - s0) <= 1e-12
     got = np.concatenate(batches)
-    assert got.size == len(evaluated) > len(points)  # the contour was refined
-    assert np.array_equal(np.sort_complex(got), np.sort_complex(np.array(evaluated)))
-    # one call for the samples, then one per bisection level
-    assert len(batches) == 1 + levels
+    assert got.size == evaluated.size
+    assert np.array_equal(np.sort_complex(got), np.sort_complex(evaluated))
+    # one evaluation per refinement level, and the contour was refined
+    assert len(batches) == levels > 1
 
 
-def test_root_at_a_midpoint_raises():
-    # the first bisection of the step 0 -> 0.5 lands on the zero of z - 0.25
-    with pytest.raises(sp.ContourError, match="hits a root"):
-        sp.winding_number(lambda z: z - 0.25, [0.0, 0.5, 0.5 + 0.5j, 0.5j])
-
-
-def test_root_inside_a_step_hits_the_depth_cap():
-    # the root at 1 lies on the step 0.7 -> 1.4 but at no dyadic point of it
+def test_refinement_budget_raises(monkeypatch):
     K = real_pair_kernel()
-    with pytest.raises(sp.ContourError, match="too fast"):
-        sp.winding_number(
-            lambda nu: sp.char_value(K, nu), [0.7, 1.4, 1.4 + 1j, 0.7 + 1j]
-        )
-
-
-def test_refinement_budget_raises():
-    K = real_pair_kernel()
-    f = lambda nu: sp.char_value(K, nu)
-    points = sp._rect_points(0.999, 1.5, -0.5, 0.5)
-    _, evaluated, _ = _recursive_winding(f, list(points))
-    assert sp.winding_number(f, points, budget=len(evaluated)) == 1
+    box = (0.999, 1.5, -0.5, 0.5)
+    _, evaluated, _ = _recursive_moments(K, *box)
+    monkeypatch.setattr(sp, "QUAD_BUDGET", evaluated.size)
+    assert sp.contour_moments(K, *box)[0] == 1
+    monkeypatch.setattr(sp, "QUAD_BUDGET", evaluated.size - 1)
     with pytest.raises(sp.ContourError, match="budget"):
-        sp.winding_number(f, points, budget=len(evaluated) - 1)
-    with pytest.raises(sp.ContourError, match="budget"):
-        sp.winding_number(f, points, budget=len(points) - 1)
+        sp.contour_moments(K, *box)
 
 
-def test_rectangle_samples_are_at_most_max_spacing_apart():
-    pts = sp._rect_points(-1.0, 1.0, -16.0, 16.0)
-    steps = np.abs(np.diff(np.append(pts, pts[0])))
-    assert steps.max() <= sp.MAX_SPACING + 1e-12
-    assert len(sp._rect_points(-0.1, 0.1, 0.0, 0.2)) == 48  # short sides keep 12
+def test_rectangle_samples_are_at_most_max_spacing_apart(monkeypatch):
+    # the first level's panels are at most MAX_PANEL long, so a long side
+    # gets many: 32 on each side 32 long, 2 on each side 1.5 long
+    levels = []
+    log_derivative = sp._log_derivative
+
+    def recorded(K, nus):
+        levels.append(nus)
+        return log_derivative(K, nus)
+
+    monkeypatch.setattr(sp, "_log_derivative", recorded)
+    sp.contour_moments(real_pair_kernel(), -0.75, 0.75, -16.0, 16.0)
+    middles = levels[0].mean(axis=1)  # each panel's nodes are symmetric about its middle
+    assert len(middles) == 68
+    steps = np.abs(np.diff(np.append(middles, middles[0])))
+    assert steps.max() <= sp.MAX_PANEL + 1e-12
+
+
+def test_a_cut_through_an_axis_root_is_refused(monkeypatch):
+    # The strip 1.011 has three panels on each cut, so the double root at 0
+    # is the middle of one on the first cut, Im nu = 0: each half box read
+    # the clean count 1, no circle confirmed a simple root at 0, and the
+    # strip was halved.  Every box taller than 4 is split here.
+    resolve = sp._resolve_box
+
+    def split_tall(K, half, lo, hi, moments, eta):
+        return None if hi - lo > 4 else resolve(K, half, lo, hi, moments, eta)
+
+    monkeypatch.setattr(sp, "_resolve_box", split_tall)
+    res = sp.locate_roots(double_root_at_zero())
+    assert [(r.nu, r.multiplicity) for r in res.roots] == [(pytest.approx(0, abs=1e-12), 2)]
+    assert res.strip == 1.0
+    assert res.diagnostics["unconfirmed_clusters"] == []
+    assert all(0.0 not in box["im"] for box in res.diagnostics["boxes"])
 
 
 def test_locate_roots_makes_only_batched_transform_calls(monkeypatch):
-    """Each contour of ``locate_roots`` costs one transform call, plus one per
-    refinement level: 12 batched calls (3,245 points) on the conftest pair
-    kernel, and no per-point call."""
+    """Each level of a moment quadrature and each confirmation circle of
+    ``locate_roots`` costs two transform calls, Khat and Khat': 12 batched
+    calls of 3,169 points in all on the conftest pair kernel, and no
+    per-point call."""
     K = critical_pair_kernel()
-    counts = {"batch": 0, "scalar": 0}
+    counts = {"batch": 0, "points": 0, "scalar": 0}
     batch = kr.SumKernel.transform_batch
 
     def counted_batch(self, nus, order=0):
         counts["batch"] += 1
+        counts["points"] += np.size(nus)
         return batch(self, nus, order)
 
     def forbidden_scalar(self, nu, order=0):
@@ -215,6 +243,7 @@ def test_locate_roots_makes_only_batched_transform_calls(monkeypatch):
     assert res.total_multiplicity == 4
     assert counts["scalar"] == 0
     assert counts["batch"] <= 16
+    assert counts["points"] <= 3169
 
 
 @pytest.mark.parametrize(
@@ -226,13 +255,13 @@ def test_locate_roots_counts_few_rectangles(monkeypatch, kernel, limit):
     at most half the rectangle counts of bisecting every box to the 1e-3
     floor (61, 91 and 32 on these kernels)."""
     calls = []
-    count = sp.count_in_rectangle
+    moments = sp.contour_moments
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[1:])
-        return count(*args, **kwargs)
+        return moments(*args)
 
-    monkeypatch.setattr(sp, "count_in_rectangle", counted)
+    monkeypatch.setattr(sp, "contour_moments", counted)
     res = sp.locate_roots(kernel())
     assert res.roots
     assert len(calls) <= limit
@@ -269,7 +298,8 @@ def test_long_contour_sides_see_every_root(d, window):
     # with 12 samples per side of a 32-long rectangle, d looped around 0
     # between two samples of close value and the count came out 0
     K = three_gaussian_kernel(d)
-    assert sp.count_in_rectangle(K, -1.011, 1.011, -window, window) == 4
+    assert winding_count(K, rectangle(-1.011, 1.011, -window, window)) == 4
+    assert moment_count(K, -1.011, 1.011, -window, window) == 4
     res = sp.locate_roots(K)
     assert res.window == window
     assert res.strip == 1.0
@@ -348,10 +378,11 @@ def test_winding_steps_past_a_root_and_pole_pair():
 
 def test_thin_strip_counts_stay_inside_the_winding_budget():
     # Rates 0.25 and 0.6 with axis roots +-0.1i and a real pair +-0.00225:
-    # the strip shrinks to 0.001125, and samples half its width apart along
-    # the window's 16-long sides would be about 28,000 points, more than a
-    # winding count may evaluate, so every count raised and no band could
-    # be isolated.
+    # the strip shrinks to 0.001125.  A winding count sampled half its width
+    # apart along the window's 16-long sides needed about 28,000 points,
+    # more than it was allowed, so every count raised and no band could be
+    # isolated; the moment count has no such limit, and the oracle's count
+    # on a sampling finer still agrees with it.
     rates = np.array([0.25, 0.6])
     s = np.array([-0.01, 0.00225**2])
     c = np.linalg.solve(2 * rates / (rates**2 - s[:, None]), -np.ones(2))
@@ -362,10 +393,8 @@ def test_thin_strip_counts_stay_inside_the_winding_budget():
     ex = sorted(res.diagnostics["excluded_offaxis"], key=lambda z: z.real)
     assert np.allclose(ex, [-0.00225, 0.00225], rtol=0.0, atol=1e-8)
     assert res.strip == pytest.approx(0.001125)
-    assert len(sp._rect_points(-res.strip, res.strip, -res.window, res.window,
-                               spacing=res.strip)) > 20000  # the winding budget
-    count = sp.count_in_rectangle(K, -res.strip, res.strip, -res.window, res.window)
-    assert count == res.total_multiplicity
+    box = (-res.strip, res.strip, -res.window, res.window)
+    assert winding_count(K, rectangle(*box)) == moment_count(K, *box) == res.total_multiplicity
 
 
 def test_newton_steps_stop_at_the_noise_of_a_flat_d():

@@ -21,7 +21,10 @@ independent winding count over the reported strip and window.
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
+
+from reference import rectangle, winding_count
 
 from cmnl import kernel as kr
 from cmnl import spectrum as sp
@@ -67,9 +70,8 @@ def chosen_roots(draw, scales, strip):
     """(chosen [(l, m)], real, term scales): distinct axis points 0.1..2.0,
     at least 0.15 apart, with multiplicities 1 or 2; optionally a real pair
     +-real inside the strip ``strip(terms)`` that ``locate_roots`` starts
-    from, either at 0.1 to 0.99 of it or on the absolute grid 0.15..0.5;
-    one term per condition.  Nearer the axis than both, ``locate_roots`` can
-    take the pair for a double root at 0."""
+    from, either at 0.01 to 0.99 of it or on the absolute grid 0.15..0.5;
+    one term per condition."""
     grid = st.integers(2, 40).map(lambda k: 0.05 * k)
     ls = sorted(draw(st.lists(grid, min_size=1, max_size=3, unique=True)))
     assume(all(b - a >= 0.15 for a, b in zip(ls, ls[1:])))
@@ -82,7 +84,7 @@ def chosen_roots(draw, scales, strip):
     real = None
     if with_real:
         width = strip(terms)
-        relative = st.integers(10, 99).map(lambda k: 0.01 * k * width)
+        relative = st.integers(1, 99).map(lambda k: 0.01 * k * width)
         absolute = [0.05 * k for k in range(3, 11) if 0.05 * k < 0.99 * width]
         real = draw(relative | st.sampled_from(absolute) if absolute else relative)
     return list(zip(ls, ms)), real, terms
@@ -94,7 +96,7 @@ def located(K, real):
     res = sp.locate_roots(K)
     for r in res.roots:
         assert abs(sp.char_value(K, r.nu)) <= 1e-9
-    count = sp.count_in_rectangle(K, -res.strip, res.strip, -res.window, res.window)
+    count = winding_count(K, rectangle(-res.strip, res.strip, -res.window, res.window))
     assert res.total_multiplicity == count
     excluded = res.diagnostics["excluded_offaxis"]
     if real is not None:
@@ -131,6 +133,20 @@ def test_gaussian_mixture_roots_include_the_chosen_ones(draw):
     K = kr.GaussianMixture([(np.array([[[ci]]]), a, 0.0) for ci, a in zip(c, widths)])
     res = located(K, real)
     assert all(matches(res, l, m) for l, m in expected_roots(chosen))
+
+
+@pytest.mark.parametrize("real", [0.13, 0.26])
+def test_real_pair_on_the_first_cut_is_refused(real):
+    # widths (0.2, 0.35), axis roots +-0.1i and a real pair on the first cut
+    # Im nu = 0: each half box counts one axis root and two half roots, a
+    # clean 2, but with quadrature noise 0.2 (0.13 for the pair +-0.26), so
+    # the count is refused and the box is cut elsewhere
+    widths = (0.2, 0.35)
+    A = [[gaussian_rows(a, s, 0) for a in widths] for s in (-0.01, real * real)]
+    c = np.linalg.solve(A, [-1.0, -1.0])
+    K = kr.GaussianMixture([(np.array([[[ci]]]), a, 0.0) for ci, a in zip(c, widths)])
+    res = located(K, real)
+    assert all(matches(res, l, 1) for l in (-0.1, 0.1))
 
 
 def test_real_pair_next_to_the_axis_is_no_double_root_at_zero():
