@@ -60,7 +60,7 @@ from operator import add
 
 import numpy as np
 
-from .kernel import convolution_matrix, taylor_transforms
+from .kernel import convolution_matrix, real_kernel, taylor_transforms
 # ``apply_term`` stays bound here because bench/tracer.py wraps
 # cmnl.jet.apply_term by name
 from .nonlin import apply_term, walk_outer, walk_slots  # noqa: F401
@@ -634,14 +634,6 @@ def _term_rhs(term, pieces, budget, rho_t, rows, keep=None):
     return out
 
 
-def _real_kernel(K):
-    """True when every coefficient of K is real, so that Khat(conj nu) is
-    conj Khat(nu); a ``SymbolKernel`` has no coefficients to read."""
-    if hasattr(K, "parts"):
-        return all(map(_real_kernel, K.parts))
-    return hasattr(K, "terms") and not any(np.imag(t[0]).any() for t in K.terms)
-
-
 def _conjugation(K, projection, F, lattice):
     """``(sigma, conj)`` when the problem is real, else None.
 
@@ -656,7 +648,7 @@ def _conjugation(K, projection, F, lattice):
     kernels = {K, *(t.outer for t in F.terms),
                *(k for t in F.terms for k, _ in t.factors)}
     kernels.discard(None)
-    if any(t.coeff.imag for t in F.terms) or not all(map(_real_kernel, kernels)):
+    if any(t.coeff.imag for t in F.terms) or not all(map(real_kernel, kernels)):
         return None
     els = projection.basis.elements
     sigma = [i if el.partner < 0 else el.partner for i, el in enumerate(els)]

@@ -388,6 +388,15 @@ class SumKernel(Kernel):
         return max(p.decay_radius(tol) for p in self.parts)
 
 
+def real_kernel(K):
+    """True when every coefficient of K is real, so that Khat(conj nu) is
+    conj Khat(nu) and the roots of d come in conjugate pairs; a
+    ``SymbolKernel`` has no coefficients to read."""
+    if hasattr(K, "parts"):
+        return all(map(real_kernel, K.parts))
+    return hasattr(K, "terms") and not any(np.imag(t[0]).any() for t in K.terms)
+
+
 # -- convolution -------------------------------------------------------------
 
 

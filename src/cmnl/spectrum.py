@@ -50,7 +50,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from cmnl.kernel import validate_decay
+from cmnl.kernel import real_kernel, validate_decay
 from cmnl.quasipoly import QuasiPolynomial
 
 
@@ -559,7 +559,7 @@ def locate_roots(K, tol_root=1e-9):
                 )
                 for nu, m in found
             ]
-            _pair_conjugates(roots)
+            _pair_conjugates(roots, real_kernel(K))
             roots.sort(key=lambda r: r.nu.imag)
             return SpectrumResult(
                 roots=roots,
@@ -581,9 +581,16 @@ def locate_roots(K, tol_root=1e-9):
     raise RuntimeError("strip certification did not converge")
 
 
-def _pair_conjugates(roots):
+def _pair_conjugates(roots, real):
+    """Pair each axis root with its conjugate, putting both exactly at
+    +-i|Im nu|.  The roots of a ``real`` kernel are closed under
+    conjugation, so a lone root within ``PAIR_TOL`` of 0 is put at 0."""
     for i, r in enumerate(roots):
-        if r.pair >= 0 or abs(r.nu.imag) <= PAIR_TOL:
+        if r.pair >= 0:
+            continue
+        if abs(r.nu.imag) <= PAIR_TOL:
+            if real:
+                r.nu = 0j
             continue
         for j in range(i + 1, len(roots)):
             s = roots[j]

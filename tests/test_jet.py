@@ -782,6 +782,19 @@ def test_pair_mirrored_jet_matches_every_index_solved(pair_jets):
     assert max(J.diagnostics.values()) <= 1e-13
 
 
+def test_front_with_its_root_at_zero_is_a_real_problem(monkeypatch):
+    # the double root of the front's real kernel is put exactly at 0, so
+    # its basis functions are real and each coordinate is its own partner
+    found = []
+    conjugation = jet._conjugation
+    monkeypatch.setattr(jet, "_conjugation",
+                        lambda *args: found.append(conjugation(*args)) or found[-1])
+    _, J, _ = build_front_jet()
+    assert [nu for el in J.basis.elements for nu, _ in el.function.terms] == [0j, 0j]
+    (sigma, _), = found
+    assert sigma == [0, 1]
+
+
 def test_pair_with_a_complex_coefficient_solves_every_index():
     # a coefficient off the real axis breaks the symmetry between m and
     # sigma m: every index is solved, and the residuals stay tiny

@@ -467,6 +467,14 @@ def test_locate_double_root_at_zero():
     assert res.total_multiplicity == 2
 
 
+@pytest.mark.parametrize("kernel", [double_root_at_zero, simple_zero_kernel])
+def test_lone_root_of_a_real_kernel_is_put_at_zero(kernel):
+    # the roots of a real kernel come in conjugate pairs, so a root near 0
+    # with no partner is 0; Newton left it a rounding error off
+    (root,) = sp.locate_roots(kernel()).roots
+    assert root.nu == 0 and not np.signbit(root.nu.imag)
+
+
 def test_locate_conjugate_pair():
     K = critical_pair_kernel()
     res = sp.locate_roots(K)
