@@ -118,10 +118,14 @@ def _log_derivative(K, nu):
     d'/d = tr[(I + Khat)^{-1} Khat'] (valid away from roots).  ``noise`` is the
     first-order rounding error of d'/d: forming That = I + Khat costs about
     eps (1 + |Khat|), which That^{-1} amplifies.  It is large where |d| is
-    small on a contour that passes near a multiple root."""
+    small on a contour that passes near a multiple root.  A point where
+    That is singular to rounding raises ``ContourError``."""
     khat = K.transform_batch(nu)
     that = khat + np.eye(K.n)
-    inv = np.linalg.inv(that)
+    try:
+        inv = np.linalg.inv(that)
+    except np.linalg.LinAlgError:
+        raise ContourError("contour hits a root") from None
     quot = inv @ K.transform_batch(nu, 1)
     norm = np.linalg.norm
     amplification = 1 + (1 + norm(khat, axis=(-2, -1))) * norm(inv, axis=(-2, -1))
@@ -441,7 +445,11 @@ def _confirm(K, nu, multiplicity, radius, limit):
         if not 0 < radius < limit:
             return False
         z = radius * np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
-        f, eps, that = _log_derivative(K, nu + z)
+        try:
+            f, eps, that = _log_derivative(K, nu + z)
+        except ContourError:  # a node on a root
+            radius *= 1.37
+            continue
         s0, even = np.mean(f * z), np.mean(f[::2] * z[::2])
         allowance = NOISE_FACTOR * radius * eps.mean()
         count = np.rint(s0.real)

@@ -149,6 +149,18 @@ def test_real_pair_on_the_first_cut_is_refused(real):
     assert all(matches(res, l, 1) for l in (-0.1, 0.1))
 
 
+def test_a_quadrature_node_on_a_root_refuses_the_cut():
+    # rates (0.1, 0.6), axis roots +-2i and a real pair +-0.0099: a node of
+    # a box on the first cut, Im nu = 0, falls on 0.0099 to rounding, where
+    # That is singular and cannot be inverted
+    rates, real = (0.1, 0.6), 0.0099
+    A = np.array([[exponential_rows(b, s, 0) for b in rates] for s in (-4.0, real * real)])
+    c = np.linalg.solve(A, [-1.0, -1.0])
+    K = kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
+    res = located(K, real)
+    assert all(matches(res, l, 1) for l in (-2.0, 2.0))
+
+
 def test_real_pair_next_to_the_axis_is_no_double_root_at_zero():
     # rates (0.1, 0.25), axis roots +-0.1i and a real pair +-0.0009: the
     # confirmation circle around 0 counts the pair as two roots, but
