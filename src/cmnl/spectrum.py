@@ -58,7 +58,7 @@ class ContourError(RuntimeError):
     """A contour ran too close to a root to count the roots inside reliably."""
 
 
-COUNT_TOL = 1e-3  # largest distance of a root count s_0 from its integer, and its noise
+COUNT_TOL = 1e-2  # largest distance of a root count s_0 from its integer, and its noise
 QUAD_NODES = 16  # Gauss-Legendre nodes per moment panel
 QUAD_TOL = 1e-10  # quadrature error allowed in each contour moment, above the noise
 QUAD_LEVELS = 40  # halvings of one moment panel
@@ -73,7 +73,7 @@ FLOOR = 1e-3  # height below which a box is not bisected
 CIRCLE_NODES = 48  # initial samples of a confirmation circle
 DISC_NODES = 64  # trapezoid nodes of the Cauchy coefficients on a disc
 NEWTON_ITERS = 5  # Newton steps of one root polish
-PAIR_TOL = 1e-7  # relative distance of two roots paired as conjugates
+PAIR_TOL = 1e-7  # relative distance of conjugate roots paired, and of a root from a cut
 CHAIN_TOL = 1e-8  # null-space cutoff and residual scale of the Jordan chains
 
 # The QUAD_NODES- and QUAD_NODES/2-point Gauss-Legendre rules on [-1, 1], as
@@ -358,10 +358,10 @@ def _isolate(K, eta, lo, hi):
 
     A box the moments do not resolve is bisected in the imaginary
     direction.  A root exactly on a contour line can yield a clean but wrong
-    integer, so every split is validated (children must sum to the parent)
-    and the whole pass restarts with a different strip inflation when
-    validation cannot be achieved.  One inflation is used consistently per
-    pass so band counts are comparable.
+    integer, so every cut must clear the roots (``_clear_cut``) and its
+    children must sum to the parent, and the whole pass restarts with a
+    different strip inflation when no cut validates.  One inflation is used
+    consistently per pass so band counts are comparable.
     """
     for inflation in (0.011, 0.029, 0.053, 0.087):
         try:
@@ -381,10 +381,10 @@ def _isolate_at(K, half, lo, hi, eta, moments=None):
     mid = 0.5 * (lo + hi)
     for shift in (0.0, 0.11, -0.17, 0.23, 0.31):
         m = mid + shift * (hi - lo)
-        # Validate the cut cheaply (children must sum to the parent) before
-        # committing to either subtree, so that a cut landing near a root is
-        # rejected without recomputing whole subtrees.
-        if _vanishes(K, 1j * m):
+        # Validate the cut cheaply before committing to either subtree, so
+        # that a cut landing on or near a root is rejected without
+        # recomputing whole subtrees.
+        if not _clear_cut(K, half, m, PAIR_TOL * (hi - lo)):
             continue
         try:
             left = contour_moments(K, -half, half, lo, m)
@@ -401,18 +401,22 @@ def _isolate_at(K, half, lo, hi, eta, moments=None):
     raise ContourError(f"cannot split band [{lo}, {hi}] consistently")
 
 
-def _vanishes(K, nu):
-    """True when d(nu) vanishes within ``NOISE_FACTOR`` times its rounding
-    noise eps max(1, |That(nu)|)^n.
+def _clear_cut(K, half, m, gap):
+    """True when no root lies within ``gap`` of the cut Im nu = m: the thin
+    box |Re nu| < half, |Im nu - m| < gap counts none.
 
-    Asked of the axis point of a cut: an axis root there lies in the middle
-    of a panel of both boxes when the cut has an odd number of panels.  The
-    symmetric Gauss-Legendre rules then agree on the principal value, far
-    from the rounding noise, and each box counts half the root, a clean
-    integer for a double root."""
-    that = t_hat(K, nu)
-    noise = np.finfo(float).eps * max(1.0, np.linalg.norm(that, 2)) ** K.n
-    return abs(np.linalg.det(that)) <= NOISE_FACTOR * noise
+    A root on a cut lies on the contours of both boxes, and each may count
+    half of it without a trace in the noise: the symmetric Gauss-Legendre
+    rules agree on the principal value for an axis root in the middle of a
+    panel, or a real pair placed symmetrically about it, and the halves of
+    a double root or of a pair add up to a clean integer.  Such roots sit
+    on the cut exactly: real roots of a real kernel on Im nu = 0, an axis
+    root at the middle of a box.  The thin box's sides keep ``gap`` from
+    them."""
+    try:
+        return contour_moments(K, -half, half, m - gap, m + gap)[0] == 0
+    except ContourError:
+        return False
 
 
 def _choose_window(K, eta):

@@ -880,7 +880,7 @@ class TestCommandLineEntry:
             "projection._greedy_select",  # an ill-conditioned pointwise jet matrix
             "projection.sech_weight_moments",  # the sech weight of a gram projection
             "spectrum._axis_root",  # a double root found just off the axis
-            "spectrum._vanishes",  # a box that is cut
+            "spectrum._clear_cut",  # a box that is cut
             "verify._interp_shifted",  # Dirac kernels on the verify grid
         }
         defined = {}

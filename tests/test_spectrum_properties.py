@@ -135,18 +135,32 @@ def test_gaussian_mixture_roots_include_the_chosen_ones(draw):
     assert all(matches(res, l, m) for l, m in expected_roots(chosen))
 
 
-@pytest.mark.parametrize("real", [0.13, 0.26])
-def test_real_pair_on_the_first_cut_is_refused(real):
-    # widths (0.2, 0.35), axis roots +-0.1i and a real pair on the first cut
-    # Im nu = 0: each half box counts one axis root and two half roots, a
-    # clean 2, but with quadrature noise 0.2 (0.13 for the pair +-0.26), so
-    # the count is refused and the box is cut elsewhere
-    widths = (0.2, 0.35)
+def gaussian_pair_kernel(widths, real):
+    """Two Gaussians with simple axis roots +-0.1i and a real pair +-real."""
     A = [[gaussian_rows(a, s, 0) for a in widths] for s in (-0.01, real * real)]
     c = np.linalg.solve(A, [-1.0, -1.0])
-    K = kr.GaussianMixture([(np.array([[[ci]]]), a, 0.0) for ci, a in zip(c, widths)])
-    res = located(K, real)
+    return kr.GaussianMixture([(np.array([[[ci]]]), a, 0.0) for ci, a in zip(c, widths)])
+
+
+@pytest.mark.parametrize("widths, real", [((0.2, 0.35), 0.13), ((0.2, 0.35), 0.26),
+                                          ((0.35, 1.0), 0.35)])
+def test_real_pair_on_the_first_cut_is_refused(widths, real):
+    # the real pair lies on the first cut Im nu = 0, and each half box
+    # counts one axis root and two half roots, a clean 2.  With widths
+    # (0.35, 1), whose count's noise is only 0.0097, the boxes next to the
+    # cut took their half pair for a root, and Newton moved it onto +-0.1i:
+    # each axis root was reported twice and the pair was missed.
+    res = located(gaussian_pair_kernel(widths, real), real)
     assert all(matches(res, l, 1) for l in (-0.1, 0.1))
+    assert len({r.nu for r in res.roots}) == len(res.roots)
+
+
+def test_noise_refuses_a_count_through_a_root():
+    # the half box below the first cut of the +-0.13 pair: s_0 reads a
+    # clean 2 from the axis root and two half roots, with noise 0.2
+    K = gaussian_pair_kernel((0.2, 0.35), 0.13)
+    with pytest.raises(sp.ContourError, match="count 2.* noise 0.2"):
+        sp.contour_moments(K, -1.011, 1.011, -8.0, 0.0)
 
 
 def test_a_quadrature_node_on_a_root_refuses_the_cut():
@@ -159,6 +173,22 @@ def test_a_quadrature_node_on_a_root_refuses_the_cut():
     K = kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
     res = located(K, real)
     assert all(matches(res, l, 1) for l in (-2.0, 2.0))
+
+
+def test_thin_strip_past_a_flat_double_root_is_counted():
+    # rates (0.1, 1.8, 3.5), double roots +-0.1i and a real pair +-0.0009:
+    # once the pair is excluded, the strip 0.00045 passes so close to a flat
+    # d that the count's noise reads 0.0013, a clean count all the same
+    rates, real = (0.1, 1.8, 3.5), 0.0009
+    conditions = [(-0.01, 0), (-0.01, 1), (real * real, 0)]
+    A = np.array([[exponential_rows(b, s, q) for b in rates] for s, q in conditions])
+    c = np.linalg.solve(A, [-1.0, 0.0, -1.0])
+    K = kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
+    res = sp.locate_roots(K)
+    assert all(matches(res, l, 2) for l in (-0.1, 0.1)) and len(res.roots) == 2
+    ex = sorted(res.diagnostics["excluded_offaxis"], key=lambda z: z.real)
+    assert np.allclose(ex, [-real, real], rtol=0.0, atol=1e-8)
+    assert res.strip == pytest.approx(0.5 * real)
 
 
 def test_real_pair_next_to_the_axis_is_no_double_root_at_zero():
