@@ -18,7 +18,8 @@ module
 * reads one cluster off a rank-one box as the centroid c + R s_1/s_0, and
   several distinct roots with their multiplicities off a higher-rank box
   from the eigenvalues of the shifted Hankel pencil, bisecting a box in the
-  imaginary direction only when its rank is ambiguous,
+  imaginary direction only when its rank is ambiguous, and only at a cut
+  that a thin box around it shows to be clear of roots,
 * polishes every root by Newton's method on d^(alpha-1) and confirms its
   multiplicity alpha with s_0 of a small circle by the trapezoid rule,
 * snaps near-axis roots onto the imaginary axis (recording the distance),
@@ -449,11 +450,7 @@ def _confirm(K, nu, multiplicity, radius, limit):
         if not 0 < radius < limit:
             return False
         z = radius * np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
-        try:
-            f, eps, that = _log_derivative(K, nu + z)
-        except ContourError:  # a node on a root
-            radius *= 1.37
-            continue
+        f, eps, that = _log_derivative(K, nu + z)
         s0, even = np.mean(f * z), np.mean(f[::2] * z[::2])
         allowance = NOISE_FACTOR * radius * eps.mean()
         count = np.rint(s0.real)

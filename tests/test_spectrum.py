@@ -95,9 +95,11 @@ def test_root_at_a_midpoint_raises():
         moment_count(real_pair_kernel(), 0.5, 1.5, 0.0, 1.0)
 
 
-def test_root_inside_a_step_hits_the_depth_cap():
-    # the root 1 lies on the lower side 0.7 -> 1.4 but at no dyadic point of it
-    with pytest.raises(sp.ContourError):
+def test_root_inside_a_side_raises():
+    # the root 1 lies on the lower side 0.7 -> 1.4 but at no dyadic point of
+    # it: the panels around it are halved until the rounding noise of d'/d
+    # next to the root accepts them, and s_0 holds half the root
+    with pytest.raises(sp.ContourError, match="count 0.5.* noise 0.07"):
         moment_count(real_pair_kernel(), 0.7, 1.4, 0.0, 1.0)
 
 
@@ -376,13 +378,13 @@ def test_winding_steps_past_a_root_and_pole_pair():
     assert res.strip == pytest.approx(0.2)
 
 
-def test_thin_strip_counts_stay_inside_the_winding_budget():
+def test_thin_strip_is_counted_along_its_whole_window():
     # Rates 0.25 and 0.6 with axis roots +-0.1i and a real pair +-0.00225:
     # the strip shrinks to 0.001125.  A winding count sampled half its width
     # apart along the window's 16-long sides needed about 28,000 points,
     # more than it was allowed, so every count raised and no band could be
-    # isolated; the moment count has no such limit, and the oracle's count
-    # on a sampling finer still agrees with it.
+    # isolated.  The moment count of that box takes 6,576 points, and the
+    # oracle, sampling finer still, agrees with it.
     rates = np.array([0.25, 0.6])
     s = np.array([-0.01, 0.00225**2])
     c = np.linalg.solve(2 * rates / (rates**2 - s[:, None]), -np.ones(2))
