@@ -295,9 +295,11 @@ def rectangle(re0, re1, im0, im1, spacing=None):
     if spacing is None:
         spacing = min(0.0025, min(re1 - re0, im1 - im0) / 16)
     corners = [complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-    return np.concatenate([
-        a + np.arange(int(np.ceil(abs(b - a) / spacing))) / np.ceil(abs(b - a) / spacing) * (b - a)
-        for a, b in zip(corners, corners[1:] + corners[:1])])
+    sides = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = int(np.ceil(abs(b - a) / spacing))
+        sides.append(a + np.linspace(0.0, 1.0, n, endpoint=False) * (b - a))
+    return np.concatenate(sides)
 
 
 def circle(center, radius, nodes=4096):
