@@ -11,6 +11,11 @@ predictions numerically and independently of the quasi-polynomial route:
   truncated uniform grid with a two-grid Richardson error estimate, measuring
   how well a profile satisfies ``u + K*u + F(u, mu) = 0``; the defect sums the
   terms that share an outer kernel and convolves each such group once;
+* every grid stage -- the pulse's orbit and coordinates, the reconstruction,
+  and the fine and coarse defects -- runs over blocks of ``RECONSTRUCT_ROWS``
+  grid rows, a defect block reading the rows its stencils reach around it,
+  so that besides the grid only the profile and the fine defect span it;
+  each row's value is the one a whole-grid evaluation gives, bit for bit;
 * ``find_homoclinic`` / ``find_front`` -- the waves of the two planar limit
   systems produced by ``scale_field``: the homoclinic loop of the reversible
   pulse equation ``a'' = lin a + cub a^3`` in closed form,
@@ -26,6 +31,7 @@ predictions numerically and independently of the quasi-polynomial route:
 
 from array import array
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from math import acosh, ceil, inf, log, sqrt
 
 import numpy as np
@@ -178,8 +184,9 @@ def rk4_step(f, y, h):
 # reconstruction
 
 
-# trajectory rows that ``reconstruct`` evaluates at once; bounds the size of
-# its monomial temporaries
+# grid rows that every grid stage evaluates at once: the reconstruction, the
+# pulse's orbit and coordinates, and the fine and coarse defects; bounds the
+# size of their temporaries
 RECONSTRUCT_ROWS = 2048
 
 
@@ -202,26 +209,21 @@ def _monomial_plan(powers):
     return plan
 
 
-def reconstruct(J, trajectory, mu=()):
-    """Profile of the manifold along a coordinate trajectory.
+def _reconstruct_rows(J, xs, columns, mu):
+    """Profile on the grid ``xs`` whose coordinates at the rows ``lo:hi`` are
+    the columns ``columns(lo, hi)``, shape ``(J.basis.size, hi - lo)``.
 
-    The grid point at ``x`` uses the trajectory point at ``x`` through the
-    graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``,
-    with the values ``J.psi_at_zero`` that a sweep shares.
     The parameter factors ``mu^r`` fold into one coefficient vector per
     coordinate power, the basis values at the origin joining the linear
     powers; a power whose folded vector is exactly zero, as most are under
-    a pointwise projection, is dropped.  The path is evaluated
-    ``RECONSTRUCT_ROWS`` rows at a time, every monomial of a block one
-    multiply from a monomial of lower degree.
+    a pointwise projection, is dropped.  The rows are evaluated
+    ``RECONSTRUCT_ROWS`` at a time into one profile array, every monomial of
+    a block one multiply from a monomial of lower degree, so a caller that
+    computes its coordinates per block never holds them for the whole grid.
     Every operation is elementwise over the rows, so a row's value does not
     depend on the block it falls in.
     """
-    mu = (mu,) if np.isscalar(mu) else tuple(mu)
-    coords = trajectory.ys
     size = J.basis.size
-    if coords.shape[1] != size:
-        raise ValueError("trajectory dimension does not match the basis")
     coeffs = {}
     for j, el in enumerate(J.basis.elements):
         unit = tuple(int(k == j) for k in range(size))
@@ -237,19 +239,36 @@ def reconstruct(J, trajectory, mu=()):
         coeffs[idx.powers] = coeffs.get(idx.powers, 0.0) + w * value
     coeffs = {p: c for p, c in coeffs.items() if np.any(c)}
     plan = _monomial_plan(coeffs)
-    values = np.zeros((coords.shape[0], J.basis.n), dtype=complex)
-    for lo in range(0, coords.shape[0], RECONSTRUCT_ROWS):
-        cols = np.ascontiguousarray(coords[lo:lo + RECONSTRUCT_ROWS].T)
+    values = np.zeros((len(xs), J.basis.n), dtype=complex)
+    for lo in range(0, len(xs), RECONSTRUCT_ROWS):
+        out = values[lo:lo + RECONSTRUCT_ROWS]
+        cols = columns(lo, lo + len(out))
         mono = {}
         for p, (parent, j) in plan.items():
             mono[p] = mono[parent] * cols[j] if parent in mono else cols[j]
-        out = values[lo:lo + RECONSTRUCT_ROWS]
         for p, c in coeffs.items():
             # array times scalar, per component: numpy rounds a one-row
             # broadcast product (1, 1) * (n,) differently from longer ones
             for k, ck in enumerate(c):
                 out[:, k] += mono[p] * ck if p in mono else ck
-    return GridProfile(trajectory.xs, values)
+    return GridProfile(xs, values)
+
+
+def reconstruct(J, trajectory, mu=()):
+    """Profile of the manifold along a coordinate trajectory.
+
+    The grid point at ``x`` uses the trajectory point at ``x`` through the
+    graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``,
+    with the values ``J.psi_at_zero`` that a sweep shares.  The path is
+    evaluated ``RECONSTRUCT_ROWS`` rows at a time (``_reconstruct_rows``).
+    """
+    mu = (mu,) if np.isscalar(mu) else tuple(mu)
+    coords = trajectory.ys
+    if coords.shape[1] != J.basis.size:
+        raise ValueError("trajectory dimension does not match the basis")
+    return _reconstruct_rows(
+        J, trajectory.xs,
+        lambda lo, hi: np.ascontiguousarray(coords[lo:hi].T), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +294,34 @@ def _interp_shifted(xs, values, shift):
     return out
 
 
-def grid_convolve(K, xs, values):
+@lru_cache(maxsize=32)
+def _stencil(K, h):
+    """``(half, weights)``: the trapezoid weights times ``K`` on the
+    ``2 half + 1`` points ``z = j h``, ``|j| <= half``, shape
+    ``(2 half + 1, n, n)``.  Every block of a defect at the spacing ``h``
+    shares them, so they are cached, and read-only."""
+    half = _stencil_halfwidth(K, h)
+    zs = np.arange(-half, half + 1) * h
+    km = K.eval_x(zs)  # (2 half + 1, n, n)
+    w = np.full(zs.shape, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    kw = km * w[:, None, None]
+    kw.flags.writeable = False
+    return half, kw
+
+
+def grid_convolve(K, xs, values, h=None):
     """``(K * u)(xs)`` by the trapezoidal rule on the truncated support.
 
     The truncation radius is the kernel decay radius at ``TAIL_TOL``
     (relative tail mass); beyond the grid the profile is continued by its
     edge values, so localized and front-like profiles are both handled.
     Smooth kernel parts use aligned trapezoid sums; point masses shift the
-    profile by interpolation.
+    profile by interpolation.  ``h`` is the spacing of the grid that ``xs``
+    is a window of, by default the first spacing of ``xs``: a window's own
+    first spacing can differ from its grid's in the last bit, and with it
+    every stencil weight.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -291,29 +330,25 @@ def grid_convolve(K, xs, values):
     m, n = values.shape
     if K.n != n:
         raise ValueError(f"kernel dimension {K.n} does not match profile {n}")
-    h = _uniform_spacing(xs)
+    if h is None:
+        h = _uniform_spacing(xs)
     out = np.zeros((m, n), dtype=complex)
 
     if getattr(K, "family", None) != "dirac":
-        half = _stencil_halfwidth(K, h)
-        zs = np.arange(-half, half + 1) * h
-        km = K.eval_x(zs)  # (2 half + 1, n, n)
-        w = np.full(zs.shape, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        kw = km * w[:, None, None]
+        half, kw = _stencil(K, h)
         upad = np.concatenate(
             [np.repeat(values[:1], half, axis=0), values,
              np.repeat(values[-1:], half, axis=0)]
         )
-        lo = 2 * half
         for a in range(n):
             acc = np.zeros(m, dtype=complex)
             for b in range(n):
                 col = kw[:, a, b]
                 if np.abs(col).max() == 0.0:
                     continue
-                acc += np.convolve(col, upad[:, b])[lo:lo + m]
+                # "valid": one row per row of values, each under the whole
+                # stencil; the partial overlaps at the pads are not needed
+                acc += np.convolve(upad[:, b], col, "valid")
             out[:, a] = acc
 
     for A, xi in K.point_masses():
@@ -321,8 +356,23 @@ def grid_convolve(K, xs, values):
     return out
 
 
-def _defect(K, F, xs, values, mu):
-    """``u + K*u + F(u, mu)`` on the grid, one convolution per outer kernel.
+def _reaches(K, F, h):
+    """``(outer, inner)``: the rows on either side of a grid row that the
+    outer kernels of a defect, ``K`` among them, and its inner kernels read
+    at the spacing ``h``: the largest stencil half-width, and one row more
+    for the interpolation of a shifted point mass."""
+    def reach(kernels):
+        return max((_stencil_halfwidth(k, h) + 1
+                    for k in dict.fromkeys(kernels)), default=0)
+
+    return (reach([K] + [t.outer for t in F.terms if t.outer is not None]),
+            reach([kern for t in F.terms for kern, _ in t.factors
+                   if kern is not None]))
+
+
+def _defect(K, F, xs, values, mu, h, reach, lo, hi):
+    """``u + K*u + F(u, mu)`` at the grid rows ``lo:hi``, one convolution per
+    outer kernel.
 
     Each term's pointwise product comes from the exact evaluator's slot walk
     (``nonlin.walk_slots``), with ``grid_convolve`` for the inner kernels.
@@ -331,31 +381,45 @@ def _defect(K, F, xs, values, mu):
     group of ``K``, and every group is convolved once.  A scalar outer
     kernel of a vector problem acts on one component, so its groups are
     per target component.
+
+    The rows come from a window of the grid: the group sums on the rows
+    the outer kernels reach around ``lo:hi``, from the values on the rows
+    the inner kernels reach around those (``reach``, from ``_reaches``).
+    Where a window meets an end of the grid, ``grid_convolve`` continues
+    the edge value at either level as on the whole grid; elsewhere its edge
+    continuation spoils only the reach, which is dropped.  Every
+    convolution takes the grid's spacing ``h``, so each row is the one the
+    whole grid gives, bit for bit.
     """
     m, n = values.shape
+    g0, g1 = max(lo - reach[0], 0), min(hi + reach[0], m)  # group sum rows
+    v0, v1 = max(g0 - reach[1], 0), min(g1 + reach[1], m)  # rows read
+    u, keep = values[v0:v1], slice(g0 - v0, g1 - v0)
 
     def conv(kern, v):
-        return grid_convolve(kern, xs, v)
+        return grid_convolve(kern, xs[v0:v1], v, h)
 
     # (outer kernel, target component or None for all of them) -> sum
-    groups = {(K, None): values.copy()}
+    groups = {(K, None): values[g0:g1].copy()}
     for t in F.terms:
         weight = t.coeff * mu_weight(t, mu)
         if weight == 0:
             continue
-        prod = walk_slots(t, [values] * t.degree, n, conv,
-                          lambda v, c: v[:, [c]], np.multiply)
+        prod = walk_slots(t, [u] * t.degree, n, conv,
+                          lambda v, c: v[:, [c]], np.multiply)[keep]
         if t.outer is not None and t.outer.n == 1 and n != 1:
             key, col = (t.outer, t.target), 0
         else:
             key, col = (t.outer, None), t.target
         if key not in groups:
-            groups[key] = np.zeros((m, n if key[1] is None else 1), dtype=complex)
+            groups[key] = np.zeros((g1 - g0, n if key[1] is None else 1),
+                                   dtype=complex)
         groups[key][:, col] += weight * prod[:, 0]
-    out = values.copy()
+    out = values[lo:hi].copy()
     for (kern, target), acc in groups.items():
         if kern is not None:
-            acc = conv(kern, acc)
+            acc = grid_convolve(kern, xs[g0:g1], acc, h)
+        acc = acc[lo - g0:hi - g0]
         if target is None:
             out += acc
         else:
@@ -368,33 +432,52 @@ def residual(K, F, profile, mu=(), require_convergence=False):
 
     Computes the defect on the grid and on its every-other-point coarsening,
     each with one ``grid_convolve`` per distinct outer kernel (``K``
-    included); their difference estimates the quadrature error (the
-    trapezoid rule is second order, so the coarse defect carries roughly four
-    times the fine error).  Norms exclude the stencil margin at both ends.
-    With ``require_convergence`` a quadrature-dominated measurement raises.
+    included) and block; their difference estimates the quadrature error
+    (the trapezoid rule is second order, so the coarse defect carries
+    roughly four times the fine error).  Norms exclude the stencil margin at
+    both ends.  With ``require_convergence`` a quadrature-dominated
+    measurement raises.
+
+    Both defects are computed ``RECONSTRUCT_ROWS`` fine rows at a time
+    (``_defect``), the coarse rows of a block with its fine rows, and the
+    maxima taken per block, so that only the fine defect spans the grid.
+    The coarse grid's convolutions take its own first spacing, as a whole
+    coarse grid would.
     """
     xs, u = profile.xs, profile.values
     if K.n != profile.n:
         raise ValueError("kernel dimension does not match the profile")
     h = profile.h
-    kernels = [K] + [k for t in F.terms
-                     for k in (t.outer, *(kern for kern, _ in t.factors))
-                     if k is not None]
+    kernels = dict.fromkeys(
+        [K] + [k for t in F.terms
+               for k in (t.outer, *(kern for kern, _ in t.factors))
+               if k is not None])
     margin = max(_stencil_halfwidth(k, h) for k in kernels)
     margin_c = max(_stencil_halfwidth(k, 2 * h) for k in kernels)
-    if 2 * margin >= len(xs) or 2 * margin_c >= len(xs[::2]):
+    m, xc, uc = len(xs), xs[::2], u[::2]
+    mc = len(xc)
+    if 2 * margin >= m or 2 * margin_c >= mc:
         raise RuntimeError(
             "grid too narrow: the convolution stencil covers the whole domain"
         )
-    r_fine = _defect(K, F, xs, u, mu)
-    r_coarse = _defect(K, F, xs[::2], u[::2], mu)
-    diff = np.abs(r_fine[::2] - r_coarse).max(axis=1)
-    quadrature_error = float(diff[margin_c:len(diff) - margin_c].max())
-
-    mag = np.abs(r_fine).max(axis=1)
-    inner = mag[margin:len(mag) - margin]
-    max_norm = float(inner.max())
-    sq = (np.abs(r_fine[margin:len(mag) - margin]) ** 2).sum()
+    hc = float(xc[1] - xc[0])
+    reach, reach_c = _reaches(K, F, h), _reaches(K, F, hc)
+    r_fine = np.empty_like(u)
+    peaks, gaps = [], []
+    for lo in range(0, m, RECONSTRUCT_ROWS):
+        hi = min(lo + RECONSTRUCT_ROWS, m)
+        fine = r_fine[lo:hi] = _defect(K, F, xs, u, mu, h, reach, lo, hi)
+        a, b = max(lo, margin), min(hi, m - margin)
+        if a < b:
+            peaks.append(np.abs(fine[a - lo:b - lo]).max())
+        clo, chi = (lo + 1) // 2, (hi + 1) // 2  # coarse row j is fine row 2j
+        a, b = max(clo, margin_c), min(chi, mc - margin_c)
+        if a < b:
+            coarse = _defect(K, F, xc, uc, mu, hc, reach_c, a, b)
+            gaps.append(np.abs(r_fine[2 * a:2 * b:2] - coarse).max())
+    quadrature_error = float(np.max(gaps))
+    max_norm = float(np.max(peaks))
+    sq = (np.abs(r_fine[margin:m - margin]) ** 2).sum()
     l2_norm = float(np.sqrt(h * sq))
     converged = quadrature_error <= max(0.5 * max_norm, 1e-9)
     if require_convergence and not converged:
@@ -484,8 +567,9 @@ def find_front(kappa, alpha, beta, c_star, tol_reach=ARRIVAL_TOL):
     Starts on the saddle's one-dimensional unstable manifold (eigenvector
     offset ``FRONT_START`` from ``sqrt(alpha/beta)``) and integrates toward
     the rest state at the origin, in steps of 0.01 over the fastest rate.
-    Success means the trajectory comes within ``tol_reach`` of the origin;
-    the monotone flag checks the sign of the derivative samples (and
+    Success means the trajectory comes within ``tol_reach`` of the origin,
+    and ``reach_distance`` is the least distance ``max(|a|, |a'|)`` of a
+    sample; the monotone flag checks the sign of the derivative samples (and
     non-negativity) up to that point.
     """
     kappa, alpha, beta = float(kappa), float(alpha), float(beta)
@@ -508,9 +592,11 @@ def find_front(kappa, alpha, beta, c_star, tol_reach=ARRIVAL_TOL):
     a, p = a_star - start, -start * s_unstable
     ys = array("d", (a, p))
     nmax = int(ceil(max_span / step))
-    reach_distance = max(abs(a), abs(p))
     success = False
     half, w = 0.5 * step, step / 6.0
+    # arrival is max(|a|, |p|) <= tol_reach, blow-up a < -a_star / 2 or
+    # max(|a|, |p|) > 1e6; both are tested as chained bounds on a and p
+    low = -min(0.5 * a_star, 1e6)
     for _ in range(nmax):
         # ``rk4_step`` of (a, p)' = (p, -(c p + a (alpha - beta a^2)) / kappa),
         # its stages and their field inlined in the same operation order
@@ -524,16 +610,15 @@ def find_front(kappa, alpha, beta, c_star, tol_reach=ARRIVAL_TOL):
         a, p = (a + w * (p + 2.0 * p2 + 2.0 * p3 + p4),
                 p + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         ys.extend((a, p))
-        d = max(abs(a), abs(p))
-        reach_distance = min(reach_distance, d)
-        if d <= tol_reach:
+        if -tol_reach <= a <= tol_reach and -tol_reach <= p <= tol_reach:
             success = True
             break
-        if a < -0.5 * a_star or d > 1e6:
+        if not (low <= a <= 1e6 and -1e6 <= p <= 1e6):
             break
     # the (a, p) samples are interleaved in the flat array ys
-    traj = Trajectory(step * np.arange(len(ys) // 2),
-                      np.frombuffer(ys).reshape(-1, 2))
+    samples = np.frombuffer(ys).reshape(-1, 2)
+    reach_distance = float(np.abs(samples).max(axis=1).min())
+    traj = Trajectory(step * np.arange(len(samples)), samples)
     slack = 1e-9 * a_star
     monotone = bool(
         traj.ys[:, 1].real.max() <= slack
@@ -704,18 +789,25 @@ def _pulse_on_grid(J, orbit, lam, step_x):
 
     The slow amplitude and its derivative are the closed-form loop at
     ``z = sqrt(lam) x``, with its peak at ``x = 0``: ``a = P sech(k z)`` and
-    ``a' = -P k sech(k z) tanh(k z)``.
+    ``a' = -P k sech(k z) tanh(k z)``.  The orbit, its carrier phase and the
+    coordinates ``(A, conj A, B, conj B)`` are computed for one block of
+    reconstructed rows at a time (``_reconstruct_rows``).
     """
     ell, hom = orbit
     eps = sqrt(lam)
+    peak, rate = hom.section_value, hom.details["rate"]
     m = int(ceil(PULSE_SPAN * hom.crossing_time / (eps * step_x)))
     xs = np.arange(-m, m + 1) * step_x
-    a, p = _sech_orbit(hom.section_value, hom.details["rate"], eps * xs)
-    phase = np.exp(1j * ell * xs)
-    A = eps * a * phase
-    B = eps**2 * p * phase
-    traj = Trajectory(xs, np.stack([A, np.conj(A), B, np.conj(B)], axis=1))
-    return reconstruct(J, traj, mu=(lam,))
+
+    def columns(lo, hi):
+        x = xs[lo:hi]
+        a, p = _sech_orbit(peak, rate, eps * x)
+        phase = np.exp(1j * ell * x)
+        A = eps * a * phase
+        B = eps**2 * p * phase
+        return np.stack([A, np.conj(A), B, np.conj(B)])
+
+    return _reconstruct_rows(J, xs, columns, (lam,))
 
 
 def slope_loglog(xs, ys):
@@ -783,7 +875,8 @@ def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
 
     Extracts the planar front system from the reduction, shoots from the
     saddle, and maps the scaled trajectory back through the graph map with
-    parameter values ``(epsilon^2, epsilon c_star)``.  The shooting result's
+    parameter values ``(epsilon^2, epsilon c_star)``, one block of rows at a
+    time (``_reconstruct_rows``).  The shooting result's
     details record the planar coefficients ``kappa``, ``alpha``, ``beta``.
     Returns ``(GridProfile, ShootingResult)``.
     """
@@ -794,13 +887,14 @@ def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
     if not fr.success:
         raise RuntimeError("front shooting did not reach the rest state")
     fr.details.update(kappa=kappa, alpha=alpha, beta=beta)
-    xs = fr.trajectory.xs / epsilon
-    ys = np.stack(
-        [epsilon * fr.trajectory.ys[:, 0], epsilon**2 * fr.trajectory.ys[:, 1]],
-        axis=1,
-    )
-    traj = Trajectory(xs, ys)
-    return reconstruct(J, traj, mu=(epsilon**2, epsilon * c_star)), fr
+    ys = fr.trajectory.ys
+
+    def columns(lo, hi):
+        return np.stack([epsilon * ys[lo:hi, 0], epsilon**2 * ys[lo:hi, 1]])
+
+    prof = _reconstruct_rows(J, fr.trajectory.xs / epsilon, columns,
+                             (epsilon**2, epsilon * c_star))
+    return prof, fr
 
 
 def front_report(K, J, epsilon, c_star, on_profile=None, tol_reach=ARRIVAL_TOL):

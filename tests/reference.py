@@ -6,6 +6,7 @@ x-grids, so none of this is library code.
 """
 
 import cmath
+import math
 from math import comb
 
 import numpy as np
@@ -15,7 +16,9 @@ from cmnl.kernel import (
     ExponentialMixture, GaussianMixture, SumKernel, apply_T, taylor_transforms)
 from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
 from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
-from cmnl.verify import _pulse_on_grid, _pulse_orbit, grid_convolve
+from cmnl.verify import (
+    PULSE_SPAN, Trajectory, _pulse_on_grid, _pulse_orbit, _sech_orbit,
+    _stencil_halfwidth, grid_convolve, reconstruct)
 
 # -- the quasi-polynomial ring -----------------------------------------------
 
@@ -418,6 +421,76 @@ def defect_per_term(K, F, xs, values, mu=()):
     """``u + K*u + F(u, mu)`` with a convolution per term: the oracle of the
     grouped defect of ``verify.residual``."""
     return values + grid_convolve(K, xs, values) + grid_nonlinearity(F, xs, values, mu)
+
+
+def defect(K, F, xs, values, mu=()):
+    """``u + K*u + F(u, mu)`` on the whole grid, one convolution per outer
+    kernel: ``verify._defect`` before it went block by block, and its
+    bit-for-bit oracle.  Every convolution and group sum spans the grid."""
+    m, n = values.shape
+
+    def conv(kern, v):
+        return grid_convolve(kern, xs, v)
+
+    groups = {(K, None): values.copy()}
+    for t in F.terms:
+        weight = t.coeff * mu_weight(t, mu)
+        if weight == 0:
+            continue
+        prod = walk_slots(t, [values] * t.degree, n, conv,
+                          lambda v, c: v[:, [c]], np.multiply)
+        if t.outer is not None and t.outer.n == 1 and n != 1:
+            key, col = (t.outer, t.target), 0
+        else:
+            key, col = (t.outer, None), t.target
+        if key not in groups:
+            groups[key] = np.zeros((m, n if key[1] is None else 1), dtype=complex)
+        groups[key][:, col] += weight * prod[:, 0]
+    out = values.copy()
+    for (kern, target), acc in groups.items():
+        if kern is not None:
+            acc = conv(kern, acc)
+        if target is None:
+            out += acc
+        else:
+            out[:, target] += acc[:, 0]
+    return out
+
+
+def whole_grid_residual(K, F, profile, mu=()):
+    """``(max_norm, l2_norm, quadrature_error, defect)`` of ``verify.residual``
+    from whole-grid defects (``defect``) on the grid and its every-other-point
+    coarsening: the bit-for-bit oracle of the blocked residual."""
+    xs, u, h = profile.xs, profile.values, profile.h
+    kernels = [K] + [k for t in F.terms
+                     for k in (t.outer, *(kern for kern, _ in t.factors))
+                     if k is not None]
+    margin = max(_stencil_halfwidth(k, h) for k in kernels)
+    margin_c = max(_stencil_halfwidth(k, 2 * h) for k in kernels)
+    r_fine = defect(K, F, xs, u, mu)
+    r_coarse = defect(K, F, xs[::2], u[::2], mu)
+    diff = np.abs(r_fine[::2] - r_coarse).max(axis=1)
+    quadrature_error = float(diff[margin_c:len(diff) - margin_c].max())
+    inner = r_fine[margin:len(xs) - margin]
+    sq = (np.abs(inner) ** 2).sum()
+    return (float(np.abs(inner).max()), float(np.sqrt(h * sq)),
+            quadrature_error, r_fine)
+
+
+def whole_grid_pulse(J, orbit, lam, step_x=0.1):
+    """``verify._pulse_on_grid`` from one trajectory over the whole grid, its
+    coordinate columns ``(A, conj A, B, conj B)`` side by side: the
+    bit-for-bit oracle of the blocked pulse."""
+    ell, hom = orbit
+    eps = math.sqrt(lam)
+    m = int(math.ceil(PULSE_SPAN * hom.crossing_time / (eps * step_x)))
+    xs = np.arange(-m, m + 1) * step_x
+    a, p = _sech_orbit(hom.section_value, hom.details["rate"], eps * xs)
+    phase = np.exp(1j * ell * xs)
+    A = eps * a * phase
+    B = eps**2 * p * phase
+    traj = Trajectory(xs, np.stack([A, np.conj(A), B, np.conj(B)], axis=1))
+    return reconstruct(J, traj, mu=(lam,))
 
 
 def pulse_profile(J, lam, step_x=0.1, start=1e-7):

@@ -872,6 +872,9 @@ class TestCommandLineEntry:
             "tsolve.BorderedProblem.__post_init__", "jet.solve",
             # the front shot inlines its stages; the tracer counts its calls
             "verify.rk4_step",
+            # the wave builders reconstruct block by block through
+            # _reconstruct_rows; the tracer times calls of reconstruct
+            "verify.reconstruct",
             # paths that the seed-1 problems do not take
             "cli.write_profile_csv",  # --csv
             "cli._usage",  # a usage error, or -h

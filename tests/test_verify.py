@@ -20,6 +20,7 @@ Oracle notes
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +30,11 @@ from conftest import build_front_jet, build_pair_jet, critical_pair_kernel
 from reference import (
     apply_series, boundary_fraction, decay_length, defect_per_term,
     grid_nonlinearity, halfwidth, localized, manifold_point, moment,
-    pulse_profile)
+    pulse_profile, whole_grid_pulse, whole_grid_residual)
 
 import cmnl.verify
 from cmnl.jet import JetIndex, ScaledField, compute_jet, scale_field
-from cmnl.kernel import DiracMixture, ExponentialMixture, GaussianMixture
+from cmnl.kernel import DiracMixture, ExponentialMixture, GaussianMixture, SumKernel
 from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.projection import build_gram
 from cmnl.quasipoly import QuasiPolynomial
@@ -54,6 +55,56 @@ from cmnl.verify import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def two_level_problem():
+    """``(K, F)`` of a 2-component defect whose terms take every branch of
+    the grouping: no outer kernel, scalar outer kernels on one component
+    (inner kernels under one of them: two convolution levels), and a matrix
+    outer kernel equal to ``K``, so that its term joins the group of u."""
+    g = GaussianMixture.single(0.6, 1.0)
+    g2 = GaussianMixture.single(-0.4, 2.0, b=0.3)
+    Km = GaussianMixture.single(np.array([[0.3, 0.5], [-0.2, 0.1]]), 1.5, n=2)
+    F = NonlinearitySpec(
+        (
+            TaylorTerm(0.7, ((g, 0), (None, 1)), target=1),
+            TaylorTerm(-0.4, ((None, 0), (None, 0), (Km, 1)), outer=g2),
+            TaylorTerm(0.9, ((None, 1), (None, 1)), outer=g2, target=1),
+            TaylorTerm(1.3, ((None, 1),), mu_power=(1, 2), outer=Km,
+                       target=1),
+            TaylorTerm(0.5, ((None, 0), (None, 1)), mu_power=(0, 1),
+                       outer=Km),
+        ),
+        max_order=4,
+    )
+    return Km, F
+
+
+def point_mass_problem():
+    """``(K, F)`` of a scalar defect with point masses in ``K``, in an inner
+    kernel and in an outer one, at shifts off the grid points."""
+    K = SumKernel([GaussianMixture.single(-0.8, 1.0), DiracMixture([(0.5, 0.73)])])
+    F = NonlinearitySpec(
+        (
+            TaylorTerm(0.4, ((DiracMixture([(1.0, -1.21)]), 0), (None, 0))),
+            TaylorTerm(-0.3, ((None, 0),), mu_power=1,
+                       outer=DiracMixture([(0.7, 0.45)])),
+        ),
+        max_order=3,
+    )
+    return K, F
+
+
+def two_component_profile(xs):
+    return np.stack([np.exp(0.5j * xs) / np.cosh(0.2 * xs),
+                     (0.3 - 0.8j) / np.cosh(0.1 * xs)], axis=1)
+
+
+def library_defect(K, F, xs, u, mu):
+    """``verify._defect`` over the whole grid, as one block."""
+    h = float(xs[1] - xs[0])
+    return cmnl.verify._defect(K, F, xs, u, mu, h,
+                               cmnl.verify._reaches(K, F, h), 0, len(xs))
 
 
 @pytest.fixture(scope="module")
@@ -203,26 +254,11 @@ class TestGridNonlinearity:
         # the branches of the grouping: no outer kernel, a scalar outer
         # kernel on one component, and a matrix outer kernel equal to K, so
         # that its term joins the group of u
-        g = GaussianMixture.single(0.6, 1.0)
-        g2 = GaussianMixture.single(-0.4, 2.0, b=0.3)
-        Km = GaussianMixture.single(np.array([[0.3, 0.5], [-0.2, 0.1]]), 1.5, n=2)
-        F = NonlinearitySpec(
-            (
-                TaylorTerm(0.7, ((g, 0), (None, 1)), target=1),
-                TaylorTerm(-0.4, ((None, 0), (None, 0), (Km, 1)), outer=g2),
-                TaylorTerm(0.9, ((None, 1), (None, 1)), outer=g2, target=1),
-                TaylorTerm(1.3, ((None, 1),), mu_power=(1, 2), outer=Km,
-                           target=1),
-                TaylorTerm(0.5, ((None, 0), (None, 1)), mu_power=(0, 1),
-                           outer=Km),
-            ),
-            max_order=4,
-        )
+        Km, F = two_level_problem()
         xs = np.arange(-400, 401) * 0.05
-        u = np.stack([np.exp(0.5j * xs) / np.cosh(0.2 * xs),
-                      (0.3 - 0.8j) / np.cosh(0.1 * xs)], axis=1)
+        u = two_component_profile(xs)
         mu = (0.3, -0.7)
-        grouped = cmnl.verify._defect(Km, F, xs, u, mu)
+        grouped = library_defect(Km, F, xs, u, mu)
         assert np.abs(grouped - defect_per_term(Km, F, xs, u, mu)).max() \
             <= 1e-12 * np.abs(u).max()
 
@@ -291,7 +327,7 @@ class TestResidual:
                                (Kf, Jf, fr, (1e-4, 1.1e-2))):
             F = J.nonlinearity
             for xs, u in ((prof.xs, prof.values), (prof.xs[::2], prof.values[::2])):
-                grouped = cmnl.verify._defect(K, F, xs, u, mu)
+                grouped = library_defect(K, F, xs, u, mu)
                 assert np.abs(grouped - defect_per_term(K, F, xs, u, mu)).max() \
                     <= 1e-12 * np.abs(u).max()
 
@@ -310,6 +346,29 @@ class TestResidual:
         monkeypatch.setattr(cmnl.verify, "grid_convolve", counting)
         residual(K, J.nonlinearity, prof, mu=(1e-2,))
         assert calls == [len(xs), len(xs[::2])]
+
+    def test_pulse_grid_and_residual_hold_few_bytes_per_point(self, pair):
+        # pair-o3 at lambda = 1e-6, 237,797 points: the tracemalloc peak above
+        # the inputs, profile and report included (tracemalloc sees numpy's
+        # buffers, so the bound is deterministic); whole-grid stages held
+        # 176 and 112 bytes per point
+        K, J = pair
+        orbit = cmnl.verify._pulse_orbit(J, 1e-7)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prof = cmnl.verify._pulse_on_grid(J, orbit, 1e-6, 0.1)
+            pulse_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            residual(K, J.nonlinearity, prof, mu=(1e-6,))
+            residual_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        points = len(prof.xs)
+        assert points >= 200_000
+        assert pulse_peak <= 64 * points
+        assert residual_peak <= 56 * points
 
     def test_narrow_grid_raises(self):
         K = critical_pair_kernel()
@@ -402,7 +461,12 @@ class TestReconstruct:
                 exact = manifold_point(J, c, mu).evaluate(0.0)
                 assert np.abs(prof.values[i] - exact).max() < 1e-12
 
-    def test_row_blocks_leave_every_row_unchanged(self, gram_jets, monkeypatch):
+    def test_row_blocks_leave_every_row_unchanged(self, pair, front, gram_jets,
+                                                  monkeypatch):
+        # reconstruct, the pulse and front grids and the residual work
+        # RECONSTRUCT_ROWS rows at a time: one row, 7, the default, more than
+        # the grid, and a size that leaves a last block of one row must all
+        # give the whole-grid oracles' profiles, defects and norms bit for bit
         J = gram_jets[0]
         rng = np.random.default_rng(3)
         rows = 0.2 * (rng.standard_normal((2500, 4))
@@ -412,6 +476,47 @@ class TestReconstruct:
         for size in (1, 7, 4096):
             monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", size)
             assert np.array_equal(reconstruct(J, traj, mu=(0.3,)).values, whole)
+
+        (K, J), (Kf, Jf, _) = pair, front
+        monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", 2048)
+        orbit = cmnl.verify._pulse_orbit(J, 1e-7)
+        pulse = whole_grid_pulse(J, orbit, 1e-2)
+        fr, shot = front_profile(Jf, 1e-2, 1.1)
+        ys = shot.trajectory.ys
+        front_whole = reconstruct(Jf, Trajectory(
+            fr.xs, np.stack([1e-2 * ys[:, 0], 1e-4 * ys[:, 1]], axis=1)),
+            mu=(1e-4, 1.1e-2)).values
+        mid = int(np.argmin(np.abs(front_whole[:, 0] - 0.5 * front_whole[0, 0])))
+        window = slice(mid - 200, mid + 201)
+        xs = np.arange(-200, 201) * 0.1
+        u = two_component_profile(xs)
+        cases = [
+            # one outer kernel, on two blocks of the default size
+            (K, J.nonlinearity, pulse, (1e-2,)),
+            # the outer kernels G, Gp and Gpp, of different stencil widths
+            (Kf, Jf.nonlinearity,
+             GridProfile(fr.xs[window], fr.values[window]), (1e-4, 1.1e-2)),
+            # inner kernels (two convolution levels) and, in a 2-component
+            # problem, scalar outer kernels that target one component
+            (*two_level_problem(), GridProfile(xs, u), (0.3, -0.7)),
+            # point masses, inner and outer: the interpolated shift
+            (*point_mass_problem(), GridProfile(xs, u[:, 0]), (0.4,)),
+        ]
+        for K, F, prof, mu in cases:
+            max_norm, l2_norm, quad, values = whole_grid_residual(K, F, prof, mu)
+            m = len(prof.xs)
+            for size in (1, 7, 2048, m - 1, m + 1):
+                monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", size)
+                rep = residual(K, F, prof, mu)
+                assert np.array_equal(rep.values, values)
+                assert (rep.max_norm, rep.l2_norm, rep.quadrature_error) == \
+                    (max_norm, l2_norm, quad)
+                if prof is pulse:
+                    assert np.array_equal(
+                        cmnl.verify._pulse_on_grid(J, orbit, 1e-2, 0.1).values,
+                        pulse.values)
+                    assert np.array_equal(front_profile(Jf, 1e-2, 1.1)[0].values,
+                                          front_whole)
 
     def test_missing_parameter_raises(self, front):
         _, J, _ = front
@@ -845,22 +950,24 @@ class TestPulseDrivers:
 
     def test_slow_amplitude_is_the_exact_orbit(self, pair, monkeypatch):
         # (lin, cub) = (2, -2): a = sqrt(2) sech(sqrt(2) z), z = sqrt(lam) x
+        # the coordinate columns (A, conj A, B, conj B) that the pulse grid
+        # reconstructs, read over the whole grid
         _, J = pair
-        seen = []
+        seen, rows_of = [], cmnl.verify._reconstruct_rows
 
-        def capture(J, traj, mu=()):
-            seen.append(traj)
-            return reconstruct(J, traj, mu)
+        def capture(J, xs, columns, mu):
+            seen.append((xs, columns(0, len(xs))))
+            return rows_of(J, xs, columns, mu)
 
-        monkeypatch.setattr(cmnl.verify, "reconstruct", capture)
+        monkeypatch.setattr(cmnl.verify, "_reconstruct_rows", capture)
         lam = 1e-2
         pulse_profile(J, lam)
-        (traj,) = seen
+        ((xs, cols),) = seen
         eps = math.sqrt(lam)
-        z = eps * traj.xs
-        phase = np.exp(1j * traj.xs)  # carrier frequency 1
-        a = traj.ys[:, 0] / (eps * phase)
-        p = traj.ys[:, 2] / (eps**2 * phase)
+        z = eps * xs
+        phase = np.exp(1j * xs)  # carrier frequency 1
+        a = cols[0] / (eps * phase)
+        p = cols[2] / (eps**2 * phase)
         sech = 1.0 / np.cosh(SQRT2 * z)
         assert np.abs(a - SQRT2 * sech).max() < 1e-10
         assert np.abs(p + 2.0 * sech * np.tanh(SQRT2 * z)).max() < 1e-10
