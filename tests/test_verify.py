@@ -251,9 +251,7 @@ class TestGridNonlinearity:
         assert np.abs(grid[inner] - exact[inner]).max() < 1e-9
 
     def test_grouped_defect_matches_the_per_term_walk(self):
-        # the branches of the grouping: no outer kernel, a scalar outer
-        # kernel on one component, and a matrix outer kernel equal to K, so
-        # that its term joins the group of u
+        # every branch of the grouping (see two_level_problem)
         Km, F = two_level_problem()
         xs = np.arange(-400, 401) * 0.05
         u = two_component_profile(xs)
