@@ -31,7 +31,7 @@ from .jet import compute_jet
 from .problem import SCHEMA_VERSION, ProblemError, load_problem
 from .projection import build_gram, build_pointwise, kernel_basis
 from .spectrum import locate_roots
-from .verify import front_report, pulse_scaling_report
+from .verify import defect_rows, front_report, pulse_scaling_report
 
 SLOPE_REQUIREMENT = 1.5
 
@@ -228,20 +228,20 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def write_profile_csv(path, profile, resid):
-    """Profile and pointwise residual as CSV (header row, LF endings)."""
-    mag = np.abs(resid.values).max(axis=1)
+def write_profile_csv(path, K, F, profile, mu=()):
+    """Profile and pointwise defect magnitude of ``u + K*u + F(u, mu)`` as
+    CSV (header row, LF endings), recomputed one block of grid rows at a
+    time (``verify.defect_rows``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if profile.n == 1:
             fh.write("x,re_u,im_u,residual\n")
         else:
             cols = ",".join(f"re_u{c},im_u{c}" for c in range(profile.n))
             fh.write(f"x,{cols},residual\n")
-        for i, x in enumerate(profile.xs):
-            vals = ",".join(
-                f"{v.real:.17g},{v.imag:.17g}" for v in profile.values[i]
-            )
-            fh.write(f"{x:.17g},{vals},{mag[i]:.17g}\n")
+        for xs, us, rs in defect_rows(K, F, profile, mu):
+            for x, u, mag in zip(xs, us, np.abs(rs).max(axis=1)):
+                vals = ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in u)
+                fh.write(f"{x:.17g},{vals},{mag:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +329,10 @@ def _verify_data(prob, tol_root, tol_solve, csv_dir, seed):
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
 
-        def writer(tag, profile, resid):
+        def writer(tag, profile, mu):
             name = f"{plan['wave']}_{_format_number(float(tag))}.csv"
-            write_profile_csv(os.path.join(csv_dir, name), profile, resid)
+            write_profile_csv(os.path.join(csv_dir, name), K,
+                              J.nonlinearity, profile, mu)
 
     if plan["wave"] == "homoclinic":
         report = pulse_scaling_report(

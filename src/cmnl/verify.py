@@ -13,9 +13,12 @@ predictions numerically and independently of the quasi-polynomial route:
   terms that share an outer kernel and convolves each such group once;
 * every grid stage -- the pulse's orbit and coordinates, the reconstruction,
   and the fine and coarse defects -- runs over blocks of ``RECONSTRUCT_ROWS``
-  grid rows, a defect block reading the rows its stencils reach around it,
-  so that besides the grid only the profile and the fine defect span it;
-  each row's value is the one a whole-grid evaluation gives, bit for bit;
+  grid rows: a wave profile is a row source (``GridProfile.computed``) that
+  reconstructs the window a defect block reads, the block and the rows its
+  stencils reach around it, and ``residual`` keeps only per-block maxima and
+  sums, so no array spans the grid and the memory of a pulse sweep does not
+  grow as its parameter shrinks; each row's value is the one a whole-grid
+  evaluation gives, bit for bit;
 * ``find_homoclinic`` / ``find_front`` -- the waves of the two planar limit
   systems produced by ``scale_field``: the homoclinic loop of the reversible
   pulse equation ``a'' = lin a + cub a^3`` in closed form,
@@ -59,56 +62,71 @@ class Trajectory:
 
 
 def _uniform_spacing(xs):
-    d = np.diff(xs)
-    h = float(d[0])
-    if h <= 0 or np.abs(d - h).max() > 1e-9 * (1.0 + abs(h)):
+    """The first spacing of ``xs``, checked against every other spacing
+    ``RECONSTRUCT_ROWS`` rows at a time, so that no temporary spans ``xs``."""
+    h = float(xs[1] - xs[0])
+    tol = 1e-9 * (1.0 + abs(h))
+    if h <= 0 or any(
+            np.abs(np.diff(xs[lo:lo + RECONSTRUCT_ROWS + 1]) - h).max() > tol
+            for lo in range(0, len(xs) - 1, RECONSTRUCT_ROWS)):
         raise ValueError("grid must be uniform and increasing")
     return h
 
 
-@dataclass
 class GridProfile:
-    """Uniformly sampled profile values (one row per grid point).
+    """A profile on a uniform grid of ``size`` rows of ``n`` components.
+
+    ``x(lo, hi)`` and ``rows(lo, hi)`` return the abscissae and the values,
+    shape ``(hi - lo, n)``, of the grid rows ``lo:hi``; ``residual`` reads a
+    profile through them one bounded window at a time.  ``GridProfile(xs,
+    values)`` serves the rows of two arrays, kept as ``xs`` and ``values``;
+    ``GridProfile.computed(size, n, x, rows)`` computes them on demand, as
+    the wave builders do, so that no array spans the grid.  ``h`` is the
+    first spacing, ``x(0, 2)`` differenced.
 
     Builders choose the half-width at least five times the slowest decay
     length of the profile, so that boundary values of localized profiles
     stay below 1e-6 of the peak.
     """
 
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.shape[0] != self.xs.shape[0]:
+    def __init__(self, xs, values):
+        xs = np.asarray(xs, dtype=float)
+        values = np.asarray(values, dtype=complex)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.shape[0] != xs.shape[0]:
             raise ValueError("profile sample count mismatch")
-        if self.xs.shape[0] < 2:
+        if xs.shape[0] < 2:
             raise ValueError("profile needs at least two samples")
-        _uniform_spacing(self.xs)
+        _uniform_spacing(xs)
+        self.xs, self.values = xs, values
+        self.size, self.n = values.shape
+        self.x = lambda lo, hi: xs[lo:hi]
+        self.rows = lambda lo, hi: values[lo:hi]
+
+    @classmethod
+    def computed(cls, size, n, x, rows):
+        """The profile whose rows ``lo:hi`` are computed by ``x(lo, hi)``
+        and ``rows(lo, hi)``; a row's value must not depend on ``lo:hi``."""
+        profile = cls.__new__(cls)
+        profile.size, profile.n, profile.x, profile.rows = size, n, x, rows
+        return profile
 
     @property
     def h(self):
-        return float(self.xs[1] - self.xs[0])
-
-    @property
-    def n(self):
-        return self.values.shape[1]
-
-    def peak(self):
-        return float(np.abs(self.values).max())
+        x = self.x(0, 2)
+        return float(x[1] - x[0])
 
 
 @dataclass
 class ResidualReport:
     """Norms of the equation defect on a grid, with a quadrature estimate.
 
-    ``values`` holds the full-grid defect; the norms exclude ``margin``
-    points on each side (where the convolution stencil leaves the grid).
-    ``quadrature_error`` is the two-grid Richardson estimate; ``converged``
-    means it is dominated by the measured residual (or below 1e-9).
+    The norms exclude ``margin`` points on each side (where the convolution
+    stencil leaves the grid).  ``quadrature_error`` is the two-grid
+    Richardson estimate; ``converged`` means it is dominated by the measured
+    residual (or below 1e-9).  ``amplitude`` is the profile's largest
+    magnitude, margins included.  ``defect_rows`` yields the defect itself.
     """
 
     max_norm: float
@@ -116,8 +134,7 @@ class ResidualReport:
     quadrature_error: float
     converged: bool
     margin: int
-    xs: np.ndarray
-    values: np.ndarray
+    amplitude: float
 
 
 @dataclass
@@ -209,19 +226,17 @@ def _monomial_plan(powers):
     return plan
 
 
-def _reconstruct_rows(J, xs, columns, mu):
-    """Profile on the grid ``xs`` whose coordinates at the rows ``lo:hi`` are
-    the columns ``columns(lo, hi)``, shape ``(J.basis.size, hi - lo)``.
+def _reconstruct_rows(J, columns, mu):
+    """``rows(lo, hi)``: the profile rows ``lo:hi`` whose coordinates there
+    are the columns ``columns(lo, hi)``, shape ``(J.basis.size, hi - lo)``.
 
-    The parameter factors ``mu^r`` fold into one coefficient vector per
+    The parameter factors ``mu^r`` fold once into one coefficient vector per
     coordinate power, the basis values at the origin joining the linear
     powers; a power whose folded vector is exactly zero, as most are under
-    a pointwise projection, is dropped.  The rows are evaluated
-    ``RECONSTRUCT_ROWS`` at a time into one profile array, every monomial of
-    a block one multiply from a monomial of lower degree, so a caller that
-    computes its coordinates per block never holds them for the whole grid.
-    Every operation is elementwise over the rows, so a row's value does not
-    depend on the block it falls in.
+    a pointwise projection, is dropped.  Every monomial of the rows is one
+    multiply from a monomial of lower degree.  Every operation is
+    elementwise over the rows, so a row's value does not depend on the
+    block ``lo:hi`` it falls in; callers keep blocks bounded.
     """
     size = J.basis.size
     coeffs = {}
@@ -239,10 +254,10 @@ def _reconstruct_rows(J, xs, columns, mu):
         coeffs[idx.powers] = coeffs.get(idx.powers, 0.0) + w * value
     coeffs = {p: c for p, c in coeffs.items() if np.any(c)}
     plan = _monomial_plan(coeffs)
-    values = np.zeros((len(xs), J.basis.n), dtype=complex)
-    for lo in range(0, len(xs), RECONSTRUCT_ROWS):
-        out = values[lo:lo + RECONSTRUCT_ROWS]
-        cols = columns(lo, lo + len(out))
+
+    def rows(lo, hi):
+        out = np.zeros((hi - lo, J.basis.n), dtype=complex)
+        cols = columns(lo, hi)
         mono = {}
         for p, (parent, j) in plan.items():
             mono[p] = mono[parent] * cols[j] if parent in mono else cols[j]
@@ -251,7 +266,9 @@ def _reconstruct_rows(J, xs, columns, mu):
             # broadcast product (1, 1) * (n,) differently from longer ones
             for k, ck in enumerate(c):
                 out[:, k] += mono[p] * ck if p in mono else ck
-    return GridProfile(xs, values)
+        return out
+
+    return rows
 
 
 def reconstruct(J, trajectory, mu=()):
@@ -260,15 +277,20 @@ def reconstruct(J, trajectory, mu=()):
     The grid point at ``x`` uses the trajectory point at ``x`` through the
     graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``,
     with the values ``J.psi_at_zero`` that a sweep shares.  The path is
-    evaluated ``RECONSTRUCT_ROWS`` rows at a time (``_reconstruct_rows``).
+    evaluated ``RECONSTRUCT_ROWS`` rows at a time (``_reconstruct_rows``)
+    into one array-backed ``GridProfile``.
     """
     mu = (mu,) if np.isscalar(mu) else tuple(mu)
     coords = trajectory.ys
     if coords.shape[1] != J.basis.size:
         raise ValueError("trajectory dimension does not match the basis")
-    return _reconstruct_rows(
-        J, trajectory.xs,
-        lambda lo, hi: np.ascontiguousarray(coords[lo:hi].T), mu)
+    rows = _reconstruct_rows(
+        J, lambda lo, hi: np.ascontiguousarray(coords[lo:hi].T), mu)
+    values = np.empty((len(coords), J.basis.n), dtype=complex)
+    for lo in range(0, len(coords), RECONSTRUCT_ROWS):
+        hi = min(lo + RECONSTRUCT_ROWS, len(coords))
+        values[lo:hi] = rows(lo, hi)
+    return GridProfile(trajectory.xs, values)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +392,15 @@ def _reaches(K, F, h):
                    if kern is not None]))
 
 
-def _defect(K, F, xs, values, mu, h, reach, lo, hi):
-    """``u + K*u + F(u, mu)`` at the grid rows ``lo:hi``, one convolution per
-    outer kernel.
+def _defect(K, F, x, u, at, m, mu, h, reach, lo, hi):
+    """``u + K*u + F(u, mu)`` at the rows ``lo:hi`` of a grid of ``m`` rows,
+    one convolution per outer kernel.
+
+    ``x`` and ``u`` are a window of the grid's abscissae and values that
+    starts at its row ``at`` and covers the rows that the defect reads: the
+    group sums on the rows the outer kernels reach around ``lo:hi``, from
+    the values on the rows the inner kernels reach around those (``reach``,
+    from ``_reaches``), as far as the grid goes.
 
     Each term's pointwise product comes from the exact evaluator's slot walk
     (``nonlin.walk_slots``), with ``grid_convolve`` for the inner kernels.
@@ -382,30 +410,27 @@ def _defect(K, F, xs, values, mu, h, reach, lo, hi):
     kernel of a vector problem acts on one component, so its groups are
     per target component.
 
-    The rows come from a window of the grid: the group sums on the rows
-    the outer kernels reach around ``lo:hi``, from the values on the rows
-    the inner kernels reach around those (``reach``, from ``_reaches``).
-    Where a window meets an end of the grid, ``grid_convolve`` continues
-    the edge value at either level as on the whole grid; elsewhere its edge
-    continuation spoils only the reach, which is dropped.  Every
-    convolution takes the grid's spacing ``h``, so each row is the one the
-    whole grid gives, bit for bit.
+    Where the rows read meet an end of the grid, ``grid_convolve``
+    continues the edge value at either level as on the whole grid;
+    elsewhere its edge continuation spoils only the reach, which is
+    dropped.  Every convolution takes the grid's spacing ``h``, so each row
+    is the one the whole grid gives, bit for bit.
     """
-    m, n = values.shape
+    n = u.shape[1]
     g0, g1 = max(lo - reach[0], 0), min(hi + reach[0], m)  # group sum rows
     v0, v1 = max(g0 - reach[1], 0), min(g1 + reach[1], m)  # rows read
-    u, keep = values[v0:v1], slice(g0 - v0, g1 - v0)
+    read, keep = slice(v0 - at, v1 - at), slice(g0 - v0, g1 - v0)
 
     def conv(kern, v):
-        return grid_convolve(kern, xs[v0:v1], v, h)
+        return grid_convolve(kern, x[read], v, h)
 
     # (outer kernel, target component or None for all of them) -> sum
-    groups = {(K, None): values[g0:g1].copy()}
+    groups = {(K, None): u[g0 - at:g1 - at].copy()}
     for t in F.terms:
         weight = t.coeff * mu_weight(t, mu)
         if weight == 0:
             continue
-        prod = walk_slots(t, [u] * t.degree, n, conv,
+        prod = walk_slots(t, [u[read]] * t.degree, n, conv,
                           lambda v, c: v[:, [c]], np.multiply)[keep]
         if t.outer is not None and t.outer.n == 1 and n != 1:
             key, col = (t.outer, t.target), 0
@@ -415,16 +440,41 @@ def _defect(K, F, xs, values, mu, h, reach, lo, hi):
             groups[key] = np.zeros((g1 - g0, n if key[1] is None else 1),
                                    dtype=complex)
         groups[key][:, col] += weight * prod[:, 0]
-    out = values[lo:hi].copy()
+    out = u[lo - at:hi - at].copy()
     for (kern, target), acc in groups.items():
         if kern is not None:
-            acc = grid_convolve(kern, xs[g0:g1], acc, h)
+            acc = grid_convolve(kern, x[g0 - at:g1 - at], acc, h)
         acc = acc[lo - g0:hi - g0]
         if target is None:
             out += acc
         else:
             out[:, target] += acc[:, 0]
     return out
+
+
+def _fine_defects(K, F, profile, mu, h, reach, pad=0):
+    """``(lo, at, x, u, r)`` for every block ``lo:hi`` of ``RECONSTRUCT_ROWS``
+    grid rows: the profile's abscissae ``x`` and values ``u`` on the rows
+    from ``at`` that the defect reads around the block, or ``pad`` rows
+    around it if that is more, and the defect ``r`` at the block's rows."""
+    m = profile.size
+    pad = max(pad, sum(reach))
+    for lo in range(0, m, RECONSTRUCT_ROWS):
+        hi = min(lo + RECONSTRUCT_ROWS, m)
+        at, to = max(lo - pad, 0), min(hi + pad, m)
+        x, u = profile.x(at, to), profile.rows(at, to)
+        yield lo, at, x, u, _defect(K, F, x, u, at, m, mu, h, reach, lo, hi)
+
+
+def defect_rows(K, F, profile, mu=()):
+    """``(x, u, r)`` for every block of ``RECONSTRUCT_ROWS`` grid rows: the
+    abscissae, the profile's values and the defect ``u + K*u + F(u, mu)``
+    there, each row the one that ``residual`` measures."""
+    h = profile.h
+    for lo, at, x, u, r in _fine_defects(K, F, profile, mu, h,
+                                         _reaches(K, F, h)):
+        rows = slice(lo - at, lo - at + len(r))
+        yield x[rows], u[rows], r
 
 
 def residual(K, F, profile, mu=(), require_convergence=False):
@@ -439,45 +489,49 @@ def residual(K, F, profile, mu=(), require_convergence=False):
     measurement raises.
 
     Both defects are computed ``RECONSTRUCT_ROWS`` fine rows at a time
-    (``_defect``), the coarse rows of a block with its fine rows, and the
-    maxima taken per block, so that only the fine defect spans the grid.
-    The coarse grid's convolutions take its own first spacing, as a whole
-    coarse grid would.
+    (``_defect``), from one window of profile rows per block that covers
+    what the fine rows read and, every other row, what the block's coarse
+    rows read.  Only the maxima, the amplitude among them, and the l2 sums
+    of the blocks are kept, so no array spans the grid.  The spacings are
+    the grid's first, ``x[1] - x[0]`` and ``x[2] - x[0]``, as whole grids
+    would have them.
     """
-    xs, u = profile.xs, profile.values
     if K.n != profile.n:
         raise ValueError("kernel dimension does not match the profile")
-    h = profile.h
+    m, h = profile.size, profile.h
     kernels = dict.fromkeys(
         [K] + [k for t in F.terms
                for k in (t.outer, *(kern for kern, _ in t.factors))
                if k is not None])
     margin = max(_stencil_halfwidth(k, h) for k in kernels)
     margin_c = max(_stencil_halfwidth(k, 2 * h) for k in kernels)
-    m, xc, uc = len(xs), xs[::2], u[::2]
-    mc = len(xc)
+    mc = (m + 1) // 2  # coarse row j is fine row 2j
     if 2 * margin >= m or 2 * margin_c >= mc:
         raise RuntimeError(
             "grid too narrow: the convolution stencil covers the whole domain"
         )
-    hc = float(xc[1] - xc[0])
+    x3 = profile.x(0, 3)
+    hc = float(x3[2] - x3[0])
     reach, reach_c = _reaches(K, F, h), _reaches(K, F, hc)
-    r_fine = np.empty_like(u)
-    peaks, gaps = [], []
-    for lo in range(0, m, RECONSTRUCT_ROWS):
-        hi = min(lo + RECONSTRUCT_ROWS, m)
-        fine = r_fine[lo:hi] = _defect(K, F, xs, u, mu, h, reach, lo, hi)
+    amplitudes, peaks, gaps, sq = [], [], [], 0.0
+    for lo, at, x, u, fine in _fine_defects(K, F, profile, mu, h, reach,
+                                            2 * sum(reach_c)):
+        hi = lo + len(fine)
+        amplitudes.append(np.abs(u[lo - at:hi - at]).max())
         a, b = max(lo, margin), min(hi, m - margin)
         if a < b:
-            peaks.append(np.abs(fine[a - lo:b - lo]).max())
-        clo, chi = (lo + 1) // 2, (hi + 1) // 2  # coarse row j is fine row 2j
-        a, b = max(clo, margin_c), min(chi, mc - margin_c)
+            inner = np.abs(fine[a - lo:b - lo])
+            peaks.append(inner.max())
+            sq += (inner**2).sum()
+        a, b = max((lo + 1) // 2, margin_c), min((hi + 1) // 2, mc - margin_c)
         if a < b:
-            coarse = _defect(K, F, xc, uc, mu, hc, reach_c, a, b)
-            gaps.append(np.abs(r_fine[2 * a:2 * b:2] - coarse).max())
+            c0 = (at + 1) // 2  # the window's first coarse row
+            s = 2 * c0 - at
+            coarse = _defect(K, F, x[s::2], u[s::2], c0, mc, mu, hc, reach_c,
+                             a, b)
+            gaps.append(np.abs(fine[2 * a - lo:2 * b - lo:2] - coarse).max())
     quadrature_error = float(np.max(gaps))
     max_norm = float(np.max(peaks))
-    sq = (np.abs(r_fine[margin:m - margin]) ** 2).sum()
     l2_norm = float(np.sqrt(h * sq))
     converged = quadrature_error <= max(0.5 * max_norm, 1e-9)
     if require_convergence and not converged:
@@ -491,8 +545,7 @@ def residual(K, F, profile, mu=(), require_convergence=False):
         quadrature_error=quadrature_error,
         converged=converged,
         margin=margin,
-        xs=xs,
-        values=r_fine,
+        amplitude=float(np.max(amplitudes)),
     )
 
 
@@ -791,30 +844,36 @@ def _pulse_on_grid(J, orbit, lam, step_x):
     ``z = sqrt(lam) x``, with its peak at ``x = 0``: ``a = P sech(k z)`` and
     ``a' = -P k sech(k z) tanh(k z)``.  The orbit, its carrier phase and the
     coordinates ``(A, conj A, B, conj B)`` are computed for one block of
-    reconstructed rows at a time (``_reconstruct_rows``).
+    reconstructed rows at a time (``_reconstruct_rows``), whenever a window
+    of the returned row source is read; row ``i`` lies at
+    ``x = (i - m) step_x``.
     """
     ell, hom = orbit
     eps = sqrt(lam)
     peak, rate = hom.section_value, hom.details["rate"]
     m = int(ceil(PULSE_SPAN * hom.crossing_time / (eps * step_x)))
-    xs = np.arange(-m, m + 1) * step_x
+
+    def x(lo, hi):
+        return np.arange(lo - m, hi - m) * step_x
 
     def columns(lo, hi):
-        x = xs[lo:hi]
-        a, p = _sech_orbit(peak, rate, eps * x)
-        phase = np.exp(1j * ell * x)
+        xb = x(lo, hi)
+        a, p = _sech_orbit(peak, rate, eps * xb)
+        phase = np.exp(1j * ell * xb)
         A = eps * a * phase
         B = eps**2 * p * phase
         return np.stack([A, np.conj(A), B, np.conj(B)])
 
-    return _reconstruct_rows(J, xs, columns, (lam,))
+    return GridProfile.computed(2 * m + 1, J.basis.n, x,
+                                _reconstruct_rows(J, columns, (lam,)))
 
 
 def slope_loglog(xs, ys):
-    """Least-squares slope of ``log ys`` against ``log xs``."""
-    return float(
-        np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0]
-    )
+    """Least-squares slope of ``log ys`` against ``log xs``, in closed form:
+    ``sum(dx dy) / sum(dx^2)`` over the deviations from the means."""
+    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
+    dx = lx - lx.mean()
+    return float((dx * (ly - ly.mean())).sum() / (dx * dx).sum())
 
 
 def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, start=1e-7):
@@ -824,8 +883,9 @@ def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, start=1e-7):
     reconstructed pulse for every parameter value, measures the equation
     defect, and fits the log-log slope of residual against amplitude.
     ``details['amplitude_ratio']`` is peak / sqrt(lam) at the smallest
-    parameter.  ``on_profile(lam, profile, residual_report)`` is called once
-    per parameter when supplied.  ``start`` is the amplitude at which the
+    parameter.  ``on_profile(lam, profile, mu)`` is called once per parameter
+    when supplied, with the row source of the profile and its parameter
+    values.  ``start`` is the amplitude at which the
     scaled half orbit starts (see ``find_homoclinic``) and ``step_x`` the
     profile grid's spacing.
     """
@@ -839,11 +899,11 @@ def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, start=1e-7):
         prof = _pulse_on_grid(J, orbit, lam, step_x)
         rep = residual(K, J.nonlinearity, prof, mu=(lam,))
         if on_profile is not None:
-            on_profile(lam, prof, rep)
+            on_profile(lam, prof, (lam,))
         rows.append(
             {
                 "lambda": lam,
-                "amplitude": prof.peak(),
+                "amplitude": rep.amplitude,
                 "residual_max": rep.max_norm,
                 "residual_l2": rep.l2_norm,
                 "return_distance": hom.return_distance,
@@ -876,9 +936,10 @@ def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
     Extracts the planar front system from the reduction, shoots from the
     saddle, and maps the scaled trajectory back through the graph map with
     parameter values ``(epsilon^2, epsilon c_star)``, one block of rows at a
-    time (``_reconstruct_rows``).  The shooting result's
-    details record the planar coefficients ``kappa``, ``alpha``, ``beta``.
-    Returns ``(GridProfile, ShootingResult)``.
+    time (``_reconstruct_rows``), whenever a window of the returned row
+    source is read.  The shooting result's details record the planar
+    coefficients ``kappa``, ``alpha``, ``beta``.  Returns ``(GridProfile,
+    ShootingResult)``.
     """
     if epsilon <= 0:
         raise ValueError("front reconstruction needs epsilon > 0")
@@ -887,25 +948,27 @@ def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
     if not fr.success:
         raise RuntimeError("front shooting did not reach the rest state")
     fr.details.update(kappa=kappa, alpha=alpha, beta=beta)
-    ys = fr.trajectory.ys
+    ts, ys = fr.trajectory.xs, fr.trajectory.ys
 
     def columns(lo, hi):
         return np.stack([epsilon * ys[lo:hi, 0], epsilon**2 * ys[lo:hi, 1]])
 
-    prof = _reconstruct_rows(J, fr.trajectory.xs / epsilon, columns,
-                             (epsilon**2, epsilon * c_star))
+    rows = _reconstruct_rows(J, columns, (epsilon**2, epsilon * c_star))
+    prof = GridProfile.computed(len(ts), J.basis.n,
+                                lambda lo, hi: ts[lo:hi] / epsilon, rows)
     return prof, fr
 
 
 def front_report(K, J, epsilon, c_star, on_profile=None, tol_reach=ARRIVAL_TOL):
     """Wave report for a single front run: defect norms and monotonicity.
 
-    ``on_profile(epsilon, profile, residual_report)`` is called when supplied.
+    ``on_profile(epsilon, profile, mu)`` is called when supplied.
     """
     prof, fr = front_profile(J, epsilon, c_star, tol_reach)
-    rep = residual(K, J.nonlinearity, prof, mu=(epsilon**2, epsilon * c_star))
+    mu = (epsilon**2, epsilon * c_star)
+    rep = residual(K, J.nonlinearity, prof, mu=mu)
     if on_profile is not None:
-        on_profile(epsilon, prof, rep)
+        on_profile(epsilon, prof, mu)
     return WaveReport(
         kind="front",
         parameters={"epsilon": float(epsilon), "c_star": float(c_star)},

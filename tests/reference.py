@@ -17,8 +17,8 @@ from cmnl.kernel import (
 from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
 from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
 from cmnl.verify import (
-    PULSE_SPAN, Trajectory, _pulse_on_grid, _pulse_orbit, _sech_orbit,
-    _stencil_halfwidth, grid_convolve, reconstruct)
+    PULSE_SPAN, RECONSTRUCT_ROWS, GridProfile, Trajectory, _pulse_on_grid,
+    _pulse_orbit, _sech_orbit, _stencil_halfwidth, grid_convolve, reconstruct)
 
 # -- the quasi-polynomial ring -----------------------------------------------
 
@@ -457,10 +457,13 @@ def defect(K, F, xs, values, mu=()):
     return out
 
 
-def whole_grid_residual(K, F, profile, mu=()):
+def whole_grid_residual(K, F, profile, mu=(), rows=RECONSTRUCT_ROWS):
     """``(max_norm, l2_norm, quadrature_error, defect)`` of ``verify.residual``
     from whole-grid defects (``defect``) on the grid and its every-other-point
-    coarsening: the bit-for-bit oracle of the blocked residual."""
+    coarsening: the bit-for-bit oracle of the blocked residual.  The squares
+    of the l2 norm are summed per block of ``rows`` grid rows, in
+    ``residual``'s order."""
+    profile = whole_profile(profile)
     xs, u, h = profile.xs, profile.values, profile.h
     kernels = [K] + [k for t in F.terms
                      for k in (t.outer, *(kern for kern, _ in t.factors))
@@ -471,10 +474,26 @@ def whole_grid_residual(K, F, profile, mu=()):
     r_coarse = defect(K, F, xs[::2], u[::2], mu)
     diff = np.abs(r_fine[::2] - r_coarse).max(axis=1)
     quadrature_error = float(diff[margin_c:len(diff) - margin_c].max())
-    inner = r_fine[margin:len(xs) - margin]
-    sq = (np.abs(inner) ** 2).sum()
-    return (float(np.abs(inner).max()), float(np.sqrt(h * sq)),
-            quadrature_error, r_fine)
+    m = len(xs)
+    sq = 0.0
+    for lo in range(0, m, rows):
+        block = np.abs(r_fine[max(lo, margin):min(lo + rows, m - margin)])
+        if block.size:
+            sq += (block**2).sum()
+    return (float(np.abs(r_fine[margin:m - margin]).max()),
+            float(np.sqrt(h * sq)), quadrature_error, r_fine)
+
+
+def whole_profile(profile):
+    """``profile`` with every row computed: an array-backed ``GridProfile``."""
+    if hasattr(profile, "values"):
+        return profile
+    return GridProfile(profile.x(0, profile.size), profile.rows(0, profile.size))
+
+
+def peak(profile):
+    """Largest magnitude of a profile."""
+    return float(np.abs(whole_profile(profile).values).max())
 
 
 def whole_grid_pulse(J, orbit, lam, step_x=0.1):
@@ -499,12 +518,12 @@ def pulse_profile(J, lam, step_x=0.1, start=1e-7):
     Scales the reduced field to its leading pulse balance, evaluates the
     closed-form reversible planar homoclinic on the grid, and maps the slow
     coordinates back through carrier phases and the graph map.
-    Returns ``(GridProfile, ShootingResult)``.
+    Returns ``(GridProfile, ShootingResult)``, the profile array-backed.
     """
     if lam <= 0:
         raise ValueError("pulse reconstruction needs lam > 0")
     orbit = _pulse_orbit(J, start)
-    return _pulse_on_grid(J, orbit, lam, step_x), orbit[-1]
+    return whole_profile(_pulse_on_grid(J, orbit, lam, step_x)), orbit[-1]
 
 
 def halfwidth(profile):
@@ -513,7 +532,7 @@ def halfwidth(profile):
 
 def boundary_fraction(profile):
     """Largest boundary magnitude relative to the peak."""
-    p = profile.peak()
+    p = peak(profile)
     if p == 0.0:
         return 0.0
     edge = max(np.abs(profile.values[0]).max(), np.abs(profile.values[-1]).max())

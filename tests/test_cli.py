@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SQRT_PI, build_pair_jet, two_exponential_kernel
-from reference import kernel_to_data, quasi_to_data
+from reference import defect, kernel_to_data, quasi_to_data, whole_grid_pulse
 
 import cmnl
 from cmnl import (
@@ -652,6 +652,39 @@ class TestVerifyCommand:
         assert csv_file.name == "front_0.01.csv"
         assert csv_file.read_text().splitlines()[0] == "x,re_u,im_u,residual"
 
+    def test_csv_rows_are_the_whole_grid_oracles(self, tmp_path):
+        # the pulse and front CSV rows, streamed block by block, are the x,
+        # u and |defect| of whole-grid profiles and defects, bit for bit
+        for data in (pair_problem_data(), front_problem_data()):
+            plan = data["verify"]
+            csv_dir = tmp_path / plan["wave"]
+            path = write_problem(tmp_path, data)
+            assert main(["verify", path, "--out", str(tmp_path / "r.json"),
+                         "--csv", str(csv_dir)]) == 0
+            prob = load_problem(path)
+            _, _, J = cli._build_reduction(prob, 1e-9, 1e-7, prob.order)
+            if plan["wave"] == "homoclinic":
+                orbit = verify._pulse_orbit(J, 1e-7)
+                waves = [(lam, whole_grid_pulse(J, orbit, lam), (lam,))
+                         for lam in plan["lambdas"]]
+            else:
+                eps, c = plan["epsilon"], plan["c_star"]
+                ys = verify.front_profile(J, eps, c)[1].trajectory
+                mu = (eps**2, eps * c)
+                coords = np.stack([eps * ys.ys[:, 0], eps**2 * ys.ys[:, 1]], axis=1)
+                waves = [(eps, verify.reconstruct(
+                    J, verify.Trajectory(ys.xs / eps, coords), mu), mu)]
+            assert len(list(csv_dir.iterdir())) == len(waves)
+            for tag, prof, mu in waves:
+                name = f"{plan['wave']}_{cli._format_number(tag)}.csv"
+                table = np.loadtxt(csv_dir / name, delimiter=",", skiprows=1)
+                r = defect(prob.kernel, J.nonlinearity, prof.xs, prof.values, mu)
+                assert len(table) == len(prof.xs) > 1000
+                assert np.array_equal(table[:, 0], prof.xs)
+                assert np.array_equal(table[:, 1] + 1j * table[:, 2],
+                                      prof.values[:, 0])
+                assert np.array_equal(table[:, 3], np.abs(r).max(axis=1))
+
     def test_missing_kernel_reference_exits_2(self, tmp_path, capsys):
         data = pair_problem_data()
         data["nonlinearity"]["terms"][1]["outer"] = "ghost"
@@ -875,8 +908,13 @@ class TestCommandLineEntry:
             # the wave builders reconstruct block by block through
             # _reconstruct_rows; the tracer times calls of reconstruct
             "verify.reconstruct",
+            # array-backed profiles: reconstruct's, the tests' and library
+            # callers'; the wave builders compute their rows
+            "verify.GridProfile.__init__",
+            "verify._uniform_spacing",  # an array grid, or no spacing given
             # paths that the seed-1 problems do not take
             "cli.write_profile_csv",  # --csv
+            "verify.defect_rows",  # --csv
             "cli._usage",  # a usage error, or -h
             "cli._help",  # -h
             "projection._Functional.rows",  # abstract: every functional overrides it
@@ -913,14 +951,16 @@ class TestCommandLineEntry:
 
 class TestCsvWriter:
     def test_vector_profile_columns(self, tmp_path):
-        from cmnl.verify import GridProfile, ResidualReport
+        from cmnl.kernel import GaussianMixture
+        from cmnl.nonlin import NonlinearitySpec
+        from cmnl.verify import GridProfile
 
         xs = np.arange(-2, 3) * 1.0
         values = np.stack([xs + 1j, -xs], axis=1)
         prof = GridProfile(xs, values)
-        rep = ResidualReport(0.0, 0.0, 0.0, True, 0, xs, np.zeros((5, 2)))
+        K = GaussianMixture.single(np.eye(2), 1.0, n=2)
         path = tmp_path / "p.csv"
-        write_profile_csv(str(path), prof, rep)
+        write_profile_csv(str(path), K, NonlinearitySpec((), 2), prof)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,re_u0,im_u0,re_u1,im_u1,residual"
         assert len(lines) == 6

@@ -28,9 +28,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_front_jet, build_pair_jet, critical_pair_kernel
 from reference import (
-    apply_series, boundary_fraction, decay_length, defect_per_term,
-    grid_nonlinearity, halfwidth, localized, manifold_point, moment,
-    pulse_profile, whole_grid_pulse, whole_grid_residual)
+    apply_series, boundary_fraction, decay_length, defect, defect_per_term,
+    grid_nonlinearity, halfwidth, localized, manifold_point, moment, peak,
+    pulse_profile, whole_grid_pulse, whole_grid_residual, whole_profile)
 
 import cmnl.verify
 from cmnl.jet import JetIndex, ScaledField, compute_jet, scale_field
@@ -41,6 +41,7 @@ from cmnl.quasipoly import QuasiPolynomial
 from cmnl.verify import (
     GridProfile,
     Trajectory,
+    defect_rows,
     find_front,
     find_homoclinic,
     front_profile,
@@ -103,7 +104,7 @@ def two_component_profile(xs):
 def library_defect(K, F, xs, u, mu):
     """``verify._defect`` over the whole grid, as one block."""
     h = float(xs[1] - xs[0])
-    return cmnl.verify._defect(K, F, xs, u, mu, h,
+    return cmnl.verify._defect(K, F, xs, u, 0, len(xs), mu, h,
                                cmnl.verify._reaches(K, F, h), 0, len(xs))
 
 
@@ -142,7 +143,7 @@ class TestGridProfile:
         xs = np.arange(-50, 51) * 0.1
         prof = GridProfile(xs, 2.0 * np.exp(-(xs**2)))
         assert prof.values.shape == (101, 1)
-        assert prof.peak() == pytest.approx(2.0)
+        assert peak(prof) == pytest.approx(2.0)
         assert prof.h == pytest.approx(0.1)
         assert halfwidth(prof) == pytest.approx(5.0)
 
@@ -285,7 +286,8 @@ class TestResidual:
         assert rep.max_norm < 1e-7
         assert rep.converged
         assert rep.margin > 0
-        assert len(rep.values) == len(xs)
+        assert sum(len(r) for _, _, r in defect_rows(K, NO_NONLINEARITY, prof)) \
+            == len(xs)
 
     def test_floor_drops_fourfold_per_halving(self):
         # -e^{-|x|} has the exact characteristic element e^{ix}; the
@@ -320,7 +322,7 @@ class TestResidual:
     def test_grouped_defect_matches_the_per_term_walk_on_wave_grids(self, pair, front):
         (K, J), (Kf, Jf, _) = pair, front
         pulse = pulse_profile(J, 1e-2)[0]
-        fr = front_profile(Jf, 1e-2, 1.1)[0]
+        fr = whole_profile(front_profile(Jf, 1e-2, 1.1)[0])
         for K, J, prof, mu in ((K, J, pulse, (1e-2,)),
                                (Kf, Jf, fr, (1e-4, 1.1e-2))):
             F = J.nonlinearity
@@ -363,10 +365,35 @@ class TestResidual:
             residual_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        points = len(prof.xs)
+        points = prof.size
         assert points >= 200_000
         assert pulse_peak <= 64 * points
         assert residual_peak <= 56 * points
+
+    def test_pulse_step_memory_does_not_depend_on_the_grid(self, pair):
+        # one lambda step of the pair-o3 sweep -- the profile's row source,
+        # the residual and its amplitude -- at 237,797 and 751,977 points:
+        # the tracemalloc peaks above the inputs agree within 64 KiB and stay
+        # under 2 MB (whole-grid profiles and defects held 48 bytes a point)
+        K, J = pair
+        orbit = cmnl.verify._pulse_orbit(J, 1e-7)
+        peaks, sizes = [], []
+        tracemalloc.start()
+        try:
+            for lam in (1e-6, 1e-7):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                prof = cmnl.verify._pulse_on_grid(J, orbit, lam, 0.1)
+                rep = residual(K, J.nonlinearity, prof, mu=(lam,))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                sizes.append(prof.size)
+                assert 0.0 < rep.amplitude < 1e-2
+                del prof, rep
+        finally:
+            tracemalloc.stop()
+        assert sizes == [237_797, 751_977]
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+        assert max(peaks) < 2 * 1024 * 1024
 
     def test_narrow_grid_raises(self):
         K = critical_pair_kernel()
@@ -480,6 +507,7 @@ class TestReconstruct:
         orbit = cmnl.verify._pulse_orbit(J, 1e-7)
         pulse = whole_grid_pulse(J, orbit, 1e-2)
         fr, shot = front_profile(Jf, 1e-2, 1.1)
+        fr = whole_profile(fr)
         ys = shot.trajectory.ys
         front_whole = reconstruct(Jf, Trajectory(
             fr.xs, np.stack([1e-2 * ys[:, 0], 1e-4 * ys[:, 1]], axis=1)),
@@ -488,9 +516,11 @@ class TestReconstruct:
         window = slice(mid - 200, mid + 201)
         xs = np.arange(-200, 201) * 0.1
         u = two_component_profile(xs)
+        source = cmnl.verify._pulse_on_grid(J, orbit, 1e-2, 0.1)
         cases = [
-            # one outer kernel, on two blocks of the default size
-            (K, J.nonlinearity, pulse, (1e-2,)),
+            # one outer kernel, on two blocks of the default size: the pulse
+            # as the row source that cm reads
+            (K, J.nonlinearity, source, (1e-2,)),
             # the outer kernels G, Gp and Gpp, of different stencil widths
             (Kf, Jf.nonlinearity,
              GridProfile(fr.xs[window], fr.values[window]), (1e-4, 1.1e-2)),
@@ -501,20 +531,30 @@ class TestReconstruct:
             (*point_mass_problem(), GridProfile(xs, u[:, 0]), (0.4,)),
         ]
         for K, F, prof, mu in cases:
-            max_norm, l2_norm, quad, values = whole_grid_residual(K, F, prof, mu)
-            m = len(prof.xs)
+            whole = whole_profile(prof)
+            m = prof.size
             for size in (1, 7, 2048, m - 1, m + 1):
                 monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", size)
+                max_norm, l2_norm, quad, values = whole_grid_residual(
+                    K, F, prof, mu, rows=size)
                 rep = residual(K, F, prof, mu)
-                assert np.array_equal(rep.values, values)
-                assert (rep.max_norm, rep.l2_norm, rep.quadrature_error) == \
-                    (max_norm, l2_norm, quad)
-                if prof is pulse:
+                blocks = list(defect_rows(K, F, prof, mu))
+                assert [len(r) for _, _, r in blocks] == \
+                    [min(size, m - lo) for lo in range(0, m, size)]
+                for got, want in zip(zip(*blocks), (whole.xs, whole.values, values)):
+                    assert np.array_equal(np.concatenate(got), want)
+                assert (rep.max_norm, rep.l2_norm, rep.quadrature_error,
+                        rep.amplitude) == (max_norm, l2_norm, quad, peak(whole))
+                # the whole grid's sum of squares rounds differently
+                inner = values[rep.margin:m - rep.margin]
+                assert rep.l2_norm == pytest.approx(
+                    math.sqrt(whole.h * (np.abs(inner) ** 2).sum()), rel=1e-13)
+                if prof is source:
+                    assert np.array_equal(whole_profile(source).values,
+                                          pulse.values)
                     assert np.array_equal(
-                        cmnl.verify._pulse_on_grid(J, orbit, 1e-2, 0.1).values,
-                        pulse.values)
-                    assert np.array_equal(front_profile(Jf, 1e-2, 1.1)[0].values,
-                                          front_whole)
+                        whole_profile(front_profile(Jf, 1e-2, 1.1)[0]).values,
+                        front_whole)
 
     def test_missing_parameter_raises(self, front):
         _, J, _ = front
@@ -925,7 +965,7 @@ class TestPulseDrivers:
         assert hom.success
         assert localized(prof, 1e-6)
         assert halfwidth(prof) >= 5.0 * decay_length(prof)
-        assert abs(prof.peak() / math.sqrt(1e-2) / (2.0 * SQRT2) - 1.0) < 0.01
+        assert abs(peak(prof) / math.sqrt(1e-2) / (2.0 * SQRT2) - 1.0) < 0.01
 
     def test_profile_residual_is_small_and_converged(self, pair):
         K, J = pair
@@ -953,14 +993,15 @@ class TestPulseDrivers:
         _, J = pair
         seen, rows_of = [], cmnl.verify._reconstruct_rows
 
-        def capture(J, xs, columns, mu):
-            seen.append((xs, columns(0, len(xs))))
-            return rows_of(J, xs, columns, mu)
+        def capture(J, columns, mu):
+            seen.append(columns)
+            return rows_of(J, columns, mu)
 
         monkeypatch.setattr(cmnl.verify, "_reconstruct_rows", capture)
         lam = 1e-2
-        pulse_profile(J, lam)
-        ((xs, cols),) = seen
+        prof = pulse_profile(J, lam)[0]
+        (columns,) = seen
+        xs, cols = prof.xs, columns(0, len(prof.xs))
         eps = math.sqrt(lam)
         z = eps * xs
         phase = np.exp(1j * xs)  # carrier frequency 1
@@ -1008,7 +1049,7 @@ class TestFrontDrivers:
         assert fr.success and fr.monotone
         # the graph corrections vanish at the origin, so the profile is
         # exactly the modulated slow coordinate
-        diff = np.abs(prof.values[:, 0] - eps * fr.trajectory.ys[:, 0])
+        diff = np.abs(whole_profile(prof).values[:, 0] - eps * fr.trajectory.ys[:, 0])
         assert diff.max() < 1e-14
 
     def test_report_confirms_monotone_front(self, front):

@@ -20,12 +20,16 @@ aggregates a round (``setup_s`` pooled over the invocations, ``wall_s`` and
 and quartiles, the change of the medians, in how many launches the second
 tree read lower, and ``apart`` when the medians differ by more than the
 whole range of either tree's samples.  It also reports whether the two trees
-wrote byte-identical reports.
+wrote byte-identical reports, and the launcher's own peak RSS: ``Popen``
+starts a child by vfork and exec, and the exec'd process keeps the peak of
+the address space it leaves, so no ``rss_mb`` reads below the launcher's
+peak at the child's launch.
 """
 
 import argparse
 import hashlib
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -157,6 +161,8 @@ def main():
                   f"  B {s['b'][1]:9.4f} [{s['b'][0]:.4f}, {s['b'][2]:.4f}]"
                   f"  {100 * s['change']:+6.1f}%  B lower {s['b_lower']}/{len(b)}"
                   f"{'  apart' if s['apart'] else ''}")
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"\nlauncher peak RSS {own:.2f} MB: the floor of every rss_mb reading")
     return 0
 
 
