@@ -8,7 +8,9 @@ additionally writes plot-ready CSV profiles under ``--csv``.
 Reports are byte-stable: keys sorted, floats printed with 17 significant
 digits, LF line endings; re-parsing and re-serializing a report reproduces
 it byte for byte.  Complex ``ndarray`` leaves are written as the nested
-``[re, im]`` lists that the re-parsed report holds.
+``[re, im]`` lists that the re-parsed report holds.  A report is written
+through one %-template: one walk writes the text of the whole report, with
+a ``%.17g`` per float, and collects the floats, which one ``%`` then formats.
 
 Exit codes: 0 success, 1 numerical failure (``RuntimeError`` or
 ``LinAlgError``: solver residuals above ``--tol-solve``, failed shooting,
@@ -40,20 +42,10 @@ SLOPE_REQUIREMENT = 1.5
 # canonical serialization
 
 
-def _format_number(x):
-    if x != x or x in (math.inf, -math.inf):
-        raise RuntimeError("non-finite value in report")
-    if isinstance(x, int):
-        return repr(x)
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
-
-
 @functools.lru_cache(maxsize=1024)
 def _array_template(shape, level):
     """%-template writing a complex array of ``shape`` as nested lists of
-    ``[re, im]`` pairs, laid out as ``_serialize`` lays out lists."""
+    ``[re, im]`` pairs, laid out as ``_walk`` lays out lists."""
     if shape and shape[0] == 0:
         return "[]"
     inner = "  " * (level + 1)
@@ -62,162 +54,68 @@ def _array_template(shape, level):
     return "[\n" + body + "\n" + "  " * level + "]"
 
 
-class _Slot(str):
-    """A leaf of a template skeleton, written as it is: a %-directive."""
-
-
-_INDEX = {"mu", "powers"}
-_PSI = {"index", "psi", "residual"}
-_FIELD = {"coeff", "index"}
-_QUASI = {"n", "terms"}
-_TERM = {"nu", "poly"}
-_INT, _FLOAT = _Slot("%d"), _Slot("%.17g")
-
-
 @functools.lru_cache(maxsize=1024)
-def _field_template(mu, powers, shape, level):
-    """%-template of a field entry at ``level``: ``_serialize`` of its
-    skeleton."""
-    index = {"mu": [_INT] * mu, "powers": [_INT] * powers}
-    return _serialize({"coeff": _Slot(_array_template(shape, level + 1)), "index": index},
-                      level)
+def _key(k, level):
+    """The template text of a key of a dict at ``level``, up to its value."""
+    if not isinstance(k, str):
+        raise TypeError("report keys must be strings")
+    return "  " * (level + 1) + json.dumps(k).replace("%", "%%") + ": "
 
 
-@functools.lru_cache(maxsize=1024)
-def _psi_frame(mu, powers, level, terms):
-    """The %-template of a psi entry at ``level`` without terms, or with
-    ``terms`` the (head, separator, tail) around its term templates."""
-    entry = {"index": {"mu": [_INT] * mu, "powers": [_INT] * powers}, "residual": _FLOAT,
-             "psi": {"n": _INT, "terms": [_Slot("\0")] * 2 if terms else []}}
-    return tuple(_serialize(entry, level).split("\0"))
-
-
-@functools.lru_cache(maxsize=1024)
-def _term_template(shape, level):
-    poly = _Slot(_array_template(shape, level + 1))
-    return _Slot(_serialize({"nu": [_FLOAT] * 2, "poly": poly}, level))
-
-
-def _array_values(arr, out):
-    """Append the ``[re, im]`` leaves of a complex array to ``out``; False
-    when ``arr`` is not one."""
-    if type(arr) is not np.ndarray or arr.dtype != complex:
-        return False
-    # ``+ 0.0`` writes -0.0 as 0, as ``_format_number`` does
-    out += (arr.ravel() + 0.0).view(float).tolist()
-    return True
-
-
-def _entry(e, level, out):
-    """The %-template at ``level`` of a psi or field entry of
-    ``JetResult.to_data``, its leaves appended to ``out``; None when ``e``
-    has another layout or a leaf of another type, which the generic walk
-    then writes."""
-    index = e.get("index") if type(e) is dict else None
-    if type(index) is not dict or index.keys() != _INDEX:
-        return None
-    mu, powers = index["mu"], index["powers"]
-    if type(mu) is not list or type(powers) is not list or not all(
-            type(v) is int for v in mu + powers):
-        return None
-    if e.keys() == _FIELD:  # keys in order: coeff, index
-        coeff = e["coeff"]
-        if not _array_values(coeff, out):
-            return None
-        out += mu + powers
-        return _field_template(len(mu), len(powers), coeff.shape, level)
-    out += mu + powers
-    psi, residual = e.get("psi"), e.get("residual")
-    if (e.keys() != _PSI or type(psi) is not dict or psi.keys() != _QUASI
-            or type(psi["n"]) is not int or type(psi["terms"]) is not list
-            or type(residual) is not float):
-        return None
-    out.append(psi["n"])
-    terms = []
-    for term in psi["terms"]:
-        nu = term.get("nu") if type(term) is dict and term.keys() == _TERM else None
-        if type(nu) is not list or len(nu) != 2 or not all(type(v) is float for v in nu):
-            return None
-        out += (nu[0] + 0.0, nu[1] + 0.0)
-        if not _array_values(term["poly"], out):
-            return None
-        terms.append(_term_template(term["poly"].shape, level + 3))
-    out.append(residual + 0.0)
-    if not terms:
-        return _psi_frame(len(mu), len(powers), level, False)[0]
-    head, sep, tail = _psi_frame(len(mu), len(powers), level, True)
-    return head + sep.join(terms) + tail
-
-
-def _entries(entries, level):
-    """A list of psi or field entries through one %-call on the joined
-    entry templates, or None when one of them is not such an entry."""
-    values, inner = [], "  " * (level + 1)
-    parts = [_entry(e, level + 1, values) for e in entries]
-    if None in parts:
-        return None
-    body = ",\n".join([inner + t for t in parts])
-    text = ("[\n" + body + "\n" + "  " * level + "]") % tuple(values)
-    if "nan" in text or "inf" in text:  # no key of an entry holds either
-        raise RuntimeError("non-finite value in report")
-    return text
-
-
-def _serialize(obj, level):
+def _walk(obj, level, text, values):
+    """Append the %-template of ``obj`` written at nesting ``level`` to the
+    list ``text``, and its float leaves, in order, to ``values``."""
     kind = type(obj)
     # the exact types first: nearly every value of a report has one
     if kind is float:
-        return _format_number(obj)
-    if kind is int:
-        return repr(obj)
-    if kind is np.ndarray and obj.dtype == complex:
-        # ``+ 0.0`` writes -0.0 as 0, as ``_format_number`` does
-        values = np.ascontiguousarray(obj).view(float).ravel() + 0.0
-        text = _array_template(obj.shape, level) % tuple(values.tolist())
-        if "n" in text:  # %.17g writes a letter n only in inf and nan
-            raise RuntimeError("non-finite value in report")
-        return text
-    if kind is not dict and kind is not list:
-        if kind is _Slot:
-            return obj
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, (int, float)):
-            return _format_number(obj)
-        if isinstance(obj, str):
-            return json.dumps(obj)
-        if not isinstance(obj, (list, tuple, dict)):
-            raise TypeError(f"cannot serialize {type(obj).__name__} in report")
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(obj, dict):
+        text.append("%.17g")
+        values.append(obj + 0.0)  # ``+ 0.0`` writes -0.0 as 0
+    elif kind is int:
+        text.append(repr(obj))
+    elif kind is np.ndarray and obj.dtype == complex:
+        text.append(_array_template(obj.shape, level))
+        values += (np.ascontiguousarray(obj).view(float).ravel() + 0.0).tolist()
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        body = ",\n".join([inner + _key(k) + ": " + _serialize(obj[k], level + 1)
-                           for k in sorted(obj)])
-        return "{\n" + body + "\n" + pad + "}"
-    if not obj:
-        return "[]"
-    if type(obj[0]) is dict:
-        text = _entries(obj, level)
-        if text is not None:
-            return text
-    body = ",\n".join([inner + _serialize(v, level + 1) for v in obj])
-    return "[\n" + body + "\n" + pad + "]"
-
-
-@functools.lru_cache(maxsize=1024)
-def _key(k):
-    if not isinstance(k, str):
-        raise TypeError("report keys must be strings")
-    return json.dumps(k)
+            text.append("{}")
+            return
+        text.append("{\n")
+        for k in sorted(obj):
+            text.append(_key(k, level))
+            _walk(obj[k], level + 1, text, values)
+            text.append(",\n")
+        text[-1] = "\n" + "  " * level + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            text.append("[]")
+            return
+        inner = "  " * (level + 1)
+        text.append("[\n")
+        for v in obj:
+            text.append(inner)
+            _walk(v, level + 1, text, values)
+            text.append(",\n")
+        text[-1] = "\n" + "  " * level + "]"
+    elif obj is None or isinstance(obj, (bool, str)):
+        text.append(json.dumps(obj).replace("%", "%%"))
+    elif isinstance(obj, int):
+        text.append(repr(obj))
+    elif isinstance(obj, float):
+        _walk(float(obj), level, text, values)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} in report")
 
 
 def canonical_json(obj):
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    return _serialize(obj, 0) + "\n"
+    """Deterministic JSON text: sorted keys, 17-significant-digit floats.
+
+    One walk writes the report's template and its float leaves, and one
+    ``%`` formats the whole report."""
+    text, values = [], []
+    _walk(obj, 0, text, values)
+    if not all(map(math.isfinite, values)):
+        raise RuntimeError("non-finite value in report")
+    return "".join(text) % tuple(values) + "\n"
 
 
 def _emit(text, out_path):
@@ -330,7 +228,7 @@ def _verify_data(prob, tol_root, tol_solve, csv_dir, seed):
         os.makedirs(csv_dir, exist_ok=True)
 
         def writer(tag, profile, mu):
-            name = f"{plan['wave']}_{_format_number(float(tag))}.csv"
+            name = f"{plan['wave']}_{float(tag):.17g}.csv"
             write_profile_csv(os.path.join(csv_dir, name), K,
                               J.nonlinearity, profile, mu)
 

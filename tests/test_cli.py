@@ -29,7 +29,8 @@ from reference import defect, kernel_to_data, quasi_to_data, whole_grid_pulse
 
 import cmnl
 from cmnl import (
-    cli, jet, nonlin, problem, projection, quasipoly, spectrum, tsolve, verify)
+    cli, jet, kernel, nonlin, problem, projection, quasipoly, spectrum, tsolve,
+    verify)
 from cmnl.cli import canonical_json, main, write_profile_csv
 from cmnl.kernel import ExponentialMixture
 from cmnl.problem import ProblemError, load_problem, problem_from_data
@@ -333,11 +334,17 @@ class TestCanonicalJson:
             canonical_json({"x": np.array([1.0 + 1.0j, bad])})
 
 
+    def test_percent_in_keys_and_strings(self):
+        # the report is one %-template: a % of a key or string is doubled
+        text = canonical_json({"a%d": "x%s 100%", "b": [0.5, -0.0, 3]})
+        assert '"a%d": "x%s 100%"' in text
+        assert canonical_json(json.loads(text)) == text
+
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_entry_templates_write_the_generic_bytes(self, data):
-        # psi and field entries go through cached templates; the same
-        # entries with their arrays as lists take the generic walk
+    def test_array_leaves_write_their_list_bytes_at_every_level(self, data):
+        # psi and field entries hold their blocks as complex arrays; the
+        # same entries with the arrays as [re, im] lists give the same bytes
         entries, level = data.draw(report_entries())
         arrays, lists = entries, [_as_lists(e) for e in entries]
         for _ in range(level):
@@ -513,6 +520,14 @@ class TestSpectrumCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["dimension"] == 1
 
+    def test_percent_in_the_problem_name(self, tmp_path, capsys):
+        data = saddle_problem_data()
+        data["name"] = "100% %s %d %%"
+        assert main(["spectrum", write_problem(tmp_path, data)]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text)["problem"] == "100% %s %d %%"
+        assert canonical_json(json.loads(text)) == text
+
 
 class TestReduceCommand:
     def test_saddle_node_field_coefficients(self, tmp_path):
@@ -676,7 +691,7 @@ class TestVerifyCommand:
                     J, verify.Trajectory(ys.xs / eps, coords), mu), mu)]
             assert len(list(csv_dir.iterdir())) == len(waves)
             for tag, prof, mu in waves:
-                name = f"{plan['wave']}_{cli._format_number(tag)}.csv"
+                name = f"{plan['wave']}_{tag:.17g}.csv"
                 table = np.loadtxt(csv_dir / name, delimiter=",", skiprows=1)
                 r = defect(prob.kernel, J.nonlinearity, prof.xs, prof.values, mu)
                 assert len(table) == len(prof.xs) > 1000
@@ -923,10 +938,30 @@ class TestCommandLineEntry:
             "spectrum._axis_root",  # a double root found just off the axis
             "spectrum._clear_cut",  # a box that is cut
             "verify._interp_shifted",  # Dirac kernels on the verify grid
+            # abstract: every family overrides them
+            "kernel.Kernel.transform_batch", "kernel.Kernel.eta0",
+            "kernel.Kernel.eval_x", "kernel.Kernel.decay_radius",
+            # the tracer wraps transform on every family; the pipeline
+            # evaluates transform_batch
+            "kernel.Kernel.transform",
+            "kernel.convolve",  # the tracer wraps it; nonlin.apply_term calls it
+            "kernel.apply_T",  # the tracer wraps it; the tests' oracle calls it
+            "kernel.GaussianMixture.single",  # library-only: the README example
+            # an exponential kernel with a verify plan
+            "kernel.ExponentialMixture.eval_x", "kernel.ExponentialMixture.decay_radius",
+            # the dirac family of the schema
+            "kernel.DiracMixture.__init__", "kernel.DiracMixture.transform_batch",
+            "kernel.DiracMixture.eta0", "kernel.DiracMixture.eval_x",
+            "kernel.DiracMixture.point_masses", "kernel.DiracMixture.decay_radius",
+            # library-only: no problem file can build a symbol kernel
+            "kernel.SymbolKernel.__init__", "kernel.SymbolKernel._values",
+            "kernel.SymbolKernel.transform_batch", "kernel.SymbolKernel.eta0",
+            "kernel.SymbolKernel.tabulate", "kernel.SymbolKernel.eval_x",
+            "kernel.SymbolKernel.decay_radius", "kernel.fd_central_stencil",
         }
         defined = {}
         for mod in (quasipoly, nonlin, tsolve, jet, problem, cli, spectrum,
-                    projection, verify):
+                    projection, verify, kernel):
             short = mod.__name__.split(".")[-1]
             for name, obj in vars(mod).items():
                 members = vars(obj).items() if isinstance(obj, type) else [("", obj)]

@@ -24,13 +24,22 @@ wrote byte-identical reports, and the launcher's own peak RSS: ``Popen``
 starts a child by vfork and exec, and the exec'd process keeps the peak of
 the address space it leaves, so no ``rss_mb`` reads below the launcher's
 peak at the child's launch.
+
+The header gives each tree's bytecode state after a warm-up import: how many
+of its package's modules a launch loads from a valid ``__pycache__`` file.
+Under ``PYTHONDONTWRITEBYTECODE=1`` the warm-up writes no cache, so a tree
+that holds one loads bytecode while the other compiles at every launch,
+which moves ``setup_s`` by a fifth and ``compute_s`` by up to a quarter.
+The tool exits 2 when the two states differ.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import os
 import resource
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -69,13 +78,34 @@ def launch(root, args, workdir):
             "digest": hashlib.sha256(report.read_bytes()).hexdigest()}
 
 
+def bytecode_state(root):
+    """After a warm-up import of ``cmnl.cli`` on the ``src`` of ``root``:
+    how many of the package's modules load from cached bytecode, as ``"k of
+    n modules cached"``.  A cache file counts when it records its source's
+    modification time and size, as the import system checks it."""
+    subprocess.run([sys.executable, "-c", "import cmnl.cli"], cwd=root,
+                   env=dict(os.environ, PYTHONPATH=str(Path(root) / "src")),
+                   check=True, stdin=subprocess.DEVNULL)
+    sources = sorted((Path(root) / "src" / "cmnl").glob("*.py"))
+    cached = 0
+    for source in sources:
+        stat = source.stat()
+        stamp = struct.pack("<II", int(stat.st_mtime) & 0xFFFFFFFF,
+                            stat.st_size & 0xFFFFFFFF)
+        cache = Path(importlib.util.cache_from_source(str(source)))
+        cached += cache.exists() and cache.read_bytes()[8:16] == stamp
+    return f"{cached} of {len(sources)} modules cached"
+
+
 def compare(roots, groups, launches, problem_dir=None):
     """Launch the invocations of ``groups`` ({name: [(command, problem
     file)]}) on both ``roots``, interleaved, ``launches`` times.
 
     Returns ``{label: {metric: (samples of roots[0], samples of roots[1])}}``
     with a label per invocation and per group, and ``{label: identical}``
-    for the reports of each invocation.
+    for the reports of each invocation.  The package of each root should
+    be imported once before (``bytecode_state``), so that no launch pays
+    for writing its cache.
     """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -87,10 +117,6 @@ def compare(roots, groups, launches, problem_dir=None):
             for command, problem in members:
                 inv = run.Invocation(0, command, problem, [], paths, SEED)
                 invocations[f"{command} {problem}"] = inv.args
-        for root in roots:  # compile and cache the package before timing
-            subprocess.run([sys.executable, "-c", "import cmnl.cli"], cwd=root,
-                           env=dict(os.environ, PYTHONPATH=str(Path(root) / "src")),
-                           check=True, stdin=subprocess.DEVNULL)
         # samples[label][side] = one measurement dict per launch
         samples = {label: ([], []) for label in invocations}
         for i in range(launches):
@@ -148,8 +174,15 @@ def main():
     groups = {w: [(c, p) for c, p, _ in run.WORKLOADS[w]]
               for w in (args.workload or sorted(run.WORKLOADS))}
     roots = [str(Path(r).resolve()) for r in (args.a, args.b)]
+    states = [bytecode_state(root) for root in roots]
+    print(f"A = {roots[0]} ({states[0]})\nB = {roots[1]} ({states[1]})")
+    if states[0] != states[1]:
+        print("error: the trees differ in bytecode state, which moves setup_s and"
+              " compute_s more than most changes; remove src/cmnl/__pycache__ from"
+              " both, or unset PYTHONDONTWRITEBYTECODE", file=sys.stderr)
+        return 2
     results, identical = compare(roots, groups, args.launches, args.problems)
-    print(f"A = {roots[0]}\nB = {roots[1]}\n{args.launches} interleaved launches"
+    print(f"{args.launches} interleaved launches"
           " per tree; median [q1, q3]; 'B lower' counts launches")
     for label, metrics in results.items():
         note = "" if label in groups else (
