@@ -22,6 +22,7 @@ an order or seed that is not an integer).  ``-h`` prints the usage and exits 0.
 """
 
 import functools
+import gc
 import json
 import math
 import os
@@ -403,6 +404,11 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
+
+# Everything imported so far lives as long as the process and holds no
+# cyclic garbage: frozen, the collections inside ``main`` do not traverse
+# it, and the interpreter's exit does not tear it down object by object.
+gc.freeze()
 
 if __name__ == "__main__":
     raise SystemExit(main())

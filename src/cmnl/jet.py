@@ -53,7 +53,6 @@ terms with their orders.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import factorial
 from operator import add
@@ -72,18 +71,24 @@ from .tsolve import BLOCK_TOL, block_operator, check_strip, solve_frequency
 ROOT_MATCH_TOL = 1e-7
 
 
-@dataclass(frozen=True)
 class JetIndex:
-    """Multi-index over kernel coordinates (``powers``) and parameters (``mu``)."""
+    """Multi-index over kernel coordinates (``powers``) and parameters (``mu``).
 
-    powers: tuple
-    mu: tuple = ()
+    Equal exponents make equal indices, which hash alike."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
-        object.__setattr__(self, "mu", tuple(int(r) for r in self.mu))
+    def __init__(self, powers, mu=()):
+        self.powers = tuple(int(p) for p in powers)
+        self.mu = tuple(int(r) for r in mu)
         if any(p < 0 for p in self.powers) or any(r < 0 for r in self.mu):
             raise ValueError("exponents must be nonnegative")
+
+    def __eq__(self, other):
+        if other.__class__ is not JetIndex:
+            return NotImplemented
+        return self.powers == other.powers and self.mu == other.mu
+
+    def __hash__(self):
+        return hash((self.powers, self.mu))
 
     @property
     def order(self):
@@ -98,7 +103,6 @@ class JetIndex:
         return {"powers": list(self.powers), "mu": list(self.mu)}
 
 
-@dataclass
 class JetResult:
     """Computed reduction: graph coefficients, field, and diagnostics.
 
@@ -111,15 +115,12 @@ class JetResult:
     cutoff, the smallest kept and the largest dropped singular value.
     """
 
-    projection: object
-    nonlinearity: object
-    order: int
-    weights: tuple
-    psi: dict
-    field: dict = dataclass_field(default_factory=dict)
-    diagnostics: dict = dataclass_field(default_factory=dict)
-    vanished: tuple = ()
-    root_blocks: tuple = ()
+    def __init__(self, projection, nonlinearity, order, weights, psi, field,
+                 diagnostics, vanished, root_blocks):
+        self.projection, self.nonlinearity = projection, nonlinearity
+        self.order, self.weights, self.psi = order, weights, psi
+        self.field, self.diagnostics = field, diagnostics
+        self.vanished, self.root_blocks = vanished, root_blocks
 
     @property
     def basis(self):
@@ -401,10 +402,14 @@ def _degrees(rowsets, extra=lambda i: 0):
 class _Solver:
     """Bordered solves, residuals and coordinates of one jet on lattice rows.
 
-    One solve operator per (point, degree) comes from ``tsolve``: block
-    back-substitution off the roots, the truncated SVD at a root, whose
-    truncation record is kept in ``gaps`` per (point, degree).  Coordinate
-    and flow rows per point come from ``Projection.coordinate_rows``.
+    The solve operators come from ``tsolve``.  Off the roots a point has
+    one, block back-substitution built at the largest degree that the
+    stacks of an order need there (``prefetch``); its leading squares are
+    the operators of the smaller degrees (``toeplitz_blocks``).  A root
+    point has one truncated SVD per degree, whose truncation record is kept
+    in ``gaps`` per (point, degree).  Coordinate and flow rows per point
+    come from ``Projection.coordinate_rows``; when a point's rows have to
+    grow, they grow to twice the degree asked for.
     """
 
     def __init__(self, K, projection, rows):
@@ -413,27 +418,31 @@ class _Solver:
         self.alpha = Counter(index[el.nu] for el in projection.basis.elements)
         self.basis = [rows.from_quasi(el.function)
                       for el in projection.basis.elements]
-        self._ops = {}
+        self._ops = {}  # (point, None) off the roots, (point, degree) at one
+        self._wants = {}  # the degrees of the last prefetch
         self._coords = {}
         self.gaps = {}
 
     def prefetch(self, rhs):
         """Check the strip and fetch the transforms of the solves of ``rhs``."""
-        wants = _degrees(rhs, lambda i: self.alpha[i])
+        wants = self._wants = _degrees(rhs, lambda i: self.alpha[i])
         for i in wants:
             check_strip(self.rows.lattice.points[i], self.P.basis.strip)
         self.rows.prefetch(self.K, wants)
 
     def _operator(self, i, D):
-        op = self._ops.get((i, D))
-        if op is None:
-            series = self.rows.series(self.K, i, D)[: D + 1].copy()
+        size = (D + 1) * self.K.n
+        key = (i, D if self.alpha[i] else None)
+        op = self._ops.get(key)
+        if op is None or op[0].shape[0] < size:
+            top = D if self.alpha[i] else max(D, self._wants.get(i, D))
+            series = self.rows.series(self.K, i, top)[: top + 1].copy()
             series[0] += np.eye(self.K.n)
             A, S, gap = block_operator(series, self.alpha[i], BLOCK_TOL)
             if gap is not None:
                 self.gaps[i, D] = gap
-            op = self._ops[i, D] = (A, S)
-        return op
+            op = self._ops[key] = (A, S)
+        return op[0][:size, :size], op[1][:size, :size]
 
     def solve(self, gs):
         """Rows of each u with u + K*u + g = 0 and zero coordinates: one
@@ -495,6 +504,8 @@ class _Solver:
         cols = (degree + 1) * n
         have = self._coords.get(i)
         if have is None or have[0].shape[1] < cols:
+            if have is not None:
+                degree *= 2
             nu = self.rows.lattice.points[i]
             R = self.P.coordinate_rows(nu, degree)
             # d/dx (c_q x^q e^{nu x}): nu c_q at x^q and q c_q at x^{q-1}
@@ -779,7 +790,6 @@ def compute_jet(K, projection, F, order, weights=None):
 SCALE_TOL = 1e-9
 
 
-@dataclass
 class ScaledField:
     """Leading-order field after a small-parameter scaling.
 
@@ -788,12 +798,11 @@ class ScaledField:
     removed term.
     """
 
-    field: dict
-    dropped: tuple
-    coord_exponents: tuple
-    x_exponent: float
-    param_exponents: tuple
-    phases: tuple
+    def __init__(self, field, dropped, coord_exponents, x_exponent,
+                 param_exponents, phases):
+        self.field, self.dropped = field, dropped
+        self.coord_exponents, self.x_exponent = coord_exponents, x_exponent
+        self.param_exponents, self.phases = param_exponents, phases
 
 
 def scale_field(fld, coord_exponents, x_exponent, param_exponents=(),

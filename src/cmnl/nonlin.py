@@ -15,15 +15,12 @@ needs quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernel import convolve
 from .quasipoly import QuasiPolynomial, multiply, place_component
 
 
-@dataclass(frozen=True)
 class TaylorTerm:
     """One separable multilinear convolution term.
 
@@ -35,23 +32,15 @@ class TaylorTerm:
     value never includes them.
     """
 
-    coeff: complex
-    factors: tuple
-    mu_power: tuple = ()
-    outer: object = None
-    target: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        factors = tuple((kern, int(comp)) for kern, comp in self.factors)
-        object.__setattr__(self, "factors", factors)
-        if not factors:
+    def __init__(self, coeff, factors, mu_power=(), outer=None, target=0):
+        self.coeff = complex(coeff)
+        self.factors = tuple((kern, int(comp)) for kern, comp in factors)
+        if not self.factors:
             raise ValueError("a term needs at least one u-factor")
-        mu = self.mu_power
-        mu = (int(mu),) if np.isscalar(mu) else tuple(int(r) for r in mu)
-        object.__setattr__(self, "mu_power", mu)
+        mu = (int(mu_power),) if np.isscalar(mu_power) else tuple(int(r) for r in mu_power)
         if any(r < 0 for r in mu):
             raise ValueError("mu_power must be nonnegative")
+        self.mu_power, self.outer, self.target = mu, outer, target
 
     @property
     def degree(self):
@@ -64,7 +53,6 @@ class TaylorTerm:
         return sum(self.mu_power)
 
 
-@dataclass(frozen=True)
 class NonlinearitySpec:
     """Finite Taylor series of multilinear convolution terms.
 
@@ -74,11 +62,8 @@ class NonlinearitySpec:
     ``max_order``.
     """
 
-    terms: tuple
-    max_order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms, max_order):
+        self.terms, self.max_order = tuple(terms), max_order
         if self.max_order < 2:
             raise ValueError("max_order must be at least 2")
         for i, t in enumerate(self.terms):

@@ -53,7 +53,6 @@ for known names only; the reduction does not use it.
 
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,21 +162,18 @@ def kernel_from_data(data, where="kernel"):
     return cls(built, n=n)
 
 
-@dataclass
 class ProblemDefinition:
     """Validated problem: kernels, nonlinearity, pipeline settings."""
 
-    n: int
-    kernels: dict
-    kernel_name: str
-    nonlinearity: NonlinearitySpec
-    order: int
-    projection_flavor: str = "pointwise"
-    projection_weight: str | None = None
-    verify_plan: dict | None = None
-    name: str | None = None
-    out_path: str | None = None
-    csv_path: str | None = None
+    def __init__(self, n, kernels, kernel_name, nonlinearity, order,
+                 projection_flavor, projection_weight, verify_plan, name,
+                 out_path, csv_path):
+        self.n, self.kernels, self.kernel_name = n, kernels, kernel_name
+        self.nonlinearity, self.order = nonlinearity, order
+        self.projection_flavor = projection_flavor
+        self.projection_weight = projection_weight
+        self.verify_plan, self.name = verify_plan, name
+        self.out_path, self.csv_path = out_path, csv_path
 
     @property
     def kernel(self):

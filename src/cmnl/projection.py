@@ -15,17 +15,14 @@ Either flavor yields coordinates c = A^{-1} (functionals applied to u) in the
 fixed basis ordering; the projected element is sum_k c_k phi_k.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .quasipoly import QuasiPolynomial, derivative_weights
+from .quasipoly import derivative_weights
 from .spectrum import chain_functions, conjugate_chains, jordan_chains
 
 GRAM_COND_LIMIT = 1e12
 
 
-@dataclass
 class BasisElement:
     """One kernel basis function with its bookkeeping indices.
 
@@ -33,13 +30,10 @@ class BasisElement:
     its own conjugate, i.e. belongs to a root on the real axis).
     """
 
-    function: QuasiPolynomial
-    nu: complex
-    group: int
-    chain: int
-    order: int
-    head: np.ndarray
-    partner: int = -1
+    def __init__(self, function, nu, group, chain, order, head, partner=-1):
+        self.function, self.nu = function, nu
+        self.group, self.chain, self.order = group, chain, order
+        self.head, self.partner = head, partner
 
 
 class KernelBasis:
@@ -133,28 +127,23 @@ class _Functional:
                            for nu, c in u.terms))
 
 
-@dataclass
 class DerivativeFunctional(_Functional):
     """u -> <u^(order)(0), direction>  (Hermitian pairing, direction conjugated)."""
 
-    order: int
-    direction: np.ndarray
+    def __init__(self, order, direction):
+        self.order, self.direction = order, direction
 
     def rows(self, nu, degree):
         return np.multiply.outer(derivative_weights(nu, self.order, degree),
                                  np.conj(self.direction))
 
 
-@dataclass
 class WeightedFunctional(_Functional):
     """u -> integral <u(y), element(y)> weight(y) dy, in closed form."""
 
-    weight: str
-    element: QuasiPolynomial
-    _conj: QuasiPolynomial = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._conj = self.element.conjugate()
+    def __init__(self, weight, element):
+        self.weight = weight
+        self._conj = element.conjugate()
 
     def rows(self, nu, degree):
         # x^q e^{nu x} against x^p e^{nu_c x} weighs in the moment of x^{q+p}
@@ -225,7 +214,6 @@ def weight_moments(weight, nu, smax):
 # projection
 
 
-@dataclass
 class Projection:
     """Idempotent projection onto the span of a kernel basis.
 
@@ -235,14 +223,11 @@ class Projection:
     were selected greedily; ``condition`` is the 2-norm condition number of A.
     """
 
-    basis: KernelBasis
-    functionals: list
-    gram: np.ndarray
-    gram_inverse: np.ndarray
-    flavor: str
-    weight: str | None = None
-    augmented: bool = False
-    condition: float = 1.0
+    def __init__(self, basis, functionals, gram, gram_inverse, flavor,
+                 weight=None, augmented=False, condition=1.0):
+        self.basis, self.functionals = basis, functionals
+        self.gram, self.gram_inverse, self.flavor = gram, gram_inverse, flavor
+        self.weight, self.augmented, self.condition = weight, augmented, condition
 
     def coordinate_rows(self, nu, degree):
         """(M, (degree+1) n) matrix taking the flattened coefficients of one

@@ -46,12 +46,11 @@ quadrature evaluates all the panels of one refinement level in one such
 pair of calls, and a confirmation circle all its nodes.
 """
 
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
 
-from cmnl.kernel import real_kernel, validate_decay
+from cmnl.kernel import real_kernel, spectral_norm, validate_decay
 from cmnl.quasipoly import QuasiPolynomial
 
 
@@ -111,7 +110,27 @@ def _scalar_or_array(val):
 
 def char_value(K, nu):
     """d(nu) = det(I + Khat(nu)) at a scalar or at every point of an array."""
-    return _scalar_or_array(np.linalg.det(t_hat(K, nu)))
+    return _scalar_or_array(_det(t_hat(K, nu)))
+
+
+def _det(that):
+    """det That at every point of a stack: for n = 1 the entry itself."""
+    return that[..., 0, 0] if that.shape[-1] == 1 else np.linalg.det(that)
+
+
+def _inverse(that):
+    """That^{-1} at every point of a stack, raising ``ContourError`` where
+    That is singular to rounding.  For n = 1 one division per point, an
+    exactly zero entry being singular: on 1 x 1 matrices LAPACK's batched
+    inverse costs some 60 times as much."""
+    if that.shape[-1] == 1:
+        if not that.all():
+            raise ContourError("contour hits a root")
+        return 1 / that
+    try:
+        return np.linalg.inv(that)
+    except np.linalg.LinAlgError:
+        raise ContourError("contour hits a root") from None
 
 
 def _log_derivative(K, nu):
@@ -123,10 +142,7 @@ def _log_derivative(K, nu):
     That is singular to rounding raises ``ContourError``."""
     khat = K.transform_batch(nu)
     that = khat + np.eye(K.n)
-    try:
-        inv = np.linalg.inv(that)
-    except np.linalg.LinAlgError:
-        raise ContourError("contour hits a root") from None
+    inv = _inverse(that)
     quot = inv @ K.transform_batch(nu, 1)
     norm = np.linalg.norm
     amplification = 1 + (1 + norm(khat, axis=(-2, -1))) * norm(inv, axis=(-2, -1))
@@ -222,14 +238,15 @@ def contour_moments(K, re0, re1, im0, im1):
 # -- roots -------------------------------------------------------------------
 
 
-@dataclass
 class Root:
-    """One characteristic root (cluster) on or near the imaginary axis."""
+    """One characteristic root (cluster) on or near the imaginary axis.
 
-    nu: complex
-    multiplicity: int
-    snap_distance: float = 0.0
-    pair: int = -1  # index of the conjugate partner in the root list, -1 if none
+    ``pair`` is the index of its conjugate partner in the root list, -1 if
+    none."""
+
+    def __init__(self, nu, multiplicity, snap_distance, pair=-1):
+        self.nu, self.multiplicity = nu, multiplicity
+        self.snap_distance, self.pair = snap_distance, pair
 
     def to_data(self):
         return {
@@ -239,12 +256,13 @@ class Root:
         }
 
 
-@dataclass
 class SpectrumResult:
-    roots: list
-    strip: float
-    window: float
-    diagnostics: dict = field(default_factory=dict)
+    """The roots of ``locate_roots``, its certified strip, window and
+    diagnostics."""
+
+    def __init__(self, roots, strip, window, diagnostics):
+        self.roots, self.strip = roots, strip
+        self.window, self.diagnostics = window, diagnostics
 
     @property
     def total_multiplicity(self):
@@ -424,7 +442,7 @@ def _choose_window(K, eta):
     sigmas = np.array([0.0, 0.5 * eta, eta, -0.5 * eta, -eta])
     for L in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0):
         nus = sigmas[:, None] + 1j * np.linspace(L, 3 * L, 25)
-        sup = np.linalg.norm(K.transform_batch(nus), 2, axis=(-2, -1)).max()
+        sup = spectral_norm(K.transform_batch(nus)).max()
         if sup < 0.5:
             return 2 * L
     raise RuntimeError("transform does not decay along the strip; no finite window")
@@ -455,7 +473,7 @@ def _confirm(K, nu, multiplicity, radius, limit):
         allowance = NOISE_FACTOR * radius * eps.mean()
         count = np.rint(s0.real)
         if abs(s0 - count) <= COUNT_TOL and abs(s0 - even) <= COUNT_TOL + allowance:
-            d = np.linalg.det(that)
+            d = _det(that)
             noise = np.finfo(float).eps * (1 + np.abs(d).max())
             return count == multiplicity and abs(d.mean()) <= NOISE_FACTOR * noise
         radius *= 1.37

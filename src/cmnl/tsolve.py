@@ -28,20 +28,17 @@ stacks a whole jet order on it, and ``jet.solve`` runs one
 ``BorderedProblem`` through it.
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from .kernel import toeplitz_blocks
-from .quasipoly import QuasiPolynomial
 from .spectrum import _truncated_svd
 
 # relative SVD cutoff of the block systems at a root
 BLOCK_TOL = 1e-9
 
 
-@dataclass
 class BorderedProblem:
     """Data of one bordered solve.
 
@@ -49,17 +46,13 @@ class BorderedProblem:
     the projection's sense).
     """
 
-    K: object
-    projection: object
-    g: QuasiPolynomial
-    target_coords: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = self.projection.basis.size
-        if self.target_coords is None:
+    def __init__(self, K, projection, g, target_coords=None):
+        self.K, self.projection, self.g = K, projection, g
+        m = projection.basis.size
+        if target_coords is None:
             self.target_coords = np.zeros(m, dtype=complex)
         else:
-            self.target_coords = np.asarray(self.target_coords, dtype=complex)
+            self.target_coords = np.asarray(target_coords, dtype=complex)
             if self.target_coords.shape != (m,):
                 raise ValueError(f"expected {m} target coordinates")
 

@@ -33,7 +33,6 @@ predictions numerically and independently of the quasi-polynomial route:
 """
 
 from array import array
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import acosh, ceil, inf, log, sqrt
 
@@ -47,16 +46,12 @@ from .nonlin import mu_weight, walk_slots
 # containers
 
 
-@dataclass
 class Trajectory:
     """Solution samples of the reduced equation: ``ys[i]`` at ``xs[i]``."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.ys = np.atleast_2d(np.asarray(self.ys, dtype=complex))
+    def __init__(self, xs, ys):
+        self.xs = np.asarray(xs, dtype=float)
+        self.ys = np.atleast_2d(np.asarray(ys, dtype=complex))
         if self.ys.shape[0] != self.xs.shape[0]:
             raise ValueError("trajectory sample count mismatch")
 
@@ -118,7 +113,6 @@ class GridProfile:
         return float(x[1] - x[0])
 
 
-@dataclass
 class ResidualReport:
     """Norms of the equation defect on a grid, with a quadrature estimate.
 
@@ -129,40 +123,34 @@ class ResidualReport:
     magnitude, margins included.  ``defect_rows`` yields the defect itself.
     """
 
-    max_norm: float
-    l2_norm: float
-    quadrature_error: float
-    converged: bool
-    margin: int
-    amplitude: float
+    def __init__(self, max_norm, l2_norm, quadrature_error, converged, margin,
+                 amplitude):
+        self.max_norm, self.l2_norm = max_norm, l2_norm
+        self.quadrature_error, self.converged = quadrature_error, converged
+        self.margin, self.amplitude = margin, amplitude
 
 
-@dataclass
 class ShootingResult:
     """A wave of a planar system: a deterministic shot, or the closed-form
     pulse loop."""
 
-    success: bool
-    trajectory: Trajectory
-    monotone: bool | None = None
-    section_value: float | None = None
-    crossing_time: float | None = None
-    return_distance: float | None = None
-    reach_distance: float | None = None
-    details: dict = dataclass_field(default_factory=dict)
+    def __init__(self, success, trajectory, details, monotone=None,
+                 section_value=None, crossing_time=None, return_distance=None,
+                 reach_distance=None):
+        self.success, self.trajectory, self.details = success, trajectory, details
+        self.monotone, self.section_value = monotone, section_value
+        self.crossing_time, self.return_distance = crossing_time, return_distance
+        self.reach_distance = reach_distance
 
 
-@dataclass
 class WaveReport:
     """Summary artifact for a verified wave family."""
 
-    kind: str
-    parameters: dict
-    residual_max: float
-    residual_l2: float
-    slope: float | None = None
-    monotone: bool | None = None
-    details: dict = dataclass_field(default_factory=dict)
+    def __init__(self, kind, parameters, residual_max, residual_l2, slope,
+                 monotone, details):
+        self.kind, self.parameters = kind, parameters
+        self.residual_max, self.residual_l2 = residual_max, residual_l2
+        self.slope, self.monotone, self.details = slope, monotone, details
 
     def to_data(self):
         return {

@@ -7,11 +7,15 @@ x-grids, so none of this is library code.
 
 import cmath
 import math
+from contextlib import ExitStack, contextmanager
 from math import comb
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from cmnl import kernel as _kernel
+from cmnl import spectrum as _spectrum
 from cmnl.kernel import (
     ExponentialMixture, GaussianMixture, SumKernel, apply_T, taylor_transforms)
 from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
@@ -287,6 +291,33 @@ def winding_count(K, points):
     w = steps.sum() / (2 * np.pi)
     assert abs(w - round(w)) < 1e-6
     return round(w)
+
+
+def _lapack_inverse(that):
+    try:
+        return np.linalg.inv(that)
+    except np.linalg.LinAlgError:
+        raise _spectrum.ContourError("contour hits a root") from None
+
+
+@contextmanager
+def lapack_root_location():
+    """Root location through LAPACK on 1 x 1 matrices too, as for n > 1:
+    the batched inverse of ``_log_derivative``, the determinants of
+    ``char_value`` and ``_confirm``, and the SVD 2-norms of
+    ``_choose_window`` and ``validate_decay``.  The oracle of the scalar
+    forms that ``spectrum`` and ``kernel`` take for n = 1."""
+    def norm(M):
+        return np.linalg.norm(M, 2, axis=(-2, -1))
+
+    with ExitStack() as stack:
+        for module, name, value in (
+                (_spectrum, "_inverse", _lapack_inverse),
+                (_spectrum, "_det", np.linalg.det),
+                (_spectrum, "spectral_norm", norm),
+                (_kernel, "spectral_norm", norm)):
+            stack.enter_context(mock.patch.object(module, name, value))
+        yield
 
 
 def rectangle(re0, re1, im0, im1, spacing=None):

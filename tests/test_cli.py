@@ -861,6 +861,32 @@ class TestCommandLineEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_the_frozen_import_graph_holds_no_garbage(self):
+        # importing cmnl.cli freezes what it imported; cyclic garbage left
+        # by an import would be frozen too, and kept for the whole process
+        code = (
+            "import gc, json\n"
+            "gc.collect()\n"
+            "import cmnl.cli\n"
+            "frozen, found = gc.get_freeze_count(), gc.collect()\n"
+            "gc.unfreeze()\n"
+            "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+            "kept = gc.collect()\n"
+            "kinds = sorted({type(o).__name__ for o in gc.garbage})\n"
+            "print(json.dumps([frozen, found, kept, kinds]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        frozen, found, kept, kinds = json.loads(proc.stdout)
+        assert frozen > 0
+        assert found == 0
+        assert kept == 0, (
+            f"importing cmnl.cli leaves {kept} unreachable objects, which "
+            f"gc.freeze() keeps alive: {', '.join(kinds[:20])}")
+
     def test_commands_load_no_argparse_or_numpy_polynomial(self, tmp_path):
         # every cm process would pay for these imports before its work
         path = write_problem(tmp_path, saddle_problem_data())
@@ -917,7 +943,7 @@ class TestCommandLineEntry:
             "quasipoly.QuasiPolynomial.component", "quasipoly.QuasiPolynomial.degree",
             "quasipoly.QuasiPolynomial.__add__", "quasipoly.QuasiPolynomial.scale",
             "quasipoly.multiply", "quasipoly.place_component", "nonlin.apply_term",
-            "tsolve.BorderedProblem.__post_init__", "jet.solve",
+            "tsolve.BorderedProblem.__init__", "jet.solve",
             # the front shot inlines its stages; the tracer counts its calls
             "verify.rk4_step",
             # the wave builders reconstruct block by block through

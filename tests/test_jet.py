@@ -46,7 +46,7 @@ from cmnl.problem import ProblemError
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
 from cmnl.quasipoly import TRIM_REL, QuasiPolynomial
 from cmnl.spectrum import locate_roots
-from cmnl.tsolve import BLOCK_TOL, solve_frequency
+from cmnl.tsolve import BLOCK_TOL, block_operator, solve_frequency
 
 
 def kappa(K, m, j):
@@ -591,9 +591,26 @@ def test_front_frequencies_are_one_value():
 # stacked solves against the per-index reference
 
 
+def _fresh_operator(solver, i, D):
+    """The block operator of point i at degree D, built for that degree."""
+    series = solver.rows.series(solver.K, i, D)[: D + 1].copy()
+    series[0] += np.eye(solver.K.n)
+    return block_operator(series, solver.alpha[i], BLOCK_TOL)
+
+
 class _PerIndexSolver(_Solver):
     """Bordered solves, residuals and coordinates one right-hand side and one
-    point at a time: the reference for the stacked ``_Solver``."""
+    point at a time, with an operator built per (point, degree): the
+    reference for the stacked ``_Solver`` and its sliced operators."""
+
+    def _operator(self, i, D):
+        op = self._ops.get((i, D))
+        if op is None:
+            A, S, gap = _fresh_operator(self, i, D)
+            if gap is not None:
+                self.gaps[i, D] = gap
+            op = self._ops[i, D] = (A, S)
+        return op
 
     def solve(self, gs):
         points = self.rows.lattice.points
@@ -663,6 +680,32 @@ def test_stacked_solves_match_the_per_index_reference(build, monkeypatch):
         assert np.array_equal(vec, R.field[idx])
     assert J.diagnostics == R.diagnostics
     assert (J.vanished, J.root_blocks) == (R.vanished, R.root_blocks)
+
+
+def test_off_root_operators_are_the_leading_squares_of_one(monkeypatch):
+    # each off-root point of the pair-o5 jet has one block operator, built at
+    # the largest degree its stacks need; its leading squares are the fresh
+    # operators of every smaller degree, bit for bit
+    solvers = []
+
+    class Recorded(_Solver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    monkeypatch.setattr(jet, "_Solver", Recorded)
+    K, _ = build_pair_jet(order=5)
+    (solver,) = solvers
+    off = {i: op for (i, D), op in solver._ops.items() if D is None}
+    assert off and all(solver.alpha[i] == 0 for i in off)
+    assert any(A.shape[0] > K.n for A, _ in off.values())
+    for i, (A, S) in off.items():
+        for D in range(A.shape[0] // K.n):
+            size = (D + 1) * K.n
+            fresh_A, fresh_S, gap = _fresh_operator(solver, i, D)
+            assert gap is None
+            assert np.array_equal(A[:size, :size], fresh_A)
+            assert np.array_equal(S[:size, :size], fresh_S)
 
 
 def test_residual_counts_rows_of_g_that_u_lacks(pair_problem):

@@ -7,7 +7,10 @@ T phi = 0 through the exact convolution — a route independent of the
 linear-algebra used to build the chains.
 """
 
+import runpy
+import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,12 @@ from conftest import (
     build_front_jet, critical_pair_kernel, scaled_gaussian, simple_zero_kernel,
     two_exponential_kernel)
 from reference import (
-    add_kernels, circle, gauss_legendre, max_coeff, rectangle, term_for, winding_count)
+    add_kernels, circle, gauss_legendre, kernel_to_data, lapack_root_location, max_coeff,
+    rectangle, term_for, winding_count)
 
 from cmnl import kernel as kr
 from cmnl import spectrum as sp
+from cmnl.problem import load_problem
 
 
 def double_root_at_zero():
@@ -93,6 +98,55 @@ def test_root_at_a_midpoint_raises():
     # Gauss-Legendre rules agree on the principal value: half the root
     with pytest.raises(sp.ContourError, match="count 0.5"):
         moment_count(real_pair_kernel(), 0.5, 1.5, 0.0, 1.0)
+
+
+def test_scalar_that_exactly_zero_raises_without_a_warning():
+    # Khat = -1 / (1 - nu^2): That(0) is exactly 0, and the scalar inverse
+    # refuses that node before it divides
+    K = kr.ExponentialMixture([(-0.5, 1.0, 0.0)])
+    nodes = np.array([[0.5j, 0j, -0.5j]])
+    assert sp.t_hat(K, nodes)[0, 1, 0, 0] == 0
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(sp.ContourError, match="contour hits a root"):
+            sp._log_derivative(K, nodes)
+        with lapack_root_location(), pytest.raises(sp.ContourError,
+                                                   match="contour hits a root"):
+            sp._log_derivative(K, nodes)
+
+
+def seed_kernels(tmp_path):
+    """The kernels of the seed-1 bench problems, each once."""
+    root = Path(__file__).resolve().parents[1]
+    paths = runpy.run_path(str(root / "bench" / "problems.py"))["write"](1, str(tmp_path))
+    kernels = {}
+    for path in paths.values():
+        K = load_problem(path).kernel
+        kernels.setdefault(repr(kernel_to_data(K)), K)
+    return list(kernels.values())
+
+
+def test_scalar_root_location_matches_the_lapack_path(tmp_path):
+    # the roots, multiplicities, strip, window and decay checks of the
+    # seed-1 kernels are those of LAPACK's inverse, determinant and SVD
+    # 2-norm on 1 x 1 matrices; only the sub-noise snap distances and
+    # Hankel gaps may move
+    kernels = seed_kernels(tmp_path)
+    assert len(kernels) == 4
+    for K in kernels:
+        assert K.n == 1
+        res = sp.locate_roots(K)
+        decay = kr.validate_decay(K)
+        with lapack_root_location():
+            ref = sp.locate_roots(K)
+            ref_decay = kr.validate_decay(K)
+        assert [(r.nu, r.multiplicity, r.pair) for r in res.roots] == [
+            (r.nu, r.multiplicity, r.pair) for r in ref.roots]
+        assert (res.strip, res.window) == (ref.strip, ref.window)
+        assert decay.checks == ref_decay.checks
+        assert res.diagnostics["decay_checks"] == ref.diagnostics["decay_checks"]
+        for r, q in zip(res.roots, ref.roots):
+            assert abs(r.snap_distance - q.snap_distance) <= 1e-15
 
 
 def test_root_inside_a_side_raises():
