@@ -144,7 +144,6 @@ def test_scalar_root_location_matches_the_lapack_path(tmp_path):
             (r.nu, r.multiplicity, r.pair) for r in ref.roots]
         assert (res.strip, res.window) == (ref.strip, ref.window)
         assert decay.checks == ref_decay.checks
-        assert res.diagnostics["decay_checks"] == ref.diagnostics["decay_checks"]
         for r, q in zip(res.roots, ref.roots):
             assert abs(r.snap_distance - q.snap_distance) <= 1e-15
 
