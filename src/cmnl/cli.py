@@ -233,24 +233,20 @@ def _verify_data(prob, tol_root, tol_solve, csv_dir, seed):
             write_profile_csv(os.path.join(csv_dir, name), K,
                               J.nonlinearity, profile, mu)
 
+    # the optional keys the plan holds; verify.py has their defaults
+    optional = {k: v for k, v in plan.items()
+                if k in ("step_x", "start", "tol_reach")}
     if plan["wave"] == "homoclinic":
-        report = pulse_scaling_report(
-            K, J, plan["lambdas"],
-            step_x=plan.get("step_x", 0.1),
-            on_profile=writer,
-            **({"start": plan["start"]} if "start" in plan else {}),
-        )
+        report = pulse_scaling_report(K, J, plan["lambdas"], on_profile=writer,
+                                      **optional)
         if report.slope is not None and report.slope < SLOPE_REQUIREMENT:
             raise RuntimeError(
                 f"scaling certification failed: log-log slope {report.slope:.3f}"
                 f" below {SLOPE_REQUIREMENT}"
             )
     else:
-        report = front_report(
-            K, J, plan["epsilon"], plan["c_star"],
-            on_profile=writer,
-            **({"tol_reach": plan["tol_reach"]} if "tol_reach" in plan else {}),
-        )
+        report = front_report(K, J, plan["epsilon"], plan["c_star"],
+                              on_profile=writer, **optional)
     return {
         "schema": SCHEMA_VERSION,
         "command": "verify",

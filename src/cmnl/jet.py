@@ -561,6 +561,28 @@ def _graded(key):
     return sum(key[0]) + sum(key[1]), key[0] + key[1]
 
 
+def _picks(pieces, starts, top, chosen, left, start, remaining):
+    """Yield every extension of the piece indices ``chosen`` by ``left``
+    more whose orders sum to ``remaining``, indices never decreasing inside
+    a group of slots (a slot in ``starts`` opens a group), ``top`` the
+    largest order.  A module-level generator: a closure that called itself
+    would leave a reference cycle, holding ``pieces``, at every call."""
+    if left == 0:
+        yield list(chosen)
+        return
+    if len(chosen) in starts:
+        start = 0
+    for i in range(start, len(pieces)):
+        o = pieces[i].order
+        if o > remaining - (left - 1):
+            break
+        if remaining - o <= top * (left - 1):
+            chosen.append(i)
+            yield from _picks(pieces, starts, top, chosen, left - 1, i,
+                              remaining - o)
+            chosen.pop()
+
+
 def _slot_multisets(term, pieces, budget):
     """Yield ``(weight, args)``: the term's argument lists whose piece orders
     sum to ``budget``, each once up to reordering interchangeable slots.
@@ -579,27 +601,8 @@ def _slot_multisets(term, pieces, budget):
         spans.append((lo, lo + len(g)))
         lo += len(g)
     starts = {lo for lo, _ in spans}
-    top = pieces[-1].order
-    chosen = []
-
-    def rec(pos, start, remaining):
-        # piece indices never decrease inside a group
-        left = len(slots) - pos
-        if left == 0:
-            yield list(chosen)
-            return
-        if pos in starts:
-            start = 0
-        for i in range(start, len(pieces)):
-            o = pieces[i].order
-            if o > remaining - (left - 1):
-                break
-            if remaining - o <= top * (left - 1):
-                chosen.append(i)
-                yield from rec(pos + 1, i, remaining - o)
-                chosen.pop()
-
-    for picks in rec(0, 0, budget):
+    for picks in _picks(pieces, starts, pieces[-1].order, [], len(slots), 0,
+                        budget):
         weight = 1
         for lo, hi in spans:
             group = picks[lo:hi]

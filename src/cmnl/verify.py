@@ -3,22 +3,21 @@
 The exact algebra ends at the reduced vector field; this module checks its
 predictions numerically and independently of the quasi-polynomial route:
 
-* ``reconstruct`` -- pointwise graph evaluation of a coordinate trajectory,
-  ``u(x) = (u0(c(x)) + Psi(c(x), mu))(0)``, sampled on the trajectory grid
-  one bounded block of rows at a time, each monomial one multiply from a
-  monomial of lower degree;
+* ``reconstruct`` -- pointwise graph evaluation of coordinate columns,
+  ``u(x) = (u0(c(x)) + Psi(c(x), mu))(0)``: the profile of every wave, a
+  row source (``GridProfile``) whose rows are computed one bounded block at
+  a time, each monomial one multiply from a monomial of lower degree;
 * ``grid_convolve`` / ``residual`` -- trapezoidal convolution quadrature on a
   truncated uniform grid with a two-grid Richardson error estimate, measuring
   how well a profile satisfies ``u + K*u + F(u, mu) = 0``; the defect sums the
   terms that share an outer kernel and convolves each such group once;
 * every grid stage -- the pulse's orbit and coordinates, the reconstruction,
   and the fine and coarse defects -- runs over blocks of ``RECONSTRUCT_ROWS``
-  grid rows: a wave profile is a row source (``GridProfile.computed``) that
-  reconstructs the window a defect block reads, the block and the rows its
-  stencils reach around it, and ``residual`` keeps only per-block maxima and
-  sums, so no array spans the grid and the memory of a pulse sweep does not
-  grow as its parameter shrinks; each row's value is the one a whole-grid
-  evaluation gives, bit for bit;
+  grid rows: ``reconstruct`` computes the window a defect block reads, the
+  block and the rows its stencils reach around it, and ``residual`` keeps
+  only per-block maxima and sums, so no array spans the grid and the memory
+  of a pulse sweep does not grow as its parameter shrinks; each row's value
+  is the one a whole-grid evaluation gives, bit for bit;
 * ``find_homoclinic`` / ``find_front`` -- the waves of the two planar limit
   systems produced by ``scale_field``: the homoclinic loop of the reversible
   pulse equation ``a'' = lin a + cub a^3`` in closed form,
@@ -72,40 +71,18 @@ class GridProfile:
     """A profile on a uniform grid of ``size`` rows of ``n`` components.
 
     ``x(lo, hi)`` and ``rows(lo, hi)`` return the abscissae and the values,
-    shape ``(hi - lo, n)``, of the grid rows ``lo:hi``; ``residual`` reads a
-    profile through them one bounded window at a time.  ``GridProfile(xs,
-    values)`` serves the rows of two arrays, kept as ``xs`` and ``values``;
-    ``GridProfile.computed(size, n, x, rows)`` computes them on demand, as
-    the wave builders do, so that no array spans the grid.  ``h`` is the
-    first spacing, ``x(0, 2)`` differenced.
+    shape ``(hi - lo, n)``, of the grid rows ``lo:hi``, computed on demand,
+    so that no array spans the grid; a row's value must not depend on
+    ``lo:hi``.  ``residual`` reads a profile through them one bounded window
+    at a time.  ``h`` is the first spacing, ``x(0, 2)`` differenced.
 
     Builders choose the half-width at least five times the slowest decay
     length of the profile, so that boundary values of localized profiles
     stay below 1e-6 of the peak.
     """
 
-    def __init__(self, xs, values):
-        xs = np.asarray(xs, dtype=float)
-        values = np.asarray(values, dtype=complex)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[0] != xs.shape[0]:
-            raise ValueError("profile sample count mismatch")
-        if xs.shape[0] < 2:
-            raise ValueError("profile needs at least two samples")
-        _uniform_spacing(xs)
-        self.xs, self.values = xs, values
-        self.size, self.n = values.shape
-        self.x = lambda lo, hi: xs[lo:hi]
-        self.rows = lambda lo, hi: values[lo:hi]
-
-    @classmethod
-    def computed(cls, size, n, x, rows):
-        """The profile whose rows ``lo:hi`` are computed by ``x(lo, hi)``
-        and ``rows(lo, hi)``; a row's value must not depend on ``lo:hi``."""
-        profile = cls.__new__(cls)
-        profile.size, profile.n, profile.x, profile.rows = size, n, x, rows
-        return profile
+    def __init__(self, size, n, x, rows):
+        self.size, self.n, self.x, self.rows = size, n, x, rows
 
     @property
     def h(self):
@@ -132,7 +109,7 @@ class ResidualReport:
 
 class ShootingResult:
     """A wave of a planar system: a deterministic shot, or the closed-form
-    pulse loop."""
+    pulse loop, which has no ``trajectory``."""
 
     def __init__(self, success, trajectory, details, monotone=None,
                  section_value=None, crossing_time=None, return_distance=None,
@@ -200,36 +177,37 @@ def _monomial_plan(powers):
     ``powers`` and the powers they are built from, parents first: the
     monomial of ``power`` is that of its parent times that coordinate."""
     plan = {}
-
-    def add(p):
-        if p in plan or not any(p):
-            return
-        j = next(k for k, e in enumerate(p) if e)
-        parent = p[:j] + (p[j] - 1,) + p[j + 1:]
-        add(parent)
-        plan[p] = (parent, j)
-
     for p in powers:
-        add(p)
+        chain = []  # p and its ancestors not yet planned, children first
+        while any(p) and p not in plan:
+            j = next(k for k, e in enumerate(p) if e)
+            parent = p[:j] + (p[j] - 1,) + p[j + 1:]
+            chain.append((p, (parent, j)))
+            p = parent
+        plan.update(reversed(chain))
     return plan
 
 
-def _reconstruct_rows(J, columns, mu):
-    """``rows(lo, hi)``: the profile rows ``lo:hi`` whose coordinates there
+def reconstruct(J, size, x, columns, mu=()):
+    """Profile of the manifold along coordinate columns: the ``GridProfile``
+    of ``size`` rows at the abscissae ``x(lo, hi)`` whose coordinates there
     are the columns ``columns(lo, hi)``, shape ``(J.basis.size, hi - lo)``.
 
-    The parameter factors ``mu^r`` fold once into one coefficient vector per
-    coordinate power, the basis values at the origin joining the linear
-    powers; a power whose folded vector is exactly zero, as most are under
-    a pointwise projection, is dropped.  Every monomial of the rows is one
-    multiply from a monomial of lower degree.  Every operation is
-    elementwise over the rows, so a row's value does not depend on the
-    block ``lo:hi`` it falls in; callers keep blocks bounded.
+    Row ``i`` is the graph map at the origin, ``u = (u0(c) + Psi(c, mu))(0)``
+    with ``c`` the column ``i``, from the values ``J.psi_at_zero`` that a
+    sweep shares.  The parameter factors ``mu^r`` fold once into one
+    coefficient vector per coordinate power, the basis values at the origin
+    joining the linear powers; a power whose folded vector is exactly zero,
+    as most are under a pointwise projection, is dropped.  Every monomial of
+    the rows is one multiply from a monomial of lower degree.  Every
+    operation is elementwise over the rows, so a row's value does not depend
+    on the block ``lo:hi`` it falls in; readers keep blocks bounded.
     """
-    size = J.basis.size
+    mu = (mu,) if np.isscalar(mu) else tuple(mu)
+    dim = J.basis.size
     coeffs = {}
     for j, el in enumerate(J.basis.elements):
-        unit = tuple(int(k == j) for k in range(size))
+        unit = tuple(int(k == j) for k in range(dim))
         coeffs[unit] = el.function.evaluate(0.0)
     for idx, value in J.psi_at_zero.items():
         if len(mu) < len(idx.mu) and any(idx.mu[len(mu):]):
@@ -246,6 +224,8 @@ def _reconstruct_rows(J, columns, mu):
     def rows(lo, hi):
         out = np.zeros((hi - lo, J.basis.n), dtype=complex)
         cols = columns(lo, hi)
+        if len(cols) != dim:
+            raise ValueError("coordinate columns do not match the basis")
         mono = {}
         for p, (parent, j) in plan.items():
             mono[p] = mono[parent] * cols[j] if parent in mono else cols[j]
@@ -256,29 +236,7 @@ def _reconstruct_rows(J, columns, mu):
                 out[:, k] += mono[p] * ck if p in mono else ck
         return out
 
-    return rows
-
-
-def reconstruct(J, trajectory, mu=()):
-    """Profile of the manifold along a coordinate trajectory.
-
-    The grid point at ``x`` uses the trajectory point at ``x`` through the
-    graph map evaluated at the origin: ``u(x) = (u0(c(x)) + Psi(c(x)))(0)``,
-    with the values ``J.psi_at_zero`` that a sweep shares.  The path is
-    evaluated ``RECONSTRUCT_ROWS`` rows at a time (``_reconstruct_rows``)
-    into one array-backed ``GridProfile``.
-    """
-    mu = (mu,) if np.isscalar(mu) else tuple(mu)
-    coords = trajectory.ys
-    if coords.shape[1] != J.basis.size:
-        raise ValueError("trajectory dimension does not match the basis")
-    rows = _reconstruct_rows(
-        J, lambda lo, hi: np.ascontiguousarray(coords[lo:hi].T), mu)
-    values = np.empty((len(coords), J.basis.n), dtype=complex)
-    for lo in range(0, len(coords), RECONSTRUCT_ROWS):
-        hi = min(lo + RECONSTRUCT_ROWS, len(coords))
-        values[lo:hi] = rows(lo, hi)
-    return GridProfile(trajectory.xs, values)
+    return GridProfile(size, J.basis.n, x, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +423,7 @@ def defect_rows(K, F, profile, mu=()):
         yield x[rows], u[rows], r
 
 
-def residual(K, F, profile, mu=(), require_convergence=False):
+def residual(K, F, profile, mu=()):
     """Defect norms of ``u + K*u + F(u, mu) = 0`` for a grid profile.
 
     Computes the defect on the grid and on its every-other-point coarsening,
@@ -473,8 +431,7 @@ def residual(K, F, profile, mu=(), require_convergence=False):
     included) and block; their difference estimates the quadrature error
     (the trapezoid rule is second order, so the coarse defect carries
     roughly four times the fine error).  Norms exclude the stencil margin at
-    both ends.  With ``require_convergence`` a quadrature-dominated
-    measurement raises.
+    both ends.
 
     Both defects are computed ``RECONSTRUCT_ROWS`` fine rows at a time
     (``_defect``), from one window of profile rows per block that covers
@@ -521,17 +478,11 @@ def residual(K, F, profile, mu=(), require_convergence=False):
     quadrature_error = float(np.max(gaps))
     max_norm = float(np.max(peaks))
     l2_norm = float(np.sqrt(h * sq))
-    converged = quadrature_error <= max(0.5 * max_norm, 1e-9)
-    if require_convergence and not converged:
-        raise RuntimeError(
-            f"convolution quadrature did not converge: two-grid estimate "
-            f"{quadrature_error:.3g} against residual {max_norm:.3g}"
-        )
     return ResidualReport(
         max_norm=max_norm,
         l2_norm=l2_norm,
         quadrature_error=quadrature_error,
-        converged=converged,
+        converged=quadrature_error <= max(0.5 * max_norm, 1e-9),
         margin=margin,
         amplitude=float(np.max(amplitudes)),
     )
@@ -541,11 +492,14 @@ def residual(K, F, profile, mu=(), require_convergence=False):
 # the reversible pulse, in closed form
 
 # distance to the origin at which a loop counts as back (pulse) or a shot as
-# arrived (front), the front shot's offset from the saddle, and the samples
-# of the returned half pulse orbit
+# arrived (front), and the front shot's offset from the saddle
 ARRIVAL_TOL = 1e-4
 FRONT_START = 1e-6
-HALF_ORBIT_SAMPLES = 4097
+
+# the defaults of a pulse plan: the amplitude at which the scaled half loop
+# starts, and the spacing of the profile grid
+PULSE_START = 1e-7
+PULSE_STEP_X = 0.1
 
 
 def _sech_orbit(peak, k, s):
@@ -555,16 +509,16 @@ def _sech_orbit(peak, k, s):
     return peak * sech, -(peak * k) * sech * np.tanh(z)
 
 
-def find_homoclinic(lin, cub, start=1e-6):
+def find_homoclinic(lin, cub, start=PULSE_START):
     """Homoclinic loop of the reversible planar system ``a'' = lin a + cub a^3``.
 
-    The loop is the exact orbit ``a = P sech(k s)`` with ``k = sqrt(lin)`` and
-    ``P = sqrt(2 lin / -cub)``: it leaves the origin along the unstable
-    eigenvector and returns along the stable one.  The half orbit starts at
-    ``a = start`` and meets the symmetric section ``a' = 0`` at the peak after
-    ``T1 = arccosh(P / start) / k`` (``crossing_time``), with
-    ``section_value`` ``P``; ``HALF_ORBIT_SAMPLES`` equally spaced times
-    sample it.  ``return_distance`` is the orbit's distance
+    The loop is the exact orbit ``a = P sech(k s)`` with ``k = sqrt(lin)``
+    (``details['rate']``) and ``P = sqrt(2 lin / -cub)``: it leaves the
+    origin along the unstable eigenvector and returns along the stable one.
+    The half orbit starts at ``a = start`` and meets the symmetric section
+    ``a' = 0`` at the peak after ``T1 = arccosh(P / start) / k``
+    (``crossing_time``), with ``section_value`` ``P``; the result holds these
+    numbers and no samples.  ``return_distance`` is the orbit's distance
     ``max(|a|, |a'|)`` from the origin at the mirrored time ``2 T1``:
     ``max(1, k tanh(k T1)) start``, about ``max(1, k) start``.  The loop
     counts as found when that is below ``ARRIVAL_TOL``.  A ``start`` at or
@@ -584,15 +538,12 @@ def find_homoclinic(lin, cub, start=1e-6):
             f"verify.start = {start:.6g} must lie below the pulse peak"
             f" P = {peak:.6g}, at a finite ratio to it"
         )
-    crossing = acosh(peak / start) / k
-    ts = np.linspace(0.0, crossing, HALF_ORBIT_SAMPLES)
-    half = Trajectory(ts, np.stack(_sech_orbit(peak, k, ts - crossing), axis=1))
     return_distance = start * max(1.0, k * sqrt(1.0 - (start / peak) ** 2))
     return ShootingResult(
         success=return_distance < ARRIVAL_TOL,
-        trajectory=half,
+        trajectory=None,
         section_value=peak,
-        crossing_time=crossing,
+        crossing_time=acosh(peak / start) / k,
         return_distance=return_distance,
         details={"rate": k},
     )
@@ -832,9 +783,8 @@ def _pulse_on_grid(J, orbit, lam, step_x):
     ``z = sqrt(lam) x``, with its peak at ``x = 0``: ``a = P sech(k z)`` and
     ``a' = -P k sech(k z) tanh(k z)``.  The orbit, its carrier phase and the
     coordinates ``(A, conj A, B, conj B)`` are computed for one block of
-    reconstructed rows at a time (``_reconstruct_rows``), whenever a window
-    of the returned row source is read; row ``i`` lies at
-    ``x = (i - m) step_x``.
+    rows at a time, whenever a window of the ``reconstruct`` row source is
+    read; row ``i`` lies at ``x = (i - m) step_x``.
     """
     ell, hom = orbit
     eps = sqrt(lam)
@@ -852,8 +802,7 @@ def _pulse_on_grid(J, orbit, lam, step_x):
         B = eps**2 * p * phase
         return np.stack([A, np.conj(A), B, np.conj(B)])
 
-    return GridProfile.computed(2 * m + 1, J.basis.n, x,
-                                _reconstruct_rows(J, columns, (lam,)))
+    return reconstruct(J, 2 * m + 1, x, columns, (lam,))
 
 
 def slope_loglog(xs, ys):
@@ -864,7 +813,8 @@ def slope_loglog(xs, ys):
     return float((dx * (ly - ly.mean())).sum() / (dx * dx).sum())
 
 
-def pulse_scaling_report(K, J, lams, step_x=0.1, on_profile=None, start=1e-7):
+def pulse_scaling_report(K, J, lams, step_x=PULSE_STEP_X, on_profile=None,
+                         start=PULSE_START):
     """Residual-vs-amplitude scaling of the pulse family.
 
     Builds the parameter-independent scaled homoclinic loop once, then the
@@ -922,9 +872,9 @@ def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
     """Reconstructed front at parameter ``epsilon`` and scaled speed ``c_star``.
 
     Extracts the planar front system from the reduction, shoots from the
-    saddle, and maps the scaled trajectory back through the graph map with
-    parameter values ``(epsilon^2, epsilon c_star)``, one block of rows at a
-    time (``_reconstruct_rows``), whenever a window of the returned row
+    saddle, and maps the scaled trajectory back through the graph map
+    (``reconstruct``) with parameter values ``(epsilon^2, epsilon c_star)``,
+    one block of rows at a time, whenever a window of the returned row
     source is read.  The shooting result's details record the planar
     coefficients ``kappa``, ``alpha``, ``beta``.  Returns ``(GridProfile,
     ShootingResult)``.
@@ -941,9 +891,8 @@ def front_profile(J, epsilon, c_star, tol_reach=ARRIVAL_TOL):
     def columns(lo, hi):
         return np.stack([epsilon * ys[lo:hi, 0], epsilon**2 * ys[lo:hi, 1]])
 
-    rows = _reconstruct_rows(J, columns, (epsilon**2, epsilon * c_star))
-    prof = GridProfile.computed(len(ts), J.basis.n,
-                                lambda lo, hi: ts[lo:hi] / epsilon, rows)
+    prof = reconstruct(J, len(ts), lambda lo, hi: ts[lo:hi] / epsilon,
+                       columns, (epsilon**2, epsilon * c_star))
     return prof, fr
 
 

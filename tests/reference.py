@@ -21,8 +21,9 @@ from cmnl.kernel import (
 from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
 from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
 from cmnl.verify import (
-    PULSE_SPAN, RECONSTRUCT_ROWS, GridProfile, Trajectory, _pulse_on_grid,
-    _pulse_orbit, _sech_orbit, _stencil_halfwidth, grid_convolve, reconstruct)
+    PULSE_SPAN, PULSE_START, PULSE_STEP_X, RECONSTRUCT_ROWS, GridProfile,
+    Trajectory, _pulse_on_grid, _pulse_orbit, _sech_orbit, _stencil_halfwidth,
+    _uniform_spacing, grid_convolve, reconstruct)
 
 # -- the quasi-polynomial ring -----------------------------------------------
 
@@ -515,11 +516,37 @@ def whole_grid_residual(K, F, profile, mu=(), rows=RECONSTRUCT_ROWS):
             float(np.sqrt(h * sq)), quadrature_error, r_fine)
 
 
+def array_profile(xs, values):
+    """The ``GridProfile`` that serves the rows of two arrays, kept as ``xs``
+    and ``values`` (a vector is one component).  The grid must be uniform,
+    and the arrays of one length."""
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.shape[0] != xs.shape[0]:
+        raise ValueError("profile sample count mismatch")
+    _uniform_spacing(xs)
+    profile = GridProfile(*values.shape, lambda lo, hi: xs[lo:hi],
+                          lambda lo, hi: values[lo:hi])
+    profile.xs, profile.values = xs, values
+    return profile
+
+
 def whole_profile(profile):
-    """``profile`` with every row computed: an array-backed ``GridProfile``."""
+    """``profile`` with every row computed: an ``array_profile``."""
     if hasattr(profile, "values"):
         return profile
-    return GridProfile(profile.x(0, profile.size), profile.rows(0, profile.size))
+    return array_profile(profile.x(0, profile.size), profile.rows(0, profile.size))
+
+
+def trajectory_profile(J, trajectory, mu=()):
+    """``verify.reconstruct`` along a ``Trajectory``, its coordinates the
+    rows of ``trajectory.ys``, every row computed: an ``array_profile``."""
+    xs, ys = trajectory.xs, trajectory.ys
+    return whole_profile(reconstruct(
+        J, len(xs), lambda lo, hi: xs[lo:hi],
+        lambda lo, hi: np.ascontiguousarray(ys[lo:hi].T), mu))
 
 
 def peak(profile):
@@ -527,7 +554,7 @@ def peak(profile):
     return float(np.abs(whole_profile(profile).values).max())
 
 
-def whole_grid_pulse(J, orbit, lam, step_x=0.1):
+def whole_grid_pulse(J, orbit, lam, step_x=PULSE_STEP_X):
     """``verify._pulse_on_grid`` from one trajectory over the whole grid, its
     coordinate columns ``(A, conj A, B, conj B)`` side by side: the
     bit-for-bit oracle of the blocked pulse."""
@@ -540,10 +567,10 @@ def whole_grid_pulse(J, orbit, lam, step_x=0.1):
     A = eps * a * phase
     B = eps**2 * p * phase
     traj = Trajectory(xs, np.stack([A, np.conj(A), B, np.conj(B)], axis=1))
-    return reconstruct(J, traj, mu=(lam,))
+    return trajectory_profile(J, traj, mu=(lam,))
 
 
-def pulse_profile(J, lam, step_x=0.1, start=1e-7):
+def pulse_profile(J, lam, step_x=PULSE_STEP_X, start=PULSE_START):
     """Reconstructed pulse at parameter ``lam > 0``.
 
     Scales the reduced field to its leading pulse balance, evaluates the

@@ -11,6 +11,7 @@ Oracle notes
   2 alpha0 = -4, 2 beta0 = 4 (kernel second moment 1/2).
 """
 
+import gc
 import json
 import math
 import os
@@ -25,7 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SQRT_PI, build_pair_jet, two_exponential_kernel
-from reference import defect, kernel_to_data, quasi_to_data, whole_grid_pulse
+from reference import (
+    array_profile, defect, kernel_to_data, quasi_to_data, trajectory_profile,
+    whole_grid_pulse)
 
 import cmnl
 from cmnl import (
@@ -667,6 +670,19 @@ class TestVerifyCommand:
         assert csv_file.name == "front_0.01.csv"
         assert csv_file.read_text().splitlines()[0] == "x,re_u,im_u,residual"
 
+    def test_plan_defaults_are_the_documented_values(self, tmp_path):
+        # a pulse plan without step_x and start runs at the values the
+        # README documents, 0.1 and 1e-7
+        reports = []
+        for extra in ({}, {"step_x": 0.1, "start": 1e-7}):
+            data = pair_problem_data()
+            data["verify"].update(extra)
+            out = tmp_path / f"r{len(reports)}.json"
+            assert main(["verify", write_problem(tmp_path, data),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_csv_rows_are_the_whole_grid_oracles(self, tmp_path):
         # the pulse and front CSV rows, streamed block by block, are the x,
         # u and |defect| of whole-grid profiles and defects, bit for bit
@@ -687,7 +703,7 @@ class TestVerifyCommand:
                 ys = verify.front_profile(J, eps, c)[1].trajectory
                 mu = (eps**2, eps * c)
                 coords = np.stack([eps * ys.ys[:, 0], eps**2 * ys.ys[:, 1]], axis=1)
-                waves = [(eps, verify.reconstruct(
+                waves = [(eps, trajectory_profile(
                     J, verify.Trajectory(ys.xs / eps, coords), mu), mu)]
             assert len(list(csv_dir.iterdir())) == len(waves)
             for tag, prof, mu in waves:
@@ -887,6 +903,24 @@ class TestCommandLineEntry:
             f"importing cmnl.cli leaves {kept} unreachable objects, which "
             f"gc.freeze() keeps alive: {', '.join(kinds[:20])}")
 
+    def test_reduce_and_verify_leave_no_garbage(self, tmp_path):
+        # a cycle keeps what it reaches alive until a collection: the jet's
+        # slot walk and the reconstruction's monomial plan, closures that
+        # called themselves, left one per call: 416 unreachable objects,
+        # the jet's pieces among them, on reduce pair-o5, 236 on verify pair-o3
+        problems = BENCH_PROBLEMS["build"](1)
+        runs = [["reduce", write_problem(tmp_path, problems["pair-o5.json"])],
+                ["verify", write_problem(tmp_path, problems["pair-o3.json"])]]
+        for argv in runs:
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+                found = gc.collect()
+            finally:
+                gc.enable()
+            assert found == 0, argv[0]
+
     def test_commands_load_no_argparse_or_numpy_polynomial(self, tmp_path):
         # every cm process would pay for these imports before its work
         path = write_problem(tmp_path, saddle_problem_data())
@@ -919,6 +953,23 @@ class TestCommandLineEntry:
         assert summary["exit_code"] == 0
         assert summary["seconds"]["jet.compute"] > 0
 
+    def test_tracer_runs_verify(self, tmp_path):
+        # the tracer's verify layers see the calls of a front and of a pulse
+        # sweep, reconstruct's among them
+        tracer = ROOT / "bench" / "tracer.py"
+        for data in (front_problem_data(), pair_problem_data()):
+            trace = tmp_path / "trace.json"
+            proc = subprocess.run(
+                [sys.executable, str(tracer), str(trace), "verify",
+                 write_problem(tmp_path, data), "--out", str(tmp_path / "r.json")],
+                capture_output=True, text=True, env=package_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            summary = json.loads(trace.read_text(encoding="utf-8"))
+            assert summary["exit_code"] == 0
+            for layer in ("verify.reconstruct", "verify.residual", "verify.shoot"):
+                assert summary["calls"].get(layer, 0) > 0, (data["verify"], layer)
+
     def test_library_keeps_only_what_cm_runs(self, tmp_path):
         # every function of the pipeline's modules runs in the seed-1 bench
         # commands, or is a body the tracer pins or a helper such a body
@@ -946,13 +997,7 @@ class TestCommandLineEntry:
             "tsolve.BorderedProblem.__init__", "jet.solve",
             # the front shot inlines its stages; the tracer counts its calls
             "verify.rk4_step",
-            # the wave builders reconstruct block by block through
-            # _reconstruct_rows; the tracer times calls of reconstruct
-            "verify.reconstruct",
-            # array-backed profiles: reconstruct's, the tests' and library
-            # callers'; the wave builders compute their rows
-            "verify.GridProfile.__init__",
-            "verify._uniform_spacing",  # an array grid, or no spacing given
+            "verify._uniform_spacing",  # grid_convolve without a spacing
             # paths that the seed-1 problems do not take
             "cli.write_profile_csv",  # --csv
             "verify.defect_rows",  # --csv
@@ -1014,11 +1059,10 @@ class TestCsvWriter:
     def test_vector_profile_columns(self, tmp_path):
         from cmnl.kernel import GaussianMixture
         from cmnl.nonlin import NonlinearitySpec
-        from cmnl.verify import GridProfile
 
         xs = np.arange(-2, 3) * 1.0
         values = np.stack([xs + 1j, -xs], axis=1)
-        prof = GridProfile(xs, values)
+        prof = array_profile(xs, values)
         K = GaussianMixture.single(np.eye(2), 1.0, n=2)
         path = tmp_path / "p.csv"
         write_profile_csv(str(path), K, NonlinearitySpec((), 2), prof)

@@ -28,9 +28,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_front_jet, build_pair_jet, critical_pair_kernel
 from reference import (
-    apply_series, boundary_fraction, decay_length, defect, defect_per_term,
-    grid_nonlinearity, halfwidth, localized, manifold_point, moment, peak,
-    pulse_profile, whole_grid_pulse, whole_grid_residual, whole_profile)
+    apply_series, array_profile, boundary_fraction, decay_length, defect,
+    defect_per_term, grid_nonlinearity, halfwidth, localized, manifold_point,
+    moment, peak, pulse_profile, trajectory_profile, whole_grid_pulse,
+    whole_grid_residual, whole_profile)
 
 import cmnl.verify
 from cmnl.jet import JetIndex, ScaledField, compute_jet, scale_field
@@ -39,7 +40,6 @@ from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.projection import build_gram
 from cmnl.quasipoly import QuasiPolynomial
 from cmnl.verify import (
-    GridProfile,
     Trajectory,
     defect_rows,
     find_front,
@@ -133,15 +133,15 @@ def gram_jets(pair, front):
 class TestGridProfile:
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError, match="uniform"):
-            GridProfile(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+            array_profile(np.array([0.0, 1.0, 3.0]), np.zeros(3))
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            GridProfile(np.arange(4.0), np.zeros((3, 1)))
+            array_profile(np.arange(4.0), np.zeros((3, 1)))
 
     def test_vector_promotion_and_peak(self):
         xs = np.arange(-50, 51) * 0.1
-        prof = GridProfile(xs, 2.0 * np.exp(-(xs**2)))
+        prof = array_profile(xs, 2.0 * np.exp(-(xs**2)))
         assert prof.values.shape == (101, 1)
         assert peak(prof) == pytest.approx(2.0)
         assert prof.h == pytest.approx(0.1)
@@ -149,21 +149,21 @@ class TestGridProfile:
 
     def test_localization_flags(self):
         xs = np.arange(-400, 401) * 0.1
-        prof = GridProfile(xs, 1.0 / np.cosh(xs / 2.0))
+        prof = array_profile(xs, 1.0 / np.cosh(xs / 2.0))
         assert localized(prof, 1e-6)
         assert boundary_fraction(prof) < 1e-6
-        assert not localized(GridProfile(xs, np.cos(xs)))
+        assert not localized(array_profile(xs, np.cos(xs)))
 
     def test_decay_length_estimate(self):
         xs = np.arange(-800, 801) * 0.05
-        prof = GridProfile(xs, np.cos(5.0 * xs) / np.cosh(xs / 3.0))
+        prof = array_profile(xs, np.cos(5.0 * xs) / np.cosh(xs / 3.0))
         est = decay_length(prof)
         assert 1.5 <= est <= 6.0
         assert halfwidth(prof) >= 5.0 * est
 
     def test_constant_profile_never_decays(self):
         xs = np.arange(-10, 11) * 0.5
-        assert decay_length(GridProfile(xs, np.ones(21))) == np.inf
+        assert decay_length(array_profile(xs, np.ones(21))) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ class TestResidual:
     def test_zero_profile_has_zero_residual(self):
         K = critical_pair_kernel()
         xs = np.arange(-200, 201) * 0.1
-        rep = residual(K, NO_NONLINEARITY, GridProfile(xs, np.zeros(len(xs))))
+        rep = residual(K, NO_NONLINEARITY, array_profile(xs, np.zeros(len(xs))))
         assert rep.max_norm == 0.0
         assert rep.l2_norm == 0.0
         assert rep.converged
@@ -281,7 +281,7 @@ class TestResidual:
     def test_exact_kernel_element_hits_quadrature_floor(self):
         K = critical_pair_kernel()
         xs = np.arange(-400, 401) * 0.1
-        prof = GridProfile(xs, np.exp(1j * xs))
+        prof = array_profile(xs, np.exp(1j * xs))
         rep = residual(K, NO_NONLINEARITY, prof)
         assert rep.max_norm < 1e-7
         assert rep.converged
@@ -298,24 +298,17 @@ class TestResidual:
         for h in (0.2, 0.1, 0.05):
             m = int(round(48.0 / h))
             xs = np.arange(-m, m + 1) * h
-            rep = residual(K, NO_NONLINEARITY, GridProfile(xs, np.exp(1j * xs)))
+            rep = residual(K, NO_NONLINEARITY, array_profile(xs, np.exp(1j * xs)))
             floors.append(rep.max_norm)
             assert not rep.converged  # measurement is pure quadrature floor
         assert floors[0] / floors[1] >= 3.8
         assert floors[1] / floors[2] >= 3.8
         assert floors[-1] > 1e-9
 
-    def test_quadrature_domination_raises_on_request(self):
-        K = ExponentialMixture([(-1.0, 1.0, 0.0)])
-        xs = np.arange(-240, 241) * 0.2
-        prof = GridProfile(xs, np.exp(1j * xs))
-        with pytest.raises(RuntimeError, match="did not converge"):
-            residual(K, NO_NONLINEARITY, prof, require_convergence=True)
-
     def test_missing_parameter_raises(self, pair):
         K, J = pair
         xs = np.arange(-300, 301) * 0.1
-        prof = GridProfile(xs, 0.1 * np.exp(1j * xs) / np.cosh(0.1 * xs))
+        prof = array_profile(xs, 0.1 * np.exp(1j * xs) / np.cosh(0.1 * xs))
         with pytest.raises(ValueError, match="parameter"):
             residual(K, J.nonlinearity, prof)
 
@@ -336,7 +329,7 @@ class TestResidual:
         # the fine and the coarse defect needs one convolution
         K, J = pair
         xs = np.arange(-300, 301) * 0.1
-        prof = GridProfile(xs, 0.1 * np.exp(1j * xs) / np.cosh(0.1 * xs))
+        prof = array_profile(xs, 0.1 * np.exp(1j * xs) / np.cosh(0.1 * xs))
         calls = []
 
         def counting(*args):
@@ -399,7 +392,7 @@ class TestResidual:
         K = critical_pair_kernel()
         xs = np.arange(-10, 11) * 0.1
         with pytest.raises(RuntimeError, match="too narrow"):
-            residual(K, NO_NONLINEARITY, GridProfile(xs, np.zeros(len(xs))))
+            residual(K, NO_NONLINEARITY, array_profile(xs, np.zeros(len(xs))))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,7 @@ class TestReconstruct:
         _, J = pair
         xs = np.arange(-20, 21) * 0.5
         traj = Trajectory(xs, np.zeros((len(xs), 4)))
-        prof = reconstruct(J, traj, mu=(0.1,))
+        prof = trajectory_profile(J, traj, mu=(0.1,))
         assert np.all(prof.values == 0.0)
 
     def test_matches_exact_graph_evaluation(self, pair):
@@ -426,7 +419,7 @@ class TestReconstruct:
             ]
         )
         traj = Trajectory(np.arange(3.0), rows)
-        prof = reconstruct(J, traj, mu=(0.3,))
+        prof = trajectory_profile(J, traj, mu=(0.3,))
         for i, c in enumerate(rows):
             exact = manifold_point(J, c, (0.3,)).evaluate(0.0)
             assert np.abs(prof.values[i] - exact).max() < 1e-12
@@ -448,7 +441,7 @@ class TestReconstruct:
             return plans[-1]
 
         monkeypatch.setattr(cmnl.verify, "_monomial_plan", recorded)
-        got = reconstruct(J, Trajectory(np.arange(40.0), rows), mu=mu).values
+        got = trajectory_profile(J, Trajectory(np.arange(40.0), rows), mu=mu).values
         units = [(1, 0), (0, 1)]
         assert [list(plan) for plan in plans] == [[(1, 0)]]
         assert len({idx.powers for idx in J.psi}) > 2
@@ -481,26 +474,33 @@ class TestReconstruct:
                                ((0.3,), (0.04, -0.3))):
             assert any(np.abs(psi.evaluate(0.0)).max() > 0.1
                        for idx, psi in J.psi.items() if any(idx.mu))
-            prof = reconstruct(J, Trajectory(np.arange(len(rows), dtype=float), rows), mu=mu)
+            prof = trajectory_profile(
+                J, Trajectory(np.arange(len(rows), dtype=float), rows), mu=mu)
             for i, c in enumerate(rows):
                 exact = manifold_point(J, c, mu).evaluate(0.0)
                 assert np.abs(prof.values[i] - exact).max() < 1e-12
 
     def test_row_blocks_leave_every_row_unchanged(self, pair, front, gram_jets,
                                                   monkeypatch):
-        # reconstruct, the pulse and front grids and the residual work
-        # RECONSTRUCT_ROWS rows at a time: one row, 7, the default, more than
-        # the grid, and a size that leaves a last block of one row must all
-        # give the whole-grid oracles' profiles, defects and norms bit for bit
+        # reconstruct's rows read in blocks of one row, 7 or more than the
+        # grid are its whole-grid rows; the pulse and front grids and the
+        # residual work RECONSTRUCT_ROWS rows at a time: one row, 7, the
+        # default, more than the grid, and a size that leaves a last block
+        # of one row must all give the whole-grid oracles' profiles, defects
+        # and norms bit for bit
         J = gram_jets[0]
         rng = np.random.default_rng(3)
         rows = 0.2 * (rng.standard_normal((2500, 4))
                       + 1j * rng.standard_normal((2500, 4)))
         traj = Trajectory(np.arange(2500.0), rows)
-        whole = reconstruct(J, traj, mu=(0.3,)).values
+        whole = trajectory_profile(J, traj, mu=(0.3,)).values
+        source = reconstruct(J, 2500, None,
+                             lambda lo, hi: np.ascontiguousarray(rows[lo:hi].T),
+                             mu=(0.3,))
         for size in (1, 7, 4096):
-            monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", size)
-            assert np.array_equal(reconstruct(J, traj, mu=(0.3,)).values, whole)
+            blocks = [source.rows(lo, min(lo + size, 2500))
+                      for lo in range(0, 2500, size)]
+            assert np.array_equal(np.concatenate(blocks), whole)
 
         (K, J), (Kf, Jf, _) = pair, front
         monkeypatch.setattr(cmnl.verify, "RECONSTRUCT_ROWS", 2048)
@@ -509,7 +509,7 @@ class TestReconstruct:
         fr, shot = front_profile(Jf, 1e-2, 1.1)
         fr = whole_profile(fr)
         ys = shot.trajectory.ys
-        front_whole = reconstruct(Jf, Trajectory(
+        front_whole = trajectory_profile(Jf, Trajectory(
             fr.xs, np.stack([1e-2 * ys[:, 0], 1e-4 * ys[:, 1]], axis=1)),
             mu=(1e-4, 1.1e-2)).values
         mid = int(np.argmin(np.abs(front_whole[:, 0] - 0.5 * front_whole[0, 0])))
@@ -523,12 +523,12 @@ class TestReconstruct:
             (K, J.nonlinearity, source, (1e-2,)),
             # the outer kernels G, Gp and Gpp, of different stencil widths
             (Kf, Jf.nonlinearity,
-             GridProfile(fr.xs[window], fr.values[window]), (1e-4, 1.1e-2)),
+             array_profile(fr.xs[window], fr.values[window]), (1e-4, 1.1e-2)),
             # inner kernels (two convolution levels) and, in a 2-component
             # problem, scalar outer kernels that target one component
-            (*two_level_problem(), GridProfile(xs, u), (0.3, -0.7)),
+            (*two_level_problem(), array_profile(xs, u), (0.3, -0.7)),
             # point masses, inner and outer: the interpolated shift
-            (*point_mass_problem(), GridProfile(xs, u[:, 0]), (0.4,)),
+            (*point_mass_problem(), array_profile(xs, u[:, 0]), (0.4,)),
         ]
         for K, F, prof, mu in cases:
             whole = whole_profile(prof)
@@ -558,15 +558,17 @@ class TestReconstruct:
 
     def test_missing_parameter_raises(self, front):
         _, J, _ = front
-        traj = Trajectory(np.arange(3.0), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="2 parameter values, got 1"):
-            reconstruct(J, traj, mu=(0.1,))
+            reconstruct(J, 3, np.arange, lambda lo, hi: np.zeros((2, hi - lo)),
+                        mu=(0.1,))
 
     def test_dimension_mismatch_raises(self, pair):
+        # the pair basis has 4 coordinates; the columns are read with the rows
         _, J = pair
-        traj = Trajectory(np.arange(3.0), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="dimension"):
-            reconstruct(J, traj)
+        prof = reconstruct(J, 3, np.arange, lambda lo, hi: np.zeros((2, hi - lo)),
+                           mu=(0.1,))
+        with pytest.raises(ValueError, match="columns do not match the basis"):
+            prof.rows(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -580,42 +582,43 @@ class TestHomoclinicShooting:
         assert abs(res.section_value - SQRT2) < 1e-8
 
     def test_orbit_matches_sech_profile(self):
+        # the peak and rate that the pulse grid reads give the loop
         res = find_homoclinic(2.0, -2.0)
         for s in (0.5, 1.0, 2.0):
-            a_num = np.interp(
-                res.crossing_time - s,
-                res.trajectory.xs,
-                res.trajectory.ys[:, 0].real,
-            )
-            a_exact = SQRT2 / math.cosh(SQRT2 * s)
-            assert abs(a_num / a_exact - 1.0) < 1e-5
+            a, _ = _sech_orbit(res.section_value, res.details["rate"], s)
+            assert abs(a / (SQRT2 / math.cosh(SQRT2 * s)) - 1.0) < 1e-14
 
     def test_returns_to_rest_state(self):
+        # from the default start, 1e-7, as in a pulse plan
         res = find_homoclinic(2.0, -2.0)
         assert res.return_distance < 1e-4
         # the mirrored start: a = start, a' = -sqrt(2) tanh(sqrt(2) T1) start
-        assert res.return_distance == pytest.approx(SQRT2 * 1e-6, rel=1e-12)
+        assert res.return_distance == pytest.approx(SQRT2 * 1e-7, rel=1e-12)
 
     def test_samples_are_the_closed_form(self):
+        # the loop is returned as its closed-form numbers, with no samples;
+        # it passes a = start at the time -crossing_time from the peak
         res = find_homoclinic(2.0, -2.0, start=1e-7)
+        assert res.trajectory is None
         assert res.crossing_time == pytest.approx(math.acosh(SQRT2 * 1e7) / SQRT2)
-        a, p = _sech_orbit(SQRT2, SQRT2, res.trajectory.xs - res.crossing_time)
-        assert np.abs(res.trajectory.ys[:, 0] - a).max() < 1e-15
-        assert np.abs(res.trajectory.ys[:, 1] - p).max() < 1e-15
-        assert res.trajectory.ys[0, 0].real == pytest.approx(1e-7, rel=1e-9)
+        assert res.details["rate"] == SQRT2
+        a, p = _sech_orbit(res.section_value, res.details["rate"],
+                           -res.crossing_time)
+        assert a == pytest.approx(1e-7, rel=1e-9)
+        assert p == pytest.approx(SQRT2 * 1e-7, rel=1e-9)
 
     def test_energy_is_conserved_along_the_orbit(self):
         res = find_homoclinic(2.0, -2.0)
-        a = res.trajectory.ys[:, 0].real
-        p = res.trajectory.ys[:, 1].real
+        s = np.linspace(-res.crossing_time, 0.0, 4097)
+        a, p = _sech_orbit(res.section_value, res.details["rate"], s)
         energy = 0.5 * p**2 - a**2 + 0.5 * a**4
         assert np.abs(energy).max() < 1e-10
 
     def test_deterministic(self):
         a = find_homoclinic(2.0, -2.0)
         b = find_homoclinic(2.0, -2.0)
-        assert np.array_equal(a.trajectory.ys, b.trajectory.ys)
-        assert a.return_distance == b.return_distance
+        assert (a.section_value, a.details, a.crossing_time, a.return_distance) \
+            == (b.section_value, b.details, b.crossing_time, b.return_distance)
 
     def test_rejects_wrong_signs(self):
         with pytest.raises(ValueError, match="unstable origin"):
@@ -989,15 +992,15 @@ class TestPulseDrivers:
     def test_slow_amplitude_is_the_exact_orbit(self, pair, monkeypatch):
         # (lin, cub) = (2, -2): a = sqrt(2) sech(sqrt(2) z), z = sqrt(lam) x
         # the coordinate columns (A, conj A, B, conj B) that the pulse grid
-        # reconstructs, read over the whole grid
+        # passes to reconstruct, read over the whole grid
         _, J = pair
-        seen, rows_of = [], cmnl.verify._reconstruct_rows
+        seen, reconstruct_of = [], cmnl.verify.reconstruct
 
-        def capture(J, columns, mu):
+        def capture(J, size, x, columns, mu):
             seen.append(columns)
-            return rows_of(J, columns, mu)
+            return reconstruct_of(J, size, x, columns, mu)
 
-        monkeypatch.setattr(cmnl.verify, "_reconstruct_rows", capture)
+        monkeypatch.setattr(cmnl.verify, "reconstruct", capture)
         lam = 1e-2
         prof = pulse_profile(J, lam)[0]
         (columns,) = seen

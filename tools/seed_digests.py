@@ -1,26 +1,30 @@
-"""SHA-256 of every seed-1 ``cm`` report, one line per report.
+"""SHA-256 of every seed-1 ``cm`` report and CSV profile, one line per file.
 
 Writes the benchmark's problem files with ``bench/problems.py``, runs the 15
 ``cm`` commands on them (``spectrum`` and ``reduce`` on all six problems,
-``verify`` on the three with a verify plan), each as a fresh process on the
-``src`` of ``--root``, and prints ``<sha256>  <command> <problem>``.  Two
-trees give byte-identical reports exactly when their outputs ``diff`` clean::
+``verify`` on the three with a verify plan, with ``--csv``), each as a fresh
+process on the ``src`` of ``--root``, and prints ``<sha256>  <command>
+<problem>`` for each report and ``<sha256>  <command> <problem> <csv>`` for
+each CSV profile that ``verify`` writes.  Two trees give byte-identical
+reports and profiles exactly when their outputs ``diff`` clean::
 
     python3 tools/seed_digests.py > change.txt
     python3 tools/seed_digests.py --root ../parent > parent.txt
     diff parent.txt change.txt
 
 ``--against ROOT`` runs the ``src`` of a second tree too, after each
-command of the first.  For every report whose digest differs it prints that
-tree's digest and the first ten JSON paths whose values differ, each with
-the value of ``ROOT`` and then the first tree's; it exits 1 when any report
-differs::
+command of the first.  For every file whose digest differs it prints that
+tree's digest and, for a report, the first ten JSON paths whose values
+differ, each with the value of ``ROOT`` and then the first tree's; it exits
+1 when any file differs::
 
     python3 tools/seed_digests.py --against ../parent
 
 ``--keep DIR`` also keeps the reports, as ``DIR/<command>-<problem>`` (and
-``DIR/<command>-<problem>.against``), for a closer look at the ones that
-differ.  A command that fails prints its exit code in place of the digest.
+``DIR/<command>-<problem>.against``), and the CSV profiles in the
+directories of those names plus ``.csv``, for a closer look at the ones
+that differ.  A command that fails prints its exit code in place of the
+digest.
 """
 
 import argparse
@@ -28,6 +32,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -58,16 +63,29 @@ def commands(paths):
     return out
 
 
-def digest(root, argv, report):
-    """Run ``cm`` on the ``src`` of ``root``: the SHA-256 of its report, or
-    ``exit <code>`` when it fails."""
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(root, argv, report):
+    """Run ``cm`` on the ``src`` of ``root``: ``{name: SHA-256}`` of its
+    report, named ``""``, and of every CSV profile that ``verify`` writes
+    under ``<report>.csv``, named by its file; ``{"": "exit <code>"}`` when
+    it fails."""
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    csv = Path(f"{report}.csv")
+    shutil.rmtree(csv, ignore_errors=True)
+    extra = ["--csv", str(csv)] if argv[0] == "verify" else []
     proc = subprocess.run(
-        [sys.executable, "-m", "cmnl.cli", *argv, "--out", str(report)],
+        [sys.executable, "-m", "cmnl.cli", *argv, "--out", str(report), *extra],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return (hashlib.sha256(report.read_bytes()).hexdigest()
-            if proc.returncode == 0 else f"exit {proc.returncode}")
+    if proc.returncode:
+        return {"": f"exit {proc.returncode}"}
+    out = {"": sha256(report)}
+    if extra:
+        out.update((f.name, sha256(f)) for f in sorted(csv.iterdir()))
+    return out
 
 
 def differences(old, new, path="$"):
@@ -88,27 +106,30 @@ def differences(old, new, path="$"):
 
 
 def compare(root, against, runs, outdir):
-    """Print the digest of each of ``runs`` on ``root``, and with ``against``
-    the differences from that tree's report; return how many differ."""
-    differ = 0
+    """Print the digest of each file that ``runs`` write on ``root``, and
+    with ``against`` the differences from that tree's files; return
+    ``(how many differ, how many were compared)``."""
+    differ = total = 0
     for command, name, argv in runs:
         report = outdir / f"{command}-{name}"
-        mine = digest(root, argv, report)
-        print(f"{mine}  {command} {name}", flush=True)
-        if against is None:
-            continue
         base = outdir / f"{command}-{name}.against"
-        theirs = digest(against, argv, base)
-        if theirs == mine:
-            continue
-        differ += 1
-        print(f"  --against: {theirs}", flush=True)
-        if mine.startswith("exit") or theirs.startswith("exit"):
-            continue
-        found = differences(json.loads(base.read_text()), json.loads(report.read_text()))
-        for path, old, new in itertools.islice(found, SHOWN):
-            print(f"  {path}: {old!r} -> {new!r}", flush=True)
-    return differ
+        mine = digests(root, argv, report)
+        theirs = {} if against is None else digests(against, argv, base)
+        for file in [*mine, *(f for f in theirs if f not in mine)]:
+            total += 1
+            ours = mine.get(file, "<absent>")
+            print(f"{ours}  {command} {name} {file}".rstrip(), flush=True)
+            if against is None or theirs.get(file) == ours:
+                continue
+            differ += 1
+            print(f"  --against: {theirs.get(file, '<absent>')}", flush=True)
+            if file or ours.startswith("exit") or theirs[file].startswith("exit"):
+                continue
+            found = differences(json.loads(base.read_text()),
+                                json.loads(report.read_text()))
+            for path, old, new in itertools.islice(found, SHOWN):
+                print(f"  {path}: {old!r} -> {new!r}", flush=True)
+    return differ, total
 
 
 def main():
@@ -122,10 +143,9 @@ def main():
         outdir = Path(args.keep or tmp)
         outdir.mkdir(parents=True, exist_ok=True)
         paths = problems.write(SEED, str(Path(tmp) / "problems"))
-        runs = commands(paths)
-        differ = compare(args.root, args.against, runs, outdir)
+        differ, total = compare(args.root, args.against, commands(paths), outdir)
     if differ:
-        print(f"{differ} of {len(runs)} reports differ", flush=True)
+        print(f"{differ} of {total} files differ", flush=True)
         return 1
     return 0
 
