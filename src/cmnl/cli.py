@@ -15,12 +15,15 @@ a ``%.17g`` per float, and collects the floats, which one ``%`` then formats.
 Exit codes: 0 success, 1 numerical failure (``RuntimeError`` or
 ``LinAlgError``: solver residuals above ``--tol-solve``, failed shooting,
 scaling or planar extraction, failed scaling certification), 2 input error
-(``ProblemError``: unreadable or invalid problem file, bad order; or a
-command line that ``_parse`` rejects: an unknown command or option, a
-missing value or ``PROBLEM``, a tolerance that is not finite and positive,
-an order or seed that is not an integer).  ``-h`` prints the usage and exits 0.
+(``ProblemError``: unreadable or invalid problem file, bad order, a report
+or CSV path that cannot be written, the CSV directory made before the
+reduction; or a command line that ``_parse`` rejects: an unknown command or
+option, a missing value or ``PROBLEM``, a tolerance that is not finite and
+positive, an order or seed that is not an integer).  ``-h`` prints the
+usage and exits 0.
 """
 
+import contextlib
 import functools
 import gc
 import json
@@ -119,9 +122,19 @@ def canonical_json(obj):
     return "".join(text) % tuple(values) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An ``OSError`` on the output ``path`` as a ``ProblemError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProblemError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8",
+                                      newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -221,17 +234,18 @@ def _verify_data(prob, tol_root, tol_solve, csv_dir, seed):
     plan = prob.verify_plan
     if plan is None:
         raise ProblemError("the problem file has no 'verify' plan")
-    _, _, J = _build_reduction(prob, tol_root, tol_solve, prob.order)
-    K = prob.kernel
-
     writer = None
     if csv_dir:
-        os.makedirs(csv_dir, exist_ok=True)
+        with _writing(csv_dir):
+            os.makedirs(csv_dir, exist_ok=True)
 
         def writer(tag, profile, mu):
-            name = f"{plan['wave']}_{float(tag):.17g}.csv"
-            write_profile_csv(os.path.join(csv_dir, name), K,
-                              J.nonlinearity, profile, mu)
+            path = os.path.join(csv_dir, f"{plan['wave']}_{float(tag):.17g}.csv")
+            with _writing(path):
+                write_profile_csv(path, prob.kernel, prob.nonlinearity, profile, mu)
+
+    _, _, J = _build_reduction(prob, tol_root, tol_solve, prob.order)
+    K = prob.kernel
 
     # the optional keys the plan holds; verify.py has their defaults
     optional = {k: v for k, v in plan.items()

@@ -21,11 +21,11 @@ rows, ``{point: (degree+1, n) coefficient array}``; only the psi entries
 and the basis are quasi-polynomials.  On rows (``_Rows``), a pointwise
 product adds indices through the table and convolves the degree axes, and
 a convolution applies one moment matrix per point, built from batched
-kernel transforms at the points the right-hand sides reach.  The same
-``nonlin.walk_slots``/``walk_outer`` that evaluate a term on
-quasi-polynomials drive these operations.  ``_Solver`` keeps one solve
-operator per (point, degree): block back-substitution off the roots, a
-truncated SVD at a root (its singular-value gap goes to ``root_blocks``).
+kernel transforms at the points the right-hand sides reach;
+``nonlin.walk_slots``/``walk_outer`` drive these operations.  ``_Solver``
+keeps one solve operator per (point, degree): block back-substitution off
+the roots, a truncated SVD at a root (its singular-value gap goes to
+``root_blocks``).
 The right-hand sides of one order depend only on lower orders, so the
 whole order is solved at once: the (index, point) pairs are stacked per
 (point, degree), and each stack gets one solve, one coordinate product,
@@ -36,7 +36,8 @@ A real problem (``_conjugation``) solves one index of each conjugate pair
 ``solve``, the public bordered solver, runs one ``BorderedProblem``
 through the same ``_Solver`` on an order-one lattice that also has the
 right-hand side's frequencies, so frequencies meet roots in ``_Lattice``
-only.
+only.  ``apply_term`` evaluates one term of F on quasi-polynomials the same
+way: on the rows of a lattice of its arguments' frequencies.
 
 The reduced field is obtained by differentiating the translation flow at
 time zero.  Shifting a quasi-polynomial and projecting commutes with
@@ -60,9 +61,7 @@ from operator import add
 import numpy as np
 
 from .kernel import convolution_matrix, real_kernel, taylor_transforms
-# ``apply_term`` stays bound here because bench/tracer.py wraps
-# cmnl.jet.apply_term by name
-from .nonlin import apply_term, walk_outer, walk_slots  # noqa: F401
+from .nonlin import walk_outer, walk_slots
 from .problem import ProblemError
 from .quasipoly import FREQ_TOL, TRIM_REL, QuasiPolynomial, kept_rows
 from .tsolve import BLOCK_TOL, block_operator, check_strip, solve_frequency
@@ -311,6 +310,13 @@ class _Rows:
     def from_quasi(self, u):
         return {self.lattice.index[nu]: c.copy() for nu, c in u.terms}
 
+    def nearest(self, u):
+        """The rows of ``u``, each frequency at its nearest lattice point."""
+        points, out = self.lattice.points, {}
+        for nu, c in u.terms:
+            _accumulate(out, int(np.abs(points - nu).argmin()), c.copy())
+        return out
+
     def to_quasi(self, rows, trimmed=False):
         """The rows as a QuasiPolynomial; rows that ``_trim`` trimmed are
         already canonical up to the sort and the ``+ 0.0``."""
@@ -545,16 +551,36 @@ def solve(problem):
         raise ValueError("right-hand side dimension does not match the kernel")
     rows = _Rows(_Lattice([el.nu for el in P.basis.elements], 1,
                           [nu for nu, _ in g.terms]), K.n)
-    points = rows.lattice.points
-    rhs = {}
-    for nu, c in g.terms:
-        _accumulate(rhs, int(np.abs(points - nu).argmin()), c.copy())
+    rhs = rows.nearest(g)
     solver = _Solver(K, P, rows)
     solver.prefetch([rhs])
     (u,) = solver.solve([rhs])
     for b, target in zip(solver.basis, problem.target_coords):
         _add_rows(u, b, target)
     return rows.to_quasi(u)
+
+
+def apply_term(term, args):
+    """Evaluate one term on quasi-polynomial arguments, exactly.
+
+    ``args`` supplies one quasi-polynomial per factor slot.  They go on rows
+    over the lattice of their frequencies to the term's degree, each
+    frequency at its nearest point, as in ``solve``, and the slot walk runs
+    on the rows' products and convolutions, as in ``compute_jet``.  The
+    formal ``mu^r`` factor is not applied.
+    """
+    if len(args) != term.degree:
+        raise ValueError(
+            f"term of degree {term.degree} applied to {len(args)} arguments"
+        )
+    n = args[0].n
+    if any(u.n != n for u in args):
+        raise ValueError("argument dimensions differ")
+    rows = _Rows(_Lattice((), term.degree, [nu for u in args for nu, _ in u.terms]), n)
+    prod = walk_slots(term, [rows.nearest(u) for u in args], n, rows.convolve,
+                      rows.component, rows.product)
+    out = walk_outer(term, prod, n, rows.convolve, rows.place)
+    return rows.to_quasi({i: term.coeff * c for i, c in out.items()})
 
 
 def _graded(key):

@@ -12,9 +12,10 @@ Khat(nu) = int K(x) exp(-nu x) dx and the nu-derivatives, analytic on a strip
 and, per frequency, as ``convolution_matrix``.  The grid code in ``verify``
 convolves with ``eval_x`` and ``point_masses`` instead.
 
-Closed-form families keep their transforms exact (derivative recursions, no
-finite differences); symbol-defined kernels fall back to 4th-order central
-differences with step 1e-3 * (1 + |nu|).
+Every transform derivative is exact: the closed-form families have
+derivative recursions, and a symbol-defined kernel takes its caller's
+``derivative``.  There are no finite differences, which would lose the
+jet's digits at the orders it reaches.
 """
 
 from math import comb, factorial
@@ -32,21 +33,6 @@ def _as_matrix(c, n):
     if arr.shape != (n, n):
         raise ValueError(f"coefficient must be scalar or shape ({n}, {n})")
     return arr
-
-
-def fd_central_stencil(m, acc=4):
-    """Finite-difference weights for the m-th derivative, central, given accuracy.
-
-    Returns (offsets, weights) so f^(m)(x) ~ sum_k w_k f(x + o_k h) / h^m.
-    """
-    npts = 2 * ((m + 1) // 2) - 1 + acc
-    p = (npts - 1) // 2
-    offsets = np.arange(-p, p + 1)
-    rows = np.vstack([offsets.astype(float) ** j for j in range(npts)])
-    rhs = np.zeros(npts)
-    rhs[m] = factorial(m)
-    weights = np.linalg.solve(rows, rhs)
-    return offsets, weights
 
 
 class Kernel:
@@ -268,82 +254,33 @@ class SymbolKernel(Kernel):
     eta0 : float
         Analyticity half-width of the symbol.
     derivative : callable (nu, order) -> (n, n), optional
-        Exact derivatives; defaults to 4th-order central differences with
-        step 1e-3 (1 + |nu|).
+        Exact derivatives Khat^(order)(nu).  Root location and the jet need
+        them; without it every order >= 1 raises ``ValueError``.
     """
 
     family = "symbol"
 
-    def __init__(self, symbol, eta0, n=1, derivative=None, decay_radius=None):
+    def __init__(self, symbol, eta0, n=1, derivative=None):
         self.n = int(n)
         self._symbol = symbol
         self._eta0 = float(eta0)
         self._derivative = derivative
-        self._decay_radius = decay_radius
-        self._table = None
-
-    def _values(self, fn, nus, *args):
-        """``fn(nu, *args)`` at every point of ``nus``, one call per point."""
-        out = np.empty(nus.shape + (self.n, self.n), dtype=complex)
-        for idx in np.ndindex(nus.shape):
-            out[idx] = fn(complex(nus[idx]), *args)
-        return out
 
     def transform_batch(self, nus, order=0):
         nus = np.asarray(nus, dtype=complex)
-        if order == 0:
-            return self._values(self._symbol, nus)
-        if self._derivative is not None:
-            return self._values(self._derivative, nus, order)
-        h = 1e-3 * (1.0 + np.abs(nus))
-        offsets, weights = fd_central_stencil(order, acc=4)
-        out = np.zeros(nus.shape + (self.n, self.n), dtype=complex)
-        for o, w in zip(offsets, weights):
-            if w != 0.0:
-                out += w * self._values(self._symbol, nus + o * h)
-        return out / (h**order)[..., None, None]
+        if order and self._derivative is None:
+            raise ValueError(
+                f"symbol kernel has no derivative of order {order}: finite"
+                " differences lose the jet's digits, pass an exact derivative"
+            )
+        out = np.empty(nus.shape + (self.n, self.n), dtype=complex)
+        for idx in np.ndindex(nus.shape):  # one call per point
+            nu = complex(nus[idx])
+            out[idx] = self._derivative(nu, order) if order else self._symbol(nu)
+        return out
 
     def eta0(self):
         return self._eta0
-
-    def tabulate(self, halfwidth=40.0, npts=2**14):
-        """Sample K(x) on a uniform grid by inverse Fourier transform.
-
-        Uses K(x) = (1/2 pi) int Khat(i l) exp(i l x) dl on a truncated grid;
-        cached, consumed by ``eval_x``.  With ``x_j = j dx - halfwidth`` and
-        ``dx = 2 halfwidth / npts`` the phase ``exp(i l_k x_j)`` is
-        ``(-1)^k exp(2 pi i j k / npts)``, so the sum is one inverse FFT.
-        """
-        dx = 2 * halfwidth / npts
-        ls = np.fft.fftfreq(npts, d=dx) * 2 * np.pi
-        vals = self.transform_batch(1j * ls)  # (npts, n, n)
-        signs = np.where(np.arange(npts) % 2 == 0, 1.0, -1.0)
-        table = np.fft.ifft(signs[:, None, None] * vals, axis=0) / dx
-        xs = np.arange(npts) * dx - halfwidth
-        self._table = (xs, table)
-        return xs, table
-
-    def eval_x(self, x):
-        """K(x) by a 4-point local cubic on the uniform table."""
-        if self._table is None:
-            self.tabulate()
-        xs, table = self._table
-        dx = xs[1] - xs[0]
-        s = (np.clip(np.asarray(x, dtype=float), xs[0], xs[-1]) - xs[0]) / dx
-        i = np.clip(np.floor(s).astype(int), 1, len(xs) - 3)
-        t = (s - i)[..., None, None]
-        # Lagrange weights on the nodes i - 1, i, i + 1, i + 2
-        return (
-            -t * (t - 1) * (t - 2) / 6 * table[i - 1]
-            + (t + 1) * (t - 1) * (t - 2) / 2 * table[i]
-            - (t + 1) * t * (t - 2) / 2 * table[i + 1]
-            + (t + 1) * t * (t - 1) / 6 * table[i + 2]
-        )
-
-    def decay_radius(self, tol=1e-12):
-        if self._decay_radius is not None:
-            return self._decay_radius
-        return 40.0
 
 
 class SumKernel(Kernel):
@@ -459,9 +396,7 @@ def convolve(K, u):
     """
     if K.n != u.n:
         raise ValueError("kernel/argument dimension mismatch")
-    if not u.terms:
-        return QuasiPolynomial(u.n)
-    top = u.degree()
+    top = max((c.shape[0] for _, c in u.terms), default=1) - 1
     series = taylor_transforms(K, [nu for nu, _ in u.terms], top)
     out_terms = []
     for (nu, coeffs), ser in zip(u.terms, series):
@@ -472,7 +407,7 @@ def convolve(K, u):
 
 def apply_T(K, u):
     """T u = u + K * u."""
-    return u + convolve(K, u)
+    return QuasiPolynomial(u.n, [*u.terms, *convolve(K, u).terms])
 
 
 # -- decay / strip validation -------------------------------------------------

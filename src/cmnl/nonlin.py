@@ -8,17 +8,16 @@ terms
 where the product over factor slots is pointwise in x, each inner kernel
 ``K_i`` is optional (``None`` means the bare argument), ``c_i`` picks a
 component, ``e_t`` is the unit vector of the output component, and ``Outer``
-is an optional final convolution.  Terms evaluate exactly on quasi-polynomial
-arguments through the moment calculus, so the order-by-order reduction never
-needs quadrature.
+is an optional final convolution.  The slot walk (``walk_slots``,
+``walk_outer``) takes its operations from the caller: ``jet`` runs it on
+lattice rows, exactly through the moment calculus, so the order-by-order
+reduction never needs quadrature (``jet.apply_term`` evaluates one term on
+quasi-polynomials that way), and ``verify`` runs it on grid values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .kernel import convolve
-from .quasipoly import QuasiPolynomial, multiply, place_component
 
 
 class TaylorTerm:
@@ -120,27 +119,6 @@ def walk_outer(term, prod, n, convolve, place):
         return place(convolve(outer, prod), n, term.target)
     out = place(prod, n, term.target)
     return out if outer is None else convolve(outer, out)
-
-
-def apply_term(term, args):
-    """Evaluate one term on quasi-polynomial arguments, exactly.
-
-    ``args`` supplies one quasi-polynomial per factor slot.  Inner
-    convolutions and the outer convolution use the coefficient identity, the
-    pointwise products stay in the algebra, so the result is exact up to
-    floating point.  The formal ``mu^r`` factor is not applied.
-    """
-    if len(args) != term.degree:
-        raise ValueError(
-            f"term of degree {term.degree} applied to {len(args)} arguments"
-        )
-    n = args[0].n
-    if any(u.n != n for u in args):
-        raise ValueError("argument dimensions differ")
-    prod = walk_slots(term, args, n, convolve, QuasiPolynomial.component,
-                      multiply)
-    out = walk_outer(term, prod, n, convolve, place_component)
-    return out.scale(term.coeff)
 
 
 def mu_weight(term, mu):

@@ -96,6 +96,11 @@ def _finite(value):
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
+def _integer(value):
+    """Whether ``value`` is an integer ``_finite`` number (no boolean)."""
+    return isinstance(value, int) and _finite(value)
+
+
 def _number(value, where, pair=True):
     """A finite real number, or with ``pair`` also a complex one from an
     ``[re, im]`` pair of finite numbers."""
@@ -145,7 +150,7 @@ def kernel_from_data(data, where="kernel"):
     if family not in _FAMILIES:
         raise ProblemError(f"{where}: unknown kernel family {family!r}")
     n = data.get("n", 1)
-    if not (isinstance(n, int) and _finite(n)):
+    if not _integer(n):
         raise ProblemError(f"{where}.n must be an integer")
     cls, keys, reals = _FAMILIES[family]
     built = []
@@ -223,7 +228,7 @@ def _term_from_data(data, kernels, n, where):
             )
         kern = _lookup(kernels, pair[0], f"{where}.factors[{j}]")
         comp = pair[1]
-        if not isinstance(comp, int) or not 0 <= comp < n:
+        if not _integer(comp) or not 0 <= comp < n:
             raise ProblemError(
                 f"{where}.factors[{j}] component must be an integer in [0, {n})"
             )
@@ -232,16 +237,14 @@ def _term_from_data(data, kernels, n, where):
     if isinstance(mu_power, tuple):
         pass  # key absent: parameter-free term
     elif isinstance(mu_power, list):
-        if not all(isinstance(r, int) and not isinstance(r, bool) and r >= 0
-                   for r in mu_power):
+        if not all(_integer(r) and r >= 0 for r in mu_power):
             raise ProblemError(f"{where}.mu_power entries must be integers >= 0")
         mu_power = tuple(mu_power)
-    elif not (isinstance(mu_power, int) and not isinstance(mu_power, bool)
-              and mu_power >= 0):
+    elif not (_integer(mu_power) and mu_power >= 0):
         raise ProblemError(f"{where}.mu_power must be an integer or a list")
     outer = _lookup(kernels, data.get("outer"), f"{where}.outer")
     target = data.get("target", 0)
-    if not isinstance(target, int) or not 0 <= target < n:
+    if not _integer(target) or not 0 <= target < n:
         raise ProblemError(f"{where}.target must be an integer in [0, {n})")
     try:
         return TaylorTerm(coeff, tuple(factors), mu_power=mu_power,
@@ -255,7 +258,7 @@ def _nonlinearity_from_data(data, kernels, n):
     if "max_order" not in data or "terms" not in data:
         raise ProblemError("'nonlinearity' needs 'max_order' and 'terms'")
     max_order = data["max_order"]
-    if not isinstance(max_order, int) or max_order < 2:
+    if not _integer(max_order) or max_order < 2:
         raise ProblemError("'nonlinearity.max_order' must be an integer >= 2")
     raw_terms = data["terms"]
     if not isinstance(raw_terms, list):
@@ -297,6 +300,9 @@ def _verify_from_data(data):
             raise ProblemError(
                 "'verify.lambdas' must be a non-empty list of positive finite numbers"
             )
+        if len(set(lams)) < len(lams):
+            # the sweep's log-log slope divides by log(lambda) differences
+            raise ProblemError("'verify.lambdas' must not repeat a value")
     elif "epsilon" not in data or "c_star" not in data:
         raise ProblemError("a front plan needs 'verify.epsilon' and 'verify.c_star'")
     for key in sorted(set(data) - {"wave", "lambdas"}):
@@ -313,7 +319,7 @@ def problem_from_data(data):
             f"unsupported schema {data.get('schema')!r}: expected {SCHEMA_VERSION}"
         )
     n = data.get("n", 1)
-    if not isinstance(n, int) or n < 1:
+    if not _integer(n) or n < 1:
         raise ProblemError("'n' must be a positive integer")
     for key in ("kernels", "kernel", "nonlinearity", "order"):
         if key not in data:
@@ -324,7 +330,7 @@ def problem_from_data(data):
         raise ProblemError(f"'kernel' references unknown kernel {kernel_name!r}")
     F = _nonlinearity_from_data(data["nonlinearity"], kernels, n)
     order = data["order"]
-    if not isinstance(order, int):
+    if not _integer(order):
         raise ProblemError("'order' must be an integer")
 
     flavor, weight = "pointwise", None

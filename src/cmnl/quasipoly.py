@@ -12,11 +12,13 @@ evaluates them at x = 0.  The per-frequency closed forms serve both:
 ``derivative_weights`` here, ``kernel.convolution_matrix`` and
 ``tsolve.solve_frequency``.
 
-The class keeps what the pipeline runs: sums, scalar multiples, components,
-conjugation, evaluation and derivatives at zero, plus the pointwise product
-(``multiply``) and ``place_component`` behind ``nonlin.apply_term``.  The
-rest of the ring (differences, translation, differentiation) is the test
-suite's reference algebra, in ``tests/reference.py``.
+The class keeps what the pipeline runs: the canonical constructor,
+conjugation, evaluation and derivatives at zero.  Products, sums and
+convolutions are computed on lattice rows (``jet._Rows``), also by
+``jet.apply_term``.  The rest of the ring (sums, scalar multiples,
+components, the pointwise product, differences, translation,
+differentiation) is the test suite's reference algebra, in
+``tests/reference.py``.
 
 Canonical form
 --------------
@@ -150,38 +152,6 @@ class QuasiPolynomial:
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         return out
 
-    # -- basic queries -------------------------------------------------------
-
-    def component(self, i):
-        """Scalar-valued quasi-polynomial holding component ``i``."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"component {i} out of range for dimension {self.n}")
-        if self.n == 1:
-            return self
-        return QuasiPolynomial(
-            1, [(nu, c[:, i : i + 1]) for nu, c in self.terms]
-        )
-
-    def degree(self):
-        """Largest polynomial degree over all terms (-1 for zero)."""
-        if not self.terms:
-            return -1
-        return max(c.shape[0] - 1 for _, c in self.terms)
-
-    # -- operations ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, QuasiPolynomial):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return QuasiPolynomial(self.n, list(self.terms) + list(other.terms))
-
-    def scale(self, a):
-        """Multiply by the complex scalar ``a``."""
-        a = complex(a)
-        return QuasiPolynomial(self.n, [(nu, a * c) for nu, c in self.terms])
-
     # -- evaluation ----------------------------------------------------------
 
     def conjugate(self):
@@ -235,36 +205,3 @@ def derivative_weights(nu, order, degree):
         w[q] = comb(m, q) * factorial(q) * fac
     return w
 
-
-def multiply(f, g):
-    """Pointwise product.  At least one factor must be scalar-valued (n = 1)."""
-    if f.n != 1 and g.n != 1:
-        raise ValueError("product needs a scalar-valued factor")
-    if f.n == 1 and g.n != 1:
-        f, g = g, f  # scalar factor second
-    n = f.n
-    out = []
-    for nu1, c1 in f.terms:
-        for nu2, c2 in g.terms:
-            d1, d2 = c1.shape[0], c2.shape[0]
-            prod = np.zeros((d1 + d2 - 1, n), dtype=complex)
-            for q2 in range(d2):
-                prod[q2 : q2 + d1] += c1 * c2[q2, 0]
-            out.append((nu1 + nu2, prod))
-    return QuasiPolynomial(n, out)
-
-
-def place_component(f, n, i):
-    """Vector-valued quasi-polynomial with scalar ``f`` in component ``i``."""
-    if f.n != 1:
-        raise ValueError("place_component expects a scalar-valued argument")
-    if not 0 <= i < n:
-        raise IndexError(f"component {i} out of range for dimension {n}")
-    if n == 1:
-        return f
-    out = []
-    for nu, c in f.terms:
-        arr = np.zeros((c.shape[0], n), dtype=complex)
-        arr[:, i] = c[:, 0]
-        out.append((nu, arr))
-    return QuasiPolynomial(n, out)

@@ -2,7 +2,10 @@
 quasi-polynomial ring, of exact evaluation on the manifold, of kernels and of
 wave profiles beyond what ``cm`` runs, as free functions over the library's
 types.  The pipeline holds the jet on lattice rows and checks waves on
-x-grids, so none of this is library code.
+x-grids, so none of this is library code.  The ring's sums, scalar
+multiples, components and pointwise product, and ``apply_term`` over them,
+are the independent exact evaluator that ``jet.apply_term`` is checked
+against.
 """
 
 import cmath
@@ -17,9 +20,10 @@ from numpy.polynomial import polynomial as npoly
 from cmnl import kernel as _kernel
 from cmnl import spectrum as _spectrum
 from cmnl.kernel import (
-    ExponentialMixture, GaussianMixture, SumKernel, apply_T, taylor_transforms)
-from cmnl.nonlin import apply_term, mu_weight, walk_outer, walk_slots
-from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial, multiply
+    ExponentialMixture, GaussianMixture, SumKernel, apply_T, convolve,
+    taylor_transforms)
+from cmnl.nonlin import mu_weight, walk_outer, walk_slots
+from cmnl.quasipoly import FREQ_TOL, QuasiPolynomial
 from cmnl.verify import (
     PULSE_SPAN, PULSE_START, PULSE_STEP_X, RECONSTRUCT_ROWS, GridProfile,
     Trajectory, _pulse_on_grid, _pulse_orbit, _sech_orbit, _stencil_halfwidth,
@@ -66,8 +70,65 @@ def is_zero(f, tol=0.0):
     return max_coeff(f) <= tol
 
 
+def add(f, g):
+    """The sum of two quasi-polynomials of one dimension."""
+    if f.n != g.n:
+        raise ValueError("dimension mismatch")
+    return QuasiPolynomial(f.n, list(f.terms) + list(g.terms))
+
+
 def sub(f, g):
-    return f + QuasiPolynomial(g.n, [(nu, -c) for nu, c in g.terms])
+    return add(f, QuasiPolynomial(g.n, [(nu, -c) for nu, c in g.terms]))
+
+
+def scale(f, a):
+    """``f`` times the complex scalar ``a``."""
+    a = complex(a)
+    return QuasiPolynomial(f.n, [(nu, a * c) for nu, c in f.terms])
+
+
+def component(f, i):
+    """Scalar-valued quasi-polynomial holding component ``i`` of ``f``."""
+    if not 0 <= i < f.n:
+        raise IndexError(f"component {i} out of range for dimension {f.n}")
+    if f.n == 1:
+        return f
+    return QuasiPolynomial(1, [(nu, c[:, i : i + 1]) for nu, c in f.terms])
+
+
+def multiply(f, g):
+    """Pointwise product, term by term.  At least one factor must be
+    scalar-valued (n = 1)."""
+    if f.n != 1 and g.n != 1:
+        raise ValueError("product needs a scalar-valued factor")
+    if f.n == 1 and g.n != 1:
+        f, g = g, f  # scalar factor second
+    n = f.n
+    out = []
+    for nu1, c1 in f.terms:
+        for nu2, c2 in g.terms:
+            d1, d2 = c1.shape[0], c2.shape[0]
+            prod = np.zeros((d1 + d2 - 1, n), dtype=complex)
+            for q2 in range(d2):
+                prod[q2 : q2 + d1] += c1 * c2[q2, 0]
+            out.append((nu1 + nu2, prod))
+    return QuasiPolynomial(n, out)
+
+
+def place_component(f, n, i):
+    """Vector-valued quasi-polynomial with scalar ``f`` in component ``i``."""
+    if f.n != 1:
+        raise ValueError("place_component expects a scalar-valued argument")
+    if not 0 <= i < n:
+        raise IndexError(f"component {i} out of range for dimension {n}")
+    if n == 1:
+        return f
+    out = []
+    for nu, c in f.terms:
+        arr = np.zeros((c.shape[0], n), dtype=complex)
+        arr[:, i] = c[:, 0]
+        out.append((nu, arr))
+    return QuasiPolynomial(n, out)
 
 
 def mul(a, b):
@@ -76,7 +137,7 @@ def mul(a, b):
     if isinstance(a, (int, float, complex)):
         a, b = b, a
     if isinstance(b, (int, float, complex)):
-        return a.scale(b)
+        return scale(a, b)
     return multiply(a, b)
 
 
@@ -129,6 +190,23 @@ def index_monomial(idx, coords, mu=()):
     return w
 
 
+def apply_term(term, args):
+    """Evaluate one term on quasi-polynomial arguments, exactly, in the
+    algebra above: every product, convolution and placement canonicalizes a
+    ``QuasiPolynomial``.  The oracle of ``jet.apply_term``, which runs the
+    same slot walk on lattice rows.  The formal ``mu^r`` factor is not
+    applied."""
+    if len(args) != term.degree:
+        raise ValueError(
+            f"term of degree {term.degree} applied to {len(args)} arguments"
+        )
+    n = args[0].n
+    if any(u.n != n for u in args):
+        raise ValueError("argument dimensions differ")
+    prod = walk_slots(term, args, n, convolve, component, multiply)
+    return scale(walk_outer(term, prod, n, convolve, place_component), term.coeff)
+
+
 def apply_series(F, u, mu=()):
     """Evaluate the whole series at the single argument ``u``, exactly.
 
@@ -141,7 +219,7 @@ def apply_series(F, u, mu=()):
         weight = mu_weight(t, mu)
         if weight == 0:
             continue
-        out = out + apply_term(t, [u] * t.degree).scale(weight)
+        out = add(out, scale(apply_term(t, [u] * t.degree), weight))
     return out
 
 
@@ -158,7 +236,7 @@ def combine(basis, coords):
         raise ValueError(f"expected {basis.size} coordinates, got {coords.shape}")
     total = zero(basis.n)
     for c, el in zip(coords, basis.elements):
-        total = total + el.function.scale(c)
+        total = add(total, scale(el.function, c))
     return total
 
 
@@ -177,13 +255,13 @@ def manifold_point(J, coords, mu=()):
     for idx, psi in J.psi.items():
         w = index_monomial(idx, coords, mu)
         if w != 0:
-            u = u + psi.scale(w)
+            u = add(u, scale(psi, w))
     return u
 
 
 def equation_residual(K, F, u, mu=()):
     """Exact algebra residual ``u + K*u + F(u, mu)``."""
-    return apply_T(K, u) + apply_series(F, u, mu)
+    return add(apply_T(K, u), apply_series(F, u, mu))
 
 
 # -- kernels -------------------------------------------------------------------

@@ -19,6 +19,7 @@ import re
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,40 @@ class TestProblemParsing:
         with pytest.raises(ProblemError, match=re.escape(where)):
             problem_from_data(data)
         assert main(["reduce", write_problem(tmp_path, data)]) == 2
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("n", True, "'n' must be"),
+        ("kernel n", True, "kernel 'K'.n must be"),
+        ("component", False, "factors[0] component must be"),
+        ("target", False, "target must be"),
+        ("mu_power", True, "mu_power must be"),
+        ("mu_power entry", True, "mu_power entries must be"),
+        ("order", True, "'order' must be"),
+        ("max_order", True, "'nonlinearity.max_order' must be"),
+    ])
+    def test_boolean_is_not_an_integer(self, tmp_path, capsys, field, value, where):
+        # "n": true was read as n = 1, a component or target of false as 0,
+        # and cm spectrum exited 0
+        data = saddle_problem_data()
+        term = data["nonlinearity"]["terms"][0]
+        if field == "n":
+            data["n"] = value
+        elif field == "kernel n":
+            data["kernels"]["K"]["n"] = value
+        elif field == "component":
+            term["factors"][0][1] = value
+        elif field in ("target", "mu_power"):
+            term[field] = value
+        elif field == "mu_power entry":
+            term["mu_power"] = [value]
+        elif field == "order":
+            data["order"] = value
+        else:
+            data["nonlinearity"]["max_order"] = value
+        with pytest.raises(ProblemError, match=re.escape(where)):
+            problem_from_data(data)
+        assert main(["spectrum", write_problem(tmp_path, data)]) == 2
         assert where in capsys.readouterr().err
 
     def test_parameter_free_linear_term_rejected(self):
@@ -770,6 +805,18 @@ class TestVerifyCommand:
         assert "numerical failure: verify.start = 5" in err
         assert "P = 1.41421" in err
 
+    def test_repeated_lambda_exits_2(self, tmp_path, capsys):
+        # a repeated lambda once ran the whole sweep, warned of a division by
+        # zero in the log-log slope, and exited 1 on a non-finite report
+        data = pair_problem_data()
+        data["verify"]["lambdas"] = [1e-2, 1e-2]
+        with pytest.raises(ProblemError, match="must not repeat"):
+            problem_from_data(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", write_problem(tmp_path, data)]) == 2
+        assert "'verify.lambdas' must not repeat a value" in capsys.readouterr().err
+
     def test_linear_algebra_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -777,6 +824,61 @@ class TestVerifyCommand:
         monkeypatch.setattr("cmnl.cli.locate_roots", singular)
         assert main(["spectrum", write_problem(tmp_path, saddle_problem_data())]) == 1
         assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+def run_cm(*argv):
+    """``python -m cmnl.cli argv`` in a child process."""
+    return subprocess.run([sys.executable, "-m", "cmnl.cli", *argv],
+                          capture_output=True, text=True, env=package_env())
+
+
+class TestOutputPaths:
+    """An output that cannot be written, from the command line or the
+    problem file, is an input error: exit 2 with ``error: cannot write
+    PATH: ...`` and no traceback (once a ``FileNotFoundError`` traceback and
+    exit 1)."""
+
+    def test_report_file_below_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        data = saddle_problem_data()
+        for flags, file_data in ((["--out", str(out)], data),
+                                 ([], dict(data, out=str(out)))):
+            proc = run_cm("spectrum", write_problem(tmp_path, file_data), *flags)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"error: cannot write {out}: ")
+            assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_csv_directory_below_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        # the directory is made before the reduction, which never runs
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        csv_dir = blocker / "csv"
+        data = pair_problem_data()
+        runs = ((["--csv", str(csv_dir)], data), ([], dict(data, csv=str(csv_dir))))
+        for flags, file_data in runs:
+            proc = run_cm("verify", write_problem(tmp_path, file_data), *flags)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"error: cannot write {csv_dir}: ")
+            assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+        def reduction(*args, **kwargs):
+            raise AssertionError("the reduction ran")
+
+        monkeypatch.setattr("cmnl.cli.locate_roots", reduction)
+        for flags, file_data in runs:
+            assert main(["verify", write_problem(tmp_path, file_data), *flags]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {csv_dir}: ")
+
+    def test_csv_file_that_cannot_be_written(self, tmp_path):
+        # a directory where the first profile's file goes
+        csv_dir = tmp_path / "csv"
+        target = csv_dir / "homoclinic_0.01.csv"
+        target.mkdir(parents=True)
+        proc = run_cm("verify", write_problem(tmp_path, pair_problem_data()),
+                      "--csv", str(csv_dir))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestArguments:
@@ -982,19 +1084,20 @@ class TestCommandLineEntry:
             if event == "call":
                 ran.add(frame.f_code)
 
+        # a silent nan of numpy (a RuntimeWarning) fails the run, too
         sys.setprofile(profile)
         try:
-            for path in paths.values():
-                plan = '"verify"' in Path(path).read_text(encoding="utf-8")
-                for command in ("spectrum", "reduce", "verify")[: 2 + plan]:
-                    assert main([command, path, "--out", str(tmp_path / "r.json")]) == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for path in paths.values():
+                    plan = '"verify"' in Path(path).read_text(encoding="utf-8")
+                    for command in ("spectrum", "reduce", "verify")[: 2 + plan]:
+                        assert main([command, path, "--out", str(tmp_path / "r.json")]) == 0
         finally:
             sys.setprofile(None)
         pinned = {
-            "quasipoly.QuasiPolynomial.component", "quasipoly.QuasiPolynomial.degree",
-            "quasipoly.QuasiPolynomial.__add__", "quasipoly.QuasiPolynomial.scale",
-            "quasipoly.multiply", "quasipoly.place_component", "nonlin.apply_term",
-            "tsolve.BorderedProblem.__init__", "jet.solve",
+            "jet.apply_term", "tsolve.BorderedProblem.__init__", "jet.solve",
+            "jet._Rows.nearest",  # jet.solve and jet.apply_term
             # the front shot inlines its stages; the tracer counts its calls
             "verify.rk4_step",
             "verify._uniform_spacing",  # grid_convolve without a spacing
@@ -1015,7 +1118,7 @@ class TestCommandLineEntry:
             # the tracer wraps transform on every family; the pipeline
             # evaluates transform_batch
             "kernel.Kernel.transform",
-            "kernel.convolve",  # the tracer wraps it; nonlin.apply_term calls it
+            "kernel.convolve",  # the tracer wraps it; apply_T calls it
             "kernel.apply_T",  # the tracer wraps it; the tests' oracle calls it
             "kernel.GaussianMixture.single",  # library-only: the README example
             # an exponential kernel with a verify plan
@@ -1025,10 +1128,8 @@ class TestCommandLineEntry:
             "kernel.DiracMixture.eta0", "kernel.DiracMixture.eval_x",
             "kernel.DiracMixture.point_masses", "kernel.DiracMixture.decay_radius",
             # library-only: no problem file can build a symbol kernel
-            "kernel.SymbolKernel.__init__", "kernel.SymbolKernel._values",
-            "kernel.SymbolKernel.transform_batch", "kernel.SymbolKernel.eta0",
-            "kernel.SymbolKernel.tabulate", "kernel.SymbolKernel.eval_x",
-            "kernel.SymbolKernel.decay_radius", "kernel.fd_central_stencil",
+            "kernel.SymbolKernel.__init__", "kernel.SymbolKernel.transform_batch",
+            "kernel.SymbolKernel.eta0",
         }
         defined = {}
         for mod in (quasipoly, nonlin, tsolve, jet, problem, cli, spectrum,

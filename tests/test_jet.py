@@ -24,8 +24,8 @@ from conftest import (
     simple_zero_kernel,
 )
 from reference import (
-    equation_residual, evaluate_field, frequencies, isclose, manifold_point,
-    max_coeff, moment, monomial, shift, sub, term_for)
+    add, apply_term, equation_residual, evaluate_field, frequencies, isclose,
+    manifold_point, max_coeff, moment, monomial, scale, shift, sub, term_for)
 from cmnl import jet
 from cmnl.jet import (
     JetIndex,
@@ -40,8 +40,8 @@ from cmnl.jet import (
     compute_jet,
     scale_field,
 )
-from cmnl.kernel import GaussianMixture, SumKernel
-from cmnl.nonlin import NonlinearitySpec, TaylorTerm, apply_term
+from cmnl.kernel import GaussianMixture, SumKernel, SymbolKernel
+from cmnl.nonlin import NonlinearitySpec, TaylorTerm
 from cmnl.problem import ProblemError
 from cmnl.projection import build_gram, build_pointwise, kernel_basis
 from cmnl.quasipoly import TRIM_REL, QuasiPolynomial
@@ -184,7 +184,7 @@ def test_pair_A2Abar_equals_minus_lambda_A_entry(pair_problem):
     K, P, F, J = pair_problem
     got = J.psi[JetIndex((2, 1, 0, 0), (0,))]
     ref = J.psi[JetIndex((1, 0, 0, 0), (1,))]
-    assert isclose(got, ref.scale(-1.0), tol=1e-8)
+    assert isclose(got, scale(ref, -1.0), tol=1e-8)
 
 
 def test_pair_A3_graph_entry(pair_problem):
@@ -294,7 +294,7 @@ def test_pair_reflection_related_entries(pair_problem):
     )
     assert isclose(
         J.psi[JetIndex((0, 0, 0, 1), (1,))],
-        reflect(J.psi[JetIndex((0, 0, 1, 0), (1,))]).scale(-1.0),
+        scale(reflect(J.psi[JetIndex((0, 0, 1, 0), (1,))]), -1.0),
         tol=1e-8,
     )
 
@@ -456,6 +456,20 @@ def test_order_validation():
         compute_jet(K, P, F, 4)
 
 
+def test_symbol_kernel_with_exact_derivative_reduces_like_its_family():
+    # the README problem at order 5 through the symbol of its kernel and the
+    # symbol's exact derivatives: the same field as the gaussian family's
+    G = simple_zero_kernel()
+    S = SymbolKernel(lambda nu: G.transform(nu), np.inf,
+                     derivative=lambda nu, order: G.transform(nu, order))
+    F = NonlinearitySpec(tuple(polynomial_terms([0.0, 0.0, -1.0])), max_order=5)
+    want, got = (compute_jet(K, build_pointwise(kernel_basis(K, locate_roots(K))),
+                             F, 5).field for K in (G, S))
+    assert got.keys() == want.keys() and JetIndex((5,), ()) in want
+    top = max(np.abs(v).max() for v in want.values())
+    assert max(np.abs(got[idx] - v).max() for idx, v in want.items()) <= 1e-13 * top
+
+
 # ---------------------------------------------------------------------------
 # the jet algebra: slot multisets, lattice frequencies, reuse, higher orders
 
@@ -470,7 +484,7 @@ def _ordered_rhs(term, pieces, budget, rho_t):
         m = tuple(map(sum, zip(*(p.m for p in args))))
         rho = tuple(map(sum, zip(rho_t, *(p.rho for p in args))))
         val = apply_term(term, [p.value for p in args])
-        out[m, rho] = val if (m, rho) not in out else out[m, rho] + val
+        out[m, rho] = val if (m, rho) not in out else add(out[m, rho], val)
     return out
 
 

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from conftest import critical_pair_kernel, project
 import reference
-from reference import exponential, frequencies, max_coeff, sub, zero
+from reference import add, exponential, frequencies, max_coeff, scale, sub, zero
 from cmnl.kernel import apply_T
 from cmnl.projection import (
     GRAM_COND_LIMIT,
@@ -254,7 +254,7 @@ def test_basis_elements_reproduce(any_projection):
 
 def test_projection_idempotent(any_projection):
     P = any_projection
-    u = quadratic_prefactor(1.0) + exponential(3j).scale(0.3)
+    u = add(quadratic_prefactor(1.0), scale(exponential(3j), 0.3))
     coords, element = project(P, u)
     coords2, element2 = project(P, element)
     assert np.allclose(coords, coords2, atol=1e-12)
@@ -271,7 +271,7 @@ def test_real_input_gives_conjugate_coordinate_pairs(any_projection, seed):
         nu = complex(np.clip(rng.normal(0, 0.3), -0.8, 0.8), rng.normal(0, 1.2))
         coeffs = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
         term = QuasiPolynomial(1, [(nu, coeffs)])
-        u = u + term + term.conjugate()
+        u = add(add(u, term), term.conjugate())
     coords, _ = project(P, u)
     for k, el in enumerate(P.basis.elements):
         assert np.isclose(coords[el.partner], np.conj(coords[k]), atol=1e-9)

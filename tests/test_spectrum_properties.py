@@ -44,24 +44,24 @@ def exponential_rows(b, s, q):
     return factorial(q) * 2 * b / (b * b - s) ** (q + 1)
 
 
-def amplitudes(rows, scales, chosen, real):
+def amplitudes(rows, scales, chosen, real, check=assume):
     """Amplitudes with d^(q)(-l^2) = 0 for q < m, for every chosen (l, m),
     and d(real^2) = 0 unless ``real`` is None.
 
-    The draw is rejected unless every prescribed root is well posed: the
-    first derivative of d that does not vanish there must be at least
-    ``MIN_SLOPE``.  On a flatter d the rounding of the amplitudes alone
+    The draw is rejected (``check`` false) unless every prescribed root is
+    well posed: the first derivative of d that does not vanish there must
+    be at least ``MIN_SLOPE``.  On a flatter d the rounding of the amplitudes alone
     moves a simple root, or splits a double one, by more than the 1e-8 the
     checks allow, so the kernel no longer has the roots it was built for.
     """
     roots = [(-l * l, m) for l, m in chosen] + ([(real * real, 1)] if real is not None else [])
     conditions = [(s, q) for s, m in roots for q in range(m)]
     A = np.array([[rows(c, s, q) for c in scales] for s, q in conditions])
-    assume(np.linalg.cond(A) < 1e8)
+    check(np.linalg.cond(A) < 1e8)
     c = np.linalg.solve(A, [-1.0 if q == 0 else 0.0 for _, q in conditions])
-    assume(np.abs(c).max() < 50)
+    check(np.abs(c).max() < 50)
     for s, m in roots:
-        assume(abs(sum(ci * rows(a, s, m) for ci, a in zip(c, scales))) >= MIN_SLOPE)
+        check(abs(sum(ci * rows(a, s, m) for ci, a in zip(c, scales))) >= MIN_SLOPE)
     return c
 
 
@@ -90,9 +90,9 @@ def chosen_roots(draw, scales, strip):
     return list(zip(ls, ms)), real, terms
 
 
-def located(K, real):
-    """Roots with the properties every draw must have: each a zero of d,
-    the total an independent winding count, the real pair excluded."""
+def counted(K, real):
+    """Roots located with each a zero of d, the total an independent
+    winding count, and the real pair excluded."""
     res = sp.locate_roots(K)
     for r in res.roots:
         assert abs(sp.char_value(K, r.nu)) <= 1e-9
@@ -102,8 +102,22 @@ def located(K, real):
     if real is not None:
         for x in (-real, real):
             assert any(abs(z - x) <= 1e-8 for z in excluded)
+    return res
+
+
+def located(K, real):
+    """Roots with the properties every draw must have: ``counted``, and no
+    cluster left unconfirmed."""
+    res = counted(K, real)
     assert res.diagnostics["unconfirmed_clusters"] == []
     return res
+
+
+def exponential_kernel(rates, chosen, real, check=assume):
+    """The exponential mixture of ``rates`` whose roots are the axis points
+    ``chosen`` and the real pair +-``real``, as a draw builds it."""
+    c = amplitudes(exponential_rows, rates, chosen, real, check)
+    return kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
 
 
 def expected_roots(chosen):
@@ -117,9 +131,7 @@ def matches(res, nu_im, m):
 @given(chosen_roots(EXP_RATES, lambda rates: 0.9 * min(rates)))
 def test_exponential_mixture_roots_are_exactly_the_chosen_ones(draw):
     chosen, real, rates = draw
-    c = amplitudes(exponential_rows, rates, chosen, real)
-    K = kr.ExponentialMixture([(ci, b, 0.0) for ci, b in zip(c, rates)])
-    res = located(K, real)
+    res = located(exponential_kernel(rates, chosen, real), real)
     want = expected_roots(chosen)
     assert len(res.roots) == len(want)
     assert all(matches(res, l, m) for l, m in want)
@@ -204,3 +216,37 @@ def test_real_pair_next_to_the_axis_is_no_double_root_at_zero():
     res = located(K, real)
     assert len(res.roots) == 2
     assert all(matches(res, l, 1) for l in (-0.1, 0.1))
+
+
+# Two draws of 1,000-draw sweeps of the exponential property, pinned; each
+# passes the draw's checks.
+
+
+def well_posed(ok):
+    assert ok
+
+
+@pytest.mark.xfail(strict=True, reason="spurious unconfirmed cluster at 0: the box"
+                   " Im in [-3.0e-4, 2.9e-4] (count 2, strip 0.54), and strip_shrinks 2")
+def test_real_pair_near_the_axis_leaves_no_unconfirmed_cluster():
+    # rates (0.6, 0.9, 1.3), double roots +-0.1i, real pair +-0.0054: the
+    # roots come out right and the pair is excluded, but every box around
+    # the pair has a Hankel rank that stays ambiguous down to the floor box,
+    # whose cluster at 0 its circle cannot confirm, as d(0) is not zero
+    real = 0.0054
+    res = located(exponential_kernel((0.6, 0.9, 1.3), [(0.1, 2)], real, well_posed), real)
+    assert all(matches(res, l, 2) for l in (-0.1, 0.1)) and len(res.roots) == 2
+
+
+def test_thin_strip_places_the_double_root_within_the_oracle_tolerance():
+    # rates (0.1, 0.9, 1.8, 2.5), double roots +-0.1i, simple roots +-0.6i,
+    # real pair +-0.0009: the strip ends at 0.00045, and the double roots
+    # come out 2.4e-9 off (once 1.2e-8).  Its unconfirmed clusters are the
+    # near-axis finding above.
+    real = 0.0009
+    K = exponential_kernel((0.1, 0.9, 1.8, 2.5), [(0.1, 2), (0.6, 1)], real, well_posed)
+    res = counted(K, real)
+    assert res.strip == pytest.approx(0.5 * real)
+    want = expected_roots([(0.1, 2), (0.6, 1)])
+    assert len(res.roots) == len(want)
+    assert all(matches(res, l, m) for l, m in want)
