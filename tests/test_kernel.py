@@ -207,7 +207,8 @@ def test_symbol_kernel_exact_derivative_callable():
 
 
 def test_symbol_kernel_without_derivative_cannot_locate_roots():
-    G = kr.GaussianMixture.single(1.0, 1.0, poly=[-1.0 / np.sqrt(np.pi), -2.0 / np.sqrt(np.pi)])
+    a = -1.0 / np.sqrt(np.pi)
+    G = kr.GaussianMixture.single(1.0, 1.0, poly=[a, 2 * a])  # the README kernel
     S = kr.SymbolKernel(lambda nu: G.transform(nu), eta0=np.inf)
     with pytest.raises(ValueError, match="finite differences lose the jet's digits"):
         locate_roots(S)

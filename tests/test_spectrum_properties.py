@@ -50,9 +50,10 @@ def amplitudes(rows, scales, chosen, real, check=assume):
 
     The draw is rejected (``check`` false) unless every prescribed root is
     well posed: the first derivative of d that does not vanish there must
-    be at least ``MIN_SLOPE``.  On a flatter d the rounding of the amplitudes alone
-    moves a simple root, or splits a double one, by more than the 1e-8 the
-    checks allow, so the kernel no longer has the roots it was built for.
+    be at least ``MIN_SLOPE``.  On a flatter d the rounding of the
+    amplitudes alone moves a simple root, or splits a double one, by more
+    than the 1e-8 the checks allow, so the kernel no longer has the roots it
+    was built for.
     """
     roots = [(-l * l, m) for l, m in chosen] + ([(real * real, 1)] if real is not None else [])
     conditions = [(s, q) for s, m in roots for q in range(m)]
